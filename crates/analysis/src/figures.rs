@@ -389,8 +389,9 @@ impl CoverageByRange {
         }
     }
 
-    /// Builds one panel per scenario from sweep slices (an
-    /// [`easyc::AssessmentOutput`] or legacy batch output).
+    /// Builds one panel per scenario from the footprints of sweep slices
+    /// (a list or state [`easyc::AssessmentOutput`]; a streamed run keeps
+    /// none).
     pub fn from_slices(slices: &[easyc::ScenarioSlice], embodied: bool) -> CoverageByRange {
         CoverageByRange {
             output: output_label(embodied),

@@ -8,7 +8,7 @@
 use crate::aggregate::Aggregate;
 use easyc::{
     Assessment, AssessmentOutput, CoverageReport, EasyCConfig, Interval, ScenarioDelta,
-    ScenarioMatrix, ScenarioSlice, StreamOutput, SystemFootprint,
+    ScenarioMatrix, SystemFootprint,
 };
 use frame::agg::{group_by, AggFn};
 use frame::{Column, DataFrame};
@@ -168,46 +168,15 @@ pub fn scenario_sweep(
     matrix: &ScenarioMatrix,
     config: EasyCConfig,
 ) -> Vec<ScenarioSummary> {
-    summarize_slices(
-        Assessment::of(list)
-            .config(config)
-            .scenarios(matrix)
-            .run()
-            .slices(),
-    )
+    summarize(&Assessment::of(list).config(config).scenarios(matrix).run())
 }
 
-/// Summarises already-computed scenario slices (no re-assessment) — from
-/// an [`easyc::AssessmentOutput`] or the legacy `BatchOutput`.
-pub fn summarize_slices(slices: &[ScenarioSlice]) -> Vec<ScenarioSummary> {
-    slices
-        .iter()
-        .map(|slice| {
-            let op: Vec<Option<f64>> = slice
-                .footprints
-                .iter()
-                .map(SystemFootprint::operational_mt)
-                .collect();
-            let emb: Vec<Option<f64>> = slice
-                .footprints
-                .iter()
-                .map(SystemFootprint::embodied_mt)
-                .collect();
-            ScenarioSummary {
-                name: slice.scenario.name.clone(),
-                coverage: slice.coverage,
-                operational: Aggregate::of(&op),
-                embodied: Aggregate::of(&emb),
-            }
-        })
-        .collect()
-}
-
-/// Summarises a *streamed* session's folded output. The streaming fold
-/// accumulates exactly the sums [`Aggregate::of`] would compute over the
-/// materialized footprints, so for the same systems this is bit-identical
-/// to [`summarize_slices`] over an in-memory run.
-pub fn summarize_stream(output: &StreamOutput) -> Vec<ScenarioSummary> {
+/// Summarises an assessment's scenarios (no re-assessment), whatever its
+/// source. Every slice carries its engine-folded coverage and totals —
+/// exactly the sums [`Aggregate::of`] would compute over the footprints —
+/// so a streamed run (which keeps no footprints) summarises bit-identically
+/// to an in-memory run over the same systems.
+pub fn summarize(output: &AssessmentOutput) -> Vec<ScenarioSummary> {
     output
         .slices()
         .iter()
@@ -231,51 +200,10 @@ pub fn scenario_sweep_streamed<S: FleetChunks>(
     matrix: &ScenarioMatrix,
     config: EasyCConfig,
 ) -> Result<Vec<ScenarioSummary>, S::Error> {
-    Ok(summarize_stream(
+    Ok(summarize(
         &Assessment::stream(source)
             .config(config)
             .scenarios(matrix)
-            .run()?,
-    ))
-}
-
-/// [`scenario_sweep_streamed`] over a CSV file ingested by `shards`
-/// parallel byte-range parse workers
-/// ([`top500::stream::ShardedCsvReader`]): the split is record-aligned
-/// and the lanes drain in file order, so the summaries are bit-identical
-/// to a serial streamed sweep of the same file — parsing just stops being
-/// the single-consumer bottleneck.
-pub fn scenario_sweep_sharded(
-    path: &std::path::Path,
-    shards: usize,
-    rows_per_chunk: usize,
-    matrix: &ScenarioMatrix,
-    config: EasyCConfig,
-) -> Result<Vec<ScenarioSummary>, top500::io::ImportError> {
-    scenario_sweep_streamed(
-        top500::stream::ShardedCsvReader::open(path, shards, rows_per_chunk)?,
-        matrix,
-        config,
-    )
-}
-
-/// [`scenario_sweep_streamed`], additionally spilling every
-/// per-(scenario, system) row into `writer` chunk by chunk — the full
-/// columnar artifact of an in-memory `sweep --out`, at streaming memory.
-/// The caller still owns the writer: call
-/// [`SweepCsvWriter::finish`](crate::report::SweepCsvWriter::finish)
-/// afterwards to assemble (and error-check) the artifact.
-pub fn scenario_sweep_streamed_to_csv<S: FleetChunks>(
-    source: S,
-    matrix: &ScenarioMatrix,
-    config: EasyCConfig,
-    writer: &mut crate::report::SweepCsvWriter,
-) -> Result<Vec<ScenarioSummary>, S::Error> {
-    Ok(summarize_stream(
-        &Assessment::stream(source)
-            .config(config)
-            .scenarios(matrix)
-            .rows(|block| writer.append(&block))
             .run()?,
     ))
 }
@@ -543,41 +471,6 @@ mod tests {
             .unwrap();
             assert_eq!(streamed, in_memory, "rows {rows}");
         }
-    }
-
-    #[test]
-    fn sharded_sweep_bit_identical_to_in_memory_sweep() {
-        use easyc::{DataScenario, MetricBit, MetricMask};
-        let out = StudyPipeline::new(80, 9).run();
-        let text = top500::io::export_csv(&out.baseline);
-        let path =
-            std::env::temp_dir().join(format!("analysis-shard-sweep-{}.csv", std::process::id()));
-        std::fs::write(&path, &text).expect("write temp csv");
-        let matrix =
-            ScenarioMatrix::new()
-                .with(DataScenario::full("full"))
-                .with(DataScenario::masked(
-                    "no-power",
-                    MetricMask::ALL
-                        .without(MetricBit::PowerKw)
-                        .without(MetricBit::AnnualEnergy),
-                ));
-        let list = top500::io::import_csv(&text).unwrap();
-        let in_memory = scenario_sweep(&list, &matrix, easyc::EasyCConfig::default());
-        for shards in [1usize, 3, 8] {
-            for rows in [7usize, 64] {
-                let sharded = scenario_sweep_sharded(
-                    &path,
-                    shards,
-                    rows,
-                    &matrix,
-                    easyc::EasyCConfig::default(),
-                )
-                .unwrap();
-                assert_eq!(sharded, in_memory, "shards {shards} rows {rows}");
-            }
-        }
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

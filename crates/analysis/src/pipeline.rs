@@ -5,20 +5,15 @@
 //! (+PublicInfo) → interpolate the remainder → aggregate.
 //!
 //! Both scenario runs go through the unified [`easyc::Assessment`] session;
-//! the coverage counts are read off the session footprints directly instead
-//! of re-running every estimator a second time.
+//! coverage and totals are read off the session output instead of
+//! re-running every estimator a second time.
 
 use crate::aggregate::Aggregate;
-use crate::fleet::{scenario_sweep_streamed, scenario_sweep_streamed_to_csv, ScenarioSummary};
+use crate::fleet::summarize;
 use crate::interpolate::{interpolate_with_summary, InterpolationSummary};
-use crate::report::SweepCsvWriter;
-use easyc::{
-    Assessment, CoverageReport, DataScenario, DrawPlan, EasyCConfig, Scenario, ScenarioDelta,
-    ScenarioMatrix, SystemFootprint,
-};
+use easyc::{Assessment, CoverageReport, DataScenario, Scenario, SystemFootprint};
 use top500::enrich::{enrich, RevealRates};
 use top500::list::Top500List;
-use top500::stream::{Prefetched, SyntheticChunks};
 use top500::synthetic::{generate_full, mask_baseline, MaskRates, SyntheticConfig};
 
 /// Pipeline configuration.
@@ -117,103 +112,20 @@ impl StudyPipeline {
             embodied_summary,
         }
     }
-
-    /// Sweeps a scenario matrix over this pipeline's synthetic fleet in
-    /// one session *with* Monte-Carlo uncertainty, and pairs every
-    /// scenario against the matrix's first scenario via common random
-    /// numbers: the summaries plus one CRN-tight [`ScenarioDelta`] per
-    /// variant. The between-scenario claims of a study read off these
-    /// deltas instead of differenced independent bands.
-    pub fn compare_sweep(
-        &self,
-        matrix: &ScenarioMatrix,
-        plan: DrawPlan,
-    ) -> (Vec<crate::fleet::ScenarioSummary>, Vec<ScenarioDelta>) {
-        let output = Assessment::of(&generate_full(&self.synthetic))
-            .scenarios(matrix)
-            .draw_plan(plan)
-            .run();
-        let summaries = crate::fleet::summarize_slices(output.slices());
-        let baseline = matrix
-            .scenarios()
-            .first()
-            .map(|s| s.name.clone())
-            .unwrap_or_default();
-        let deltas = crate::fleet::compare_to_baseline(&output, &baseline);
-        (summaries, deltas)
-    }
-
-    /// Sweeps a scenario matrix over this pipeline's synthetic fleet
-    /// *without materializing it*: the generator streams
-    /// `rows_per_chunk` systems at a time through an incremental session
-    /// (see `easyc::stream`). For any `n` that fits in memory the result
-    /// is bit-identical to summarizing an in-memory
-    /// [`Assessment`] over [`generate_full`] — which is what lets the
-    /// study's workflow scale to fleets of millions of systems.
-    pub fn stream_sweep(
-        &self,
-        matrix: &ScenarioMatrix,
-        rows_per_chunk: usize,
-    ) -> Vec<ScenarioSummary> {
-        match scenario_sweep_streamed(
-            SyntheticChunks::new(self.synthetic, rows_per_chunk),
-            matrix,
-            EasyCConfig::default(),
-        ) {
-            Ok(summaries) => summaries,
-            Err(never) => match never {},
-        }
-    }
-
-    /// [`StudyPipeline::stream_sweep`] with the ingest/assess pipeline
-    /// fully engaged: the synthetic generator runs on a background
-    /// prefetch thread ([`Prefetched`]) while the pool assesses, and every
-    /// per-(scenario, system) row is spilled chunk-by-chunk into a
-    /// columnar CSV at `target` (byte-identical to the in-memory
-    /// `to_frame` artifact). Memory stays bounded by two chunks however
-    /// large `n` is.
-    pub fn stream_sweep_to_csv(
-        &self,
-        matrix: &ScenarioMatrix,
-        rows_per_chunk: usize,
-        target: impl Into<std::path::PathBuf>,
-    ) -> std::io::Result<Vec<ScenarioSummary>> {
-        let mut writer = SweepCsvWriter::create(target, matrix.len())?;
-        let source = Prefetched::new(SyntheticChunks::new(self.synthetic, rows_per_chunk));
-        let summaries = match scenario_sweep_streamed_to_csv(
-            source,
-            matrix,
-            EasyCConfig::default(),
-            &mut writer,
-        ) {
-            Ok(summaries) => summaries,
-            Err(never) => match never {},
-        };
-        writer.finish()?;
-        Ok(summaries)
-    }
 }
 
 fn assess_scenario(list: &Top500List, label: &str) -> ScenarioResults {
-    let footprints = Assessment::of(list)
+    let output = Assessment::of(list)
         .scenario(DataScenario::full(label))
-        .run()
-        .into_footprints();
-    let op: Vec<Option<f64>> = footprints
-        .iter()
-        .map(SystemFootprint::operational_mt)
-        .collect();
-    let emb: Vec<Option<f64>> = footprints
-        .iter()
-        .map(SystemFootprint::embodied_mt)
-        .collect();
+        .run();
+    // Coverage and totals are the engine's fold of these footprints — read
+    // them off the output instead of running every estimator a second time.
+    let summary = &summarize(&output)[0];
     ScenarioResults {
-        // Coverage is "the estimator returned Ok" — read it off the batch
-        // results instead of running every estimator a second time.
-        coverage: CoverageReport::from_footprints(&footprints),
-        operational: Aggregate::of(&op),
-        embodied: Aggregate::of(&emb),
-        footprints,
+        coverage: summary.coverage,
+        operational: summary.operational,
+        embodied: summary.embodied,
+        footprints: output.into_footprints(),
     }
 }
 
@@ -285,62 +197,5 @@ mod tests {
         let out = StudyPipeline::new(20, 1).run();
         assert_eq!(out.operational_interpolated.len(), 20);
         assert_eq!(out.full.len(), 20);
-    }
-
-    #[test]
-    fn compare_sweep_deltas_bit_identical_to_streamed_compare() {
-        use easyc::{MetricBit, MetricMask};
-        let pipeline = StudyPipeline::new(100, 11);
-        let matrix =
-            ScenarioMatrix::new()
-                .with(DataScenario::full("full"))
-                .with(DataScenario::masked(
-                    "no-power",
-                    MetricMask::ALL
-                        .without(MetricBit::PowerKw)
-                        .without(MetricBit::AnnualEnergy),
-                ));
-        let plan = DrawPlan::new(80).with_seed(11).with_confidence(0.9);
-        let (summaries, deltas) = pipeline.compare_sweep(&matrix, plan);
-        assert_eq!(summaries.len(), 2);
-        assert_eq!(deltas.len(), 1);
-        assert_eq!(deltas[0].baseline, "full");
-        assert_eq!(deltas[0].variant, "no-power");
-        assert!(deltas[0].operational.is_some());
-        // The streamed session folds the exact same paired draws.
-        let streamed = Assessment::stream(SyntheticChunks::new(pipeline.synthetic, 17))
-            .scenarios(&matrix)
-            .draw_plan(plan)
-            .run()
-            .unwrap_or_else(|never| match never {});
-        assert_eq!(streamed.compare("full", "no-power").unwrap(), deltas[0]);
-    }
-
-    #[test]
-    fn stream_sweep_matches_in_memory_sweep_over_the_same_fleet() {
-        use crate::fleet::scenario_sweep;
-        use easyc::{MetricBit, MetricMask};
-        let pipeline = StudyPipeline::new(120, 11);
-        let matrix =
-            ScenarioMatrix::new()
-                .with(DataScenario::full("full"))
-                .with(DataScenario::masked(
-                    "no-power",
-                    MetricMask::ALL
-                        .without(MetricBit::PowerKw)
-                        .without(MetricBit::AnnualEnergy),
-                ));
-        let in_memory = scenario_sweep(
-            &generate_full(&pipeline.synthetic),
-            &matrix,
-            EasyCConfig::default(),
-        );
-        for rows in [17usize, 120, 4096] {
-            assert_eq!(
-                pipeline.stream_sweep(&matrix, rows),
-                in_memory,
-                "rows {rows}"
-            );
-        }
     }
 }

@@ -7,8 +7,7 @@
 use bench::BENCH_SEED;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use easyc::{
-    Assessment, AssessmentContext, DataScenario, FleetColumns, MetricBit, MetricMask,
-    ScenarioMatrix,
+    Assessment, DataScenario, FleetColumns, MetricBit, MetricMask, ScenarioMatrix, SevenMetrics,
 };
 use top500::synthetic::{generate_full, SyntheticConfig};
 
@@ -37,9 +36,9 @@ fn bench_kernels(c: &mut Criterion) {
         seed: BENCH_SEED,
         ..Default::default()
     });
-    let ctx = AssessmentContext::new(&list, 1);
+    let metrics: Vec<SevenMetrics> = list.systems().iter().map(SevenMetrics::extract).collect();
     c.bench_function("kernel_scaling/fleet_columns_build_2000", |b| {
-        b.iter(|| FleetColumns::build(std::hint::black_box(ctx.list()), ctx.metrics()))
+        b.iter(|| FleetColumns::build(std::hint::black_box(&list), &metrics))
     });
 
     // Three-scenario matrix through the columnar kernels, single-threaded:

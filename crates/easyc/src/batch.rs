@@ -1,98 +1,30 @@
-//! Staged batch assessment machinery behind the session.
+//! Per-record assessment entry points and the columnar result layout.
 //!
-//! The stages run the model over a shared [`AssessmentContext`]:
+//! Two things live here, both shared by every path through the model:
 //!
-//! ```text
-//! MetricsStage      extract the seven metrics once per system
-//!    ↓
-//! OperationalStage  power path + grid intensity, overrides applied inside
-//!    ↓
-//! EmbodiedStage     ACT-style component roll-up
-//! ```
-//!
-//! Scenario masks are applied through the zero-copy
-//! [`FleetView`]/[`SystemView`] lens layer (`crate::view`) — no record is
-//! cloned per scenario — and every stage is bit-identical to the serial
-//! per-system path ([`crate::estimator::EasyC::assess`]) for any worker
-//! count: all paths call `assess_view` on the same views in the same
-//! order.
-//!
-//! List- and matrix-scale assessment lives in the unified
-//! [`crate::session::Assessment`] session, which interleaves
-//! (scenario × chunk) work items on one pool. (The deprecated
-//! `BatchEngine` shim that used to wrap it has been retired; its pinned
-//! behaviours moved onto the session tests directly.)
-//!
-//! Results are also available columnar ([`BatchOutput::to_frame`]) for the
-//! `frame` group-by/CSV machinery.
+//! - the per-record code path. The serial facade
+//!   ([`crate::estimator::EasyC::assess`]) runs `assess_view` over a
+//!   zero-copy [`SystemView`] lens, and the session engine
+//!   ([`crate::session::Assessment`]) runs `assess_columns` over the
+//!   columnar kernels, which are pinned bit-identical to `assess_view`. No
+//!   record is cloned under any scenario mask.
+//! - the `scenario, rank, operational_mt, …, note` frame layout behind
+//!   [`AssessmentOutput::to_frame`](crate::session::AssessmentOutput::to_frame)
+//!   and the streamed row sink's [`footprints_frame`], built through one
+//!   column accumulator so both produce byte-identical CSV.
 
 use crate::columns::FleetColumns;
-use crate::coverage::CoverageReport;
 use crate::estimator::SystemFootprint;
 use crate::metrics::SevenMetrics;
 use crate::scenario::{DataScenario, OverrideSet};
+use crate::session::ScenarioSlice;
 use crate::view::{FleetView, SystemView};
 use crate::{embodied, operational};
 use frame::{Column, DataFrame};
-use std::collections::HashMap;
-use top500::list::Top500List;
 use top500::record::SystemRecord;
 
-/// Shared, immutable per-list state reused across stages, scenarios and
-/// Monte-Carlo samples: the list itself plus the extracted seven metrics.
-#[derive(Debug, Clone)]
-pub struct AssessmentContext<'a> {
-    list: &'a Top500List,
-    metrics: Vec<SevenMetrics>,
-}
-
-impl<'a> AssessmentContext<'a> {
-    /// Runs [`MetricsStage`] over the list.
-    pub fn new(list: &'a Top500List, workers: usize) -> AssessmentContext<'a> {
-        AssessmentContext {
-            list,
-            metrics: MetricsStage::run(list, workers),
-        }
-    }
-
-    /// The underlying list.
-    pub fn list(&self) -> &'a Top500List {
-        self.list
-    }
-
-    /// Extracted metrics, rank order (parallel to `list().systems()`).
-    pub fn metrics(&self) -> &[SevenMetrics] {
-        &self.metrics
-    }
-
-    /// Number of systems.
-    pub fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
-    /// True when the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
-    }
-}
-
-/// Stage 1: metric extraction (processor-string parsing, CPU derivation).
-/// The most repeat-prone work in the seed — here it runs once per list.
-pub struct MetricsStage;
-
-impl MetricsStage {
-    /// Extracts [`SevenMetrics`] for every system, chunk-parallel.
-    pub fn run(list: &Top500List, workers: usize) -> Vec<SevenMetrics> {
-        parallel::par_map_chunked(list.systems(), workers, |_, chunk| {
-            chunk.iter().map(SevenMetrics::extract).collect()
-        })
-    }
-}
-
-/// Assesses one system through a scenario lens ([`SystemView`]). This is
-/// the single per-record code path shared by the serial facade, the batch
-/// stages and the [`Assessment`] session — bit-identity between all of
-/// them holds by construction, and no record is cloned under any mask.
+/// Assesses one system through a scenario lens ([`SystemView`]) — the
+/// row-at-a-time reference the columnar kernels are pinned against.
 pub(crate) fn assess_view(view: &SystemView<'_>, overrides: &OverrideSet) -> SystemFootprint {
     SystemFootprint {
         rank: view.rank(),
@@ -104,8 +36,8 @@ pub(crate) fn assess_view(view: &SystemView<'_>, overrides: &OverrideSet) -> Sys
 /// Assesses a contiguous block through the columnar kernels, writing one
 /// footprint per row of `range` into `out`. Bit-identical to calling
 /// [`assess_view`] row by row (the kernels pin that invariant); this is the
-/// (scenario × chunk) work-item body of the session and the streaming
-/// pipeline.
+/// (scenario × sub-range) work-item body of the session engine and of the
+/// resident state's cache maintenance.
 pub(crate) fn assess_columns(
     columns: &FleetColumns,
     view: &FleetView<'_>,
@@ -138,58 +70,9 @@ pub(crate) fn assess_one(
     )
 }
 
-/// Stage 2: operational carbon over the whole context.
-pub struct OperationalStage;
-
-impl OperationalStage {
-    /// Operational estimates under `scenario`, rank order, chunk-parallel,
-    /// through a zero-copy [`FleetView`] lens.
-    pub fn run(
-        ctx: &AssessmentContext<'_>,
-        scenario: &DataScenario,
-        workers: usize,
-    ) -> Vec<crate::error::Result<operational::OperationalEstimate>> {
-        let view = FleetView::new(ctx.list(), ctx.metrics(), scenario);
-        let columns = FleetColumns::build(ctx.list(), ctx.metrics());
-        parallel::par_map_chunked(ctx.list().systems(), workers, |start, chunk| {
-            operational::estimate_columns(&columns, &view, start..start + chunk.len())
-        })
-    }
-}
-
-/// Stage 3: embodied carbon over the whole context.
-pub struct EmbodiedStage;
-
-impl EmbodiedStage {
-    /// Embodied estimates under `scenario`, rank order, chunk-parallel,
-    /// through a zero-copy [`FleetView`] lens.
-    pub fn run(
-        ctx: &AssessmentContext<'_>,
-        scenario: &DataScenario,
-        workers: usize,
-    ) -> Vec<crate::error::Result<embodied::EmbodiedEstimate>> {
-        let view = FleetView::new(ctx.list(), ctx.metrics(), scenario);
-        let columns = FleetColumns::build(ctx.list(), ctx.metrics());
-        parallel::par_map_chunked(ctx.list().systems(), workers, |start, chunk| {
-            embodied::estimate_columns(&columns, &view, start..start + chunk.len())
-        })
-    }
-}
-
-/// One scenario's results from a batch pass.
-#[derive(Debug, Clone)]
-pub struct ScenarioSlice {
-    /// The scenario that produced this slice.
-    pub scenario: DataScenario,
-    /// Per-system footprints, rank order.
-    pub footprints: Vec<SystemFootprint>,
-    /// Coverage counts, derived from the footprints themselves (coverage
-    /// is *by construction* "the estimator returned `Ok`").
-    pub coverage: CoverageReport,
-}
-
 /// Column accumulator behind the columnar result layout — one instance per
-/// frame, fed scenario-by-scenario so the in-memory [`BatchOutput::to_frame`]
+/// frame, fed scenario-by-scenario so the in-memory
+/// [`AssessmentOutput::to_frame`](crate::session::AssessmentOutput::to_frame)
 /// and the chunk-at-a-time streaming artifact build byte-identical rows
 /// through one code path.
 struct ResultColumns {
@@ -252,12 +135,11 @@ impl ResultColumns {
     }
 }
 
-/// Columnar layout of every (scenario, system) result:
+/// Columnar layout of every kept (scenario, system) result:
 /// `scenario, rank, operational_mt, embodied_mt, power_kw, pue,
 /// utilization, power_path, note` (nulls where not estimable). Backs
-/// [`BatchOutput::to_frame`] (and through it the session's
-/// [`AssessmentOutput::to_frame`](crate::session::AssessmentOutput::to_frame)).
-fn slices_to_frame(slices: &[ScenarioSlice]) -> DataFrame {
+/// [`AssessmentOutput::to_frame`](crate::session::AssessmentOutput::to_frame).
+pub(crate) fn slices_to_frame(slices: &[ScenarioSlice]) -> DataFrame {
     let rows: usize = slices.iter().map(|s| s.footprints.len()).sum();
     let mut cols = ResultColumns::with_capacity(rows);
     for slice in slices {
@@ -267,79 +149,26 @@ fn slices_to_frame(slices: &[ScenarioSlice]) -> DataFrame {
 }
 
 /// Columnar layout of one scenario-chunk of footprints — the same
-/// `scenario, rank, …, note` schema as [`BatchOutput::to_frame`], built
-/// through the same column accumulator, so serialising successive chunks
-/// (in scenario-major order) reproduces the whole-output frame byte for
-/// byte. This is the building block of the streaming artifact sink: the
-/// incremental session hands each (scenario × chunk) block of footprints
-/// to a sink, which renders it with this function and appends the rows.
+/// `scenario, rank, …, note` schema as
+/// [`AssessmentOutput::to_frame`](crate::session::AssessmentOutput::to_frame),
+/// built through the same column accumulator, so serialising successive
+/// chunks (in scenario-major order) reproduces the whole-output frame byte
+/// for byte. This is the building block of the streaming artifact sink: a
+/// streamed run hands each (scenario × chunk) block of footprints to a
+/// sink, which renders it with this function and appends the rows.
 pub fn footprints_frame(scenario_name: &str, footprints: &[SystemFootprint]) -> DataFrame {
     let mut cols = ResultColumns::with_capacity(footprints.len());
     cols.push(scenario_name, footprints);
     cols.into_frame()
 }
 
-/// The results of assessing a list under a scenario matrix.
-#[derive(Debug, Clone)]
-pub struct BatchOutput {
-    /// One slice per scenario, matrix order. Private so the name index
-    /// built at construction can never go stale.
-    slices: Vec<ScenarioSlice>,
-    /// Scenario name → slice position, first occurrence wins.
-    index: HashMap<String, usize>,
-}
-
-impl BatchOutput {
-    /// Wraps slices, building the name index for O(1) lookup.
-    pub fn new(slices: Vec<ScenarioSlice>) -> BatchOutput {
-        let mut index = HashMap::with_capacity(slices.len());
-        for (i, slice) in slices.iter().enumerate() {
-            index.entry(slice.scenario.name.clone()).or_insert(i);
-        }
-        BatchOutput { slices, index }
-    }
-
-    /// All slices, matrix order.
-    pub fn slices(&self) -> &[ScenarioSlice] {
-        &self.slices
-    }
-
-    /// Slice by scenario name — O(1) via the name index (wide matrices
-    /// used to pay a linear scan per lookup).
-    pub fn slice(&self, name: &str) -> Option<&ScenarioSlice> {
-        self.index_of(name).map(|i| &self.slices[i])
-    }
-
-    /// Slice position by scenario name (first occurrence wins). Shared by
-    /// the session output so both lookups follow one policy.
-    pub(crate) fn index_of(&self, name: &str) -> Option<usize> {
-        self.index.get(name).copied()
-    }
-
-    /// Consumes the output, returning the first slice's footprints (empty
-    /// when no scenario was assessed).
-    pub(crate) fn into_first_footprints(self) -> Vec<SystemFootprint> {
-        self.slices
-            .into_iter()
-            .next()
-            .map(|s| s.footprints)
-            .unwrap_or_default()
-    }
-
-    /// Columnar layout of every (scenario, system) result:
-    /// `scenario, rank, operational_mt, embodied_mt, power_kw, pue,
-    /// utilization, power_path, note` (nulls where not estimable).
-    pub fn to_frame(&self) -> DataFrame {
-        slices_to_frame(&self.slices)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimator::EasyC;
+    use crate::coverage::CoverageReport;
     use crate::scenario::{MetricBit, MetricMask, ScenarioMatrix};
     use crate::session::Assessment;
+    use top500::list::Top500List;
     use top500::synthetic::{generate_full, mask_baseline, MaskRates, SyntheticConfig};
 
     fn list() -> Top500List {
@@ -347,32 +176,6 @@ mod tests {
             n: 80,
             ..Default::default()
         })
-    }
-
-    fn assert_identical(a: &[SystemFootprint], b: &[SystemFootprint]) {
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
-            assert_eq!(x.rank, y.rank);
-            assert_eq!(x.operational, y.operational);
-            assert_eq!(x.embodied, y.embodied);
-        }
-    }
-
-    #[test]
-    fn stages_bit_identical_to_serial_across_workers() {
-        let list = list();
-        let tool = EasyC::new();
-        let serial: Vec<_> = list.systems().iter().map(|s| tool.assess(s)).collect();
-        let scenario = DataScenario::full("default");
-        for workers in [1, 2, 3, 7, 16] {
-            let ctx = AssessmentContext::new(&list, workers);
-            let op = OperationalStage::run(&ctx, &scenario, workers);
-            let emb = EmbodiedStage::run(&ctx, &scenario, workers);
-            for ((s, o), e) in serial.iter().zip(&op).zip(&emb) {
-                assert_eq!(&s.operational, o, "workers {workers}");
-                assert_eq!(&s.embodied, e, "workers {workers}");
-            }
-        }
     }
 
     #[test]
@@ -404,8 +207,7 @@ mod tests {
     #[test]
     fn override_scenario_scales_inside_stages() {
         let list = list();
-        let ctx = AssessmentContext::new(&list, parallel::default_workers());
-        let base = Assessment::over(&ctx)
+        let base = Assessment::of(&list)
             .scenario(DataScenario::full("base"))
             .run()
             .into_footprints();
@@ -413,7 +215,7 @@ mod tests {
             pue: Some(2.6),
             ..OverrideSet::NONE
         });
-        let overridden = Assessment::over(&ctx)
+        let overridden = Assessment::of(&list)
             .scenario(double_pue)
             .run()
             .into_footprints();
@@ -454,22 +256,5 @@ mod tests {
         let footprints = Assessment::of(&masked).run().into_footprints();
         let cov = CoverageReport::from_footprints(&footprints);
         assert_eq!(cov, crate::coverage::coverage(&masked));
-    }
-
-    #[test]
-    fn context_is_reusable() {
-        let list = list();
-        let ctx = AssessmentContext::new(&list, 4);
-        let a = Assessment::over(&ctx)
-            .scenario(DataScenario::full("x"))
-            .run()
-            .into_footprints();
-        let b = Assessment::over(&ctx)
-            .scenario(DataScenario::full("y"))
-            .run()
-            .into_footprints();
-        assert_identical(&a, &b);
-        assert_eq!(ctx.len(), list.len());
-        assert!(!ctx.is_empty());
     }
 }

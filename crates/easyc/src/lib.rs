@@ -58,11 +58,18 @@
 //! through the zero-copy [`FleetView`]/[`SystemView`] lens layer — a
 //! masked sweep performs zero per-record clones (pinned by tests).
 //!
-//! For fleets too large to hold in memory, [`Assessment::stream`] runs the
-//! same plan incrementally over any chunked
-//! [`top500::stream::FleetChunks`] source, folding per-chunk results into
-//! totals, coverage and intervals that are bit-identical to the in-memory
-//! session — see [`stream`].
+//! The same builder runs over three sources, and every run returns one
+//! [`AssessmentOutput`] of per-scenario [`ScenarioSlice`]s (coverage,
+//! fleet totals, both intervals, and the footprints where kept):
+//!
+//! - [`Assessment::of`] — a borrowed list; keeps footprints.
+//! - [`Assessment::stream`] — any chunked [`top500::stream::FleetChunks`]
+//!   source, for fleets too large to hold in memory; folds each chunk into
+//!   totals, coverage and intervals that are bit-identical to the
+//!   in-memory run, and hands per-chunk rows to an optional sink — see
+//!   [`stream`].
+//! - [`FleetState::query`] — a resident fleet whose metrics, columns and
+//!   default-scenario footprints stay warm between queries — see [`state`].
 //!
 //! The module structure mirrors the paper, plus the execution layers:
 //!
@@ -79,18 +86,20 @@
 //!   ([`scenario::ScenarioMatrix`]).
 //! - [`view`] — the borrowed, field-level scenario lenses
 //!   ([`view::FleetView`], [`view::SystemView`]).
-//! - [`session`] — the unified [`session::Assessment`] builder/session.
-//! - [`stream`] — the incremental (chunked, larger-than-memory) session.
-//! - [`partial`] — the mergeable, retractable fold state both sessions
-//!   accumulate through ([`partial::PartialAssessment`]): absorb footprint
+//! - [`session`] — the one [`session::Assessment`] builder, the per-block
+//!   engine behind every source, and the one [`session::AssessmentOutput`].
+//! - [`stream`] — the chunked (larger-than-memory) source and its row sink.
+//! - [`partial`] — the mergeable, retractable fold state the engine
+//!   accumulates through ([`partial::PartialAssessment`]): absorb footprint
 //!   blocks, merge adjacent rank ranges, retract a trailing range back
 //!   out, collapse through the pinned [`fold`] shape — what makes sharded
 //!   ingest, scale-out and incremental re-assessment deterministic.
 //! - [`state`] — the resident-service layer: a long-lived
 //!   [`state::FleetState`] (parsed list, Phase-1 metrics, columnar layout
 //!   and a content-hash-keyed footprint cache) answering cheap borrowed
-//!   [`state::QueryPlan`]s, bit-identical to a cold session.
-//! - [`batch`] — the staged context machinery behind the session.
+//!   queries, bit-identical to a cold session.
+//! - [`batch`] — the per-record assessment entry points and the columnar
+//!   `scenario, rank, …` result layout ([`batch::footprints_frame`]).
 //! - [`estimator`] — the per-system facade, routed through the same code
 //!   path as the session.
 //! - [`uncertainty`] — Monte-Carlo bands under one [`uncertainty::DrawPlan`]
@@ -115,7 +124,6 @@ pub mod stream;
 pub mod uncertainty;
 pub mod view;
 
-pub use batch::{AssessmentContext, BatchOutput, ScenarioSlice};
 pub use columns::FleetColumns;
 pub use coverage::{coverage, CoverageReport, Scenario};
 pub use embodied::{EmbodiedBreakdown, EmbodiedEstimate};
@@ -125,8 +133,8 @@ pub use metrics::SevenMetrics;
 pub use operational::{AciSource, OperationalEstimate, PowerPath};
 pub use partial::{FleetTotals, MergeError, PartialAssessment, RetractError};
 pub use scenario::{DataScenario, MetricBit, MetricMask, OverrideSet, ScenarioMatrix};
-pub use session::{Assessment, AssessmentOutput};
-pub use state::{content_hash, FleetState, InvalidateOutcome, QueryPlan, UpdateError};
-pub use stream::{ChunkRows, RowSink, StreamOutput, StreamSlice, StreamingAssessment};
+pub use session::{Assessment, AssessmentOutput, ScenarioSlice};
+pub use state::{content_hash, FleetState, InvalidateOutcome, UpdateError};
+pub use stream::{ChunkRows, RowSink, StreamOutput};
 pub use uncertainty::{DrawPlan, Interval, PriorUncertainty, ScenarioDelta};
 pub use view::{FleetView, SystemView};

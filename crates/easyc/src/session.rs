@@ -1,53 +1,66 @@
-//! The unified assessment session — one entry point for every workload.
+//! The unified assessment session — one plan type, one engine, one output.
 //!
-//! The model used to be reachable through four separate doors: `EasyC`
-//! (per-system and per-list), `BatchEngine` (scenario matrices),
-//! `uncertainty::scenario_intervals` (Monte-Carlo bands) and
-//! `analysis::sensitivity` (scenario deltas), each wiring the stages by
-//! hand. An [`Assessment`] plans the whole job once instead:
+//! An [`Assessment`] plans a whole fleet job once, over one of three
+//! sources:
 //!
 //! ```text
-//! Assessment::of(&list)            borrow the fleet
+//! Assessment::of(&list)            a borrowed list
+//! Assessment::stream(source)       any top500::stream::FleetChunks
+//! state.query()                    a resident crate::state::FleetState
 //!     .scenarios(&matrix)          what-if matrix (default: one scenario)
 //!     .workers(8)                  pool size
 //!     .uncertainty(1000)           optional Monte-Carlo draws
-//!     .run()                       plan + execute
+//!     .run()                       plan + execute -> AssessmentOutput
 //! ```
 //!
-//! `run()` builds one [`FleetView`] per scenario (zero record clones — the
-//! mask is a lens, not a copy), splits the list into contiguous chunks of
-//! roughly `workers × items_per_worker` work items (default 4× the pool —
-//! fine enough that one slow chunk cannot idle the rest of the pool, see
-//! [`Assessment::items_per_worker`]), and interleaves every
-//! **(scenario × chunk)** work item on a single
-//! [`parallel::pool::ThreadPool`]: wide matrices no longer walk scenarios
+//! The builder methods live once, on `Assessment<Src>`; the source type
+//! only decides where the rows come from (and whether `run` can fail: a
+//! chunk source can). Behind every source sits one private per-block
+//! engine. A list or state run is one block; a streamed run is one block
+//! per pulled chunk. For each block the engine:
+//!
+//! 1. extracts the seven metrics and builds the
+//!    [`crate::columns::FleetColumns`] layout, chunk-parallel on the pool —
+//!    unless the source already holds them (a resident state does);
+//! 2. interleaves every **(scenario × sub-range)** work item on a single
+//!    [`parallel::pool::ThreadPool`] through the columnar kernels
+//!    ([`crate::operational::estimate_columns`] /
+//!    [`crate::embodied::estimate_columns`]), skipping any scenario whose
+//!    footprints a warm resident cache already holds;
+//! 3. absorbs each scenario's block into its running
+//!    [`PartialAssessment`] at the block's first global row;
+//! 4. with `uncertainty(draws)`, runs blocked (sample-chunk × scenario)
+//!    Monte-Carlo items at that same row offset.
+//!
+//! Each block is split into roughly `workers × items_per_worker`
+//! contiguous sub-ranges (default 4× the pool — fine enough that one slow
+//! item cannot idle the rest of the pool, see
+//! [`Assessment::items_per_worker`]). Wide matrices do not walk scenarios
 //! sequentially, so a slow scenario cannot leave workers idle while others
-//! wait. Output order is deterministic and bit-identical to the serial
-//! per-system path at any worker count *and any chunk granularity* — every
-//! item writes disjoint, pre-planned output slots and the per-record math
-//! runs through the columnar kernels
-//! ([`crate::operational::estimate_columns`] /
-//! [`crate::embodied::estimate_columns`] over one shared
-//! [`crate::columns::FleetColumns`] layout), which are pinned bit-identical
-//! to the row-at-a-time [`crate::operational::estimate_view`] /
-//! [`crate::embodied::estimate_view`] reference.
+//! wait. Output is deterministic and bit-identical to the serial
+//! per-system path at any worker count, chunk granularity, fleet chunking
+//! and cache temperature:
 //!
-//! With `uncertainty(draws)`, a third phase schedules blocked
-//! (sample-chunk × scenario) items on the same pool, driven by one
-//! [`crate::uncertainty::DrawPlan`]: RNG streams are keyed by (system,
-//! draw index) — never by scenario — so every scenario replays identical
-//! per-system perturbations (common random numbers), and each work item
-//! computes its samples' factors and noise column once, sweeping them over
-//! every scenario's pre-hoisted factor columns. The output carries
-//! fleet-total *operational* **and** *embodied* [`Interval`]s per scenario
-//! (bit-identical to the serial [`DrawPlan`] kernels) plus the retained
-//! per-scenario draw vectors, which [`AssessmentOutput::compare`] pairs
-//! into tight [`ScenarioDelta`] difference intervals.
+//! - every item writes disjoint, pre-planned output slots, and the
+//!   columnar kernels are pinned bit-identical to the row-at-a-time
+//!   [`crate::operational::estimate_view`] /
+//!   [`crate::embodied::estimate_view`] reference;
+//! - one consumer absorbs adjacent blocks, so each scenario's partial stays
+//!   one coalesced segment and its totals are the serial left fold (see
+//!   [`crate::partial`]);
+//! - the draws' RNG streams are keyed by (global row, draw index) — never
+//!   by scenario, block or cache state — so every scenario replays
+//!   identical per-system perturbations (common random numbers), and each
+//!   work item computes its samples' factors and noise column once,
+//!   sweeping them over every scenario's pre-hoisted factor columns.
 //!
-//! For fleets too large to hold, [`Assessment::stream`] runs the same
-//! plan incrementally over a chunked source — see [`crate::stream`].
+//! Every run returns one [`AssessmentOutput`]: per-scenario
+//! [`ScenarioSlice`]s (coverage, fleet totals, operational **and** embodied
+//! [`Interval`]s, and the footprints when the source keeps them) plus the
+//! retained per-scenario draw vectors, which [`AssessmentOutput::compare`]
+//! pairs into tight [`ScenarioDelta`] difference intervals.
 
-use crate::batch::{assess_columns, AssessmentContext, BatchOutput, ScenarioSlice};
+use crate::batch::{assess_columns, slices_to_frame};
 use crate::columns::FleetColumns;
 use crate::coverage::CoverageReport;
 use crate::embodied::EmbodiedEstimate;
@@ -56,44 +69,139 @@ use crate::metrics::SevenMetrics;
 use crate::operational::OperationalEstimate;
 use crate::partial::PartialAssessment;
 use crate::scenario::{DataScenario, ScenarioMatrix};
-use crate::stream::StreamingAssessment;
 use crate::uncertainty::{
     embodied_block_accumulate, embodied_factors, fleet_factors, operational_block_accumulate,
     operational_noise, DrawPlan, EmbFactorColumns, Interval, OpFactorColumns, PriorUncertainty,
-    RetainedDraws, ScenarioDelta, ScenarioDraws,
+    ScenarioDelta, ScenarioDraws,
 };
 use crate::view::FleetView;
 use frame::DataFrame;
 use parallel::pool::ThreadPool;
+use std::collections::HashMap;
+use std::ops::Range;
 use top500::list::Top500List;
-use top500::stream::FleetChunks;
 
-/// What the session assesses: a bare list (metrics extracted by the
-/// session itself, on the pool) or a pre-built context whose extraction is
-/// reused.
-enum Source<'a> {
-    List(&'a Top500List),
-    Context(&'a AssessmentContext<'a>),
-}
-
-/// Builder/session for a planned, pool-executed fleet assessment.
+/// Builder for a planned, pool-executed fleet assessment over the source
+/// `Src` — a borrowed list ([`Assessment::of`]), a chunk source
+/// ([`Assessment::stream`]) or a resident fleet
+/// ([`crate::state::FleetState::query`]).
 ///
 /// See the [module docs](self) for the execution model. All builder
-/// methods are by-value; finish with [`Assessment::run`].
-pub struct Assessment<'a> {
-    source: Source<'a>,
+/// methods are by-value; finish with `run`.
+pub struct Assessment<Src> {
+    pub(crate) source: Src,
     config: EasyCConfig,
     matrix: Option<ScenarioMatrix>,
     plan: DrawPlan,
     items_per_worker: usize,
 }
 
-/// Default work-item oversubscription: ~4 chunks per worker, so a skewed
-/// chunk (one giant system, a cache-cold stretch) stops one worker for a
+/// Default work-item oversubscription: ~4 items per worker, so a skewed
+/// item (one giant system, a cache-cold stretch) stops one worker for a
 /// quarter of a share instead of idling the whole pool at the tail.
-pub(crate) const DEFAULT_ITEMS_PER_WORKER: usize = 4;
+const DEFAULT_ITEMS_PER_WORKER: usize = 4;
 
-impl<'a> Assessment<'a> {
+impl<Src> Assessment<Src> {
+    /// A default plan over `source` under `config`.
+    pub(crate) fn with_source(source: Src, config: EasyCConfig) -> Assessment<Src> {
+        Assessment {
+            source,
+            config,
+            matrix: None,
+            plan: DrawPlan::default(),
+            items_per_worker: DEFAULT_ITEMS_PER_WORKER,
+        }
+    }
+
+    /// Replaces the whole configuration (overrides, lifetime, workers).
+    /// On a state query a changed override set also changes which
+    /// scenarios the warm cache may serve — see
+    /// [`crate::state::FleetState::query`].
+    pub fn config(mut self, config: EasyCConfig) -> Assessment<Src> {
+        self.config = config;
+        self
+    }
+
+    /// Sets the worker-pool size for this run.
+    pub fn workers(mut self, workers: usize) -> Assessment<Src> {
+        self.config.workers = workers.max(1);
+        self
+    }
+
+    /// Assesses one explicit scenario (replacing the default
+    /// configuration-implied scenario or any previous matrix).
+    pub fn scenario(mut self, scenario: DataScenario) -> Assessment<Src> {
+        self.matrix = Some(ScenarioMatrix::from_scenarios(vec![scenario]));
+        self
+    }
+
+    /// Assesses a whole scenario matrix in one interleaved pass per block.
+    pub fn scenarios(mut self, matrix: &ScenarioMatrix) -> Assessment<Src> {
+        self.matrix = Some(matrix.clone());
+        self
+    }
+
+    /// Requests Monte-Carlo fleet-total intervals (operational and
+    /// embodied) with this many draws per scenario (0 = skip, the
+    /// default). All scenarios replay the same per-system perturbations
+    /// (common random numbers), so [`AssessmentOutput::compare`] can pair
+    /// them into tight difference intervals.
+    pub fn uncertainty(mut self, draws: usize) -> Assessment<Src> {
+        self.plan.draws = draws;
+        self
+    }
+
+    /// Confidence level of the intervals (default 0.95).
+    pub fn confidence(mut self, level: f64) -> Assessment<Src> {
+        self.plan.level = level;
+        self
+    }
+
+    /// RNG seed for the Monte-Carlo draws (default 0). Results are
+    /// reproducible and independent of worker count, granularity and fleet
+    /// chunking for a given seed.
+    pub fn seed(mut self, seed: u64) -> Assessment<Src> {
+        self.plan.seed = seed;
+        self
+    }
+
+    /// Prior uncertainty widths used by the Monte-Carlo draws.
+    pub fn priors(mut self, priors: PriorUncertainty) -> Assessment<Src> {
+        self.plan.priors = priors;
+        self
+    }
+
+    /// Replaces the whole [`DrawPlan`] (draws, level, seed and priors) in
+    /// one call.
+    pub fn draw_plan(mut self, plan: DrawPlan) -> Assessment<Src> {
+        self.plan = plan;
+        self
+    }
+
+    /// Work items planned per worker within each block (default 4). The
+    /// plan splits each block into `workers × items_per_worker` contiguous
+    /// sub-ranges; finer items interleave better on skewed lists, coarser
+    /// items have less dispatch overhead. Results are bit-identical at any
+    /// granularity — this is purely a scheduler knob (pinned by
+    /// `tests/batch_matrix`).
+    pub fn items_per_worker(mut self, items: usize) -> Assessment<Src> {
+        self.items_per_worker = items.max(1);
+        self
+    }
+
+    /// Splits the plan into its source and an engine ready to run it.
+    pub(crate) fn into_parts(self) -> (Src, Engine) {
+        let engine = Engine::new(
+            self.matrix.as_ref(),
+            &self.config,
+            self.plan,
+            self.items_per_worker,
+        );
+        (self.source, engine)
+    }
+}
+
+impl<'a> Assessment<&'a Top500List> {
     /// Session over a borrowed list.
     ///
     /// ```
@@ -109,415 +217,241 @@ impl<'a> Assessment<'a> {
     /// assert_eq!(slice.coverage.total, 25);
     /// assert!(slice.footprints.iter().any(|fp| fp.operational.is_ok()));
     /// ```
-    pub fn of(list: &'a Top500List) -> Assessment<'a> {
-        Assessment {
-            source: Source::List(list),
-            config: EasyCConfig::default(),
-            matrix: None,
-            plan: DrawPlan::default(),
-            items_per_worker: DEFAULT_ITEMS_PER_WORKER,
-        }
+    pub fn of(list: &'a Top500List) -> Assessment<&'a Top500List> {
+        Assessment::with_source(list, EasyCConfig::default())
     }
 
-    /// Incremental session over a chunked fleet source — the
-    /// larger-than-memory mode. Per-chunk results fold into running
-    /// totals, coverage counts and fleet intervals without ever holding
-    /// the full fleet; see [`crate::stream`]. Wrap the source in
-    /// [`top500::stream::Prefetched`] to parse the next chunk on a
-    /// background thread while the pool assesses the current one.
-    ///
-    /// ```
-    /// use easyc::Assessment;
-    /// use top500::stream::SyntheticChunks;
-    /// use top500::synthetic::SyntheticConfig;
-    ///
-    /// // Stream a 100-system synthetic fleet in 16-row chunks: totals and
-    /// // coverage fold incrementally, so only one chunk is ever resident.
-    /// let source = SyntheticChunks::new(
-    ///     SyntheticConfig { n: 100, ..Default::default() },
-    ///     16,
-    /// );
-    /// let output = Assessment::stream(source)
-    ///     .workers(2)
-    ///     .run()
-    ///     .expect("synthetic sources cannot fail");
-    /// let slice = &output.slices()[0];
-    /// assert_eq!(output.systems(), 100);
-    /// assert_eq!(slice.coverage.total, 100);
-    /// assert!(slice.operational_total_mt > 0.0);
-    /// assert!(output.peak_chunk_rows() <= 16);
-    /// ```
-    pub fn stream<'sink, S: FleetChunks>(source: S) -> StreamingAssessment<'sink, S> {
-        StreamingAssessment::new(source)
-    }
-
-    /// Session over a pre-built [`AssessmentContext`], reusing its metric
-    /// extraction (useful when many sessions share one list).
-    pub fn over(ctx: &'a AssessmentContext<'a>) -> Assessment<'a> {
-        let mut session = Assessment::of(ctx.list());
-        session.source = Source::Context(ctx);
-        session
-    }
-
-    /// Replaces the whole configuration (priors, lifetime, workers).
-    pub fn config(mut self, config: EasyCConfig) -> Assessment<'a> {
-        self.config = config;
-        self
-    }
-
-    /// Sets the worker-pool size for this session.
-    pub fn workers(mut self, workers: usize) -> Assessment<'a> {
-        self.config.workers = workers.max(1);
-        self
-    }
-
-    /// Assesses one explicit scenario (replacing the default
-    /// configuration-implied scenario or any previous matrix).
-    pub fn scenario(mut self, scenario: DataScenario) -> Assessment<'a> {
-        self.matrix = Some(ScenarioMatrix::from_scenarios(vec![scenario]));
-        self
-    }
-
-    /// Assesses a whole scenario matrix in one interleaved pass.
-    pub fn scenarios(mut self, matrix: &ScenarioMatrix) -> Assessment<'a> {
-        self.matrix = Some(matrix.clone());
-        self
-    }
-
-    /// Requests Monte-Carlo fleet-total intervals (operational and
-    /// embodied) with this many draws per scenario (0 = skip, the
-    /// default). All scenarios replay the same per-system perturbations
-    /// (common random numbers), so [`AssessmentOutput::compare`] can pair
-    /// them into tight difference intervals.
-    pub fn uncertainty(mut self, draws: usize) -> Assessment<'a> {
-        self.plan.draws = draws;
-        self
-    }
-
-    /// Confidence level of the intervals (default 0.95).
-    pub fn confidence(mut self, level: f64) -> Assessment<'a> {
-        self.plan.level = level;
-        self
-    }
-
-    /// RNG seed for the Monte-Carlo draws (default 0). Results are
-    /// reproducible and independent of worker count for a given seed.
-    pub fn seed(mut self, seed: u64) -> Assessment<'a> {
-        self.plan.seed = seed;
-        self
-    }
-
-    /// Prior uncertainty widths used by the Monte-Carlo draws.
-    pub fn priors(mut self, priors: PriorUncertainty) -> Assessment<'a> {
-        self.plan.priors = priors;
-        self
-    }
-
-    /// Replaces the whole [`DrawPlan`] (draws, level, seed and priors) in
-    /// one call.
-    pub fn draw_plan(mut self, plan: DrawPlan) -> Assessment<'a> {
-        self.plan = plan;
-        self
-    }
-
-    /// Work items planned per worker (default 4). The plan splits each
-    /// scenario's list into `workers × items_per_worker` contiguous chunks;
-    /// finer chunks interleave better on skewed lists, coarser chunks have
-    /// less dispatch overhead. Results are bit-identical at any granularity
-    /// — this is purely a scheduler knob (pinned by `tests/batch_matrix`).
-    pub fn items_per_worker(mut self, items: usize) -> Assessment<'a> {
-        self.items_per_worker = items.max(1);
-        self
-    }
-
-    /// Plans and executes the session; see the [module docs](self).
+    /// Plans and executes the session as one block; the output keeps
+    /// every scenario's footprints.
     pub fn run(self) -> AssessmentOutput {
-        let workers = self.config.workers.max(1);
-        let list = match self.source {
-            Source::List(list) => list,
-            Source::Context(ctx) => ctx.list(),
-        };
-        // The scenarios as displayed (slice labels) and as computed
-        // (scenario overrides win over configuration overrides, matching
-        // the serial `EasyC::assess_scenario` semantics).
-        let (display, effective) = plan_scenarios(self.matrix.as_ref(), &self.config);
-
-        let n = list.len();
-        let chunks = parallel::split_ranges(n, workers * self.items_per_worker);
-        // One pool for every phase; `None` runs the plan inline (workers=1
-        // keeps the calling thread, so e.g. thread-local clone counters in
-        // tests observe the whole execution).
-        let pool = (workers > 1).then(|| ThreadPool::new(workers));
-
-        // Phase 1 — metric extraction, chunk-parallel on the pool (skipped
-        // when a pre-built context already carries it).
-        let extracted: Vec<SevenMetrics>;
-        let metrics: &[SevenMetrics] = match self.source {
-            Source::Context(ctx) => ctx.metrics(),
-            Source::List(list) => {
-                let mut slots: Vec<Option<SevenMetrics>> = Vec::with_capacity(n);
-                slots.resize_with(n, || None);
-                {
-                    let mut jobs: Vec<Job<'_>> = Vec::with_capacity(chunks.len());
-                    let mut rest = slots.as_mut_slice();
-                    for range in &chunks {
-                        let (chunk, tail) = rest.split_at_mut(range.len());
-                        rest = tail;
-                        // audit: allow(panic-surface) — the chunk plan partitions 0..len, so every range is in bounds
-                        let records = &list.systems()[range.clone()];
-                        jobs.push(Box::new(move || {
-                            for (slot, record) in chunk.iter_mut().zip(records) {
-                                *slot = Some(SevenMetrics::extract(record));
-                            }
-                        }));
-                    }
-                    execute(pool.as_ref(), jobs);
-                }
-                extracted = slots
-                    .into_iter()
-                    // audit: allow(panic-surface) — the pool scope joins every job, so each slot was filled
-                    .map(|m| m.expect("every extraction chunk ran"))
-                    .collect();
-                &extracted
-            }
-        };
-
-        // Phases 2–3 — shared with the resident [`crate::state::QueryPlan`]
-        // path, which supplies a pre-built columnar layout and (when warm)
-        // cached footprints instead of re-estimating. A cold session caches
-        // nothing, so `run_planned_phases` computes every scenario.
-        let columns = FleetColumns::build(list, metrics);
-        let cached: Vec<Option<&[SystemFootprint]>> = effective.iter().map(|_| None).collect();
-        run_planned_phases(
-            &PhaseInput {
-                list,
-                metrics,
-                columns: &columns,
-                cached: &cached,
-            },
-            display,
-            &effective,
-            self.plan,
-            workers,
-            self.items_per_worker,
-            pool.as_ref(),
-        )
+        let (list, mut engine) = self.into_parts();
+        let footprints = engine.run_block(list, None);
+        engine.finish(footprints)
     }
 }
 
-/// The fleet data phases 2–3 read: where the records, Phase-1 metrics and
-/// columnar layout live (a cold session builds them per run; a resident
-/// [`crate::state::FleetState`] keeps them warm), plus per-effective-
-/// scenario cached footprints that let phase 2 skip re-estimation.
-pub(crate) struct PhaseInput<'a> {
-    /// The fleet records.
-    pub list: &'a Top500List,
-    /// Phase-1 metrics, one per record.
-    pub metrics: &'a [SevenMetrics],
-    /// The struct-of-arrays layout phase 2's kernels read.
-    pub columns: &'a FleetColumns,
-    /// Per-effective-scenario cached footprints (same order as the
-    /// `effective` list). `Some` skips phase 2 for that scenario — valid
-    /// only when the cache was produced by these same kernels over this
-    /// same fleet, which is exactly what the resident state guarantees.
-    pub cached: &'a [Option<&'a [SystemFootprint]>],
+/// Phase-1 products a resident [`crate::state::FleetState`] already holds
+/// for its one block, plus its warm footprints per effective scenario
+/// (`None` = run the kernels). A cached entry is valid only when the cache
+/// was produced by these same kernels over this same fleet and scenario,
+/// which is exactly what the resident state guarantees.
+pub(crate) struct Resident<'b> {
+    pub(crate) metrics: &'b [SevenMetrics],
+    pub(crate) columns: &'b FleetColumns,
+    pub(crate) cached: Vec<Option<&'b [SystemFootprint]>>,
 }
 
-/// Phase 2 (columnar scenario assessment, with cache reuse) and phase 3
-/// (blocked Monte-Carlo draws) over pre-extracted fleet data — the shared
-/// engine behind [`Assessment::run`] and [`crate::state::QueryPlan::run`].
-/// Bit-identical at any worker count, chunk granularity, and cache
-/// temperature: a cached scenario's footprints are the same bits phase 2
-/// would recompute, so every downstream fold sees identical terms.
-pub(crate) fn run_planned_phases(
-    input: &PhaseInput<'_>,
+/// The per-block engine behind every [`Assessment`] run (see the
+/// [module docs](self)). It owns the pool and one running
+/// [`PartialAssessment`] per scenario; each [`Engine::run_block`] folds
+/// the next contiguous block of the fleet into them.
+pub(crate) struct Engine {
+    /// The scenarios as displayed (slice labels).
     display: Vec<DataScenario>,
-    effective: &[DataScenario],
+    /// The scenarios as computed: configuration overrides merged under
+    /// each scenario's own (scenario wins, matching the serial
+    /// `EasyC::assess_scenario` semantics).
+    effective: Vec<DataScenario>,
     plan: DrawPlan,
-    workers: usize,
-    items_per_worker: usize,
-    pool: Option<&ThreadPool>,
-) -> AssessmentOutput {
-    let n = input.list.len();
-    let chunks = parallel::split_ranges(n, workers * items_per_worker);
-    // Phase 2 — the (scenario × chunk) plan, interleaved on the pool.
-    // Each item owns a disjoint slice of one scenario's output, so the
-    // result is deterministic regardless of scheduling. The per-record
-    // math runs through the columnar kernels over one [`FleetColumns`]
-    // layout shared by every scenario — bit-identical to the row-at-a-time
-    // `assess_view` reference (pinned by the session tests and
-    // `tests/proptests.rs`). Scenarios with cached footprints skip their
-    // jobs entirely: the resident state already holds the same bits.
-    let mut outputs: Vec<Option<Vec<Option<SystemFootprint>>>> = effective
-        .iter()
-        .zip(input.cached)
-        .map(|(_, cached)| {
-            cached.is_none().then(|| {
-                let mut v = Vec::with_capacity(n);
-                v.resize_with(n, || None);
-                v
-            })
-        })
-        .collect();
-    {
-        let columns = input.columns;
-        let mut jobs: Vec<Job<'_>> = Vec::with_capacity(effective.len() * chunks.len());
-        for (scenario, out) in effective.iter().zip(outputs.iter_mut()) {
-            let Some(out) = out.as_mut() else { continue };
-            let view = FleetView::new(input.list, input.metrics, scenario);
-            let mut rest = out.as_mut_slice();
-            for range in &chunks {
-                let (chunk, tail) = rest.split_at_mut(range.len());
-                rest = tail;
-                let range = range.clone();
-                jobs.push(Box::new(move || {
-                    assess_columns(columns, &view, range, chunk);
-                }));
-            }
-        }
-        execute(pool, jobs);
-    }
-    let slices: Vec<ScenarioSlice> = display
-        .into_iter()
-        .zip(outputs)
-        .zip(input.cached)
-        .map(|((scenario, out), cached)| {
-            let footprints: Vec<SystemFootprint> = match out {
-                Some(out) => out
-                    .into_iter()
-                    // audit: allow(panic-surface) — the pool scope joins every job, so each slot was filled
-                    .map(|f| f.expect("every assessment chunk ran"))
-                    .collect(),
-                // audit: allow(panic-surface) — the planner caches exactly the scenarios it skips
-                None => cached.expect("uncomputed scenarios carry a cache").to_vec(),
-            };
-            let coverage = CoverageReport::from_footprints(&footprints);
-            ScenarioSlice {
-                scenario,
-                footprints,
-                coverage,
-            }
-        })
-        .collect();
-
-    // Phase 3 — optional Monte-Carlo draws, (scenario × draw-chunk)
-    // items on the same pool, operational and embodied interleaved
-    // together. Bases are the Ok estimates of phase 2 tagged with
-    // their global list index (the CRN stream key), so no estimator
-    // runs twice and every scenario shares per-system perturbations.
-    let retained = if plan.draws > 0 {
-        run_draws(plan, workers, items_per_worker, &slices, pool)
-    } else {
-        slices.iter().map(|_| ScenarioDraws::default()).collect()
-    };
-
-    AssessmentOutput::new(slices, retained, plan)
+    /// Work items per block: `workers × items_per_worker`.
+    granularity: usize,
+    /// One pool for every phase and block; `None` runs the plan inline
+    /// (workers=1 keeps the calling thread, so e.g. thread-local clone
+    /// counters in tests observe the whole execution).
+    pool: Option<ThreadPool>,
+    partials: Vec<PartialAssessment>,
+    blocks: usize,
+    systems: usize,
+    peak_block_rows: usize,
 }
 
-/// Runs the blocked (sample-chunk × scenario) Monte-Carlo plan and
-/// returns the retained per-scenario draw state. Each work item owns
-/// one disjoint sample range of **every** scenario's draw buffer: the
-/// per-sample systematic factors and the idiosyncratic noise column are
-/// scenario-invariant under the CRN keying, so one job computes them
-/// once and sweeps each scenario's [`OpFactorColumns`] /
-/// [`EmbFactorColumns`] lanes over them. Bit-identical to the serial
-/// [`DrawPlan::operational_draws`] / [`DrawPlan::embodied_draws`]
-/// reference kernels (pinned by `tests/batch_matrix.rs` and proptests).
-/// The draws are a pure function of the footprint bases and the plan —
-/// independent of whether phase 2 computed the bases or a resident cache
-/// supplied them — which is what makes warm intervals bit-identical.
-fn run_draws(
-    plan: DrawPlan,
-    workers: usize,
-    items_per_worker: usize,
-    slices: &[ScenarioSlice],
-    pool: Option<&ThreadPool>,
-) -> Vec<ScenarioDraws> {
-    // Ok operational estimates tagged with the system's global list
-    // position — the scenario-independent stream index.
-    let op_bases: Vec<Vec<(usize, OperationalEstimate)>> = slices
-        .iter()
-        .map(|slice| {
-            slice
-                .footprints
+impl Engine {
+    fn new(
+        matrix: Option<&ScenarioMatrix>,
+        config: &EasyCConfig,
+        plan: DrawPlan,
+        items_per_worker: usize,
+    ) -> Engine {
+        let workers = config.workers.max(1);
+        let display: Vec<DataScenario> = match matrix {
+            Some(matrix) => matrix.scenarios().to_vec(),
+            None => vec![DataScenario::full("default")],
+        };
+        let effective: Vec<DataScenario> = display
+            .iter()
+            .map(|s| DataScenario {
+                name: s.name.clone(),
+                mask: s.mask,
+                overrides: s.overrides.or(config.overrides()),
+            })
+            .collect();
+        Engine {
+            partials: display
                 .iter()
-                .enumerate()
-                .filter_map(|(i, f)| f.operational.as_ref().ok().cloned().map(|op| (i, op)))
-                .collect()
-        })
-        .collect();
-    let emb_bases: Vec<Vec<EmbodiedEstimate>> = slices
-        .iter()
-        .map(|slice| {
-            slice
-                .footprints
-                .iter()
-                .filter_map(|f| f.embodied.as_ref().ok().cloned())
-                .collect()
-        })
-        .collect();
-    // Per-scenario factor columns, hoisted once for the whole phase.
-    let op_cols: Vec<OpFactorColumns> = op_bases
-        .iter()
-        .map(|b| OpFactorColumns::from_bases(b))
-        .collect();
-    let emb_cols: Vec<EmbFactorColumns> = emb_bases
-        .iter()
-        .map(|b| EmbFactorColumns::from_bases(b))
-        .collect();
-    // Rows the shared noise column spans: every scenario's indices are
-    // global list positions in `0..n`.
-    let n = slices.first().map_or(0, |s| s.footprints.len());
-    let op_streams = plan.operational_streams();
-    let emb_streams = plan.embodied_streams();
-    let sample_chunks = parallel::split_ranges(plan.draws, workers * items_per_worker);
-    // One [`PartialAssessment`] per scenario: absorbing the whole
-    // footprint slice at row 0 repeats the serial left fold over the
-    // covered `mt_co2e` terms (the point totals), and its draw slots
-    // are the per-sample buffers the blocked kernels accumulate into.
-    let mut partials: Vec<PartialAssessment> = slices
-        .iter()
-        .map(|slice| {
-            let mut partial = PartialAssessment::identity(plan.draws);
-            partial.absorb(0, &slice.footprints);
-            partial
-        })
-        .collect();
-    {
+                .map(|_| PartialAssessment::identity(plan.draws))
+                .collect(),
+            display,
+            effective,
+            plan,
+            granularity: workers * items_per_worker,
+            pool: (workers > 1).then(|| ThreadPool::new(workers)),
+            blocks: 0,
+            systems: 0,
+            peak_block_rows: 0,
+        }
+    }
+
+    /// The scenarios as labelled in the matrix (matrix order).
+    pub(crate) fn scenarios(&self) -> &[DataScenario] {
+        &self.display
+    }
+
+    /// The scenarios as computed, configuration overrides merged in
+    /// (matrix order) — what a warm cache is matched against.
+    pub(crate) fn effective(&self) -> &[DataScenario] {
+        &self.effective
+    }
+
+    /// Runs phases 1–3 over `list`, the block of rows right after every
+    /// block already run, and returns its per-scenario footprints (matrix
+    /// order). `resident` supplies phase-1 products and warm footprints a
+    /// resident state already holds.
+    pub(crate) fn run_block(
+        &mut self,
+        list: &Top500List,
+        resident: Option<Resident<'_>>,
+    ) -> Vec<Vec<SystemFootprint>> {
+        let n = list.len();
+        // Global row of the block's first system: the fold offset and the
+        // scenario-independent CRN stream offset of its draws.
+        let first_row = self.systems;
+        self.blocks += 1;
+        self.systems += n;
+        self.peak_block_rows = self.peak_block_rows.max(n);
+        if n == 0 {
+            return self.display.iter().map(|_| Vec::new()).collect();
+        }
+        let ranges = parallel::split_ranges(n, self.granularity);
+        let pool = self.pool.as_ref();
+
+        // Phase 1 — metrics and the columnar layout every scenario's
+        // kernels share, unless the source already holds them.
+        let (extracted, built);
+        let (metrics, columns, cached) = match &resident {
+            Some(r) => (r.metrics, r.columns, r.cached.as_slice()),
+            None => {
+                extracted = extract_metrics(list, &ranges, pool);
+                built = FleetColumns::build(list, &extracted);
+                (extracted.as_slice(), &built, &[][..])
+            }
+        };
+
+        // Phase 2 — the (scenario × sub-range) items.
+        let footprints = assess_scenarios(
+            list,
+            metrics,
+            columns,
+            &self.effective,
+            cached,
+            &ranges,
+            pool,
+        );
+
+        // Phase 3 — fold the block into each scenario's partial at its
+        // global offset (a single consumer over adjacent blocks extends
+        // one coalesced segment: the serial left fold, term by term), then
+        // accumulate its Monte-Carlo terms into the partials' draw slots.
+        for (partial, block) in self.partials.iter_mut().zip(&footprints) {
+            partial.absorb(first_row, block);
+        }
+        if self.plan.draws > 0 {
+            self.run_draws(first_row, n, &footprints);
+        }
+        footprints
+    }
+
+    /// Accumulates one block's Monte-Carlo terms into the partials'
+    /// per-sample draw buffers with the blocked kernels. Each work item
+    /// owns one disjoint sample range of **every** scenario's buffer: the
+    /// per-sample systematic factors and the idiosyncratic noise column
+    /// (keyed by `first_row + block row`, the CRN global index) are
+    /// scenario-invariant, so one job computes them once and sweeps each
+    /// scenario's [`OpFactorColumns`] / [`EmbFactorColumns`] lanes over
+    /// them. Terms fold in as `*slot += term` in base order — bit-identical
+    /// to the serial [`DrawPlan::operational_draws`] /
+    /// [`DrawPlan::embodied_draws`] reference kernels (pinned by
+    /// `tests/batch_matrix.rs` and proptests). The draws are a pure
+    /// function of the footprint bases and the plan, independent of
+    /// whether phase 2 computed the bases or a resident cache supplied
+    /// them — which is what makes warm intervals bit-identical.
+    fn run_draws(&mut self, first_row: usize, rows: usize, footprints: &[Vec<SystemFootprint>]) {
+        let plan = self.plan;
+        // Per-scenario factor columns over the Ok estimates, operational
+        // bases tagged with their global row — the stream key.
+        let op_cols: Vec<OpFactorColumns> = footprints
+            .iter()
+            .map(|block| {
+                let bases: Vec<(usize, OperationalEstimate)> = block
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(row, fp)| {
+                        fp.operational
+                            .as_ref()
+                            .ok()
+                            .map(|op| (first_row + row, op.clone()))
+                    })
+                    .collect();
+                OpFactorColumns::from_bases(&bases)
+            })
+            .collect();
+        let emb_cols: Vec<EmbFactorColumns> = footprints
+            .iter()
+            .map(|block| {
+                let bases: Vec<EmbodiedEstimate> = block
+                    .iter()
+                    .filter_map(|fp| fp.embodied.as_ref().ok().cloned())
+                    .collect();
+                EmbFactorColumns::from_bases(&bases)
+            })
+            .collect();
+        let sample_chunks = parallel::split_ranges(plan.draws, self.granularity);
         // Transpose the per-scenario buffers into per-sample-chunk work
-        // items: item j owns samples `sample_chunks[j]` of every
-        // covered scenario, as (scenario index, buffer sub-slice).
+        // items: item j owns samples `sample_chunks[j]` of every covered
+        // scenario, as (scenario index, buffer sub-slice).
         let mut op_parts: Vec<Vec<(usize, &mut [f64])>> =
             sample_chunks.iter().map(|_| Vec::new()).collect();
         let mut emb_parts: Vec<Vec<(usize, &mut [f64])>> =
             sample_chunks.iter().map(|_| Vec::new()).collect();
-        for (scenario, partial) in partials.iter_mut().enumerate() {
-            let has_op = !op_bases[scenario].is_empty();
-            let has_emb = !emb_bases[scenario].is_empty();
-            if !has_op && !has_emb {
+        for (scenario, ((partial, op), emb)) in self
+            .partials
+            .iter_mut()
+            .zip(&op_cols)
+            .zip(&emb_cols)
+            .enumerate()
+        {
+            if op.is_empty() && emb.is_empty() {
                 continue;
             }
             let (op_buffer, emb_buffer) = partial
                 .draw_slots()
-                // audit: allow(panic-surface) — guarded by the has_op/has_emb coverage test above
-                .expect("covered scenarios absorbed a non-empty slice");
-            if has_op {
+                // audit: allow(panic-surface) — a covered scenario absorbed this non-empty block just before
+                .expect("covered scenarios absorbed the block");
+            if !op.is_empty() {
                 let split = parallel::split_mut_by_ranges(op_buffer, &sample_chunks);
                 for (item, part) in op_parts.iter_mut().zip(split) {
                     item.push((scenario, part));
                 }
             }
-            if has_emb {
+            if !emb.is_empty() {
                 let split = parallel::split_mut_by_ranges(emb_buffer, &sample_chunks);
                 for (item, part) in emb_parts.iter_mut().zip(split) {
                     item.push((scenario, part));
                 }
             }
         }
-        let op_cols = &op_cols;
-        let emb_cols = &emb_cols;
-        let op_streams = &op_streams;
-        let emb_streams = &emb_streams;
+        let (op_cols, emb_cols) = (&op_cols, &emb_cols);
+        let op_streams = &plan.operational_streams();
+        let emb_streams = &plan.embodied_streams();
         let mut jobs: Vec<Job<'_>> = Vec::with_capacity(sample_chunks.len());
         for ((range, mut op_item), mut emb_item) in
             sample_chunks.iter().cloned().zip(op_parts).zip(emb_parts)
@@ -527,17 +461,17 @@ fn run_draws(
             }
             let priors = plan.priors;
             jobs.push(Box::new(move || {
-                let mut noise = vec![0.0f64; if op_item.is_empty() { 0 } else { n }];
+                let mut noise = vec![0.0f64; if op_item.is_empty() { 0 } else { rows }];
                 for (k, sample) in range.clone().enumerate() {
                     if !op_item.is_empty() {
                         let factors = fleet_factors(op_streams, &priors, sample);
-                        operational_noise(op_streams, sample, 0, &mut noise);
+                        operational_noise(op_streams, sample, first_row, &mut noise);
                         for (scenario, part) in op_item.iter_mut() {
                             operational_block_accumulate(
                                 &op_cols[*scenario],
                                 &factors,
                                 &noise,
-                                0,
+                                first_row,
                                 &mut part[k],
                             );
                         }
@@ -551,55 +485,155 @@ fn run_draws(
                 }
             }));
         }
-        execute(pool, jobs);
+        execute(self.pool.as_ref(), jobs);
     }
-    partials
-        .into_iter()
-        .map(|partial| {
-            // Single-segment partials collapse verbatim: the absorbed
-            // point totals and the kernel-filled draw buffers come
-            // back untouched, with uncovered families' buffers dropped
-            // — the engine's retention policy.
+
+    /// Collapses the running partials into the run's output. `footprints`
+    /// are the per-scenario rows a list or state run keeps; a streamed run
+    /// passes none, leaving every slice's footprints empty.
+    pub(crate) fn finish(self, mut footprints: Vec<Vec<SystemFootprint>>) -> AssessmentOutput {
+        footprints.resize_with(self.display.len(), Vec::new);
+        let plan = self.plan;
+        let mut slices = Vec::with_capacity(self.display.len());
+        let mut retained = Vec::with_capacity(self.display.len());
+        for ((scenario, partial), footprints) in
+            self.display.into_iter().zip(self.partials).zip(footprints)
+        {
+            // Single-consumer partials hold exactly one coalesced segment,
+            // so `finish` returns the fold state verbatim: the absorbed
+            // point totals and the kernel-filled draw buffers, with an
+            // uncovered family's buffer dropped — the retention policy.
             let totals = partial.finish();
-            ScenarioDraws {
+            slices.push(ScenarioSlice {
+                scenario,
+                footprints,
+                coverage: CoverageReport {
+                    operational: totals.op_covered,
+                    embodied: totals.emb_covered,
+                    total: totals.total,
+                },
+                operational_total_mt: totals.operational_mt,
+                embodied_total_mt: totals.embodied_mt,
+                interval: plan.interval_of(totals.operational_mt, &totals.op_draws),
+                embodied_interval: plan.interval_of(totals.embodied_mt, &totals.emb_draws),
+            });
+            retained.push(ScenarioDraws {
                 op_point: totals.operational_mt,
                 op: totals.op_draws,
                 emb_point: totals.embodied_mt,
                 emb: totals.emb_draws,
+            });
+        }
+        let mut index = HashMap::with_capacity(slices.len());
+        for (i, slice) in slices.iter().enumerate() {
+            index.entry(slice.scenario.name.clone()).or_insert(i);
+        }
+        AssessmentOutput {
+            slices,
+            index,
+            plan,
+            draws: retained,
+            blocks: self.blocks,
+            systems: self.systems,
+            peak_block_rows: self.peak_block_rows,
+        }
+    }
+}
+
+/// Phase 1 — metric extraction, chunk-parallel on the pool.
+fn extract_metrics(
+    list: &Top500List,
+    ranges: &[Range<usize>],
+    pool: Option<&ThreadPool>,
+) -> Vec<SevenMetrics> {
+    let mut slots: Vec<Option<SevenMetrics>> = Vec::with_capacity(list.len());
+    slots.resize_with(list.len(), || None);
+    let mut jobs: Vec<Job<'_>> = Vec::with_capacity(ranges.len());
+    let mut rest = slots.as_mut_slice();
+    for range in ranges {
+        let (chunk, tail) = rest.split_at_mut(range.len());
+        rest = tail;
+        // audit: allow(panic-surface) — the chunk plan partitions 0..len, so every range is in bounds
+        let records = &list.systems()[range.clone()];
+        jobs.push(Box::new(move || {
+            for (slot, record) in chunk.iter_mut().zip(records) {
+                *slot = Some(SevenMetrics::extract(record));
             }
+        }));
+    }
+    execute(pool, jobs);
+    slots
+        .into_iter()
+        // audit: allow(panic-surface) — the pool scope joins every job, so each slot was filled
+        .map(|m| m.expect("every extraction chunk ran"))
+        .collect()
+}
+
+/// Phase 2 — every (scenario × sub-range) item of one block, interleaved
+/// on the pool. Each item owns a disjoint slice of one scenario's output,
+/// so the result is deterministic regardless of scheduling. All scenarios
+/// share one [`FleetColumns`] layout — bit-identical to the row-at-a-time
+/// `assess_view` reference (pinned by the session tests and
+/// `tests/proptests.rs`). Scenarios with cached footprints skip their
+/// items entirely: the resident state already holds the same bits.
+fn assess_scenarios(
+    list: &Top500List,
+    metrics: &[SevenMetrics],
+    columns: &FleetColumns,
+    effective: &[DataScenario],
+    cached: &[Option<&[SystemFootprint]>],
+    ranges: &[Range<usize>],
+    pool: Option<&ThreadPool>,
+) -> Vec<Vec<SystemFootprint>> {
+    let n = list.len();
+    let cached_of = |scenario: usize| cached.get(scenario).copied().flatten();
+    let mut outputs: Vec<Option<Vec<Option<SystemFootprint>>>> = (0..effective.len())
+        .map(|scenario| {
+            cached_of(scenario).is_none().then(|| {
+                let mut v = Vec::with_capacity(n);
+                v.resize_with(n, || None);
+                v
+            })
+        })
+        .collect();
+    let mut jobs: Vec<Job<'_>> = Vec::with_capacity(effective.len() * ranges.len());
+    for (scenario, out) in effective.iter().zip(outputs.iter_mut()) {
+        let Some(out) = out.as_mut() else { continue };
+        let view = FleetView::new(list, metrics, scenario);
+        let mut rest = out.as_mut_slice();
+        for range in ranges {
+            let (chunk, tail) = rest.split_at_mut(range.len());
+            rest = tail;
+            let range = range.clone();
+            jobs.push(Box::new(move || {
+                assess_columns(columns, &view, range, chunk);
+            }));
+        }
+    }
+    execute(pool, jobs);
+    outputs
+        .into_iter()
+        .enumerate()
+        .map(|(scenario, out)| match out {
+            Some(out) => out
+                .into_iter()
+                // audit: allow(panic-surface) — the pool scope joins every job, so each slot was filled
+                .map(|f| f.expect("every assessment chunk ran"))
+                .collect(),
+            None => cached_of(scenario)
+                // audit: allow(panic-surface) — the planner skips exactly the cached scenarios
+                .expect("uncomputed scenarios carry a cache")
+                .to_vec(),
         })
         .collect()
 }
 
-/// Resolves the scenario matrix into (display, effective) scenario lists:
-/// `display` carries the slice labels verbatim, `effective` merges the
-/// configuration overrides underneath each scenario's own (scenario wins).
-/// Shared by the in-memory and streaming sessions.
-pub(crate) fn plan_scenarios(
-    matrix: Option<&ScenarioMatrix>,
-    config: &EasyCConfig,
-) -> (Vec<DataScenario>, Vec<DataScenario>) {
-    let display: Vec<DataScenario> = match matrix {
-        Some(matrix) => matrix.scenarios().to_vec(),
-        None => vec![DataScenario::full("default")],
-    };
-    let effective: Vec<DataScenario> = display
-        .iter()
-        .map(|s| DataScenario {
-            name: s.name.clone(),
-            mask: s.mask,
-            overrides: s.overrides.or(config.overrides()),
-        })
-        .collect();
-    (display, effective)
-}
-
-pub(crate) type Job<'env> = Box<dyn FnOnce() + Send + 'env>;
+type Job<'env> = Box<dyn FnOnce() + Send + 'env>;
 
 /// Dispatches planned work items: interleaved on the pool when one exists,
 /// in plan order on the calling thread otherwise. Either way every item
 /// runs exactly once before this returns.
-pub(crate) fn execute<'env>(pool: Option<&ThreadPool>, jobs: Vec<Job<'env>>) {
+fn execute<'env>(pool: Option<&ThreadPool>, jobs: Vec<Job<'env>>) {
     match pool {
         Some(pool) => pool.scope(|scope| {
             for job in jobs {
@@ -614,61 +648,77 @@ pub(crate) fn execute<'env>(pool: Option<&ThreadPool>, jobs: Vec<Job<'env>>) {
     }
 }
 
-/// Results of one [`Assessment::run`]: per-scenario slices (matrix order)
-/// with O(1) lookup by name, plus optional Monte-Carlo intervals
-/// (operational and embodied) and the retained per-scenario draw vectors
-/// behind them — paired across scenarios by the session's common random
-/// numbers, which is what [`AssessmentOutput::compare`] folds into tight
-/// [`ScenarioDelta`] difference intervals. The slices and their name index
-/// live in an inner [`BatchOutput`], so both output types share one lookup
-/// policy (first occurrence wins).
+/// One scenario's results: coverage, fleet totals and (with draws) fleet
+/// intervals — plus the per-system footprints when the run keeps them.
+#[derive(Debug, Clone)]
+pub struct ScenarioSlice {
+    /// The scenario that produced this slice (display form, as labelled in
+    /// the matrix).
+    pub scenario: DataScenario,
+    /// Per-system footprints, rank order. List and state runs keep them;
+    /// a streamed run folds them away and leaves this empty (attach a row
+    /// sink to see them).
+    pub footprints: Vec<SystemFootprint>,
+    /// Coverage counts under the scenario. Coverage is *by construction*
+    /// "the estimator returned `Ok`".
+    pub coverage: CoverageReport,
+    /// Fleet-total operational carbon over covered systems, MT CO2e/yr.
+    pub operational_total_mt: f64,
+    /// Fleet-total embodied carbon over covered systems, MT CO2e.
+    pub embodied_total_mt: f64,
+    /// Fleet-total operational interval (`None` without `uncertainty` or
+    /// when nothing was estimable).
+    pub interval: Option<Interval>,
+    /// Fleet-total embodied interval (`None` without `uncertainty` or when
+    /// nothing was estimable).
+    pub embodied_interval: Option<Interval>,
+}
+
+/// Results of one [`Assessment`] run, whatever its source: per-scenario
+/// slices (matrix order) with O(1) lookup by name (first occurrence wins),
+/// the retained per-scenario draw vectors — paired across scenarios by the
+/// run's common random numbers, which is what
+/// [`AssessmentOutput::compare`] folds into tight [`ScenarioDelta`]
+/// difference intervals — and the blocks the engine ran.
 #[derive(Debug, Clone)]
 pub struct AssessmentOutput {
-    batch: BatchOutput,
-    draws: RetainedDraws,
-    intervals: Vec<Option<Interval>>,
-    embodied_intervals: Vec<Option<Interval>>,
+    slices: Vec<ScenarioSlice>,
+    index: HashMap<String, usize>,
+    plan: DrawPlan,
+    /// Per-scenario draw vectors, matrix order (empty without draws).
+    draws: Vec<ScenarioDraws>,
+    blocks: usize,
+    systems: usize,
+    peak_block_rows: usize,
 }
 
 impl AssessmentOutput {
-    fn new(
-        slices: Vec<ScenarioSlice>,
-        retained: Vec<ScenarioDraws>,
-        plan: DrawPlan,
-    ) -> AssessmentOutput {
-        let draws = RetainedDraws {
-            plan,
-            scenarios: retained,
-        };
-        AssessmentOutput {
-            batch: BatchOutput::new(slices),
-            intervals: draws.intervals(true),
-            embodied_intervals: draws.intervals(false),
-            draws,
-        }
-    }
-
     /// All slices, matrix order.
     pub fn slices(&self) -> &[ScenarioSlice] {
-        self.batch.slices()
+        &self.slices
     }
 
     /// Number of scenarios assessed.
     pub fn len(&self) -> usize {
-        self.slices().len()
+        self.slices.len()
     }
 
     /// True when nothing was assessed (empty matrix).
     pub fn is_empty(&self) -> bool {
-        self.slices().is_empty()
+        self.slices.is_empty()
+    }
+
+    fn index_of(&self, name: &str) -> Option<usize> {
+        self.index.get(name).copied()
     }
 
     /// Slice by scenario name — O(1).
     pub fn slice(&self, name: &str) -> Option<&ScenarioSlice> {
-        self.batch.slice(name)
+        self.index_of(name).and_then(|i| self.slices.get(i))
     }
 
-    /// Footprints of one scenario by name — O(1).
+    /// Footprints of one scenario by name — O(1) (empty for a streamed
+    /// run).
     pub fn footprints(&self, name: &str) -> Option<&[SystemFootprint]> {
         self.slice(name).map(|s| s.footprints.as_slice())
     }
@@ -676,49 +726,47 @@ impl AssessmentOutput {
     /// Per-scenario fleet-total operational intervals, matrix order
     /// (`None` entries when `uncertainty` was not requested or a scenario
     /// covered nothing).
-    pub fn intervals(&self) -> &[Option<Interval>] {
-        &self.intervals
+    pub fn intervals(&self) -> Vec<Option<Interval>> {
+        self.slices.iter().map(|s| s.interval).collect()
     }
 
-    /// Per-scenario fleet-total *embodied* intervals, matrix order (`None`
-    /// entries when `uncertainty` was not requested or a scenario covered
-    /// nothing).
-    pub fn embodied_intervals(&self) -> &[Option<Interval>] {
-        &self.embodied_intervals
+    /// Per-scenario fleet-total *embodied* intervals, matrix order.
+    pub fn embodied_intervals(&self) -> Vec<Option<Interval>> {
+        self.slices.iter().map(|s| s.embodied_interval).collect()
     }
 
     /// Operational interval of one scenario by name — O(1).
     pub fn interval(&self, name: &str) -> Option<Interval> {
-        self.batch.index_of(name).and_then(|i| self.intervals[i])
+        self.slice(name).and_then(|s| s.interval)
     }
 
     /// Embodied interval of one scenario by name — O(1).
     pub fn embodied_interval(&self, name: &str) -> Option<Interval> {
-        self.batch
-            .index_of(name)
-            .and_then(|i| self.embodied_intervals[i])
+        self.slice(name).and_then(|s| s.embodied_interval)
     }
 
     /// The [`DrawPlan`] that produced this output's uncertainty phase.
     pub fn draw_plan(&self) -> &DrawPlan {
-        &self.draws.plan
+        &self.plan
     }
 
     /// One scenario's retained operational draw vector (`None` without
     /// `uncertainty` or when the scenario covered nothing). Draws are
     /// paired across scenarios: index `i` of every scenario's vector was
-    /// produced by the same per-system perturbations.
+    /// produced by the same per-system perturbations, whatever the source.
     pub fn operational_draws(&self, name: &str) -> Option<&[f64]> {
-        self.draws.operational_draws(self.batch.index_of(name)?)
+        let draws = &self.draws.get(self.index_of(name)?)?.op;
+        (!draws.is_empty()).then_some(draws)
     }
 
     /// One scenario's retained embodied draw vector — see
     /// [`AssessmentOutput::operational_draws`].
     pub fn embodied_draws(&self, name: &str) -> Option<&[f64]> {
-        self.draws.embodied_draws(self.batch.index_of(name)?)
+        let draws = &self.draws.get(self.index_of(name)?)?.emb;
+        (!draws.is_empty()).then_some(draws)
     }
 
-    /// Paired-difference intervals `variant − baseline` over the session's
+    /// Paired-difference intervals `variant − baseline` over the run's
     /// common random numbers — the first-class scenario comparison. `None`
     /// when either scenario is absent or no uncertainty draws ran; the
     /// per-family intervals inside are `None` where a side had no
@@ -727,21 +775,47 @@ impl AssessmentOutput {
     /// own bands, because both scenarios replayed identical per-system
     /// perturbations (pinned by `tests/compare.rs` and proptests).
     pub fn compare(&self, baseline: &str, variant: &str) -> Option<ScenarioDelta> {
-        let b = self.batch.index_of(baseline)?;
-        let v = self.batch.index_of(variant)?;
-        self.draws.compare((baseline, b), (variant, v))
+        let b = self.draws.get(self.index_of(baseline)?)?;
+        let v = self.draws.get(self.index_of(variant)?)?;
+        (self.plan.draws > 0)
+            .then(|| ScenarioDelta::paired(baseline, variant, b, v, self.plan.alpha()))
     }
 
-    /// Columnar layout of every (scenario, system) result — see
-    /// [`BatchOutput::to_frame`].
+    /// Columnar layout of every kept (scenario, system) result:
+    /// `scenario, rank, operational_mt, embodied_mt, power_kw, pue,
+    /// utilization, power_path, note` (nulls where not estimable). A
+    /// streamed run keeps no footprints, so its frame has no rows — its
+    /// row sink renders the same rows block by block through
+    /// [`crate::batch::footprints_frame`].
     pub fn to_frame(&self) -> DataFrame {
-        self.batch.to_frame()
+        slices_to_frame(&self.slices)
     }
 
     /// Consumes the output, returning the first scenario's footprints —
     /// the single-scenario convenience.
     pub fn into_footprints(self) -> Vec<SystemFootprint> {
-        self.batch.into_first_footprints()
+        self.slices
+            .into_iter()
+            .next()
+            .map(|s| s.footprints)
+            .unwrap_or_default()
+    }
+
+    /// Blocks the engine ran: chunks pulled from a streamed source (empty
+    /// ones included), or 1 for a list or state run.
+    pub fn chunks(&self) -> usize {
+        self.blocks
+    }
+
+    /// Systems assessed across all blocks.
+    pub fn systems(&self) -> usize {
+        self.systems
+    }
+
+    /// Largest single block — for a streamed run, the fleet-memory
+    /// high-water mark, since exactly one chunk is resident at a time.
+    pub fn peak_chunk_rows(&self) -> usize {
+        self.peak_block_rows
     }
 }
 
@@ -814,20 +888,6 @@ mod tests {
         assert!(out.slice("no-power").is_some());
         assert!(out.slice("missing").is_none());
         assert_eq!(out.footprints("full").unwrap().len(), 80);
-    }
-
-    #[test]
-    fn context_reuse_is_bit_identical_to_list_source() {
-        let list = list();
-        let via_list = Assessment::of(&list).scenarios(&matrix()).run();
-        let ctx = AssessmentContext::new(&list, 4);
-        let via_ctx = Assessment::over(&ctx).scenarios(&matrix()).run();
-        for (a, b) in via_list.slices().iter().zip(via_ctx.slices()) {
-            for (x, y) in a.footprints.iter().zip(&b.footprints) {
-                assert_eq!(x.operational, y.operational);
-                assert_eq!(x.embodied, y.embodied);
-            }
-        }
     }
 
     #[test]
@@ -928,16 +988,43 @@ mod tests {
     #[test]
     fn masked_matrix_run_performs_zero_record_clones() {
         let list = list();
-        let ctx = AssessmentContext::new(&list, 1);
         let before = top500::record::clones_on_thread();
         // workers(1) keeps the whole plan on this thread, so the
         // thread-local counter observes every clone the engine would do.
-        let out = Assessment::over(&ctx).workers(1).scenarios(&matrix()).run();
+        let out = Assessment::of(&list).workers(1).scenarios(&matrix()).run();
         assert_eq!(out.len(), 3);
         assert_eq!(
             top500::record::clones_on_thread(),
             before,
             "masked sweep must not clone records"
         );
+    }
+
+    #[test]
+    fn list_run_totals_are_the_fold_of_its_footprints() {
+        // A list run keeps footprints *and* carries totals: the totals are
+        // the partial fold of exactly those footprints, and coverage is
+        // the count of `Ok` estimates among them.
+        let list = list();
+        let out = Assessment::of(&list).scenarios(&matrix()).run();
+        assert_eq!(out.systems(), 80);
+        assert_eq!(out.chunks(), 1);
+        for slice in out.slices() {
+            let mut partial = PartialAssessment::identity(0);
+            partial.absorb(0, &slice.footprints);
+            let totals = partial.finish();
+            assert_eq!(
+                slice.operational_total_mt.to_bits(),
+                totals.operational_mt.to_bits()
+            );
+            assert_eq!(
+                slice.embodied_total_mt.to_bits(),
+                totals.embodied_mt.to_bits()
+            );
+            assert_eq!(
+                slice.coverage,
+                CoverageReport::from_footprints(&slice.footprints)
+            );
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! The resident-service layer: a long-lived [`FleetState`] answering cheap
-//! borrowed [`QueryPlan`]s — ROADMAP item 1's "assessment as a service".
+//! borrowed queries — the resident source of the one [`Assessment`] plan.
 //!
-//! A cold [`crate::Assessment`] pays the whole pipeline per call: parse,
+//! A cold [`Assessment::of`] pays the whole pipeline per call: parse,
 //! Phase-1 metric extraction, columnar transposition, Phase-2 estimation.
 //! A `FleetState` pays it once and keeps the products warm:
 //!
@@ -13,14 +13,14 @@
 //!   the per-system footprints plus a single-segment retractable
 //!   [`PartialAssessment`] over them.
 //!
-//! Queries borrow the state ([`FleetState::query`]) and run the same
-//! phase-2/3 engine as a cold session
-//! ([`crate::session`]'s `run_planned_phases`), so every answer is
-//! **bit-identical** to the cold path (pinned by `tests/proptests.rs` and
-//! `tests/serve.rs`): a cache hit supplies the very bits phase 2 would
-//! recompute, and the Monte-Carlo draws are a pure function of those bases
-//! and the [`DrawPlan`] (CRN streams keyed by system index, never by
-//! scenario or cache temperature).
+//! [`FleetState::query`] returns the same builder a cold run uses, and its
+//! `run` hands the resident products to the same per-block engine
+//! ([`crate::session`]) as one block, so every answer is **bit-identical**
+//! to the cold path (pinned by `tests/proptests.rs` and `tests/serve.rs`):
+//! a cache hit supplies the very bits phase 2 would recompute, and the
+//! Monte-Carlo draws are a pure function of those bases and the
+//! [`DrawPlan`](crate::uncertainty::DrawPlan) (CRN streams keyed by system
+//! index, never by scenario or cache temperature).
 //!
 //! # Incremental re-assessment
 //!
@@ -40,13 +40,9 @@ use crate::columns::FleetColumns;
 use crate::estimator::{EasyCConfig, SystemFootprint};
 use crate::metrics::SevenMetrics;
 use crate::partial::{FleetTotals, PartialAssessment};
-use crate::scenario::{DataScenario, MetricMask, ScenarioMatrix};
-use crate::session::{
-    plan_scenarios, run_planned_phases, AssessmentOutput, PhaseInput, DEFAULT_ITEMS_PER_WORKER,
-};
-use crate::uncertainty::{DrawPlan, PriorUncertainty};
+use crate::scenario::DataScenario;
+use crate::session::{Assessment, AssessmentOutput, Resident};
 use crate::view::FleetView;
-use parallel::pool::ThreadPool;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use top500::io::ImportError;
@@ -130,11 +126,17 @@ impl std::fmt::Display for UpdateError {
                 first_row,
                 rows,
                 len,
-            } => write!(
-                f,
-                "row update {first_row}..{} leaves the {len}-system fleet",
-                first_row + rows
-            ),
+            } => match first_row.checked_add(*rows) {
+                Some(end) => write!(
+                    f,
+                    "row update {first_row}..{end} leaves the {len}-system fleet"
+                ),
+                None => write!(
+                    f,
+                    "row update of {rows} rows at {first_row} overflows the row index \
+                     of the {len}-system fleet"
+                ),
+            },
             UpdateError::RankChanged { row, expected, got } => write!(
                 f,
                 "row {row} must keep rank {expected} (replacement has rank {got}); \
@@ -228,7 +230,7 @@ impl FleetState {
     /// The effective default scenario (everything visible, configuration
     /// overrides applied) — what the cache is keyed against.
     fn default_scenario(&self) -> DataScenario {
-        plan_scenarios(None, &self.config).1.remove(0)
+        DataScenario::full("default").with_overrides(self.config.overrides())
     }
 
     /// Computes (or refreshes) the default-scenario footprint cache
@@ -312,7 +314,7 @@ impl FleetState {
     ) -> Result<u64, UpdateError> {
         let n = self.list.len();
         let k = rows.len();
-        if first_row + k > n {
+        if first_row.checked_add(k).is_none_or(|end| end > n) {
             return Err(UpdateError::OutOfBounds {
                 first_row,
                 rows: k,
@@ -324,7 +326,7 @@ impl FleetState {
         }
         let range = first_row..first_row + k;
         for (offset, row) in rows.iter().enumerate() {
-            // audit: allow(panic-surface) — `first_row + k <= n` was range-checked at entry
+            // audit: allow(panic-surface) — `first_row + k <= n` was range-checked (overflow-free) at entry
             let expected = self.list.systems()[first_row + offset].rank;
             if row.rank != expected {
                 return Err(UpdateError::RankChanged {
@@ -379,135 +381,50 @@ impl FleetState {
         Ok(new_hash)
     }
 
-    /// Starts a query over the resident fleet — a cheap borrow mirroring
-    /// the [`crate::Assessment`] builder.
-    pub fn query(&self) -> QueryPlan<'_> {
-        QueryPlan {
-            state: self,
-            matrix: None,
-            plan: DrawPlan::default(),
-            workers: self.config.workers.max(1),
-            items_per_worker: DEFAULT_ITEMS_PER_WORKER,
-        }
+    /// Starts a query over the resident fleet: the one [`Assessment`]
+    /// builder over a borrowed state, planned against the state's
+    /// configuration. Scenarios whose effective (mask, overrides) equal the
+    /// warm default scenario skip phase 2 — the cache already holds the
+    /// bits it would recompute; everything else (including every scenario
+    /// of a query given a different [`Assessment::config`]) runs the cold
+    /// kernels over the resident columns. Monte-Carlo draws are a pure
+    /// function of the footprint bases and the plan, so intervals match the
+    /// cold session bit for bit either way.
+    pub fn query(&self) -> Assessment<&FleetState> {
+        Assessment::with_source(self, self.config)
     }
 }
 
-/// A per-query plan borrowing a [`FleetState`] — the warm counterpart of
-/// [`crate::Assessment`], sharing its phase-2/3 engine so results are
-/// bit-identical to a cold session at any worker count and cache
-/// temperature. Build with [`FleetState::query`], finish with
-/// [`QueryPlan::run`].
-pub struct QueryPlan<'a> {
-    state: &'a FleetState,
-    matrix: Option<ScenarioMatrix>,
-    plan: DrawPlan,
-    workers: usize,
-    items_per_worker: usize,
-}
-
-impl<'a> QueryPlan<'a> {
-    /// Queries one explicit scenario (replacing the default).
-    pub fn scenario(mut self, scenario: DataScenario) -> QueryPlan<'a> {
-        self.matrix = Some(ScenarioMatrix::from_scenarios(vec![scenario]));
-        self
-    }
-
-    /// Queries a whole scenario matrix in one interleaved pass.
-    pub fn scenarios(mut self, matrix: &ScenarioMatrix) -> QueryPlan<'a> {
-        self.matrix = Some(matrix.clone());
-        self
-    }
-
-    /// Requests Monte-Carlo fleet-total intervals with this many draws
-    /// per scenario (0 = skip, the default).
-    pub fn uncertainty(mut self, draws: usize) -> QueryPlan<'a> {
-        self.plan.draws = draws;
-        self
-    }
-
-    /// Confidence level of the intervals (default 0.95).
-    pub fn confidence(mut self, level: f64) -> QueryPlan<'a> {
-        self.plan.level = level;
-        self
-    }
-
-    /// RNG seed for the Monte-Carlo draws (default 0).
-    pub fn seed(mut self, seed: u64) -> QueryPlan<'a> {
-        self.plan.seed = seed;
-        self
-    }
-
-    /// Prior uncertainty widths used by the Monte-Carlo draws.
-    pub fn priors(mut self, priors: PriorUncertainty) -> QueryPlan<'a> {
-        self.plan.priors = priors;
-        self
-    }
-
-    /// Replaces the whole [`DrawPlan`] in one call.
-    pub fn draw_plan(mut self, plan: DrawPlan) -> QueryPlan<'a> {
-        self.plan = plan;
-        self
-    }
-
-    /// Worker-pool size for this query (default: the state's configured
-    /// workers).
-    pub fn workers(mut self, workers: usize) -> QueryPlan<'a> {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Work items planned per worker (default 4) — a scheduler knob,
-    /// bit-identical at any granularity.
-    pub fn items_per_worker(mut self, items: usize) -> QueryPlan<'a> {
-        self.items_per_worker = items.max(1);
-        self
-    }
-
-    /// Plans and executes the query on the resident fleet. Scenarios
-    /// whose effective (mask, overrides) equal the warm default scenario
-    /// skip phase 2 entirely — the cache already holds the bits it would
-    /// recompute; everything else runs the cold kernels over the resident
-    /// columns. Monte-Carlo draws are a pure function of the footprint
-    /// bases and the plan, so intervals match the cold session bit for
-    /// bit either way.
+impl Assessment<&FleetState> {
+    /// Plans and executes the query as one engine block over the resident
+    /// metrics and columns; the output keeps every scenario's footprints.
     pub fn run(self) -> AssessmentOutput {
-        let state = self.state;
-        let (display, effective) = plan_scenarios(self.matrix.as_ref(), &state.config);
-        let cache = state.cache.as_ref().filter(|c| c.hash == state.source_hash);
-        let default_overrides = state.config.overrides();
-        let cached: Vec<Option<&[SystemFootprint]>> = effective
+        let (state, mut engine) = self.into_parts();
+        let warm = state.cached_footprints();
+        let default = state.default_scenario();
+        let cached = engine
+            .effective()
             .iter()
             .map(|eff| {
-                cache.and_then(|c| {
-                    (eff.mask == MetricMask::ALL && eff.overrides == default_overrides)
-                        .then_some(c.footprints.as_slice())
-                })
+                warm.filter(|_| eff.mask == default.mask && eff.overrides == default.overrides)
             })
             .collect();
-        let workers = self.workers;
-        let pool = (workers > 1).then(|| ThreadPool::new(workers));
-        run_planned_phases(
-            &PhaseInput {
-                list: &state.list,
+        let footprints = engine.run_block(
+            &state.list,
+            Some(Resident {
                 metrics: &state.metrics,
                 columns: &state.columns,
-                cached: &cached,
-            },
-            display,
-            &effective,
-            self.plan,
-            workers,
-            self.items_per_worker,
-            pool.as_ref(),
-        )
+                cached,
+            }),
+        );
+        engine.finish(footprints)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{MetricBit, OverrideSet};
-    use crate::session::Assessment;
+    use crate::scenario::{MetricBit, MetricMask, OverrideSet, ScenarioMatrix};
     use top500::synthetic::{generate_full, SyntheticConfig};
 
     fn list(n: u32) -> Top500List {
@@ -682,6 +599,30 @@ mod tests {
 
         // Empty splices are hash-preserving no-ops.
         assert_eq!(state.update_rows(3, Vec::new()).unwrap(), hash);
+    }
+
+    #[test]
+    fn update_rows_rejects_an_overflowing_splice_untouched() {
+        // `first_row + rows` wraps past usize::MAX: the bounds test must
+        // not let it through to the splice.
+        let base = list(20);
+        let mut state = FleetState::from_list(base.clone(), EasyCConfig::default());
+        state.warm();
+        let hash = state.source_hash();
+        let err = state
+            .update_rows(usize::MAX, base.systems()[..1].to_vec())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            UpdateError::OutOfBounds {
+                first_row: usize::MAX,
+                rows: 1,
+                len: 20
+            }
+        );
+        assert!(err.to_string().contains("overflows"));
+        assert_eq!(state.source_hash(), hash);
+        assert!(state.is_warm());
     }
 
     #[test]

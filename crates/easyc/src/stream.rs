@@ -1,83 +1,62 @@
-//! Incremental assessment over a chunked fleet source — the
-//! larger-than-memory mode of the [`Assessment`](crate::Assessment)
-//! session.
+//! Streamed assessment over a chunked fleet source — the
+//! larger-than-memory source of the [`Assessment`] plan.
 //!
 //! ```text
 //! Assessment::stream(source)       any top500::stream::FleetChunks
-//!     .scenarios(&matrix)          same builder surface as the in-memory
-//!     .workers(8)                  session
+//!     .scenarios(&matrix)          the same builder as every other source
+//!     .workers(8)
 //!     .uncertainty(1000)
-//!     .run()?                      -> StreamOutput (folded, no fleet held)
+//!     .rows(sink)                  optional per-(scenario × chunk) rows
+//!     .run()?                      -> AssessmentOutput (no footprints kept)
 //! ```
 //!
-//! Each pulled chunk runs the exact in-memory plan at chunk scale —
-//! metric extraction, then interleaved (scenario × sub-chunk) assessment
-//! items on one pool, then (scenario × draw-chunk) Monte-Carlo items —
-//! and is folded into running per-scenario accumulators before the next
-//! chunk is pulled. At any instant the session holds **one** fleet chunk
-//! (plus per-scenario draw buffers of `draws` floats), so peak memory is
-//! set by the source's chunk budget, not the fleet size;
-//! [`StreamOutput::peak_chunk_rows`] reports the high-water mark so callers
-//! (and the streaming bench) can assert the bound. Wrapping the source in
-//! [`top500::stream::Prefetched`] overlaps parsing of chunk k+1 with the
-//! assessment of chunk k on a dedicated background thread (residency
-//! rises to at most **two** chunks — one being assessed, one prefetched).
+//! Each pulled chunk is one block of the session engine (see
+//! [`crate::session`]): metric extraction, interleaved (scenario ×
+//! sub-range) assessment items on one pool, the fold into running
+//! per-scenario [`PartialAssessment`](crate::partial::PartialAssessment)s
+//! at the chunk's first global row, then (scenario × draw-chunk)
+//! Monte-Carlo items at that same offset — all before the next chunk is
+//! pulled. At any instant the run holds **one** fleet chunk (plus
+//! per-scenario draw buffers of `draws` floats), so peak memory is set by
+//! the source's chunk budget, not the fleet size;
+//! [`AssessmentOutput::peak_chunk_rows`] reports the high-water mark so
+//! callers (and the streaming bench) can assert the bound. Wrapping the
+//! source in [`top500::stream::Prefetched`] overlaps parsing of chunk k+1
+//! with the assessment of chunk k on a dedicated background thread
+//! (residency rises to at most **two** chunks — one being assessed, one
+//! prefetched).
 //!
-//! Per-system results normally fold away with the chunk. To keep them —
-//! e.g. to spill a full per-(scenario, system) columnar artifact to disk
-//! at bounded memory — attach a [`RowSink`] with
-//! [`StreamingAssessment::rows`]: it receives every [`ChunkRows`] block
-//! (matrix order within each chunk) before the chunk is dropped.
+//! Per-system results fold away with the chunk, so a streamed output's
+//! slices carry coverage, totals and intervals but no footprints. To keep
+//! them — e.g. to spill a full per-(scenario, system) columnar artifact to
+//! disk at bounded memory — attach a [`RowSink`] with `rows`: it receives
+//! every [`ChunkRows`] block (matrix order within each chunk) before the
+//! chunk is dropped.
 //!
 //! # Bit-identity with the in-memory session
 //!
-//! The fold is engineered to be *bit-identical* to running the in-memory
-//! session over the concatenation of all chunks (pinned by
-//! `tests/streaming.rs` and proptests):
-//!
-//! - per-record math is the same columnar `estimate_columns` kernel path
-//!   over the same [`FleetView`] lenses (one [`FleetColumns`] per chunk),
-//!   itself pinned bit-identical to the row-at-a-time reference;
-//! - totals accumulate footprint-by-footprint in rank order into one
-//!   [`PartialAssessment`] per scenario
-//!   — a single consumer over adjacent blocks keeps the partial at one
-//!   coalesced segment, so the absorb *is* the same left fold
-//!   `Iterator::sum` performs (see [`crate::partial`] for the merge-shape
-//!   rule this generalises to);
-//! - Monte-Carlo draws accumulate term-by-term into persistent per-sample
-//!   buffers using the kernels shared with [`DrawPlan`], with each system
-//!   addressed by its *global row index* in the fleet (scenario- and
-//!   chunk-independent — the common-random-numbers key), so RNG streams
-//!   and addition order match the in-memory draws exactly.
+//! The fold is *bit-identical* to running the session over the
+//! concatenation of all chunks (pinned by `tests/streaming.rs` and
+//! proptests), because it *is* the same engine: the same columnar kernels
+//! over the same [`FleetView`](crate::view::FleetView) lenses, one
+//! single-consumer partial per scenario extended block after adjacent
+//! block (so the absorb is the left fold `Iterator::sum` performs — see
+//! [`crate::partial`]), and Monte-Carlo terms keyed by each system's
+//! *global row index* (scenario- and chunk-independent — the
+//! common-random-numbers key).
 
-use crate::batch::assess_columns;
-use crate::columns::FleetColumns;
-use crate::coverage::CoverageReport;
-use crate::embodied::EmbodiedEstimate;
 use crate::estimator::{EasyCConfig, SystemFootprint};
-use crate::metrics::SevenMetrics;
-use crate::operational::OperationalEstimate;
-use crate::partial::PartialAssessment;
-use crate::scenario::{DataScenario, ScenarioMatrix};
-use crate::session::{execute, plan_scenarios, Job, DEFAULT_ITEMS_PER_WORKER};
-use crate::uncertainty::{
-    embodied_block_accumulate, embodied_factors, fleet_factors, operational_block_accumulate,
-    operational_noise, DrawPlan, EmbFactorColumns, Interval, OpFactorColumns, PriorUncertainty,
-    RetainedDraws, ScenarioDelta, ScenarioDraws,
-};
-use crate::view::FleetView;
-use parallel::pool::ThreadPool;
-use std::collections::HashMap;
+use crate::scenario::DataScenario;
+use crate::session::{Assessment, AssessmentOutput};
 use top500::stream::FleetChunks;
 
 /// One (scenario × chunk) block of per-system results, handed to a row
-/// sink (see [`StreamingAssessment::rows`]) *before* the chunk is folded
-/// and dropped. Blocks arrive in deterministic order: for each pulled
-/// chunk, every scenario in matrix order. A sink that spills each
-/// scenario's blocks to its own buffer and concatenates them in matrix
-/// order reconstructs exactly the scenario-major
-/// [`AssessmentOutput::to_frame`](crate::session::AssessmentOutput::to_frame)
-/// row order of the in-memory session.
+/// sink (see [`RowSink`]) *before* the chunk is folded and dropped. Blocks
+/// arrive in deterministic order: for each non-empty pulled chunk, every
+/// scenario in matrix order. A sink that spills each scenario's blocks to
+/// its own buffer and concatenates them in matrix order reconstructs
+/// exactly the scenario-major
+/// [`AssessmentOutput::to_frame`] row order of the in-memory session.
 pub struct ChunkRows<'a> {
     /// Position of the scenario in the matrix (0-based).
     pub scenario_index: usize,
@@ -91,523 +70,111 @@ pub struct ChunkRows<'a> {
     pub footprints: &'a [SystemFootprint],
 }
 
-/// The per-block row callback of a streaming session.
+/// The per-block row callback of a streamed run.
 pub type RowSink<'sink> = Box<dyn FnMut(ChunkRows<'_>) + 'sink>;
 
-/// Builder/session for an incremental, pool-executed fleet assessment
-/// over a chunked source. Construct with
-/// [`Assessment::stream`](crate::Assessment::stream); the builder surface
-/// mirrors the in-memory session. The `'sink` lifetime bounds the optional
-/// per-chunk row callback (see [`StreamingAssessment::rows`]) and is
-/// inferred — sessions without a sink are unconstrained.
-pub struct StreamingAssessment<'sink, S> {
+/// The chunk source of a streamed [`Assessment`]: a
+/// [`top500::stream::FleetChunks`] plus the optional row sink. Construct
+/// with [`Assessment::stream`]. The `'sink` lifetime bounds the sink and is
+/// inferred — runs without a sink are unconstrained.
+pub struct Chunked<'sink, S> {
     source: S,
-    config: EasyCConfig,
-    matrix: Option<ScenarioMatrix>,
-    plan: DrawPlan,
-    items_per_worker: usize,
     sink: Option<RowSink<'sink>>,
 }
 
-impl<'sink, S: FleetChunks> StreamingAssessment<'sink, S> {
-    pub(crate) fn new(source: S) -> StreamingAssessment<'sink, S> {
-        StreamingAssessment {
-            source,
-            config: EasyCConfig::default(),
-            matrix: None,
-            plan: DrawPlan::default(),
-            items_per_worker: DEFAULT_ITEMS_PER_WORKER,
-            sink: None,
-        }
-    }
+/// The output of a streamed run: the one [`AssessmentOutput`] every source
+/// returns (its slices keep no footprints).
+pub type StreamOutput = AssessmentOutput;
 
-    /// Replaces the whole configuration (priors, lifetime, workers).
-    pub fn config(mut self, config: EasyCConfig) -> StreamingAssessment<'sink, S> {
-        self.config = config;
-        self
-    }
-
-    /// Sets the worker-pool size for this session.
-    pub fn workers(mut self, workers: usize) -> StreamingAssessment<'sink, S> {
-        self.config.workers = workers.max(1);
-        self
-    }
-
-    /// Assesses one explicit scenario (replacing the default
-    /// configuration-implied scenario or any previous matrix).
-    pub fn scenario(mut self, scenario: DataScenario) -> StreamingAssessment<'sink, S> {
-        self.matrix = Some(ScenarioMatrix::from_scenarios(vec![scenario]));
-        self
-    }
-
-    /// Assesses a whole scenario matrix in one interleaved pass per chunk.
-    pub fn scenarios(mut self, matrix: &ScenarioMatrix) -> StreamingAssessment<'sink, S> {
-        self.matrix = Some(matrix.clone());
-        self
-    }
-
-    /// Requests Monte-Carlo fleet-total intervals (operational and
-    /// embodied) with this many draws per scenario (0 = skip, the
-    /// default). Draws are paired across scenarios by common random
-    /// numbers, exactly as in the in-memory session — see
-    /// [`StreamOutput::compare`].
-    pub fn uncertainty(mut self, draws: usize) -> StreamingAssessment<'sink, S> {
-        self.plan.draws = draws;
-        self
-    }
-
-    /// Confidence level of the intervals (default 0.95).
-    pub fn confidence(mut self, level: f64) -> StreamingAssessment<'sink, S> {
-        self.plan.level = level;
-        self
-    }
-
-    /// RNG seed for the Monte-Carlo draws (default 0). Results are
-    /// reproducible and independent of worker count and chunking for a
-    /// given seed.
-    pub fn seed(mut self, seed: u64) -> StreamingAssessment<'sink, S> {
-        self.plan.seed = seed;
-        self
-    }
-
-    /// Prior uncertainty widths used by the Monte-Carlo draws.
-    pub fn priors(mut self, priors: PriorUncertainty) -> StreamingAssessment<'sink, S> {
-        self.plan.priors = priors;
-        self
-    }
-
-    /// Replaces the whole [`DrawPlan`] (draws, level, seed and priors) in
-    /// one call.
-    pub fn draw_plan(mut self, plan: DrawPlan) -> StreamingAssessment<'sink, S> {
-        self.plan = plan;
-        self
-    }
-
-    /// Work items planned per worker within each chunk (default 4) — the
-    /// same scheduler knob as
-    /// [`Assessment::items_per_worker`](crate::Assessment::items_per_worker).
-    pub fn items_per_worker(mut self, items: usize) -> StreamingAssessment<'sink, S> {
-        self.items_per_worker = items.max(1);
-        self
+impl<'sink, S: FleetChunks> Assessment<Chunked<'sink, S>> {
+    /// Incremental session over a chunked fleet source — the
+    /// larger-than-memory mode. Per-chunk results fold into running
+    /// totals, coverage counts and fleet intervals without ever holding
+    /// the full fleet; see [`crate::stream`]. Wrap the source in
+    /// [`top500::stream::Prefetched`] to parse the next chunk on a
+    /// background thread while the pool assesses the current one.
+    ///
+    /// ```
+    /// use easyc::Assessment;
+    /// use top500::stream::SyntheticChunks;
+    /// use top500::synthetic::SyntheticConfig;
+    ///
+    /// // Stream a 100-system synthetic fleet in 16-row chunks: totals and
+    /// // coverage fold incrementally, so only one chunk is ever resident.
+    /// let source = SyntheticChunks::new(
+    ///     SyntheticConfig { n: 100, ..Default::default() },
+    ///     16,
+    /// );
+    /// let output = Assessment::stream(source)
+    ///     .workers(2)
+    ///     .run()
+    ///     .expect("synthetic sources cannot fail");
+    /// let slice = &output.slices()[0];
+    /// assert_eq!(output.systems(), 100);
+    /// assert_eq!(slice.coverage.total, 100);
+    /// assert!(slice.operational_total_mt > 0.0);
+    /// assert!(slice.footprints.is_empty());
+    /// assert!(output.peak_chunk_rows() <= 16);
+    /// ```
+    pub fn stream(source: S) -> Assessment<Chunked<'sink, S>> {
+        Assessment::with_source(Chunked { source, sink: None }, EasyCConfig::default())
     }
 
     /// Attaches a per-(scenario × chunk) row sink: `sink` is called with
     /// every [`ChunkRows`] block right after the chunk is assessed and
-    /// before it is folded and dropped, so per-system results can be
-    /// spilled to disk (or anywhere else) without the session ever holding
-    /// more than one chunk of them. This is what `sweep --stream --out`
-    /// builds its byte-identical columnar artifact on — see
+    /// before it is dropped, so per-system results can be spilled to disk
+    /// (or anywhere else) without the run ever holding more than one chunk
+    /// of them. This is what `sweep --stream --out` builds its
+    /// byte-identical columnar artifact on — see
     /// `analysis::report::SweepCsvWriter` in the `analysis` crate.
-    pub fn rows<F>(mut self, sink: F) -> StreamingAssessment<'sink, S>
+    pub fn rows<F>(mut self, sink: F) -> Assessment<Chunked<'sink, S>>
     where
         F: FnMut(ChunkRows<'_>) + 'sink,
     {
-        self.sink = Some(Box::new(sink));
+        self.source.sink = Some(Box::new(sink));
         self
     }
 
-    /// Pulls every chunk from the source, folds it, and returns the
-    /// per-scenario roll-up. Stops at the source's first error.
-    pub fn run(mut self) -> Result<StreamOutput, S::Error> {
-        let workers = self.config.workers.max(1);
-        let granularity = workers * self.items_per_worker;
-        let (display, effective) = plan_scenarios(self.matrix.as_ref(), &self.config);
-        let pool = (workers > 1).then(|| ThreadPool::new(workers));
-        let plan = self.plan;
-        let op_streams = plan.operational_streams();
-        let emb_streams = plan.embodied_streams();
-        let sample_chunks = parallel::split_ranges(plan.draws, granularity);
-
-        let mut partials: Vec<PartialAssessment> = effective
-            .iter()
-            .map(|_| PartialAssessment::identity(plan.draws))
-            .collect();
-        let mut chunks = 0usize;
-        let mut systems = 0usize;
-        let mut peak_chunk_rows = 0usize;
-
-        let mut sink = self.sink;
-        while let Some(next) = self.source.next_chunk() {
+    /// Pulls every chunk from the source, runs it as one engine block,
+    /// hands its rows to the sink, and returns the per-scenario roll-up.
+    /// Stops at the source's first error.
+    pub fn run(self) -> Result<AssessmentOutput, S::Error> {
+        let (
+            Chunked {
+                mut source,
+                mut sink,
+            },
+            mut engine,
+        ) = self.into_parts();
+        let mut chunk_index = 0;
+        while let Some(next) = source.next_chunk() {
             let list = next?;
-            let chunk_index = chunks;
-            // Global row index of this chunk's first system — the
-            // scenario-independent CRN stream offset of its draws.
-            let rows_before = systems;
-            chunks += 1;
-            systems += list.len();
-            peak_chunk_rows = peak_chunk_rows.max(list.len());
-            if list.is_empty() {
-                continue;
-            }
-            let n = list.len();
-            let ranges = parallel::split_ranges(n, granularity);
-
-            // Phase 1 — metric extraction for this chunk, on the pool.
-            let mut slots: Vec<Option<SevenMetrics>> = Vec::with_capacity(n);
-            slots.resize_with(n, || None);
-            {
-                let mut jobs: Vec<Job<'_>> = Vec::with_capacity(ranges.len());
-                let mut rest = slots.as_mut_slice();
-                for range in &ranges {
-                    let (chunk, tail) = rest.split_at_mut(range.len());
-                    rest = tail;
-                    // audit: allow(panic-surface) — the chunk plan partitions the chunk's rows, so every range is in bounds
-                    let records = &list.systems()[range.clone()];
-                    jobs.push(Box::new(move || {
-                        for (slot, record) in chunk.iter_mut().zip(records) {
-                            *slot = Some(SevenMetrics::extract(record));
-                        }
-                    }));
-                }
-                execute(pool.as_ref(), jobs);
-            }
-            let metrics: Vec<SevenMetrics> = slots
-                .into_iter()
-                // audit: allow(panic-surface) — the pool scope joins every job, so each slot was filled
-                .map(|m| m.expect("every extraction chunk ran"))
-                .collect();
-
-            // Phase 2 — interleaved (scenario × sub-chunk) assessment of
-            // this chunk, identical to the in-memory plan at chunk scale:
-            // one columnar [`FleetColumns`] layout per chunk, shared by
-            // every scenario's kernel sweeps.
-            let columns = FleetColumns::build(&list, &metrics);
-            let mut outputs: Vec<Vec<Option<SystemFootprint>>> = effective
-                .iter()
-                .map(|_| {
-                    let mut v = Vec::with_capacity(n);
-                    v.resize_with(n, || None);
-                    v
-                })
-                .collect();
-            {
-                let columns = &columns;
-                let mut jobs: Vec<Job<'_>> = Vec::with_capacity(effective.len() * ranges.len());
-                for (scenario, out) in effective.iter().zip(outputs.iter_mut()) {
-                    let view = FleetView::new(&list, &metrics, scenario);
-                    let mut rest = out.as_mut_slice();
-                    for range in &ranges {
-                        let (chunk, tail) = rest.split_at_mut(range.len());
-                        rest = tail;
-                        let range = range.clone();
-                        jobs.push(Box::new(move || {
-                            assess_columns(columns, &view, range, chunk);
-                        }));
-                    }
-                }
-                execute(pool.as_ref(), jobs);
-            }
-
-            // Hand the materialized per-system rows to the sink (scenario
-            // by scenario, matrix order), then absorb the block into the
-            // scenario's running [`PartialAssessment`] at its global row
-            // offset. The stream is a single consumer over adjacent
-            // blocks, so every absorb *extends* one coalesced segment —
-            // the partial repeats the exact left fold the in-memory path
-            // performs, term by term. Operational bases are tagged with
-            // their *global row index* (rows_before + chunk position): the
-            // CRN stream key, identical for every scenario.
-            let mut op_chunks: Vec<Vec<(usize, OperationalEstimate)>> =
-                Vec::with_capacity(effective.len());
-            let mut emb_chunks: Vec<Vec<EmbodiedEstimate>> = Vec::with_capacity(effective.len());
-            let draws = plan.draws;
-            for (index, (partial, out)) in partials.iter_mut().zip(outputs).enumerate() {
-                let footprints: Vec<SystemFootprint> = out
-                    .into_iter()
-                    // audit: allow(panic-surface) — the pool scope joins every job, so each slot was filled
-                    .map(|fp| fp.expect("every assessment chunk ran"))
-                    .collect();
-                if let Some(sink) = sink.as_mut() {
+            let blocks = engine.run_block(&list, None);
+            if let Some(sink) = sink.as_mut().filter(|_| !list.is_empty()) {
+                for (scenario_index, (scenario, footprints)) in
+                    engine.scenarios().iter().zip(&blocks).enumerate()
+                {
                     sink(ChunkRows {
-                        scenario_index: index,
-                        scenario: &display[index],
+                        scenario_index,
+                        scenario,
                         chunk_index,
-                        footprints: &footprints,
+                        footprints,
                     });
                 }
-                partial.absorb(rows_before, &footprints);
-                let mut op_bases = Vec::new();
-                let mut emb_bases = Vec::new();
-                if draws > 0 {
-                    for (row, fp) in footprints.iter().enumerate() {
-                        if let Ok(op) = &fp.operational {
-                            op_bases.push((rows_before + row, op.clone()));
-                        }
-                        if let Ok(emb) = &fp.embodied {
-                            emb_bases.push(emb.clone());
-                        }
-                    }
-                }
-                op_chunks.push(op_bases);
-                emb_chunks.push(emb_bases);
             }
-
-            // Phase 3 — accumulate this chunk's Monte-Carlo terms into the
-            // persistent draw buffers with the blocked kernels. Each work
-            // item owns one disjoint sample range of **every** scenario's
-            // buffer, so the scenario-invariant factors and noise column of
-            // a sample (keyed by `rows_before + chunk row` — the CRN global
-            // index) are computed once and swept over each scenario's
-            // factor columns. Terms fold in as `*slot += term` in base
-            // order — the exact accumulation of the in-memory session.
-            if draws > 0 {
-                let op_cols: Vec<OpFactorColumns> = op_chunks
-                    .iter()
-                    .map(|b| OpFactorColumns::from_bases(b))
-                    .collect();
-                let emb_cols: Vec<EmbFactorColumns> = emb_chunks
-                    .iter()
-                    .map(|b| EmbFactorColumns::from_bases(b))
-                    .collect();
-                let mut op_parts: Vec<Vec<(usize, &mut [f64])>> =
-                    sample_chunks.iter().map(|_| Vec::new()).collect();
-                let mut emb_parts: Vec<Vec<(usize, &mut [f64])>> =
-                    sample_chunks.iter().map(|_| Vec::new()).collect();
-                for (scenario, partial) in partials.iter_mut().enumerate() {
-                    let has_op = !op_cols[scenario].is_empty();
-                    let has_emb = !emb_cols[scenario].is_empty();
-                    if !has_op && !has_emb {
-                        continue;
-                    }
-                    let (op_draws, emb_draws) = partial
-                        .draw_slots()
-                        // audit: allow(panic-surface) — guarded by the has_op/has_emb coverage test above
-                        .expect("non-empty chunk was absorbed above");
-                    if has_op {
-                        let split = parallel::split_mut_by_ranges(op_draws, &sample_chunks);
-                        for (item, part) in op_parts.iter_mut().zip(split) {
-                            item.push((scenario, part));
-                        }
-                    }
-                    if has_emb {
-                        let split = parallel::split_mut_by_ranges(emb_draws, &sample_chunks);
-                        for (item, part) in emb_parts.iter_mut().zip(split) {
-                            item.push((scenario, part));
-                        }
-                    }
-                }
-                let op_cols = &op_cols;
-                let emb_cols = &emb_cols;
-                let op_streams = &op_streams;
-                let emb_streams = &emb_streams;
-                let mut jobs: Vec<Job<'_>> = Vec::with_capacity(sample_chunks.len());
-                for ((range, mut op_item), mut emb_item) in
-                    sample_chunks.iter().cloned().zip(op_parts).zip(emb_parts)
-                {
-                    if op_item.is_empty() && emb_item.is_empty() {
-                        continue;
-                    }
-                    let priors = plan.priors;
-                    jobs.push(Box::new(move || {
-                        let mut noise = vec![0.0f64; if op_item.is_empty() { 0 } else { n }];
-                        for (k, sample) in range.clone().enumerate() {
-                            if !op_item.is_empty() {
-                                let factors = fleet_factors(op_streams, &priors, sample);
-                                operational_noise(op_streams, sample, rows_before, &mut noise);
-                                for (scenario, part) in op_item.iter_mut() {
-                                    operational_block_accumulate(
-                                        &op_cols[*scenario],
-                                        &factors,
-                                        &noise,
-                                        rows_before,
-                                        &mut part[k],
-                                    );
-                                }
-                            }
-                            if !emb_item.is_empty() {
-                                let factors = embodied_factors(emb_streams, &priors, sample);
-                                for (scenario, part) in emb_item.iter_mut() {
-                                    embodied_block_accumulate(
-                                        &emb_cols[*scenario],
-                                        &factors,
-                                        &mut part[k],
-                                    );
-                                }
-                            }
-                        }
-                    }));
-                }
-                execute(pool.as_ref(), jobs);
-            }
-            // `list`, `metrics` and the chunk bases drop here — nothing of
-            // the chunk survives into the next pull.
+            chunk_index += 1;
+            // `list` and its footprints drop here — nothing of the chunk
+            // survives into the next pull.
         }
-
-        let mut slices = Vec::with_capacity(partials.len());
-        let mut retained = Vec::with_capacity(partials.len());
-        for (scenario, partial) in display.into_iter().zip(partials) {
-            // Single-consumer partials hold exactly one coalesced segment,
-            // so `finish` returns the fold state verbatim — bit-identical
-            // to the in-memory session (pinned by this module's tests,
-            // `tests/streaming.rs` and proptests).
-            let totals = partial.finish();
-            let scenario_draws = ScenarioDraws {
-                op_point: totals.operational_mt,
-                op: totals.op_draws,
-                emb_point: totals.embodied_mt,
-                emb: totals.emb_draws,
-            };
-            slices.push(StreamSlice {
-                scenario,
-                coverage: CoverageReport {
-                    operational: totals.op_covered,
-                    embodied: totals.emb_covered,
-                    total: totals.total,
-                },
-                operational_total_mt: totals.operational_mt,
-                embodied_total_mt: totals.embodied_mt,
-                interval: plan.interval_of(scenario_draws.op_point, &scenario_draws.op),
-                embodied_interval: plan.interval_of(scenario_draws.emb_point, &scenario_draws.emb),
-            });
-            retained.push(scenario_draws);
-        }
-        Ok(StreamOutput::new(
-            slices,
-            retained,
-            plan,
-            chunks,
-            systems,
-            peak_chunk_rows,
-        ))
-    }
-}
-
-/// One scenario's folded roll-up from a streaming session: coverage
-/// counts, fleet totals, and optional Monte-Carlo fleet intervals — all
-/// bit-identical to what the in-memory session would report over the same
-/// systems, without the per-system footprints.
-#[derive(Debug, Clone)]
-pub struct StreamSlice {
-    /// The scenario that produced this slice (display form, as labelled in
-    /// the matrix).
-    pub scenario: DataScenario,
-    /// Coverage counts under the scenario.
-    pub coverage: CoverageReport,
-    /// Fleet-total operational carbon over covered systems, MT CO2e/yr.
-    pub operational_total_mt: f64,
-    /// Fleet-total embodied carbon over covered systems, MT CO2e.
-    pub embodied_total_mt: f64,
-    /// Fleet-total operational interval (`None` without `uncertainty` or
-    /// when nothing was estimable).
-    pub interval: Option<Interval>,
-    /// Fleet-total embodied interval.
-    pub embodied_interval: Option<Interval>,
-}
-
-/// Results of one [`StreamingAssessment::run`]: per-scenario folded
-/// slices (matrix order, O(1) lookup by name — first occurrence wins, the
-/// same policy as the in-memory output), the retained per-scenario draw
-/// vectors (paired across scenarios by common random numbers, bit-identical
-/// to the in-memory session's), plus ingestion statistics.
-#[derive(Debug, Clone)]
-pub struct StreamOutput {
-    slices: Vec<StreamSlice>,
-    index: HashMap<String, usize>,
-    draws: RetainedDraws,
-    chunks: usize,
-    systems: usize,
-    peak_chunk_rows: usize,
-}
-
-impl StreamOutput {
-    fn new(
-        slices: Vec<StreamSlice>,
-        retained: Vec<ScenarioDraws>,
-        plan: DrawPlan,
-        chunks: usize,
-        systems: usize,
-        peak_chunk_rows: usize,
-    ) -> StreamOutput {
-        let mut index = HashMap::with_capacity(slices.len());
-        for (i, slice) in slices.iter().enumerate() {
-            index.entry(slice.scenario.name.clone()).or_insert(i);
-        }
-        StreamOutput {
-            slices,
-            index,
-            draws: RetainedDraws {
-                plan,
-                scenarios: retained,
-            },
-            chunks,
-            systems,
-            peak_chunk_rows,
-        }
-    }
-
-    /// All slices, matrix order.
-    pub fn slices(&self) -> &[StreamSlice] {
-        &self.slices
-    }
-
-    /// Number of scenarios assessed.
-    pub fn len(&self) -> usize {
-        self.slices.len()
-    }
-
-    /// True when nothing was assessed (empty matrix).
-    pub fn is_empty(&self) -> bool {
-        self.slices.is_empty()
-    }
-
-    /// Slice by scenario name — O(1).
-    pub fn slice(&self, name: &str) -> Option<&StreamSlice> {
-        self.index.get(name).map(|i| &self.slices[*i])
-    }
-
-    /// The [`DrawPlan`] that produced this output's uncertainty phase.
-    pub fn draw_plan(&self) -> &DrawPlan {
-        &self.draws.plan
-    }
-
-    /// One scenario's retained operational draw vector (`None` without
-    /// `uncertainty` or when the scenario covered nothing) — bit-identical
-    /// to the in-memory session's vector over the same systems.
-    pub fn operational_draws(&self, name: &str) -> Option<&[f64]> {
-        self.draws.operational_draws(*self.index.get(name)?)
-    }
-
-    /// One scenario's retained embodied draw vector — see
-    /// [`StreamOutput::operational_draws`].
-    pub fn embodied_draws(&self, name: &str) -> Option<&[f64]> {
-        self.draws.embodied_draws(*self.index.get(name)?)
-    }
-
-    /// Paired-difference intervals `variant − baseline` over the stream's
-    /// common random numbers — bit-identical to
-    /// [`AssessmentOutput::compare`](crate::session::AssessmentOutput::compare)
-    /// of an in-memory session over the same systems (pinned by
-    /// `tests/compare.rs` and proptests). `None` when either scenario is
-    /// absent or no uncertainty draws ran.
-    pub fn compare(&self, baseline: &str, variant: &str) -> Option<ScenarioDelta> {
-        let b = *self.index.get(baseline)?;
-        let v = *self.index.get(variant)?;
-        self.draws.compare((baseline, b), (variant, v))
-    }
-
-    /// Chunks pulled from the source.
-    pub fn chunks(&self) -> usize {
-        self.chunks
-    }
-
-    /// Systems assessed across all chunks.
-    pub fn systems(&self) -> usize {
-        self.systems
-    }
-
-    /// Largest single chunk pulled — the session's fleet-memory high-water
-    /// mark, since exactly one chunk is resident at a time.
-    pub fn peak_chunk_rows(&self) -> usize {
-        self.peak_chunk_rows
+        Ok(engine.finish(Vec::new()))
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::scenario::{MetricBit, MetricMask};
-    use crate::session::Assessment;
-    use top500::stream::{InMemoryChunks, SyntheticChunks};
+    use crate::scenario::{DataScenario, MetricBit, MetricMask, ScenarioMatrix};
+    use crate::session::{Assessment, AssessmentOutput};
+    use top500::stream::{FleetChunks, InMemoryChunks, SyntheticChunks};
     use top500::synthetic::{generate_full, SyntheticConfig};
     use top500::Top500List;
 
@@ -630,7 +197,7 @@ mod tests {
     }
 
     /// Folds an in-memory output the way the stream does, for comparison.
-    fn fold_in_memory(output: &crate::session::AssessmentOutput) -> Vec<(usize, usize, f64, f64)> {
+    fn fold_in_memory(output: &AssessmentOutput) -> Vec<(usize, usize, f64, f64)> {
         output
             .slices()
             .iter()
@@ -728,6 +295,8 @@ mod tests {
         assert_eq!(streamed.systems(), 200);
         assert_eq!(streamed.chunks(), 7);
         assert_eq!(streamed.peak_chunk_rows(), 32);
+        assert!(streamed.slices().iter().all(|s| s.footprints.is_empty()));
+        assert_eq!(streamed.to_frame().len(), 0);
         let in_memory = Assessment::of(&generate_full(&config))
             .scenarios(&matrix())
             .run();
@@ -745,7 +314,7 @@ mod tests {
     fn empty_source_yields_zeroed_slices() {
         let list = list(1);
         let mut empty = InMemoryChunks::new(&list, 8);
-        let _ = top500::stream::FleetChunks::next_chunk(&mut empty); // drain
+        let _ = FleetChunks::next_chunk(&mut empty); // drain
         let out = Assessment::stream(empty)
             .scenarios(&matrix())
             .run()

@@ -32,9 +32,9 @@
 //! [`ScenarioDelta`] intervals — quantiles of per-draw *differences* —
 //! far tighter than differencing two independently-drawn bands.
 //!
-//! The per-scenario draw vectors are retained by the session outputs
-//! (`AssessmentOutput` / `StreamOutput`), whose `compare(a, b)` methods
-//! build the paired-difference intervals.
+//! The per-scenario draw vectors are retained by the session output
+//! (`AssessmentOutput`, whatever the source), whose `compare(a, b)` builds
+//! the paired-difference intervals.
 
 use crate::embodied::EmbodiedEstimate;
 use crate::fold;
@@ -245,73 +245,13 @@ impl DrawPlan {
 
 /// One scenario's retained draw state: fleet-total points plus the full
 /// per-sample draw vectors (empty when the family had no coverage or no
-/// draws were requested). Shared by the in-memory and streaming outputs so
-/// `compare` pairs bit-identical vectors on both paths.
+/// draws were requested) — what `AssessmentOutput::compare` pairs.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ScenarioDraws {
     pub(crate) op_point: f64,
     pub(crate) op: Vec<f64>,
     pub(crate) emb_point: f64,
     pub(crate) emb: Vec<f64>,
-}
-
-/// The whole retained draw state of one session run: the plan plus every
-/// scenario's draws, with the accessors `AssessmentOutput` and
-/// `StreamOutput` delegate to after resolving a name to a matrix index.
-/// Owning the guards here (the `draws == 0` gate, the empty-vector
-/// convention) keeps the two outputs' semantics identical by construction
-/// — the in-memory/streamed bit-identity contract has one home.
-#[derive(Debug, Clone)]
-pub(crate) struct RetainedDraws {
-    pub(crate) plan: DrawPlan,
-    pub(crate) scenarios: Vec<ScenarioDraws>,
-}
-
-impl RetainedDraws {
-    /// One scenario's operational draw vector, `None` when empty.
-    pub(crate) fn operational_draws(&self, index: usize) -> Option<&[f64]> {
-        let draws = self.scenarios.get(index)?.op.as_slice();
-        (!draws.is_empty()).then_some(draws)
-    }
-
-    /// One scenario's embodied draw vector, `None` when empty.
-    pub(crate) fn embodied_draws(&self, index: usize) -> Option<&[f64]> {
-        let draws = self.scenarios.get(index)?.emb.as_slice();
-        (!draws.is_empty()).then_some(draws)
-    }
-
-    /// The per-scenario collapsed intervals of one family (`op` selects
-    /// operational, otherwise embodied), matrix order.
-    pub(crate) fn intervals(&self, op: bool) -> Vec<Option<Interval>> {
-        self.scenarios
-            .iter()
-            .map(|d| {
-                if op {
-                    self.plan.interval_of(d.op_point, &d.op)
-                } else {
-                    self.plan.interval_of(d.emb_point, &d.emb)
-                }
-            })
-            .collect()
-    }
-
-    /// Paired delta of two resolved scenarios; `None` without draws.
-    pub(crate) fn compare(
-        &self,
-        baseline: (&str, usize),
-        variant: (&str, usize),
-    ) -> Option<ScenarioDelta> {
-        if self.plan.draws == 0 {
-            return None;
-        }
-        Some(ScenarioDelta::paired(
-            baseline.0,
-            variant.0,
-            &self.scenarios[baseline.1],
-            &self.scenarios[variant.1],
-            self.plan.alpha(),
-        ))
-    }
 }
 
 /// Paired-difference intervals between two scenarios of one session run:

@@ -25,13 +25,15 @@
 //! backpressure tests) and `shutdown`. Every response is a single JSON
 //! line whose field order is fixed, so equal answers are equal bytes; all
 //! carbon totals carry exact-bit hex fields next to the decimal ones.
-//! Fleet totals are folded through [`PartialAssessment`] — the same pinned
+//! Fleet totals and coverage are read off each query's
+//! [`ScenarioSlice`]s — the engine's own
+//! [`PartialAssessment`](easyc::PartialAssessment) fold, the same pinned
 //! fold shape every other result path uses.
 
 use crate::json::{self, Obj, Value};
 use easyc::{
-    DataScenario, FleetState, Interval, InvalidateOutcome, MetricMask, OverrideSet,
-    PartialAssessment, ScenarioMatrix,
+    Assessment, DataScenario, FleetState, Interval, InvalidateOutcome, MetricMask, OverrideSet,
+    ScenarioMatrix, ScenarioSlice,
 };
 use parallel::pool::ThreadPool;
 use std::io::{ErrorKind, Read, Write};
@@ -483,6 +485,21 @@ fn plan_spec(value: &Value, default_draws: usize) -> Result<PlanSpec, String> {
     })
 }
 
+impl PlanSpec {
+    /// The request's query over `state`: its draws and seed, plus the
+    /// confidence level and worker count when the request names them.
+    fn query<'s>(&self, state: &'s FleetState) -> Assessment<&'s FleetState> {
+        let mut query = state.query().uncertainty(self.draws).seed(self.seed);
+        if let Some(level) = self.level {
+            query = query.confidence(level);
+        }
+        if let Some(workers) = self.workers {
+            query = query.workers(workers);
+        }
+        query
+    }
+}
+
 /// The optional single-scenario fields of an `assess` request: `scenario`
 /// (name), `mask` (spec string), `pue` / `utilization` / `aci` overrides.
 /// All absent = the state's default scenario (warm-path eligible).
@@ -533,53 +550,24 @@ fn interval_json(interval: Option<Interval>) -> String {
     }
 }
 
-/// Folds one scenario slice through the pinned [`PartialAssessment`]
-/// shape and renders its summary object.
-fn slice_summary(
-    slice: &easyc::ScenarioSlice,
-    interval: Option<Interval>,
-    embodied_interval: Option<Interval>,
-) -> String {
-    let mut partial = PartialAssessment::identity(0);
-    partial.absorb(0, &slice.footprints);
-    let totals = partial.finish();
+/// Renders one scenario slice's summary object from the coverage, totals
+/// and intervals the engine folded (`*_errors = systems − *_covered`).
+fn slice_summary(slice: &ScenarioSlice) -> String {
+    let coverage = slice.coverage;
     Obj::new()
         .field_str("name", &slice.scenario.name)
-        .field_int("systems", totals.total)
-        .field_int("op_covered", totals.op_covered)
-        .field_int("emb_covered", totals.emb_covered)
-        .field_int("op_errors", totals.op_errors)
-        .field_int("emb_errors", totals.emb_errors)
-        .field_num("operational_mt", totals.operational_mt)
-        .field_bits("operational_bits", totals.operational_mt)
-        .field_num("embodied_mt", totals.embodied_mt)
-        .field_bits("embodied_bits", totals.embodied_mt)
-        .field_raw("operational_interval", &interval_json(interval))
-        .field_raw("embodied_interval", &interval_json(embodied_interval))
+        .field_int("systems", coverage.total)
+        .field_int("op_covered", coverage.operational)
+        .field_int("emb_covered", coverage.embodied)
+        .field_int("op_errors", coverage.total - coverage.operational)
+        .field_int("emb_errors", coverage.total - coverage.embodied)
+        .field_num("operational_mt", slice.operational_total_mt)
+        .field_bits("operational_bits", slice.operational_total_mt)
+        .field_num("embodied_mt", slice.embodied_total_mt)
+        .field_bits("embodied_bits", slice.embodied_total_mt)
+        .field_raw("operational_interval", &interval_json(slice.interval))
+        .field_raw("embodied_interval", &interval_json(slice.embodied_interval))
         .finish()
-}
-
-/// Renders every scenario slice paired with its intervals — by iterator
-/// zip, never by index, so a shape mismatch inside the engine surfaces as
-/// a structured `internal-error` frame instead of a panicked worker and a
-/// dropped connection (auditor rule `panic-surface`).
-fn scenario_summaries(output: &easyc::AssessmentOutput) -> Result<Vec<String>, String> {
-    let slices = output.slices();
-    let (ops, embs) = (output.intervals(), output.embodied_intervals());
-    if ops.len() != slices.len() || embs.len() != slices.len() {
-        return Err(format!(
-            "interval rows ({}, {}) do not match {} scenario slice(s)",
-            ops.len(),
-            embs.len(),
-            slices.len(),
-        ));
-    }
-    Ok(slices
-        .iter()
-        .zip(ops)
-        .zip(embs)
-        .map(|((slice, op), emb)| slice_summary(slice, *op, *emb))
-        .collect())
 }
 
 fn op_assess(value: &Value, shared: &Shared) -> String {
@@ -592,23 +580,13 @@ fn op_assess(value: &Value, shared: &Shared) -> String {
         Err(e) => return error_line("malformed-request", &e),
     };
     let state = shared.read_state();
-    let mut query = state.query().uncertainty(plan.draws).seed(plan.seed);
-    if let Some(level) = plan.level {
-        query = query.confidence(level);
-    }
-    if let Some(workers) = plan.workers {
-        query = query.workers(workers);
-    }
+    let mut query = plan.query(&state);
     if let Some(scenario) = scenario {
         query = query.scenario(scenario);
     }
     let output = query.run();
-    let result = match scenario_summaries(&output) {
-        Ok(summaries) => match summaries.into_iter().next() {
-            Some(s) => s,
-            None => return error_line("internal-error", "assessment produced no scenarios"),
-        },
-        Err(e) => return error_line("internal-error", &e),
+    let Some(result) = output.slices().first().map(slice_summary) else {
+        return error_line("internal-error", "assessment produced no scenarios");
     };
     Obj::new()
         .field_bool("ok", true)
@@ -642,22 +620,8 @@ fn op_sweep(value: &Value, shared: &Shared) -> String {
         Err(e) => return error_line("malformed-request", &e),
     };
     let state = shared.read_state();
-    let mut query = state
-        .query()
-        .scenarios(&matrix)
-        .uncertainty(plan.draws)
-        .seed(plan.seed);
-    if let Some(level) = plan.level {
-        query = query.confidence(level);
-    }
-    if let Some(workers) = plan.workers {
-        query = query.workers(workers);
-    }
-    let output = query.run();
-    let summaries = match scenario_summaries(&output) {
-        Ok(s) => s,
-        Err(e) => return error_line("internal-error", &e),
-    };
+    let output = plan.query(&state).scenarios(&matrix).run();
+    let summaries: Vec<String> = output.slices().iter().map(slice_summary).collect();
     // The same per-(scenario, system) CSV `sweep --out` writes — byte
     // identical, which is what the CI smoke diffs.
     let csv = frame::csv::write(&output.to_frame());
@@ -697,18 +661,7 @@ fn op_compare(value: &Value, shared: &Shared) -> String {
         Err(e) => return error_line("malformed-request", &e),
     };
     let state = shared.read_state();
-    let mut query = state
-        .query()
-        .scenarios(&matrix)
-        .uncertainty(plan.draws)
-        .seed(plan.seed);
-    if let Some(level) = plan.level {
-        query = query.confidence(level);
-    }
-    if let Some(workers) = plan.workers {
-        query = query.workers(workers);
-    }
-    let output = query.run();
+    let output = plan.query(&state).scenarios(&matrix).run();
     let Some(delta) = output.compare(baseline, variant) else {
         return error_line(
             "no-paired-draws",

@@ -12,7 +12,7 @@
 //! thread pool, and each scenario's results come back typed, columnar and
 //! with a Monte-Carlo fleet interval.
 
-use top500_carbon::analysis::fleet::{render_sweep, summarize_slices};
+use top500_carbon::analysis::fleet::{render_sweep, summarize};
 use top500_carbon::analysis::sensitivity;
 use top500_carbon::easyc::{
     Assessment, DataScenario, MetricBit, MetricMask, OverrideSet, ScenarioMatrix,
@@ -69,16 +69,12 @@ fn main() {
         matrix.len(),
         list.len()
     );
-    println!("{}", render_sweep(&summarize_slices(output.slices())));
+    println!("{}", render_sweep(&summarize(&output)));
 
     // Fleet-total operational AND embodied intervals came out of the same
     // session run — both families share the (scenario × draw-chunk) plan.
     println!("90% fleet intervals (MT CO2e):");
-    for (slice, (op, emb)) in output
-        .slices()
-        .iter()
-        .zip(output.intervals().iter().zip(output.embodied_intervals()))
-    {
+    for slice in output.slices() {
         let render = |iv: &Option<top500_carbon::easyc::Interval>| match iv {
             Some(iv) => format!("{:>9.0} [{:>9.0}, {:>9.0}]", iv.point, iv.lo, iv.hi),
             None => "        —".to_string(),
@@ -86,8 +82,8 @@ fn main() {
         println!(
             "  {:>14}: op {}  emb {}",
             slice.scenario.name,
-            render(op),
-            render(emb)
+            render(&slice.interval),
+            render(&slice.embodied_interval)
         );
     }
     println!();

@@ -44,12 +44,10 @@ use std::io::BufReader;
 use std::path::Path;
 use std::process::ExitCode;
 
-use top500_carbon::analysis::fleet::{
-    render_deltas, render_sweep, summarize_slices, summarize_stream,
-};
+use top500_carbon::analysis::fleet::{render_deltas, render_sweep, summarize};
 use top500_carbon::analysis::report::{run_study, SweepCsvWriter};
 use top500_carbon::easyc::{
-    Assessment, DrawPlan, FleetState, Interval, PartialAssessment, ScenarioDelta, ScenarioMatrix,
+    Assessment, AssessmentOutput, DrawPlan, FleetState, Interval, ScenarioMatrix,
 };
 use top500_carbon::frame;
 use top500_carbon::serve::{self, ServeConfig};
@@ -578,23 +576,8 @@ fn cmd_sweep(scenarios_path: &Path, rest: &[String]) -> ExitCode {
         .workers(workers)
         .draw_plan(plan)
         .run();
-    println!("{}", render_sweep(&summarize_slices(output.slices())));
-    if plan.draws > 0 {
-        let names: Vec<&str> = output
-            .slices()
-            .iter()
-            .map(|s| s.scenario.name.as_str())
-            .collect();
-        print_intervals(&names, output.intervals(), output.embodied_intervals());
-    }
-    if let Some((baseline, variant)) = &compare {
-        match output.compare(baseline, variant) {
-            Some(delta) => print_delta(&delta, plan.level),
-            None => {
-                eprintln!("error: --compare found no paired draws for {baseline},{variant}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Err(code) = print_sweep(&output, compare.as_ref()) {
+        return code;
     }
     if let Some(path) = out_path {
         if let Err(e) = std::fs::write(path, frame::csv::write(&output.to_frame())) {
@@ -658,29 +641,8 @@ fn run_stream_sweep<S: FleetChunks>(
             }
         }
     }
-    println!("{}", render_sweep(&summarize_stream(&output)));
-    if plan.draws > 0 {
-        let names: Vec<&str> = output
-            .slices()
-            .iter()
-            .map(|s| s.scenario.name.as_str())
-            .collect();
-        let op: Vec<Option<Interval>> = output.slices().iter().map(|s| s.interval).collect();
-        let emb: Vec<Option<Interval>> = output
-            .slices()
-            .iter()
-            .map(|s| s.embodied_interval)
-            .collect();
-        print_intervals(&names, &op, &emb);
-    }
-    if let Some((baseline, variant)) = compare {
-        match output.compare(baseline, variant) {
-            Some(delta) => print_delta(&delta, plan.level),
-            None => {
-                eprintln!("error: --compare found no paired draws for {baseline},{variant}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Err(code) = print_sweep(&output, compare) {
+        return code;
     }
     println!(
         "{} systems in {} chunks; peak resident chunk: {} rows",
@@ -691,29 +653,46 @@ fn run_stream_sweep<S: FleetChunks>(
     ExitCode::SUCCESS
 }
 
-/// Renders one paired scenario delta (the `--compare` panel) through the
-/// shared `analysis::fleet::render_deltas` table — the CRN construction
-/// pairs both scenarios' draws, so these bands are tighter than the
-/// difference of the two per-scenario intervals printed above.
-fn print_delta(delta: &ScenarioDelta, level: f64) {
-    println!(
-        "paired delta, MT CO2e ({:.0}% CI, common random numbers):",
-        level * 100.0
-    );
-    println!("{}", render_deltas(std::slice::from_ref(delta)));
-}
-
-/// Renders per-scenario fleet intervals (operational + embodied).
-fn print_intervals(names: &[&str], op: &[Option<Interval>], emb: &[Option<Interval>]) {
-    println!("fleet intervals (MT CO2e):");
-    for (name, (op, emb)) in names.iter().zip(op.iter().zip(emb)) {
+/// Renders a sweep's output, whatever its source: the summary table, the
+/// per-scenario fleet intervals (operational + embodied) when the plan ran
+/// draws, and the `--compare` panel through the shared
+/// `analysis::fleet::render_deltas` table — the CRN construction pairs both
+/// scenarios' draws, so its bands are tighter than the difference of the
+/// two per-scenario intervals printed above it.
+fn print_sweep(
+    output: &AssessmentOutput,
+    compare: Option<&(String, String)>,
+) -> Result<(), ExitCode> {
+    println!("{}", render_sweep(&summarize(output)));
+    let plan = output.draw_plan();
+    if plan.draws > 0 {
+        println!("fleet intervals (MT CO2e):");
         let fmt = |iv: &Option<Interval>| match iv {
             Some(iv) => format!("{:.0} [{:.0}, {:.0}]", iv.point, iv.lo, iv.hi),
             None => "—".to_string(),
         };
-        println!("  {:>16}: op {}  emb {}", name, fmt(op), fmt(emb));
+        for slice in output.slices() {
+            println!(
+                "  {:>16}: op {}  emb {}",
+                slice.scenario.name,
+                fmt(&slice.interval),
+                fmt(&slice.embodied_interval)
+            );
+        }
+        println!();
     }
-    println!();
+    if let Some((baseline, variant)) = compare {
+        let Some(delta) = output.compare(baseline, variant) else {
+            eprintln!("error: --compare found no paired draws for {baseline},{variant}");
+            return Err(ExitCode::FAILURE);
+        };
+        println!(
+            "paired delta, MT CO2e ({:.0}% CI, common random numbers):",
+            plan.level * 100.0
+        );
+        println!("{}", render_deltas(std::slice::from_ref(&delta)));
+    }
+    Ok(())
 }
 
 fn cmd_study(artifacts: Option<&Path>) -> ExitCode {
@@ -744,17 +723,13 @@ fn cmd_assess(path: &Path) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let footprints = Assessment::of(&list).run().into_footprints();
+    let output = Assessment::of(&list).run();
+    let slice = &output.slices()[0];
     println!(
         "{:<6} {:<28} {:>14} {:>14}  notes",
         "rank", "name", "op (MT/yr)", "emb (MT)"
     );
-    // Fleet totals and coverage go through the one mergeable fold state
-    // every other path uses, so the CLI cannot drift from the sessions.
-    let mut partial = PartialAssessment::identity(0);
-    partial.absorb(0, &footprints);
-    let totals = partial.finish();
-    for (sys, fp) in list.systems().iter().zip(&footprints) {
+    for (sys, fp) in list.systems().iter().zip(&slice.footprints) {
         let note = match (&fp.operational, &fp.embodied) {
             (Ok(_), Ok(_)) => String::new(),
             (Err(e), Ok(_)) | (Ok(_), Err(e)) => e.to_string(),
@@ -773,13 +748,15 @@ fn cmd_assess(path: &Path) -> ExitCode {
             note
         );
     }
+    // Fleet totals and coverage are the engine's own fold of these
+    // footprints, so the CLI cannot drift from the sessions.
     println!(
         "\n{} systems; coverage {} operational / {} embodied",
-        totals.total, totals.op_covered, totals.emb_covered
+        slice.coverage.total, slice.coverage.operational, slice.coverage.embodied
     );
     println!(
         "totals: {:.0} MT CO2e/yr operational, {:.0} MT CO2e embodied",
-        totals.operational_mt, totals.embodied_mt
+        slice.operational_total_mt, slice.embodied_total_mt
     );
     ExitCode::SUCCESS
 }

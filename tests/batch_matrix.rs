@@ -9,8 +9,8 @@
 use top500_carbon::analysis::report::default_scenario_matrix;
 use top500_carbon::analysis::StudyPipeline;
 use top500_carbon::easyc::{
-    Assessment, AssessmentContext, DataScenario, DrawPlan, EasyC, EasyCConfig, MetricBit,
-    MetricMask, OverrideSet, ScenarioMatrix, SystemFootprint,
+    Assessment, DataScenario, DrawPlan, EasyC, EasyCConfig, MetricBit, MetricMask, OverrideSet,
+    ScenarioMatrix, SystemFootprint,
 };
 use top500_carbon::top500::synthetic::{generate_full, mask_baseline, MaskRates, SyntheticConfig};
 
@@ -129,10 +129,9 @@ fn masked_session_sweep_performs_zero_record_clones() {
     // workers(1) keeps the whole plan on this thread so the thread-local
     // clone counter observes everything the engine does.
     let list = full_500();
-    let ctx = AssessmentContext::new(&list, 1);
     let matrix = scenario_matrix();
     let before = top500_carbon::top500::record::clones_on_thread();
-    let output = Assessment::over(&ctx).workers(1).scenarios(&matrix).run();
+    let output = Assessment::of(&list).workers(1).scenarios(&matrix).run();
     assert_eq!(output.slices().len(), matrix.len());
     assert_eq!(
         top500_carbon::top500::record::clones_on_thread(),
@@ -262,12 +261,11 @@ fn overrides_inside_stages_replace_rescaling() {
     // footprint exactly, including on masked lists.
     let full = full_500();
     let masked = mask_baseline(&full, &MaskRates::default(), 7);
-    let ctx = AssessmentContext::new(&masked, top500_carbon::parallel::default_workers());
-    let base = Assessment::over(&ctx)
+    let base = Assessment::of(&masked)
         .scenario(DataScenario::full("base"))
         .run()
         .into_footprints();
-    let pue = Assessment::over(&ctx)
+    let pue = Assessment::of(&masked)
         .scenario(DataScenario::full("pue").with_overrides(OverrideSet {
             pue: Some(2.0),
             ..OverrideSet::NONE

@@ -1,9 +1,9 @@
 //! Acceptance tests for the common-random-numbers scenario comparison:
-//! `AssessmentOutput::compare` / `StreamOutput::compare` must produce
+//! `AssessmentOutput::compare` must produce
 //! paired-difference intervals that are strictly tighter than the naive
 //! difference of the two independent per-scenario bands on the synthetic
 //! 500 (the CRN variance-reduction claim), must be bit-identical between
-//! the in-memory and streaming sessions, and must be invariant to which
+//! list and streamed runs, and must be invariant to which
 //! other scenarios share the matrix (the draws are keyed by (system,
 //! draw), never by scenario).
 

@@ -1194,3 +1194,143 @@ proptest! {
         }
     }
 }
+
+// ------------------------------------------- one plan, three sources
+
+/// The configurations the three-way property draws from: the default, a
+/// PUE override, and both prior overrides at once.
+fn config_of(pick: usize) -> EasyCConfig {
+    let base = EasyCConfig::default();
+    match pick % 3 {
+        0 => base,
+        1 => EasyCConfig {
+            pue_override: Some(1.3),
+            ..base
+        },
+        _ => EasyCConfig {
+            pue_override: Some(1.7),
+            utilization_override: Some(0.6),
+            ..base
+        },
+    }
+}
+
+proptest! {
+    /// One `Assessment` plan over its three sources — a borrowed list, a
+    /// chunk source, and a resident `FleetState` (cold, and warm under its
+    /// own default) — returns the same coverage, totals bits, intervals,
+    /// retained draw vectors and paired deltas, with footprints equal
+    /// wherever the source keeps them. A query given a `.config(..)` that
+    /// differs from the state's own must recompute rather than serve the
+    /// warm default cache, so the non-default configurations also run
+    /// against a state warmed under the default one.
+    #[test]
+    fn list_stream_and_state_sources_agree_bit_for_bit(
+        n in 1u32..40,
+        seed in 0u64..1_000,
+        chunk_rows in 1usize..64,
+        mask in arb_mask(),
+        draws_pick in 0usize..2,
+        k in 1usize..24,
+        workers in 1usize..4,
+        config_pick in 0usize..3,
+    ) {
+        let draws = if draws_pick == 0 { 0 } else { k };
+        let config = config_of(config_pick);
+        let list = generate_full(&SyntheticConfig { n, seed, ..Default::default() });
+        let matrix = ScenarioMatrix::new()
+            .with(DataScenario::full("full"))
+            .with(DataScenario::masked("masked", mask));
+        let reference = Assessment::of(&list)
+            .config(config)
+            .workers(workers)
+            .scenarios(&matrix)
+            .uncertainty(draws)
+            .seed(seed)
+            .run();
+        let streamed = Assessment::stream(InMemoryChunks::new(&list, chunk_rows))
+            .config(config)
+            .workers(workers)
+            .scenarios(&matrix)
+            .uncertainty(draws)
+            .seed(seed)
+            .run()
+            .expect("in-memory chunks cannot fail");
+        // A state under the default configuration, queried with `config`:
+        // cold, then warm (its cache may serve only a default config).
+        let mut default_state = FleetState::from_list(list.clone(), EasyCConfig::default());
+        let query = |state: &FleetState| {
+            state
+                .query()
+                .config(config)
+                .workers(workers)
+                .scenarios(&matrix)
+                .uncertainty(draws)
+                .seed(seed)
+                .run()
+        };
+        let state_cold = query(&default_state);
+        default_state.warm();
+        let state_warm = query(&default_state);
+        // A state planned under `config` itself, warm: its cache serves
+        // the full scenario whatever the configuration.
+        let mut own_state = FleetState::from_list(list.clone(), config);
+        own_state.warm();
+        let own_warm = own_state
+            .query()
+            .workers(workers)
+            .scenarios(&matrix)
+            .uncertainty(draws)
+            .seed(seed)
+            .run();
+
+        for (label, got, keeps_footprints) in [
+            ("stream", &streamed, false),
+            ("state cold", &state_cold, true),
+            ("state warm", &state_warm, true),
+            ("own-config state warm", &own_warm, true),
+        ] {
+            prop_assert_eq!(got.systems(), reference.systems(), "{}", label);
+            prop_assert_eq!(got.len(), reference.len(), "{}", label);
+            for (g, r) in got.slices().iter().zip(reference.slices()) {
+                let name = r.scenario.name.as_str();
+                prop_assert_eq!(&g.scenario, &r.scenario, "{}", label);
+                prop_assert_eq!(g.coverage, r.coverage, "{} `{}`", label, name);
+                prop_assert_eq!(
+                    g.operational_total_mt.to_bits(),
+                    r.operational_total_mt.to_bits(),
+                    "{} `{}`", label, name
+                );
+                prop_assert_eq!(
+                    g.embodied_total_mt.to_bits(),
+                    r.embodied_total_mt.to_bits(),
+                    "{} `{}`", label, name
+                );
+                prop_assert_eq!(g.interval, r.interval, "{} `{}`", label, name);
+                prop_assert_eq!(g.embodied_interval, r.embodied_interval, "{} `{}`", label, name);
+                if keeps_footprints {
+                    prop_assert_eq!(&g.footprints, &r.footprints, "{} `{}`", label, name);
+                } else {
+                    prop_assert!(g.footprints.is_empty(), "{} keeps no footprints", label);
+                }
+                prop_assert_eq!(
+                    got.operational_draws(name),
+                    reference.operational_draws(name),
+                    "{} `{}`", label, name
+                );
+                prop_assert_eq!(
+                    got.embodied_draws(name),
+                    reference.embodied_draws(name),
+                    "{} `{}`", label, name
+                );
+            }
+            prop_assert_eq!(
+                got.compare("full", "masked"),
+                reference.compare("full", "masked"),
+                "{}", label
+            );
+        }
+        prop_assert_eq!(reference.slices()[0].footprints.len(), list.len());
+        prop_assert_eq!(reference.compare("full", "masked").is_some(), draws > 0);
+    }
+}
