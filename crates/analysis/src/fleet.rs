@@ -160,7 +160,7 @@ pub struct ScenarioSummary {
 }
 
 /// Sweeps a whole scenario matrix over the list in ONE interleaved session
-/// pass (shared metric extraction, (scenario × chunk) items on one pool)
+/// pass (shared metric extraction, (scenario × chunk) items in one phase)
 /// and summarises each scenario — the replacement for re-running the
 /// assessment N times.
 pub fn scenario_sweep(

@@ -4,9 +4,9 @@
 //! workspace's determinism, panic-surface and unsafe-code invariants.
 //!
 //! The fleet-carbon numbers this repo reproduces are only trustworthy
-//! because every execution strategy (serial, pooled, streamed, columnar)
+//! because every execution strategy (serial, parallel, streamed, columnar)
 //! is pinned bit-identical. The rules that guarantee that — rank-order
-//! left folds, CRN RNG keying, `unsafe` confined to `parallel::pool`, no
+//! left folds, CRN RNG keying, no `unsafe` anywhere, no
 //! iteration-order or wall-clock nondeterminism in result paths — used to
 //! live only as prose in `docs/ARCHITECTURE.md`. This crate turns each of
 //! them into a named, testable rule, run as a CI gate:

@@ -53,7 +53,7 @@ pub const REGISTRY: &[Rule] = &[
     },
     Rule {
         id: "unsafe-scope",
-        summary: "`unsafe` appears only in the allowlisted modules (parallel::pool); everything else is forbidden-by-default",
+        summary: "`unsafe` appears nowhere: the allowlist is empty, so every `unsafe` block or fn is a finding",
         scope: "every workspace .rs file",
         kind: RuleKind::Lexical,
     },
@@ -71,7 +71,7 @@ pub const REGISTRY: &[Rule] = &[
     },
     Rule {
         id: "thread-spawn",
-        summary: "no std::thread::spawn / thread::Builder outside parallel::*, top500::stream and the serve front end — all compute parallelism goes through the deterministic pool; serve spawns only I/O threads (acceptor + per-connection)",
+        summary: "no std::thread::spawn / thread::Builder outside parallel::*, top500::stream and the serve front end — all compute parallelism goes through parallel::run; serve spawns only its acceptor, per-connection readers and request-queue workers",
         scope: "every workspace .rs file outside the spawn allowlist",
         kind: RuleKind::Lexical,
     },

@@ -46,8 +46,6 @@ struct FileScope {
     result_crate: bool,
     /// `easyc` sources: float reductions must be ordered folds.
     easyc_src: bool,
-    /// Modules allowed to contain `unsafe`.
-    unsafe_allowed: bool,
     /// Modules allowed to spawn raw threads.
     spawn_allowed: bool,
     /// The one module allowed to accumulate carbon totals directly: the
@@ -74,7 +72,6 @@ impl FileScope {
                 || path.starts_with("crates/analysis/src/")
                 || path.starts_with("src/"),
             easyc_src: path.starts_with("crates/easyc/src/"),
-            unsafe_allowed: path == "crates/parallel/src/pool.rs",
             spawn_allowed: path.starts_with("crates/parallel/src/")
                 || path == "crates/top500/src/stream.rs"
                 || path.starts_with("crates/serve/src/"),
@@ -330,15 +327,13 @@ fn rule_unsafe(ctx: &FileCtx, out: &mut Vec<Violation>) {
         if t.kind != TokKind::Ident || t.text != "unsafe" {
             continue;
         }
-        if !ctx.scope.unsafe_allowed {
-            push(
-                out,
-                ctx,
-                t.line,
-                "unsafe-scope",
-                "`unsafe` outside the allowlisted modules (parallel::pool) — route through the pool or extend the allowlist deliberately".into(),
-            );
-        }
+        push(
+            out,
+            ctx,
+            t.line,
+            "unsafe-scope",
+            "`unsafe` is forbidden in every workspace file (the allowlist is empty) — use a safe std primitive, e.g. std::thread::scope for borrowed parallel work".into(),
+        );
         if !has_safety_comment(ctx, t.line) {
             push(
                 out,
@@ -587,7 +582,7 @@ fn rule_thread_spawn(ctx: &FileCtx, out: &mut Vec<Violation>) {
                 ctx,
                 lexed.tokens[i].line,
                 "thread-spawn",
-                "raw thread creation outside parallel::* / top500::stream — use parallel::pool::ThreadPool so execution stays planned and deterministic".into(),
+                "raw thread creation outside parallel::* / top500::stream / serve — run planned jobs through parallel::run so execution stays planned and deterministic".into(),
             );
         }
     }

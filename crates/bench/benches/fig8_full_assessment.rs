@@ -36,8 +36,8 @@ fn bench_fig8(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(pipeline_run()))
     });
     // Scenario-matrix edition: the full default matrix in one interleaved
-    // session (shared metric extraction, (scenario × chunk) items on one
-    // pool) versus per-scenario re-assessment through fresh sessions.
+    // session (shared metric extraction, (scenario × chunk) items in one
+    // phase) versus per-scenario re-assessment through fresh sessions.
     let list = generate_full(&SyntheticConfig {
         seed: BENCH_SEED,
         ..Default::default()

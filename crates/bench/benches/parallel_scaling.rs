@@ -32,7 +32,7 @@ fn bench_scaling(c: &mut Criterion) {
 
     // Scenario-matrix scaling: three scenarios over the 20k list in one
     // session, by worker count. All (scenario × chunk) work items
-    // interleave on a single thread pool — this is the scheduler the
+    // interleave in one parallel phase — this is the scheduler the
     // ROADMAP's "single-pass matrix stages" item asked for — and the masks
     // apply as zero-copy FleetView lenses (no record clones).
     let matrix = ScenarioMatrix::new()
@@ -59,18 +59,6 @@ fn bench_scaling(c: &mut Criterion) {
                     .workers(w)
                     .scenarios(std::hint::black_box(&matrix))
                     .run()
-            })
-        });
-    }
-    group.finish();
-
-    let values: Vec<f64> = (0..1_000_000).map(|i| (i % 997) as f64).collect();
-    let mut group = c.benchmark_group("parallel/reduce_1m_by_workers");
-    group.throughput(Throughput::Elements(values.len() as u64));
-    for workers in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &w| {
-            b.iter(|| {
-                parallel::par_reduce(std::hint::black_box(&values), w, 0.0, |&x| x, |a, b| a + b)
             })
         });
     }

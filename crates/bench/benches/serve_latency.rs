@@ -114,7 +114,7 @@ fn bench_serve_latency(c: &mut Criterion) {
     );
 
     // The warm query through the full serve stack: JSONL over loopback
-    // TCP, bounded queue, pool worker, pinned-fold summary.
+    // TCP, bounded queue, compute worker, pinned-fold summary.
     let mut wire_state = FleetState::from_list(list, EasyCConfig::default());
     wire_state.warm();
     let server = serve::spawn(wire_state, "127.0.0.1:0", serve::ServeConfig::default())

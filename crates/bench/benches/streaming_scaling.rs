@@ -102,7 +102,7 @@ fn million_row_proof() {
 /// (the quote-aware chunked parser is the expensive source) streamed
 /// through the session once with the parser inline and once wrapped in
 /// [`Prefetched`], which parses chunk k+1 on a background thread while the
-/// pool assesses chunk k. Folds must be bit-identical; the wall-clock gap
+/// engine assesses chunk k. Folds must be bit-identical; the wall-clock gap
 /// is the parse latency the pipeline hides (expect ≈1× on a single
 /// hardware thread, where parse and assess share one core, and up to
 /// `1 + parse/assess` speedup once a spare core exists).
@@ -189,7 +189,7 @@ fn bench_streaming(c: &mut Criterion) {
     group.finish();
 
     // Worker sweep at a fixed chunk budget: the per-chunk (scenario ×
-    // sub-chunk) plan must keep the pool busy.
+    // sub-chunk) plan must keep every worker busy.
     let mut group = c.benchmark_group("streaming/sweep_100k_by_workers");
     group.throughput(Throughput::Elements(2 * u64::from(BENCH_FLEET)));
     for workers in [1usize, 2, 4, 8] {

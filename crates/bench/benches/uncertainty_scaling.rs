@@ -143,7 +143,7 @@ fn bench_uncertainty(c: &mut Criterion) {
     }
     group.finish();
 
-    // Matrix-width sweep at fixed draws: wide matrices share one pool and
+    // Matrix-width sweep at fixed draws: wide matrices share one phase and
     // one extraction, so cost should grow sublinearly with scenarios.
     let mut group = c.benchmark_group("uncertainty/scenarios_2k_fleet");
     for scenarios in [1usize, 2, 5] {

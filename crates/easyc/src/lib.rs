@@ -19,7 +19,7 @@
 //! # The `Assessment` session
 //!
 //! Every fleet-scale workload — plain assessment, scenario matrices,
-//! Monte-Carlo uncertainty — goes through one planned, pool-executed
+//! Monte-Carlo uncertainty — goes through one planned, parallel
 //! session:
 //!
 //! ```
@@ -37,7 +37,7 @@
 //!     ));
 //!
 //! let output = Assessment::of(&list)   // borrows the fleet, clones nothing
-//!     .scenarios(&matrix)              // (scenario × chunk) items, one pool
+//!     .scenarios(&matrix)              // (scenario × chunk) items, one pass
 //!     .workers(4)
 //!     .run();
 //!
@@ -47,8 +47,8 @@
 //! ```
 //!
 //! Adding `.uncertainty(1000)` attaches fleet-total operational and
-//! embodied [`uncertainty::Interval`]s per scenario, computed on the same
-//! pool from the same footprints under one [`uncertainty::DrawPlan`]. The
+//! embodied [`uncertainty::Interval`]s per scenario, computed in the same
+//! run from the same footprints under one [`uncertainty::DrawPlan`]. The
 //! plan's RNG streams are keyed by (system, draw index) — never by
 //! scenario — so every scenario replays identical per-system perturbations
 //! (common random numbers) and

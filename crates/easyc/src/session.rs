@@ -8,7 +8,7 @@
 //! Assessment::stream(source)       any top500::stream::FleetChunks
 //! state.query()                    a resident crate::state::FleetState
 //!     .scenarios(&matrix)          what-if matrix (default: one scenario)
-//!     .workers(8)                  pool size
+//!     .workers(8)                  threads per phase
 //!     .uncertainty(1000)           optional Monte-Carlo draws
 //!     .run()                       plan + execute -> AssessmentOutput
 //! ```
@@ -20,10 +20,10 @@
 //! per pulled chunk. For each block the engine:
 //!
 //! 1. extracts the seven metrics and builds the
-//!    [`crate::columns::FleetColumns`] layout, chunk-parallel on the pool —
+//!    [`crate::columns::FleetColumns`] layout, chunk-parallel —
 //!    unless the source already holds them (a resident state does);
-//! 2. interleaves every **(scenario × sub-range)** work item on a single
-//!    [`parallel::pool::ThreadPool`] through the columnar kernels
+//! 2. interleaves every **(scenario × sub-range)** work item in one
+//!    [`parallel::run`] call through the columnar kernels
 //!    ([`crate::operational::estimate_columns`] /
 //!    [`crate::embodied::estimate_columns`]), skipping any scenario whose
 //!    footprints a warm resident cache already holds;
@@ -32,9 +32,13 @@
 //! 4. with `uncertainty(draws)`, runs blocked (sample-chunk × scenario)
 //!    Monte-Carlo items at that same row offset.
 //!
-//! Each block is split into roughly `workers × items_per_worker`
-//! contiguous sub-ranges (default 4× the pool — fine enough that one slow
-//! item cannot idle the rest of the pool, see
+//! Each phase with work to do is one [`parallel::run`] call: its planned
+//! items run on the calling thread at `workers(1)`, and on at most
+//! `workers` scoped threads otherwise, which start and join inside the
+//! phase — so a warm resident hit, with nothing to compute, starts no
+//! thread. Each block is split into roughly `workers × items_per_worker`
+//! contiguous sub-ranges (default 4× the workers — fine enough that one
+//! slow item cannot idle the other threads, see
 //! [`Assessment::items_per_worker`]). Wide matrices do not walk scenarios
 //! sequentially, so a slow scenario cannot leave workers idle while others
 //! wait. Output is deterministic and bit-identical to the serial
@@ -76,12 +80,12 @@ use crate::uncertainty::{
 };
 use crate::view::FleetView;
 use frame::DataFrame;
-use parallel::pool::ThreadPool;
+use parallel::Job;
 use std::collections::HashMap;
 use std::ops::Range;
 use top500::list::Top500List;
 
-/// Builder for a planned, pool-executed fleet assessment over the source
+/// Builder for a planned, parallel fleet assessment over the source
 /// `Src` — a borrowed list ([`Assessment::of`]), a chunk source
 /// ([`Assessment::stream`]) or a resident fleet
 /// ([`crate::state::FleetState::query`]).
@@ -98,7 +102,7 @@ pub struct Assessment<Src> {
 
 /// Default work-item oversubscription: ~4 items per worker, so a skewed
 /// item (one giant system, a cache-cold stretch) stops one worker for a
-/// quarter of a share instead of idling the whole pool at the tail.
+/// quarter of a share instead of idling the other threads at the tail.
 const DEFAULT_ITEMS_PER_WORKER: usize = 4;
 
 impl<Src> Assessment<Src> {
@@ -122,7 +126,7 @@ impl<Src> Assessment<Src> {
         self
     }
 
-    /// Sets the worker-pool size for this run.
+    /// Sets how many threads each phase of this run may use.
     pub fn workers(mut self, workers: usize) -> Assessment<Src> {
         self.config.workers = workers.max(1);
         self
@@ -242,9 +246,9 @@ pub(crate) struct Resident<'b> {
 }
 
 /// The per-block engine behind every [`Assessment`] run (see the
-/// [module docs](self)). It owns the pool and one running
-/// [`PartialAssessment`] per scenario; each [`Engine::run_block`] folds
-/// the next contiguous block of the fleet into them.
+/// [module docs](self)). It owns one running [`PartialAssessment`] per
+/// scenario; each [`Engine::run_block`] folds the next contiguous block
+/// of the fleet into them.
 pub(crate) struct Engine {
     /// The scenarios as displayed (slice labels).
     display: Vec<DataScenario>,
@@ -255,10 +259,10 @@ pub(crate) struct Engine {
     plan: DrawPlan,
     /// Work items per block: `workers × items_per_worker`.
     granularity: usize,
-    /// One pool for every phase and block; `None` runs the plan inline
-    /// (workers=1 keeps the calling thread, so e.g. thread-local clone
-    /// counters in tests observe the whole execution).
-    pool: Option<ThreadPool>,
+    /// Threads per phase, passed to [`parallel::run`] (workers=1 keeps the
+    /// calling thread, so e.g. thread-local clone counters in tests observe
+    /// the whole execution).
+    workers: usize,
     partials: Vec<PartialAssessment>,
     blocks: usize,
     systems: usize,
@@ -294,7 +298,7 @@ impl Engine {
             effective,
             plan,
             granularity: workers * items_per_worker,
-            pool: (workers > 1).then(|| ThreadPool::new(workers)),
+            workers,
             blocks: 0,
             systems: 0,
             peak_block_rows: 0,
@@ -332,7 +336,6 @@ impl Engine {
             return self.display.iter().map(|_| Vec::new()).collect();
         }
         let ranges = parallel::split_ranges(n, self.granularity);
-        let pool = self.pool.as_ref();
 
         // Phase 1 — metrics and the columnar layout every scenario's
         // kernels share, unless the source already holds them.
@@ -340,7 +343,7 @@ impl Engine {
         let (metrics, columns, cached) = match &resident {
             Some(r) => (r.metrics, r.columns, r.cached.as_slice()),
             None => {
-                extracted = extract_metrics(list, &ranges, pool);
+                extracted = extract_metrics(list, &ranges, self.workers);
                 built = FleetColumns::build(list, &extracted);
                 (extracted.as_slice(), &built, &[][..])
             }
@@ -354,7 +357,7 @@ impl Engine {
             &self.effective,
             cached,
             &ranges,
-            pool,
+            self.workers,
         );
 
         // Phase 3 — fold the block into each scenario's partial at its
@@ -485,7 +488,7 @@ impl Engine {
                 }
             }));
         }
-        execute(self.pool.as_ref(), jobs);
+        parallel::run(self.workers, jobs);
     }
 
     /// Collapses the running partials into the run's output. `footprints`
@@ -540,11 +543,11 @@ impl Engine {
     }
 }
 
-/// Phase 1 — metric extraction, chunk-parallel on the pool.
+/// Phase 1 — metric extraction, chunk-parallel.
 fn extract_metrics(
     list: &Top500List,
     ranges: &[Range<usize>],
-    pool: Option<&ThreadPool>,
+    workers: usize,
 ) -> Vec<SevenMetrics> {
     let mut slots: Vec<Option<SevenMetrics>> = Vec::with_capacity(list.len());
     slots.resize_with(list.len(), || None);
@@ -561,16 +564,16 @@ fn extract_metrics(
             }
         }));
     }
-    execute(pool, jobs);
+    parallel::run(workers, jobs);
     slots
         .into_iter()
-        // audit: allow(panic-surface) — the pool scope joins every job, so each slot was filled
+        // audit: allow(panic-surface) — `parallel::run` returns after every job ran, so each slot was filled
         .map(|m| m.expect("every extraction chunk ran"))
         .collect()
 }
 
 /// Phase 2 — every (scenario × sub-range) item of one block, interleaved
-/// on the pool. Each item owns a disjoint slice of one scenario's output,
+/// in one [`parallel::run`] call. Each item owns a disjoint slice of one scenario's output,
 /// so the result is deterministic regardless of scheduling. All scenarios
 /// share one [`FleetColumns`] layout — bit-identical to the row-at-a-time
 /// `assess_view` reference (pinned by the session tests and
@@ -583,7 +586,7 @@ fn assess_scenarios(
     effective: &[DataScenario],
     cached: &[Option<&[SystemFootprint]>],
     ranges: &[Range<usize>],
-    pool: Option<&ThreadPool>,
+    workers: usize,
 ) -> Vec<Vec<SystemFootprint>> {
     let n = list.len();
     let cached_of = |scenario: usize| cached.get(scenario).copied().flatten();
@@ -610,14 +613,14 @@ fn assess_scenarios(
             }));
         }
     }
-    execute(pool, jobs);
+    parallel::run(workers, jobs);
     outputs
         .into_iter()
         .enumerate()
         .map(|(scenario, out)| match out {
             Some(out) => out
                 .into_iter()
-                // audit: allow(panic-surface) — the pool scope joins every job, so each slot was filled
+                // audit: allow(panic-surface) — `parallel::run` returns after every job ran, so each slot was filled
                 .map(|f| f.expect("every assessment chunk ran"))
                 .collect(),
             None => cached_of(scenario)
@@ -626,26 +629,6 @@ fn assess_scenarios(
                 .to_vec(),
         })
         .collect()
-}
-
-type Job<'env> = Box<dyn FnOnce() + Send + 'env>;
-
-/// Dispatches planned work items: interleaved on the pool when one exists,
-/// in plan order on the calling thread otherwise. Either way every item
-/// runs exactly once before this returns.
-fn execute<'env>(pool: Option<&ThreadPool>, jobs: Vec<Job<'env>>) {
-    match pool {
-        Some(pool) => pool.scope(|scope| {
-            for job in jobs {
-                scope.spawn(job);
-            }
-        }),
-        None => {
-            for job in jobs {
-                job();
-            }
-        }
-    }
 }
 
 /// One scenario's results: coverage, fleet totals and (with draws) fleet

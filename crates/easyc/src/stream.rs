@@ -12,7 +12,7 @@
 //!
 //! Each pulled chunk is one block of the session engine (see
 //! [`crate::session`]): metric extraction, interleaved (scenario ×
-//! sub-range) assessment items on one pool, the fold into running
+//! sub-range) assessment items in one parallel phase, the fold into running
 //! per-scenario [`PartialAssessment`](crate::partial::PartialAssessment)s
 //! at the chunk's first global row, then (scenario × draw-chunk)
 //! Monte-Carlo items at that same offset — all before the next chunk is
@@ -92,7 +92,7 @@ impl<'sink, S: FleetChunks> Assessment<Chunked<'sink, S>> {
     /// totals, coverage counts and fleet intervals without ever holding
     /// the full fleet; see [`crate::stream`]. Wrap the source in
     /// [`top500::stream::Prefetched`] to parse the next chunk on a
-    /// background thread while the pool assesses the current one.
+    /// background thread while the engine assesses the current one.
     ///
     /// ```
     /// use easyc::Assessment;

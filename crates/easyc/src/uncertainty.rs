@@ -192,7 +192,7 @@ impl DrawPlan {
     /// The fleet-total operational draw vector for one scenario: each base
     /// estimate is tagged with its system's **global fleet index**, which
     /// keys the idiosyncratic noise stream — the CRN invariant. This is the
-    /// serial reference kernel; the session's pooled (scenario ×
+    /// serial reference kernel; the session's parallel (scenario ×
     /// draw-chunk) plan and the streaming fold accumulate the exact same
     /// terms in the exact same order (pinned by tests).
     pub fn operational_draws(&self, bases: &[(usize, OperationalEstimate)]) -> Vec<f64> {
@@ -407,7 +407,7 @@ pub(crate) fn fleet_term(
 
 /// One Monte-Carlo fleet-total operational draw over index-tagged bases:
 /// the single kernel behind [`DrawPlan::operational_draws`] and the
-/// session's pooled interval phase, so the two stay bit-identical.
+/// session's parallel interval phase, so the two stay bit-identical.
 /// Systematic components (PUE, utilisation) draw once per sample;
 /// idiosyncratic ACI noise draws per (sample, global system index).
 pub(crate) fn operational_draw(

@@ -322,8 +322,11 @@ impl<R: BufRead> ChunkedReader<R> {
 
     /// Reads raw lines until one chunk of records is ready or EOF.
     fn fill(&mut self) -> Result<()> {
-        // +1: the first record is the header, not a data row.
-        let want = self.rows_per_chunk + usize::from(self.names.is_none());
+        // +1: the first record is the header, not a data row. Saturating,
+        // so a `usize::MAX` budget means "everything", not a wrapped 0.
+        let want = self
+            .rows_per_chunk
+            .saturating_add(usize::from(self.names.is_none()));
         let mut line = String::new();
         while !self.eof && self.ready.len() < want {
             line.clear();
@@ -778,7 +781,7 @@ mod tests {
     fn chunked_reader_matches_parse_row_for_row() {
         let text = "rank,name,power\n1,Frontier,22.7\n2,Aurora,\n3,Eagle,12.5\n4,Fugaku,29.9\n";
         let whole = parse(text).unwrap();
-        for rows in [1usize, 2, 3, 10] {
+        for rows in [1usize, 2, 3, 10, usize::MAX] {
             let chunks = chunks_of(text, rows);
             assert_eq!(total_rows(&chunks), whole.len(), "rows {rows}");
             let mut row = 0;

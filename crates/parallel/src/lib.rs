@@ -1,27 +1,29 @@
 #![warn(missing_docs)]
 
-//! `parallel` — a small data-parallel execution substrate.
+//! `parallel` — a small deterministic execution substrate (std-only).
 //!
-//! The study's heavy loops (Monte-Carlo uncertainty over the Top 500,
-//! synthetic-list parameter sweeps in the benches) are embarrassingly
-//! parallel. Instead of pulling in rayon, this crate provides the minimal
-//! pieces on top of `std::thread::scope`:
+//! The study's heavy loops (per-scenario estimation over a fleet, blocked
+//! Monte-Carlo draws) are embarrassingly parallel once planned. Instead of
+//! pulling in rayon, this crate provides the minimal pieces on top of
+//! `std::thread::scope`:
 //!
-//! - [`par_map`] / [`par_map_chunked`]: parallel map over a slice with
-//!   deterministic output ordering.
-//! - [`par_reduce`]: chunked parallel reduction (associative op).
-//! - [`pool::ThreadPool`]: a long-lived worker pool for irregular task sets.
+//! - [`split_ranges`] / [`split_mut_by_ranges`]: a fixed, index-based work
+//!   plan and each work item's disjoint output slots;
+//! - [`run`]: executes one phase's planned [`Job`]s, on the calling thread
+//!   or on scoped threads that start and join inside the call;
 //! - [`rng::RngStreams`]: reproducible per-task RNG streams (SplitMix64
 //!   seeded counters), so parallel Monte-Carlo results are independent of
 //!   thread count and scheduling.
 //!
 //! Results are bit-identical regardless of worker count: inputs are split
-//! into fixed chunks by index, never work-stolen mid-chunk.
+//! into fixed chunks by index and every job writes only its own slots, so
+//! which thread runs a job never shows in the output.
 
-pub mod pool;
 pub mod rng;
 
 use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 
 /// Returns the effective parallelism: `std::thread::available_parallelism`
 /// with a fallback of 4.
@@ -50,86 +52,50 @@ pub fn split_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
     ranges
 }
 
-/// Parallel map preserving input order. `f` must be `Sync`; each worker
-/// processes one contiguous chunk so false sharing on the output is bounded
-/// to chunk edges.
-pub fn par_map<T, U, F>(items: &[T], workers: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let ranges = split_ranges(items.len(), workers.max(1));
-    if ranges.len() <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let mut out: Vec<Option<U>> = Vec::with_capacity(items.len());
-    out.resize_with(items.len(), || None);
-    {
-        let out_chunks = split_mut_by_ranges(&mut out, &ranges);
-        // std scoped threads join on scope exit and propagate worker panics.
-        std::thread::scope(|s| {
-            for (range, chunk) in ranges.iter().cloned().zip(out_chunks) {
-                let f = &f;
-                s.spawn(move || {
-                    for (slot, item) in chunk.iter_mut().zip(&items[range]) {
-                        *slot = Some(f(item));
-                    }
-                });
+/// One planned work item of a phase. It may borrow from the caller's
+/// stack: [`run`] returns only after every job has finished.
+pub type Job<'env> = Box<dyn FnOnce() + Send + 'env>;
+
+/// Runs every job exactly once and returns once all of them have finished.
+///
+/// With `workers <= 1` or at most one job, the jobs run on the calling
+/// thread in plan order and no thread is spawned. Otherwise
+/// `min(workers, jobs) − 1` scoped threads and the caller drain one shared
+/// queue in plan order; a thread that fails to spawn leaves its share to
+/// the others. A panicking job does not stop the rest: its panic resumes
+/// on the caller after every other job has finished (one payload, if
+/// several jobs panicked).
+pub fn run(workers: usize, jobs: Vec<Job<'_>>) {
+    let threads = workers.clamp(1, jobs.len().max(1));
+    let queue = Mutex::new(jobs.into_iter());
+    let drain = || {
+        let mut panic = None;
+        loop {
+            // A statement of its own, so the guard drops before the job runs.
+            let next = queue
+                .lock()
+                .expect("no job runs under the queue lock")
+                .next();
+            let Some(job) = next else { return panic };
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
+                panic.get_or_insert(payload);
             }
-        });
-    }
-    out.into_iter()
-        .map(|v| v.expect("all slots written"))
-        .collect()
-}
-
-/// Parallel map where `f` receives `(start_index, chunk)` and returns a
-/// vector per chunk; chunks are concatenated in order. Useful when per-item
-/// closures would be too fine-grained.
-pub fn par_map_chunked<T, U, F>(items: &[T], workers: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &[T]) -> Vec<U> + Sync,
-{
-    let ranges = split_ranges(items.len(), workers.max(1));
-    if ranges.len() <= 1 {
-        return f(0, items);
-    }
-    let mut parts: Vec<Option<Vec<U>>> = Vec::with_capacity(ranges.len());
-    parts.resize_with(ranges.len(), || None);
-    std::thread::scope(|s| {
-        for (slot, range) in parts.iter_mut().zip(ranges.iter().cloned()) {
-            let f = &f;
-            s.spawn(move || {
-                *slot = Some(f(range.start, &items[range]));
-            });
         }
+    };
+    let panic = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..threads)
+            .filter_map(|_| std::thread::Builder::new().spawn_scoped(s, drain).ok())
+            .collect();
+        let mut panic = drain();
+        for helper in helpers {
+            let helper_panic = helper.join().unwrap_or_else(Some);
+            panic = panic.or(helper_panic);
+        }
+        panic
     });
-    let mut out = Vec::with_capacity(items.len());
-    for part in parts {
-        out.extend(part.expect("all chunks computed"));
+    if let Some(payload) = panic {
+        resume_unwind(payload);
     }
-    out
-}
-
-/// Chunked parallel reduction. `map` projects each item, `op` combines — it
-/// must be associative with `identity` as neutral element. The reduction
-/// tree is fixed by chunk boundaries (deterministic for a given `workers`).
-pub fn par_reduce<T, U, M, O>(items: &[T], workers: usize, identity: U, map: M, op: O) -> U
-where
-    T: Sync,
-    U: Send + Sync + Clone,
-    M: Fn(&T) -> U + Sync,
-    O: Fn(U, U) -> U + Sync,
-{
-    let partials = par_map_chunked(items, workers, |_, chunk| {
-        vec![chunk
-            .iter()
-            .fold(identity.clone(), |acc, item| op(acc, map(item)))]
-    });
-    partials.into_iter().fold(identity, op)
 }
 
 /// Splits a mutable slice into disjoint chunks matching `ranges` (which must
@@ -156,6 +122,102 @@ pub fn split_mut_by_ranges<'a, T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::thread::{self, ThreadId};
+
+    /// One job per counter, each bumping its own counter once.
+    fn counting_jobs(counts: &[AtomicUsize]) -> Vec<Job<'_>> {
+        counts
+            .iter()
+            .map(|count| -> Job<'_> {
+                Box::new(move || {
+                    count.fetch_add(1, Ordering::Relaxed);
+                })
+            })
+            .collect()
+    }
+
+    /// Runs `n` jobs on `workers` and returns each job's (index, thread) in
+    /// the order the jobs ran.
+    fn trace(workers: usize, n: usize) -> Vec<(usize, ThreadId)> {
+        let log = Mutex::new(Vec::new());
+        let jobs = (0..n)
+            .map(|i| -> Job<'_> {
+                let log = &log;
+                Box::new(move || log.lock().unwrap().push((i, thread::current().id())))
+            })
+            .collect();
+        run(workers, jobs);
+        log.into_inner().unwrap()
+    }
+
+    #[test]
+    fn run_executes_every_job_exactly_once() {
+        for workers in [1, 2, 3, 64] {
+            for n in [0, 1, 100] {
+                let counts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                run(workers, counting_jobs(&counts));
+                assert!(
+                    counts.iter().all(|c| c.load(Ordering::Relaxed) == 1),
+                    "workers {workers}, jobs {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn run_is_inline_in_plan_order_for_one_worker_or_one_job() {
+        let caller = thread::current().id();
+        for (workers, n) in [(1, 0), (1, 1), (1, 50), (0, 50), (2, 1), (64, 1)] {
+            let expected: Vec<_> = (0..n).map(|i| (i, caller)).collect();
+            assert_eq!(trace(workers, n), expected, "workers {workers}, jobs {n}");
+        }
+    }
+
+    #[test]
+    fn run_uses_at_most_min_workers_jobs_threads() {
+        for workers in [2, 3, 64] {
+            for n in [2, 3, 5, 200] {
+                let log = trace(workers, n);
+                assert_eq!(log.len(), n);
+                let threads: HashSet<ThreadId> = log.iter().map(|&(_, t)| t).collect();
+                assert!(
+                    threads.len() <= workers.min(n),
+                    "workers {workers}, jobs {n}: {} threads",
+                    threads.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn run_surfaces_a_job_panic_after_the_other_jobs_and_stays_usable() {
+        for workers in [1, 2, 3] {
+            let done = AtomicUsize::new(0);
+            // The panicking job comes first in plan order, so every other
+            // job is still queued when it fails.
+            let jobs = (0..20)
+                .map(|i| -> Job<'_> {
+                    let done = &done;
+                    Box::new(move || {
+                        if i == 0 {
+                            panic!("injected");
+                        }
+                        done.fetch_add(1, Ordering::Relaxed);
+                    })
+                })
+                .collect();
+            let payload = catch_unwind(AssertUnwindSafe(|| run(workers, jobs)))
+                .expect_err("the job's panic reaches the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"injected"));
+            assert_eq!(done.load(Ordering::Relaxed), 19, "workers {workers}");
+
+            let counts: Vec<AtomicUsize> = (0..10).map(|_| AtomicUsize::new(0)).collect();
+            run(workers, counting_jobs(&counts));
+            assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+        }
+    }
 
     #[test]
     fn split_ranges_covers_all() {
@@ -173,53 +235,5 @@ mod tests {
     fn split_ranges_empty() {
         assert!(split_ranges(0, 4).is_empty());
         assert!(split_ranges(4, 0).is_empty());
-    }
-
-    #[test]
-    fn par_map_matches_sequential() {
-        let items: Vec<u64> = (0..1000).collect();
-        let seq: Vec<u64> = items.iter().map(|x| x * x).collect();
-        for workers in [1, 2, 3, 7, 64] {
-            assert_eq!(par_map(&items, workers, |x| x * x), seq);
-        }
-    }
-
-    #[test]
-    fn par_map_empty() {
-        let out: Vec<u32> = par_map(&[] as &[u32], 4, |x| *x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn par_map_chunked_concatenates_in_order() {
-        let items: Vec<usize> = (0..100).collect();
-        let out = par_map_chunked(&items, 7, |start, chunk| {
-            chunk
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| (start + i, v))
-                .collect()
-        });
-        for (i, (idx, v)) in out.iter().enumerate() {
-            assert_eq!(i, *idx);
-            assert_eq!(i, *v);
-        }
-    }
-
-    #[test]
-    fn par_reduce_sum_is_worker_invariant() {
-        let items: Vec<f64> = (0..10_000).map(|i| i as f64 * 0.25).collect();
-        let expect: f64 = items.iter().sum();
-        for workers in [1, 2, 5, 16] {
-            let got = par_reduce(&items, workers, 0.0, |&x| x, |a, b| a + b);
-            assert!((got - expect).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn par_reduce_max() {
-        let items: Vec<i64> = vec![3, -1, 9, 4];
-        let m = par_reduce(&items, 3, i64::MIN, |&x| x, i64::max);
-        assert_eq!(m, 9);
     }
 }

@@ -6,7 +6,7 @@
 //! and needs no external dependencies at all.
 
 /// SplitMix64 PRNG (Steele, Lea, Flood 2014). One 64-bit state word; each
-/// `next_u64` advances by the golden-gamma constant and mixes.
+/// [`SplitMix64::next`] advances by the golden-gamma constant and mixes.
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
     state: u64,
@@ -56,31 +56,6 @@ impl SplitMix64 {
     /// Log-normal sample with the given underlying normal `mu`/`sigma`.
     pub fn next_lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
         (mu + sigma * self.next_normal()).exp()
-    }
-}
-
-impl SplitMix64 {
-    /// High 32 bits of the next output.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-
-    /// Alias of [`SplitMix64::next`] (mirrors the `rand::RngCore` name).
-    pub fn next_u64(&mut self) -> u64 {
-        self.next()
-    }
-
-    /// Fills `dest` with generator output.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
     }
 }
 
@@ -197,13 +172,5 @@ mod tests {
         assert_ne!(a, b);
         // Hamming distance should be substantial, not a single-bit change.
         assert!((a ^ b).count_ones() > 10);
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut rng = SplitMix64::new(77);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

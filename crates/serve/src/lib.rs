@@ -5,10 +5,10 @@
 //! A thin JSONL-over-TCP layer over [`easyc::FleetState`]: the server
 //! ([`server::spawn`]) keeps one warm fleet resident and answers
 //! `assess` / `sweep` / `compare` / `invalidate` requests through a
-//! bounded queue feeding the deterministic
-//! [`parallel::pool::ThreadPool`]; the client ([`client::Client`]) is a
-//! blocking line-at-a-time counterpart for the CLI `query` subcommand,
-//! the CI smoke and the tests.
+//! bounded queue feeding [`ServeConfig::workers`] compute threads, each
+//! query fanning out over the deterministic session engine; the client
+//! ([`client::Client`]) is a blocking line-at-a-time counterpart for the
+//! CLI `query` subcommand, the CI smoke and the tests.
 //!
 //! Everything result-bearing is **bit-pinned**: responses have a fixed
 //! field order (equal answers are equal bytes), carbon totals travel with

@@ -6,19 +6,24 @@
 //! client ──line──▶ connection thread ──try_send──▶ bounded queue
 //!                   │    (parse, route)               │
 //!                   │ malformed / oversized /          ▼
-//!                   │ queue-full answered here   ThreadPool worker
+//!                   │ queue-full answered here   serve-worker thread
 //!                   ◀──────────reply channel───── (FleetState query)
 //! ```
 //!
 //! One OS thread per connection owns the socket and never computes; the
-//! bounded `sync_channel` queue is the **only** path into the compute
-//! [`ThreadPool`], so a busy server sheds load with a structured
-//! `queue-full` error instead of queueing unboundedly. Every reply travels
+//! bounded `sync_channel` queue is the **only** path into the
+//! [`ServeConfig::workers`] compute threads, so a busy server sheds load
+//! with a structured `queue-full` error instead of queueing unboundedly.
+//! Each query may fan out over at most the state's configured worker
+//! count (the operator's `--workers`): a request's `workers` field can
+//! lower that, never raise it. Every reply travels
 //! back on a per-request rendezvous channel with a timeout, so a stuck
 //! query produces a `timeout` error while the connection stays
 //! serviceable. Shutdown (the `shutdown` op or [`Server::shutdown`]) stops
 //! the acceptor, lets in-flight requests finish, unparks held workers and
-//! joins everything — no detached threads survive.
+//! joins everything: the acceptor joins its connection threads and closes
+//! the queue, then the server handle joins the compute workers — no
+//! detached threads survive.
 //!
 //! Protocol ops: `status`, `assess`, `sweep`, `compare`, `invalidate`,
 //! `hold`/`release` (diagnostic worker-occupancy control used by the
@@ -35,11 +40,10 @@ use easyc::{
     Assessment, DataScenario, FleetState, Interval, InvalidateOutcome, MetricMask, OverrideSet,
     ScenarioMatrix, ScenarioSlice,
 };
-use parallel::pool::ThreadPool;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -47,8 +51,8 @@ use std::time::Duration;
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Compute workers draining the request queue (each may itself fan a
-    /// query out over the state's configured pool).
+    /// Compute threads draining the request queue (each may itself fan a
+    /// query out over the state's configured worker count).
     pub workers: usize,
     /// Bound of the request queue; a full queue answers `queue-full`.
     pub queue_depth: usize,
@@ -114,6 +118,9 @@ pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
+    /// The compute workers; they exit once the acceptor has closed the
+    /// request queue.
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
@@ -131,8 +138,17 @@ impl Server {
     /// Blocks until the server shuts down (a `shutdown` request), then
     /// joins every server thread — what the CLI `serve` subcommand sits in.
     pub fn wait(mut self) {
+        self.join();
+    }
+
+    /// Joins the acceptor (which joins the connections and closes the
+    /// queue), then the compute workers the closed queue lets go.
+    fn join(&mut self) {
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
+        }
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
 
@@ -147,9 +163,7 @@ impl Server {
         self.shared.released.notify_all();
         // Wake the acceptor out of `accept()`.
         let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
+        self.join();
     }
 }
 
@@ -181,34 +195,10 @@ pub fn spawn(
     });
 
     let (tx, rx) = sync_channel::<Request>(config.queue_depth.max(1));
-    let rx = Arc::new(Mutex::new(rx));
-    let pool = ThreadPool::new(config.workers.max(1));
-    for _ in 0..config.workers.max(1) {
-        let rx = Arc::clone(&rx);
-        let shared = Arc::clone(&shared);
-        pool.execute(move || loop {
-            // Take the next request with the receiver lock *dropped*
-            // before computing, so workers drain the queue concurrently.
-            let request = {
-                let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
-                guard.recv()
-            };
-            let Ok(request) = request else { break };
-            let response = handle_request(&request.value, &shared);
-            shared.queued.fetch_sub(1, Ordering::SeqCst);
-            // The client may have timed out or disconnected; that drops
-            // the receiver and this send fails — fine either way.
-            let _ = request.reply.send(response);
-        });
-    }
-
     let accept_shared = Arc::clone(&shared);
     let accept = std::thread::Builder::new()
         .name("serve-accept".into())
         .spawn(move || {
-            // Keep the pool alive (and its workers draining) until every
-            // connection thread has exited and dropped its queue sender.
-            let _pool = pool;
             let mut connections: Vec<JoinHandle<()>> = Vec::new();
             for stream in listener.incoming() {
                 if accept_shared.stopping() {
@@ -231,11 +221,42 @@ pub fn spawn(
             }
         })?;
 
-    Ok(Server {
+    let mut server = Server {
         addr: local,
         shared,
         accept: Some(accept),
-    })
+        workers: Vec::new(),
+    };
+    let rx = Arc::new(Mutex::new(rx));
+    for i in 0..config.workers.max(1) {
+        let rx = Arc::clone(&rx);
+        let shared = Arc::clone(&server.shared);
+        // On a failed spawn, dropping `server` stops and joins every
+        // thread started so far.
+        let worker = std::thread::Builder::new()
+            .name(format!("serve-worker-{i}"))
+            .spawn(move || drain_queue(&rx, &shared))?;
+        server.workers.push(worker);
+    }
+    Ok(server)
+}
+
+/// One compute worker: answers queued requests until the queue closes.
+fn drain_queue(rx: &Mutex<Receiver<Request>>, shared: &Shared) {
+    loop {
+        // Take the next request with the receiver lock *dropped*
+        // before computing, so workers drain the queue concurrently.
+        let request = {
+            let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
+            guard.recv()
+        };
+        let Ok(request) = request else { break };
+        let response = handle_request(&request.value, shared);
+        shared.queued.fetch_sub(1, Ordering::SeqCst);
+        // The client may have timed out or disconnected; that drops
+        // the receiver and this send fails — fine either way.
+        let _ = request.reply.send(response);
+    }
 }
 
 /// What one bounded line read produced.
@@ -330,7 +351,7 @@ fn connection(stream: TcpStream, tx: SyncSender<Request>, shared: Arc<Shared>) {
 
 /// Parses one request line and produces its response: transport-layer ops
 /// (`status`, `release`, `shutdown`) answer inline on the connection
-/// thread; compute ops travel through the bounded queue to a pool worker.
+/// thread; compute ops travel through the bounded queue to a compute worker.
 fn route(line: &str, tx: &SyncSender<Request>, shared: &Shared) -> String {
     let value = match json::parse(line) {
         Ok(v) => v,
@@ -412,7 +433,7 @@ fn route(line: &str, tx: &SyncSender<Request>, shared: &Shared) -> String {
     }
 }
 
-/// Computes one queued request on a pool worker.
+/// Computes one queued request on a compute worker.
 fn handle_request(value: &Value, shared: &Shared) -> String {
     match value.get("op").and_then(Value::as_str) {
         Some("assess") => op_assess(value, shared),
@@ -460,7 +481,11 @@ struct PlanSpec {
     workers: Option<usize>,
 }
 
-fn plan_spec(value: &Value, default_draws: usize) -> Result<PlanSpec, String> {
+/// Parses the plan fields. A requested `workers` is capped at `max_workers`
+/// (the state's configured count): results are bit-identical at any worker
+/// count, so the cap changes no reply byte, but a client cannot make one
+/// query start thousands of threads.
+fn plan_spec(value: &Value, default_draws: usize, max_workers: usize) -> Result<PlanSpec, String> {
     let draws = opt_usize(value, "draws", default_draws)?;
     let seed = opt_usize(value, "seed", 0)? as u64;
     let level = opt_f64(value, "confidence")?;
@@ -474,7 +499,8 @@ fn plan_spec(value: &Value, default_draws: usize) -> Result<PlanSpec, String> {
         Some(v) => Some(
             v.as_usize()
                 .filter(|w| *w > 0)
-                .ok_or("field `workers` must be a positive integer")?,
+                .ok_or("field `workers` must be a positive integer")?
+                .min(max_workers),
         ),
     };
     Ok(PlanSpec {
@@ -575,11 +601,11 @@ fn op_assess(value: &Value, shared: &Shared) -> String {
         Ok(s) => s,
         Err(e) => return error_line("bad-scenario", &e),
     };
-    let plan = match plan_spec(value, 0) {
+    let state = shared.read_state();
+    let plan = match plan_spec(value, 0, state.config().workers) {
         Ok(p) => p,
         Err(e) => return error_line("malformed-request", &e),
     };
-    let state = shared.read_state();
     let mut query = plan.query(&state);
     if let Some(scenario) = scenario {
         query = query.scenario(scenario);
@@ -615,11 +641,11 @@ fn op_sweep(value: &Value, shared: &Shared) -> String {
         Ok(m) => m,
         Err(e) => return error_line("bad-scenario", &e),
     };
-    let plan = match plan_spec(value, 0) {
+    let state = shared.read_state();
+    let plan = match plan_spec(value, 0, state.config().workers) {
         Ok(p) => p,
         Err(e) => return error_line("malformed-request", &e),
     };
-    let state = shared.read_state();
     let output = plan.query(&state).scenarios(&matrix).run();
     let summaries: Vec<String> = output.slices().iter().map(slice_summary).collect();
     // The same per-(scenario, system) CSV `sweep --out` writes — byte
@@ -655,12 +681,12 @@ fn op_compare(value: &Value, shared: &Shared) -> String {
             return error_line("bad-scenario", &format!("`{name}` is not in the matrix"));
         }
     }
-    let plan = match plan_spec(value, 1000) {
+    let state = shared.read_state();
+    let plan = match plan_spec(value, 1000, state.config().workers) {
         Ok(p) if p.draws > 0 => p,
         Ok(_) => return error_line("malformed-request", "compare needs `draws` > 0"),
         Err(e) => return error_line("malformed-request", &e),
     };
-    let state = shared.read_state();
     let output = plan.query(&state).scenarios(&matrix).run();
     let Some(delta) = output.compare(baseline, variant) else {
         return error_line(
@@ -725,4 +751,21 @@ fn op_hold(shared: &Shared) -> String {
         .field_bool("ok", true)
         .field_str("op", "hold")
         .finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn requested_workers_are_capped_at_the_states_worker_count() {
+        let workers = |line: &str| {
+            plan_spec(&json::parse(line).expect("valid JSON"), 0, 4).map(|plan| plan.workers)
+        };
+        assert_eq!(workers(r#"{"op":"assess","workers":3000}"#), Ok(Some(4)));
+        assert_eq!(workers(r#"{"op":"assess","workers":4}"#), Ok(Some(4)));
+        assert_eq!(workers(r#"{"op":"assess","workers":2}"#), Ok(Some(2)));
+        assert_eq!(workers(r#"{"op":"assess"}"#), Ok(None));
+        assert!(workers(r#"{"op":"assess","workers":0}"#).is_err());
+    }
 }

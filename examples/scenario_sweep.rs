@@ -8,8 +8,8 @@
 //! variants, and site-knowledge overrides — and assesses the synthetic
 //! Top 500 under all of them in ONE session: the metric extraction runs
 //! once and is shared, masks apply as zero-copy `FleetView` lenses (no
-//! record clones), every (scenario × chunk) work item interleaves on one
-//! thread pool, and each scenario's results come back typed, columnar and
+//! record clones), every (scenario × chunk) work item interleaves in one
+//! parallel phase, and each scenario's results come back typed, columnar and
 //! with a Monte-Carlo fleet interval.
 
 use top500_carbon::analysis::fleet::{render_sweep, summarize};

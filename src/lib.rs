@@ -9,7 +9,7 @@
 //!   data-scenario layer (`easyc::scenario`: availability masks, prior
 //!   overrides, scenario matrices) and the one `easyc::Assessment` plan:
 //!   a borrowed list, a chunked stream or a resident `easyc::FleetState`
-//!   run through one pool-executed engine, bit-identical to serial.
+//!   run through one parallel engine, bit-identical to serial.
 //! - [`top500`] — the Top 500 dataset substrate (embedded appendix Table II,
 //!   synthetic list generator, public-info enrichment).
 //! - [`hwdb`] — hardware and carbon-factor databases.

@@ -7,7 +7,7 @@
 //! top500-carbon figures <dir>               write every figure/table CSV
 //! top500-carbon sweep <scenarios.csv> [systems.csv] [options]
 //!                                           assess a scenario matrix in one session
-//!   --workers N        session pool size
+//!   --workers N        threads per session phase
 //!   --out results.csv  write per-(scenario, system) columnar results; under
 //!                      --stream the rows are spilled chunk-by-chunk (same
 //!                      bytes, bounded memory)
@@ -21,7 +21,7 @@
 //!                      (enables --draws 1000 if --draws was not given)
 //!   --synthetic N      use an N-system synthetic fleet instead of a CSV
 //!   --stream           pipelined chunked ingestion: the next chunk is parsed
-//!                      on a background thread while the pool assesses the
+//!                      on a background thread while the engine assesses the
 //!                      current one; memory bounded by --chunk-rows (at most
 //!                      two chunks resident), not fleet size
 //!   --chunk-rows N     rows per streamed chunk (default 8192)
@@ -96,7 +96,7 @@ fn usage(problem: &str) -> ExitCode {
     eprintln!("  top500-carbon figures <dir>           write every figure/table CSV");
     eprintln!("  top500-carbon sweep <scenarios.csv> [systems.csv] [options]");
     eprintln!("                                        assess a scenario matrix in one session");
-    eprintln!("    --workers N         session pool size");
+    eprintln!("    --workers N         threads per session phase");
     eprintln!("    --out results.csv   write per-(scenario, system) columnar results");
     eprintln!("                        (works with --stream: rows spill chunk-by-chunk,");
     eprintln!("                        byte-identical artifact at bounded memory)");
@@ -116,7 +116,7 @@ fn usage(problem: &str) -> ExitCode {
     eprintln!("                                        resident assessment server (JSONL/TCP)");
     eprintln!("    --addr HOST:PORT    bind address (default 127.0.0.1:0, port printed)");
     eprintln!("    --synthetic N       N-system synthetic fleet instead of a CSV (default 500)");
-    eprintln!("    --workers N         per-query assessment pool size");
+    eprintln!("    --workers N         threads per query phase; caps a request's --workers");
     eprintln!("    --serve-workers N   compute workers draining the request queue (default 2)");
     eprintln!("    --queue-depth N     bounded request queue (default 16; full → queue-full)");
     eprintln!("    --timeout-ms N      per-request reply deadline (default 30000)");
@@ -129,6 +129,7 @@ fn usage(problem: &str) -> ExitCode {
     eprintln!("    compare <scenarios.csv> A,B");
     eprintln!("    invalidate --hash HEX16");
     eprintln!("    shared: --draws N --seed S --confidence L --workers N");
+    eprintln!("            (--workers is capped at the server's own --workers)");
     ExitCode::FAILURE
 }
 
@@ -490,7 +491,7 @@ fn cmd_sweep(scenarios_path: &Path, rest: &[String]) -> ExitCode {
             n: synthetic_n.unwrap_or(500),
             ..Default::default()
         };
-        // The next chunk parses on a background thread while the pool
+        // The next chunk parses on a background thread while the engine
         // assesses the current one; at most two chunks are ever resident.
         // With --shards, N byte-range workers parse concurrently instead,
         // merged in file order — same records, same results.

@@ -95,19 +95,33 @@ fn ghg_names_every_missing_metric() {
 
 #[test]
 fn thread_pool_survives_panicking_workloads() {
-    let pool = top500_carbon::parallel::pool::ThreadPool::new(4);
-    for i in 0..50 {
-        pool.execute(move || {
-            if i % 3 == 0 {
-                panic!("injected");
-            }
-        });
-    }
-    pool.wait();
-    assert_eq!(pool.panics(), 17);
-    // Pool still usable after panics.
-    pool.execute(|| {});
-    pool.wait();
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use top500_carbon::parallel::{run, Job};
+    let survived = AtomicUsize::new(0);
+    let jobs = (0..50)
+        .map(|i| -> Job<'_> {
+            let survived = &survived;
+            Box::new(move || {
+                if i % 3 == 0 {
+                    panic!("injected");
+                }
+                survived.fetch_add(1, Ordering::Relaxed);
+            })
+        })
+        .collect();
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(4, jobs)));
+    assert!(outcome.is_err(), "a job's panic reaches the caller");
+    // The 17 panics stopped no other job.
+    assert_eq!(survived.load(Ordering::Relaxed), 33);
+    // The runner is still usable after panics.
+    let ran = AtomicUsize::new(0);
+    run(
+        4,
+        vec![Box::new(|| {
+            ran.fetch_add(1, Ordering::Relaxed);
+        })],
+    );
+    assert_eq!(ran.load(Ordering::Relaxed), 1);
 }
 
 #[test]

@@ -675,16 +675,6 @@ proptest! {
 
 proptest! {
     #[test]
-    fn par_reduce_sum_matches_serial(
-        values in prop::collection::vec(-1e6f64..1e6, 0..2000),
-        workers in 1usize..16
-    ) {
-        let serial: f64 = values.iter().sum();
-        let par = top500_carbon::parallel::par_reduce(&values, workers, 0.0, |&x| x, |a, b| a + b);
-        prop_assert!((serial - par).abs() < 1e-3);
-    }
-
-    #[test]
     fn split_ranges_is_a_partition(len in 0usize..10_000, parts in 0usize..64) {
         let ranges = top500_carbon::parallel::split_ranges(len, parts);
         let mut covered = 0usize;

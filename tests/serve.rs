@@ -218,6 +218,27 @@ fn concurrent_clients_see_identical_bytes_for_identical_queries() {
 }
 
 #[test]
+fn an_oversized_workers_field_gets_the_same_reply_bytes_as_none() {
+    // The server caps a requested fan-out at the state's own worker count,
+    // and results are bit-identical at any worker count, so a client asking
+    // for 3000 threads gets exactly the bytes of the plain request.
+    let server = spawn(fleet_state(40, true), "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    for plain in [
+        r#"{"op":"assess","draws":16,"seed":3"#,
+        r#"{"op":"assess","mask":"all -power","draws":8"#,
+    ] {
+        let without = client.request_raw(&format!("{plain}}}")).unwrap();
+        let oversized = client
+            .request_raw(&format!(r#"{plain},"workers":3000}}"#))
+            .unwrap();
+        assert!(without.contains(r#""ok":true"#), "{without}");
+        assert_eq!(oversized, without, "request {plain}}}");
+    }
+    server.shutdown();
+}
+
+#[test]
 fn invalidate_evicts_the_current_cache_and_ignores_stale_hashes() {
     let server = spawn(fleet_state(25, true), "127.0.0.1:0", ServeConfig::default()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
