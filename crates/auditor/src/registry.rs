@@ -83,7 +83,7 @@ pub const REGISTRY: &[Rule] = &[
     },
     Rule {
         id: "partial-merge",
-        summary: "fleet carbon totals accumulate only through easyc::fold / easyc::PartialAssessment — ad-hoc `+=` running totals over footprint carbon in result crates bypass the pinned merge shape",
+        summary: "fleet carbon totals accumulate only through easyc::fold / easyc::PartialAssessment — ad-hoc `+=` running totals over footprint carbon in result crates bypass the one pinned running fold",
         scope: "result crates except easyc::partial (the fold itself)",
         kind: RuleKind::Lexical,
     },

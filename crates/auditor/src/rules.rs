@@ -49,7 +49,7 @@ struct FileScope {
     /// Modules allowed to spawn raw threads.
     spawn_allowed: bool,
     /// The one module allowed to accumulate carbon totals directly: the
-    /// mergeable fold state itself (`easyc::partial`).
+    /// running fold itself (`easyc::partial`).
     partial_allowed: bool,
 }
 
@@ -671,8 +671,8 @@ fn rule_float_sum(ctx: &FileCtx, out: &mut Vec<Violation>) {
 
 // --------------------------------------------------------- partial-merge
 
-/// Carbon-total accessors whose `+=` accumulation outside the monoid marks
-/// an ad-hoc fleet fold — the identifiers a footprint or stream slice
+/// Carbon-total accessors whose `+=` accumulation outside the running fold
+/// marks an ad-hoc fleet fold — the identifiers a footprint or stream slice
 /// exposes its MT CO2e totals through.
 const CARBON_TERMS: &[&str] = &[
     "mt_co2e",
@@ -685,9 +685,9 @@ const CARBON_TERMS: &[&str] = &[
 /// Lexical approximation: a compound `+=` whose right-hand side (up to the
 /// statement's `;`) mentions a carbon-total accessor is a running fleet
 /// total built outside `easyc::PartialAssessment`/`easyc::fold`. Such loops
-/// have a merge shape fixed by accident (whatever order the loop visits),
+/// have a fold order fixed by accident (whatever order the loop visits),
 /// not by contract — shard- and worker-count invariance only holds for
-/// totals folded through the monoid. `easyc::partial` itself is the one
+/// totals folded through the running fold. `easyc::partial` itself is the one
 /// module allowed to accumulate directly (it *is* the fold), and test code
 /// is exempt (serial reference folds in tests are the point).
 fn rule_partial_merge(ctx: &FileCtx, out: &mut Vec<Violation>) {
@@ -721,7 +721,7 @@ fn rule_partial_merge(ctx: &FileCtx, out: &mut Vec<Violation>) {
                 line,
                 "partial-merge",
                 format!(
-                    "running `+=` over `{term}` builds a fleet total outside the mergeable fold — absorb into easyc::PartialAssessment (or reduce via easyc::fold) so the merge shape stays pinned"
+                    "running `+=` over `{term}` builds a fleet total outside the running fold — absorb into easyc::PartialAssessment (or reduce via easyc::fold) so the fold order stays pinned"
                 ),
             );
         }

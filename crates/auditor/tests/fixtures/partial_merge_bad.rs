@@ -1,5 +1,5 @@
 // Ad-hoc running totals over footprint carbon: every one of these folds
-// outside the PartialAssessment monoid, so its merge shape is an accident
+// outside the PartialAssessment running fold, so its order is an accident
 // of the loop rather than a contract.
 fn totals(footprints: &[Footprint]) -> (f64, f64) {
     let mut op_total = 0.0;

@@ -1,5 +1,5 @@
-// Clean accumulation: carbon goes through the monoid (or the ordered fold
-// helpers); `+=` stays fine for integer bookkeeping and in test code.
+// Clean accumulation: carbon goes through the running fold (or the ordered
+// fold helpers); `+=` stays fine for integer bookkeeping and in test code.
 fn fold_cleanly(footprints: &[easyc::SystemFootprint]) -> easyc::FleetTotals {
     let mut partial = easyc::PartialAssessment::identity(0);
     partial.absorb(0, footprints);
@@ -21,7 +21,7 @@ fn count_rows(chunks: &[usize]) -> usize {
 #[cfg(test)]
 mod tests {
     // Serial reference folds in test code are exactly what the bit-identity
-    // proptests compare the monoid against — they stay legal.
+    // proptests compare the running fold against — they stay legal.
     fn reference(footprints: &[Footprint]) -> f64 {
         let mut total = 0.0;
         for fp in footprints {

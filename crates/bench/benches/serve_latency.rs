@@ -87,9 +87,8 @@ fn bench_serve_latency(c: &mut Criterion) {
         })
     });
 
-    // Incremental: splice 8 edited rows, retract the trailing fold back to
-    // the first touched row, re-estimate only the touched footprints and
-    // re-absorb — the cache stays warm throughout.
+    // Incremental: splice 8 edited rows and re-estimate only the touched
+    // footprints — the cache stays warm throughout.
     let mut edit_a: Vec<_> = list.systems()[100..100 + TOUCHED].to_vec();
     let mut edit_b = edit_a.clone();
     for r in &mut edit_a {

@@ -237,11 +237,12 @@ fn bench_streaming(c: &mut Criterion) {
 
 /// Byte-range sharded ingest vs the single-consumer CSV stream over the
 /// same on-disk file: `split_points` plans the shards, N parse lanes feed
-/// the one mergeable [`easyc::PartialAssessment`] fold, and the result is
-/// asserted bit-identical to the serial stream before any wall clock is
-/// reported. On a single hardware thread the lanes time-slice one core, so
-/// expect ≈1×; the >1× ingest scaling needs a spare core per lane (the
-/// identity claim holds regardless of where the lanes run).
+/// the one running [`easyc::PartialAssessment`] fold in file order, and
+/// the result is asserted bit-identical to the serial stream before any
+/// wall clock is reported. On a single hardware thread the lanes
+/// time-slice one core, so expect ≈1×; the >1× ingest scaling needs a
+/// spare core per lane (the identity claim holds regardless of where the
+/// lanes run).
 fn sharded_ingest_proof(path: &Path, rows: u32, chunk: usize) {
     let workers = parallel::default_workers();
     let m = matrix();
@@ -291,7 +292,7 @@ fn sharded_ingest_proof(path: &Path, rows: u32, chunk: usize) {
 fn bench_sharded(c: &mut Criterion) {
     banner(
         "Sharded byte-range ingest",
-        "split_points + N parse lanes feeding the mergeable PartialAssessment fold",
+        "split_points + N parse lanes feeding the running PartialAssessment fold in file order",
     );
     let test_mode = std::env::args().any(|a| a == "--test");
     let rows: u32 = if test_mode { 20_000 } else { 1_000_000 };

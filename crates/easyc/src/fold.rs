@@ -7,7 +7,8 @@
 //! bit-identical today — `Iterator::sum` is itself a left fold — but the
 //! named helper makes the ordering a visible contract at the call site, so
 //! a future parallel, blocked, or tree-shaped reduction cannot replace it
-//! without either going through a pinned merge shape or tripping the audit.
+//! without either going through the pinned running fold
+//! ([`crate::partial`]) or tripping the audit.
 
 /// Strict left-fold sum in iteration order: `((0 + x₀) + x₁) + …`.
 ///

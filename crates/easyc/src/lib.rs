@@ -89,11 +89,10 @@
 //! - [`session`] — the one [`session::Assessment`] builder, the per-block
 //!   engine behind every source, and the one [`session::AssessmentOutput`].
 //! - [`stream`] — the chunked (larger-than-memory) source and its row sink.
-//! - [`partial`] — the mergeable, retractable fold state the engine
-//!   accumulates through ([`partial::PartialAssessment`]): absorb footprint
-//!   blocks, merge adjacent rank ranges, retract a trailing range back
-//!   out, collapse through the pinned [`fold`] shape — what makes sharded
-//!   ingest, scale-out and incremental re-assessment deterministic.
+//! - [`partial`] — the running fold the engine accumulates through
+//!   ([`partial::PartialAssessment`]): absorb adjacent footprint blocks in
+//!   rank order, so every chunking, shard count and worker count adds the
+//!   same terms as one serial left fold.
 //! - [`state`] — the resident-service layer: a long-lived
 //!   [`state::FleetState`] (parsed list, Phase-1 metrics, columnar layout
 //!   and a content-hash-keyed footprint cache) answering cheap borrowed
@@ -131,7 +130,7 @@ pub use error::{EasyCError, Result};
 pub use estimator::{EasyC, EasyCConfig, SystemFootprint};
 pub use metrics::SevenMetrics;
 pub use operational::{AciSource, OperationalEstimate, PowerPath};
-pub use partial::{FleetTotals, MergeError, PartialAssessment, RetractError};
+pub use partial::{FleetTotals, PartialAssessment};
 pub use scenario::{DataScenario, MetricBit, MetricMask, OverrideSet, ScenarioMatrix};
 pub use session::{Assessment, AssessmentOutput, ScenarioSlice};
 pub use state::{content_hash, FleetState, InvalidateOutcome, UpdateError};

@@ -49,9 +49,8 @@
 //!   columnar kernels are pinned bit-identical to the row-at-a-time
 //!   [`crate::operational::estimate_view`] /
 //!   [`crate::embodied::estimate_view`] reference;
-//! - one consumer absorbs adjacent blocks, so each scenario's partial stays
-//!   one coalesced segment and its totals are the serial left fold (see
-//!   [`crate::partial`]);
+//! - one consumer absorbs adjacent blocks, so each scenario's totals are
+//!   the serial left fold (see [`crate::partial`]);
 //! - the draws' RNG streams are keyed by (global row, draw index) — never
 //!   by scenario, block or cache state — so every scenario replays
 //!   identical per-system perturbations (common random numbers), and each
@@ -361,8 +360,7 @@ impl Engine {
         );
 
         // Phase 3 — fold the block into each scenario's partial at its
-        // global offset (a single consumer over adjacent blocks extends
-        // one coalesced segment: the serial left fold, term by term), then
+        // global offset (the serial left fold, term by term), then
         // accumulate its Monte-Carlo terms into the partials' draw slots.
         for (partial, block) in self.partials.iter_mut().zip(&footprints) {
             partial.absorb(first_row, block);
@@ -435,10 +433,7 @@ impl Engine {
             if op.is_empty() && emb.is_empty() {
                 continue;
             }
-            let (op_buffer, emb_buffer) = partial
-                .draw_slots()
-                // audit: allow(panic-surface) — a covered scenario absorbed this non-empty block just before
-                .expect("covered scenarios absorbed the block");
+            let (op_buffer, emb_buffer) = partial.draw_slots();
             if !op.is_empty() {
                 let split = parallel::split_mut_by_ranges(op_buffer, &sample_chunks);
                 for (item, part) in op_parts.iter_mut().zip(split) {
@@ -502,10 +497,9 @@ impl Engine {
         for ((scenario, partial), footprints) in
             self.display.into_iter().zip(self.partials).zip(footprints)
         {
-            // Single-consumer partials hold exactly one coalesced segment,
-            // so `finish` returns the fold state verbatim: the absorbed
-            // point totals and the kernel-filled draw buffers, with an
-            // uncovered family's buffer dropped — the retention policy.
+            // `finish` returns the fold state verbatim: the absorbed point
+            // totals and the kernel-filled draw buffers, with an uncovered
+            // family's buffer dropped — the retention policy.
             let totals = partial.finish();
             slices.push(ScenarioSlice {
                 scenario,

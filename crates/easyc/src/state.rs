@@ -10,8 +10,7 @@
 //! - a **footprint cache** for the default (everything-visible) scenario,
 //!   keyed by a deterministic content hash of the source
 //!   ([`content_hash`], std `DefaultHasher` with its fixed keys), holding
-//!   the per-system footprints plus a single-segment retractable
-//!   [`PartialAssessment`] over them.
+//!   the per-system footprints.
 //!
 //! [`FleetState::query`] returns the same builder a cold run uses, and its
 //! `run` hands the resident products to the same per-block engine
@@ -25,15 +24,15 @@
 //! # Incremental re-assessment
 //!
 //! [`FleetState::update_rows`] splices `k` edited records in place and
-//! repairs every warm product in O(k) heavy work: re-extract `k` metric
-//! rows, [`FleetColumns::patch_range`] `k` columns rows, re-estimate `k`
-//! footprints through the same kernels, and repair the cached fold by
-//! [`PartialAssessment::retract`]ing the trailing range back to the first
-//! edited row (checkpoint rewind, O(k + 256) fold steps) and re-absorbing
-//! the tail — a lightweight scalar fold, bit-identical to rebuilding the
-//! partial from scratch. The content hash advances by a deterministic
-//! chain hash, so stale [`FleetState::invalidate`] requests are detected
-//! exactly ([`InvalidateOutcome::Stale`]).
+//! repairs every warm product in O(k) work: re-extract `k` metric rows,
+//! [`FleetColumns::patch_range`] `k` columns rows, and re-estimate `k`
+//! footprints through the same kernels. No fold is cached: totals are
+//! folded from the footprints when asked for
+//! ([`FleetState::cached_totals`], or a query's own
+//! [`PartialAssessment`]), so there is nothing else to repair. The content
+//! hash advances by a deterministic chain hash, so stale
+//! [`FleetState::invalidate`] requests are detected exactly
+//! ([`InvalidateOutcome::Stale`]).
 
 use crate::batch::assess_columns;
 use crate::columns::FleetColumns;
@@ -73,15 +72,11 @@ fn chain_hash(prev: u64, first_row: usize, rows: &[SystemRecord]) -> u64 {
     h.finish()
 }
 
-/// The default-scenario footprints and their retractable fold, tagged with
-/// the content hash of the source they were computed from.
+/// The default-scenario footprints, tagged with the content hash of the
+/// source they were computed from.
 struct FootprintCache {
     hash: u64,
     footprints: Vec<SystemFootprint>,
-    /// Single-segment partial over `footprints` (absorbed at row 0, no
-    /// draw buffers): its finish repeats the serial left fold verbatim,
-    /// and `retract`/`absorb` keep it that way across row updates.
-    partial: PartialAssessment,
 }
 
 /// What a [`FleetState::invalidate`] request found.
@@ -222,9 +217,7 @@ impl FleetState {
     /// True when the default-scenario footprint cache is present and keyed
     /// by the current source hash.
     pub fn is_warm(&self) -> bool {
-        self.cache
-            .as_ref()
-            .is_some_and(|c| c.hash == self.source_hash)
+        self.cached_footprints().is_some()
     }
 
     /// The effective default scenario (everything visible, configuration
@@ -234,8 +227,8 @@ impl FleetState {
     }
 
     /// Computes (or refreshes) the default-scenario footprint cache
-    /// through the same columnar kernels a query uses, and folds it into
-    /// a single-segment retractable partial. Idempotent when warm.
+    /// through the same columnar kernels a query uses. Idempotent when
+    /// warm.
     pub fn warm(&mut self) {
         if self.is_warm() {
             return;
@@ -251,30 +244,28 @@ impl FleetState {
             // audit: allow(panic-surface) — assess_columns fills the whole 0..n range it was given
             .map(|f| f.expect("assess_columns fills every slot"))
             .collect();
-        let mut partial = PartialAssessment::identity(0);
-        partial.absorb(0, &footprints);
         self.cache = Some(FootprintCache {
             hash: self.source_hash,
             footprints,
-            partial,
         });
     }
 
-    /// Fleet totals from the cached fold (`None` when cold). Collapses a
-    /// clone of the resident single-segment partial, so the bits equal
-    /// the serial left fold over the cached footprints.
+    /// Fleet totals of the cached footprints (`None` when cold): one
+    /// fresh [`PartialAssessment`] absorbs them in rank order, so the bits
+    /// equal the serial left fold a cold run performs.
     pub fn cached_totals(&self) -> Option<FleetTotals> {
-        self.is_warm()
-            // audit: allow(panic-surface) — is_warm() is defined as the cache being populated
-            .then(|| self.cache.as_ref().expect("warm implies cached"))
-            .map(|c| c.partial.clone().finish())
+        self.cached_footprints().map(|footprints| {
+            let mut partial = PartialAssessment::identity(0);
+            partial.absorb(0, footprints);
+            partial.finish()
+        })
     }
 
     /// The cached default-scenario footprints (`None` when cold).
-    pub fn cached_footprints(&self) -> Option<&[SystemFootprint]> {
-        self.is_warm()
-            // audit: allow(panic-surface) — is_warm() is defined as the cache being populated
-            .then(|| self.cache.as_ref().expect("warm implies cached"))
+    fn cached_footprints(&self) -> Option<&[SystemFootprint]> {
+        self.cache
+            .as_ref()
+            .filter(|c| c.hash == self.source_hash)
             .map(|c| c.footprints.as_slice())
     }
 
@@ -304,9 +295,8 @@ impl FleetState {
     /// must keep their position's rank (rank defines list order and the
     /// CRN stream key). Re-extracts the touched metrics, patches the
     /// touched columns, and — when warm — re-estimates exactly the
-    /// touched footprints and repairs the cached fold by
-    /// retract-then-absorb, keeping the cache warm under the advanced
-    /// chain hash. Returns the new source hash.
+    /// touched footprints, keeping the cache warm under the advanced chain
+    /// hash. Returns the new source hash.
     pub fn update_rows(
         &mut self,
         first_row: usize,
@@ -353,26 +343,16 @@ impl FleetState {
             &self.list.systems()[range.clone()],
         );
 
-        if self.is_warm() {
-            let scenario = self.default_scenario();
+        let scenario = self.default_scenario();
+        if let Some(cache) = self.cache.as_mut().filter(|c| c.hash == self.source_hash) {
             let view = FleetView::new(&self.list, &self.metrics, &scenario);
-            // audit: allow(panic-surface) — is_warm() is defined as the cache being populated
-            let cache = self.cache.as_mut().expect("warm implies cached");
-            cache
-                .partial
-                .retract(first_row..n, &cache.footprints[..first_row])
-                // audit: allow(panic-surface) — the warm cache always holds the full 0..n fold
-                .expect("cached partial covers 0..n and the cut lies inside it");
             let mut slots: Vec<Option<SystemFootprint>> = Vec::with_capacity(k);
             slots.resize_with(k, || None);
             assess_columns(&self.columns, &view, range.clone(), &mut slots);
-            for (i, slot) in range.clone().zip(slots) {
+            for (i, slot) in range.zip(slots) {
                 // audit: allow(panic-surface) — assess_columns fills the whole range it was given
                 cache.footprints[i] = slot.expect("assess_columns fills every slot");
             }
-            cache
-                .partial
-                .absorb(first_row, &cache.footprints[first_row..]);
             cache.hash = new_hash;
         } else {
             self.cache = None;
@@ -504,16 +484,15 @@ mod tests {
         assert!(state.cached_totals().is_none());
         state.warm();
         let totals = state.cached_totals().expect("warm");
-        let mut partial = PartialAssessment::identity(0);
-        partial.absorb(0, state.cached_footprints().expect("warm"));
-        let reference = partial.finish();
+        let cold = Assessment::of(state.list()).run();
+        let reference = &cold.slices()[0];
         assert_eq!(
             totals.operational_mt.to_bits(),
-            reference.operational_mt.to_bits()
+            reference.operational_total_mt.to_bits()
         );
         assert_eq!(
             totals.embodied_mt.to_bits(),
-            reference.embodied_mt.to_bits()
+            reference.embodied_total_mt.to_bits()
         );
         assert_eq!(totals.total, 50);
     }
@@ -558,18 +537,16 @@ mod tests {
             .run();
         assert_outputs_identical(&cold, &warm);
 
-        // The repaired fold equals one rebuilt from scratch.
+        // The repaired cache folds to the cold run's totals.
         let totals = state.cached_totals().expect("warm");
-        let mut partial = PartialAssessment::identity(0);
-        partial.absorb(0, state.cached_footprints().expect("warm"));
-        let reference = partial.finish();
+        let reference = &cold.slices()[0];
         assert_eq!(
             totals.operational_mt.to_bits(),
-            reference.operational_mt.to_bits()
+            reference.operational_total_mt.to_bits()
         );
         assert_eq!(
             totals.embodied_mt.to_bits(),
-            reference.embodied_mt.to_bits()
+            reference.embodied_total_mt.to_bits()
         );
     }
 

@@ -503,8 +503,15 @@ pub fn split_points(
     let mut pending_even = true;
     let mut pending_len = 0usize;
     // Interior boundaries placed so far and the rows of each closed range.
-    let mut boundaries: Vec<u64> = Vec::with_capacity(shards - 1);
-    let mut range_rows: Vec<usize> = Vec::with_capacity(shards);
+    // The plan holds `shards` entries whatever the file, so a shard count
+    // too large to allocate is an error rather than an abort.
+    let too_many = |e: std::collections::TryReserveError| {
+        FrameError::InvalidArgument(format!("cannot plan {shards} shards: {e}"))
+    };
+    let mut boundaries: Vec<u64> = Vec::new();
+    boundaries.try_reserve_exact(shards - 1).map_err(too_many)?;
+    let mut range_rows: Vec<usize> = Vec::new();
+    range_rows.try_reserve_exact(shards).map_err(too_many)?;
     let mut rows_current = 0usize;
     let mut held_blanks = 0usize;
 
@@ -602,7 +609,8 @@ pub fn split_points(
         rows_current = 0;
     }
     range_rows.push(rows_current);
-    let mut planned = Vec::with_capacity(shards);
+    let mut planned = Vec::new();
+    planned.try_reserve_exact(shards).map_err(too_many)?;
     let mut start = data_start;
     for (i, rows) in range_rows.into_iter().enumerate() {
         let end = if i < boundaries.len() {
@@ -1027,6 +1035,15 @@ mod tests {
     #[test]
     fn split_points_more_shards_than_rows() {
         assert_split_equivalent("x\n1\n2\n", false, &[5]);
+    }
+
+    #[test]
+    fn split_points_refuses_a_shard_count_it_cannot_allocate() {
+        let path = temp_csv("x\n1\n2\n");
+        let err = split_points(&path, usize::MAX, false).unwrap_err();
+        assert!(matches!(err, FrameError::InvalidArgument(_)), "{err:?}");
+        assert!(err.to_string().contains("shards"), "{err}");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

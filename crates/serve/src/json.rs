@@ -101,6 +101,7 @@ impl std::error::Error for ParseError {}
 /// trailing content rejected).
 pub fn parse(text: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         at: 0,
     };
@@ -118,6 +119,7 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
 const MAX_DEPTH: usize = 32;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     at: usize,
 }
@@ -279,16 +281,20 @@ impl Parser<'_> {
                     self.at += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
+                    // Copy the run of plain characters up to the next
+                    // quote or backslash in one step. Both are ASCII, so
+                    // the run ends on a char boundary of the `&str` input.
                     let rest = &self.bytes[self.at..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let Some(c) = s.chars().next() else {
-                        return Err(self.err("unterminated string"));
-                    };
-                    out.push(c);
-                    self.at += c.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let plain = self
+                        .text
+                        .get(self.at..self.at + run)
+                        .ok_or_else(|| self.err("invalid UTF-8 in string"))?;
+                    out.push_str(plain);
+                    self.at += run;
                 }
             }
         }
@@ -492,6 +498,18 @@ mod tests {
             v.get("s").and_then(Value::as_str),
             Some("line\nbreak A\u{1F600}")
         );
+    }
+
+    #[test]
+    fn a_mebibyte_string_round_trips_through_the_writer_and_parser() {
+        // ASCII, two- and four-byte UTF-8, and every escape the writer
+        // emits (quote, backslash, newline, tab, a \u control).
+        let unit = "plain ascii é 😀 \"quoted\" back\\slash\nline\ttab\u{1}";
+        let text = unit.repeat((1 << 20) / unit.len() + 1);
+        assert!(text.len() >= 1 << 20);
+        let line = Obj::new().field_str("pad", &text).finish();
+        let v = parse(&line).unwrap();
+        assert_eq!(v.get("pad").and_then(Value::as_str), Some(text.as_str()));
     }
 
     #[test]

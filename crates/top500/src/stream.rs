@@ -308,6 +308,8 @@ struct ShardLane {
 }
 
 impl ShardLane {
+    /// Starts the lane's parse worker; a failed thread spawn returns its
+    /// `io::Error`.
     fn spawn(
         path: &Path,
         header: &[u8],
@@ -315,7 +317,7 @@ impl ShardLane {
         index: usize,
         rows_before: usize,
         rows_per_chunk: usize,
-    ) -> ShardLane {
+    ) -> std::io::Result<ShardLane> {
         // Capacity 1 = double buffering per lane: each worker parses one
         // chunk ahead of the consumer, so total residency is O(shards),
         // never the whole file.
@@ -352,12 +354,11 @@ impl ShardLane {
                         return;
                     }
                 }
-            })
-            .expect("failed to spawn csv shard thread");
-        ShardLane {
+            })?;
+        Ok(ShardLane {
             rx: Some(rx),
             worker: Some(worker),
-        }
+        })
     }
 }
 
@@ -393,7 +394,9 @@ impl ShardedCsvReader {
     /// parse worker per non-empty shard, each yielding chunks of at most
     /// `rows_per_chunk` rows. A file with no data records gets a single
     /// lane replaying just the header, so header-only semantics (schema
-    /// check, one empty chunk) match [`stream_csv`] exactly.
+    /// check, one empty chunk) match [`stream_csv`] exactly. A worker that
+    /// fails to start is an [`ImportError`]; the lanes already started are
+    /// disconnected and joined before it returns.
     pub fn open(
         path: &Path,
         shards: usize,
@@ -417,25 +420,30 @@ impl ShardedCsvReader {
                 planned.push((0, shard.clone(), 0));
             }
         }
-        let lanes = planned
-            .iter()
-            .map(|(index, shard, rows_before)| {
-                ShardLane::spawn(
-                    path,
-                    &split.header,
-                    shard,
-                    *index,
-                    *rows_before,
-                    rows_per_chunk,
-                )
-            })
-            .collect();
-        Ok(ShardedCsvReader {
+        let mut reader = ShardedCsvReader {
             split,
-            lanes,
+            lanes: Vec::with_capacity(planned.len()),
             current: 0,
             done: false,
-        })
+        };
+        for (index, shard, rows_before) in &planned {
+            // On error, dropping `reader` joins the lanes started so far.
+            let lane = ShardLane::spawn(
+                path,
+                &reader.split.header,
+                shard,
+                *index,
+                *rows_before,
+                rows_per_chunk,
+            )
+            .map_err(|e| {
+                ImportError::Csv(FrameError::Io(format!(
+                    "cannot start csv shard thread {index}: {e}"
+                )))
+            })?;
+            reader.lanes.push(lane);
+        }
+        Ok(reader)
     }
 
     /// The byte-range plan this reader is executing.

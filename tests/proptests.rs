@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use top500_carbon::analysis::interpolate::nearest_peer_interpolation;
 use top500_carbon::easyc::{
-    embodied, fold, operational, Assessment, DataScenario, DrawPlan, EasyC, EasyCConfig,
+    embodied, operational, Assessment, DataScenario, DrawPlan, EasyC, EasyCConfig,
     EmbodiedEstimate, FleetColumns, FleetState, FleetView, MetricMask, OperationalEstimate,
     OverrideSet, PartialAssessment, ScenarioMatrix, SevenMetrics, SystemFootprint, SystemView,
 };
@@ -726,48 +726,20 @@ proptest! {
     }
 }
 
-// ------------------------------------------------ mergeable partial fold
-
-/// Reduces adjacent leaf partials under an arbitrary merge-tree shape:
-/// each pick selects which adjacent pair merges next. All-zero picks give
-/// the left spine, all-large picks the right spine; mixed picks produce
-/// arbitrary interior shapes.
-fn merge_tree(mut level: Vec<PartialAssessment>, picks: &[usize]) -> PartialAssessment {
-    let mut turn = 0usize;
-    while level.len() > 1 {
-        let pick = if picks.is_empty() {
-            0
-        } else {
-            picks[turn % picks.len()]
-        };
-        let i = pick % (level.len() - 1);
-        turn += 1;
-        let right = level.remove(i + 1);
-        let left = std::mem::replace(&mut level[i], PartialAssessment::identity(0));
-        level[i] = left.merge(right).expect("adjacent leaves merge");
-    }
-    level.pop().expect("one root")
-}
+// ------------------------------------------------------- running fold
 
 proptest! {
     #[test]
-    fn merge_trees_of_any_shape_match_the_serial_left_fold(
+    fn absorb_over_any_adjacent_chunking_is_the_serial_left_fold(
         n in 1u32..48,
         seed in 0u64..1_000,
         chunk in 1usize..64,
         draws in 1usize..7,
         mask in arb_mask(),
-        picks in prop::collection::vec(0usize..64, 0..96),
     ) {
-        // The monoid's determinism contract at property scale: (1) one
-        // consumer absorbing any adjacent chunking coalesces into a single
-        // segment whose finish IS the term-level serial left fold, bit for
-        // bit; (2) every merge-tree shape over the same leaves — left
-        // spine (the serial fold of partials), right spine, arbitrary —
-        // commits to the same partial, the same finished bits, and the
-        // same intervals; (3) the finished bits of a multi-segment partial
-        // are exactly the pinned shape: segment subtotals folded in range
-        // order through `fold::sum_f64`.
+        // The fold's determinism contract at property scale: one consumer
+        // absorbing any adjacent chunking finishes to the term-level
+        // serial left fold, bit for bit — totals, counts and draw slots.
         let list = generate_full(&SyntheticConfig { n, seed, ..Default::default() });
         let scenario = DataScenario::masked("prop", mask);
         let tool = EasyC::new();
@@ -799,12 +771,11 @@ proptest! {
             }
         }
 
-        // (1) Single-consumer coalescing over arbitrary chunkings.
         let mut single = PartialAssessment::identity(draws);
         let mut row = 0usize;
         for block in fps.chunks(chunk) {
             single.absorb(row, block);
-            let (op_slots, _emb_slots) = single.draw_slots().expect("non-empty");
+            let (op_slots, _emb_slots) = single.draw_slots();
             for local in 0..block.len() {
                 for (slot, acc) in op_slots.iter_mut().enumerate() {
                     *acc += term(row + local, slot);
@@ -812,7 +783,6 @@ proptest! {
             }
             row += block.len();
         }
-        prop_assert_eq!(single.segment_count(), 1);
         let single = single.finish();
         prop_assert_eq!(single.total, fps.len());
         prop_assert_eq!(single.op_covered, op_cov);
@@ -827,80 +797,6 @@ proptest! {
             }
         } else {
             prop_assert!(single.op_draws.is_empty());
-        }
-
-        // (2) Leaf partials per chunk, merged under three tree shapes.
-        let mut leaf_list = Vec::new();
-        let mut row = 0usize;
-        for block in fps.chunks(chunk) {
-            let mut leaf = PartialAssessment::identity(draws);
-            leaf.absorb(row, block);
-            let (op_slots, _emb_slots) = leaf.draw_slots().expect("non-empty leaf");
-            for local in 0..block.len() {
-                for (slot, acc) in op_slots.iter_mut().enumerate() {
-                    *acc += term(row + local, slot);
-                }
-            }
-            row += block.len();
-            leaf_list.push(leaf);
-        }
-        let spine = leaf_list
-            .iter()
-            .cloned()
-            .try_fold(PartialAssessment::identity(draws), PartialAssessment::merge)
-            .expect("adjacent leaves merge");
-        let rev = leaf_list
-            .iter()
-            .cloned()
-            .rev()
-            .try_fold(PartialAssessment::identity(draws), |acc, p| p.merge(acc))
-            .expect("adjacent leaves merge");
-        let arbitrary = merge_tree(leaf_list.clone(), &picks);
-        prop_assert_eq!(&spine, &rev);
-        prop_assert_eq!(&spine, &arbitrary);
-        prop_assert_eq!(spine.segment_count(), leaf_list.len());
-        prop_assert_eq!(spine.range(), Some((0, fps.len())));
-
-        // (3) The finished bits are the pinned merge shape.
-        let chunk_subtotals: Vec<f64> = fps
-            .chunks(chunk)
-            .map(|block| {
-                let mut sub = 0.0f64;
-                for fp in block {
-                    if let Ok(o) = &fp.operational {
-                        sub += o.mt_co2e;
-                    }
-                }
-                sub
-            })
-            .collect();
-        let spine_t = spine.finish();
-        let rev_t = rev.finish();
-        let arb_t = arbitrary.finish();
-        prop_assert_eq!(spine_t.total, fps.len());
-        prop_assert_eq!(spine_t.op_covered, op_cov);
-        prop_assert_eq!(spine_t.emb_covered, emb_cov);
-        prop_assert_eq!(
-            spine_t.operational_mt.to_bits(),
-            fold::sum_f64(chunk_subtotals.iter().copied()).to_bits()
-        );
-        prop_assert_eq!(spine_t.operational_mt.to_bits(), arb_t.operational_mt.to_bits());
-        prop_assert_eq!(spine_t.embodied_mt.to_bits(), arb_t.embodied_mt.to_bits());
-        prop_assert_eq!(&spine_t, &rev_t);
-        prop_assert_eq!(&spine_t, &arb_t);
-
-        // Intervals drawn from the finished vectors agree bit for bit
-        // across shapes (absent exactly when the family has no coverage).
-        let plan = DrawPlan::new(draws).with_seed(seed);
-        let iv_spine = plan.interval_of(spine_t.operational_mt, &spine_t.op_draws);
-        let iv_arb = plan.interval_of(arb_t.operational_mt, &arb_t.op_draws);
-        prop_assert_eq!(iv_spine, iv_arb);
-        match iv_spine {
-            Some(iv) => {
-                prop_assert!(op_cov > 0);
-                prop_assert!(iv.lo <= iv.hi);
-            }
-            None => prop_assert!(op_cov == 0, "coverage without an interval"),
         }
     }
 
@@ -997,90 +893,11 @@ proptest! {
     }
 }
 
-// ------------------------------------------------ retractable partial fold
+// ------------------------------------------------ incremental updates
 
 proptest! {
-    /// `absorb` then `retract(cut..n)` IS the partial that never absorbed
-    /// the tail: full structural equality (scalars, checkpoints, refilled
-    /// draw buffers), finished bits, and intervals — for any fleet, seed,
-    /// availability mask, absorb chunking, draw count and cut point.
-    #[test]
-    fn retract_is_the_partial_that_never_absorbed_the_tail(
-        n in 2u32..48,
-        seed in 0u64..1_000,
-        chunk in 1usize..64,
-        draws in 0usize..6,
-        mask in arb_mask(),
-        cut_pick in 0usize..10_000,
-    ) {
-        let list = generate_full(&SyntheticConfig { n, seed, ..Default::default() });
-        let scenario = DataScenario::masked("prop", mask);
-        let tool = EasyC::new();
-        let fps: Vec<SystemFootprint> = list
-            .systems()
-            .iter()
-            .map(|r| tool.assess_scenario(r, &scenario))
-            .collect();
-        // 1 ..= len−1: the cut always splits the coalesced segment, the
-        // hard case (checkpoint restore + re-fold, draw-buffer reset).
-        let cut = 1 + cut_pick % (fps.len() - 1);
-        // Deterministic stand-ins for the blocked draw kernels.
-        let op_term = |row: usize, slot: usize| ((row * 37 + slot * 11 + 5) as f64).sqrt() * 0.25;
-        let emb_term = |row: usize, slot: usize| ((row * 13 + slot * 7 + 3) as f64).sqrt() * 0.5;
-        let fill = |p: &mut PartialAssessment, rows: std::ops::Range<usize>| {
-            if draws == 0 {
-                return;
-            }
-            let (op_slots, emb_slots) = p.draw_slots().expect("non-empty partial");
-            for row in rows {
-                for (slot, acc) in op_slots.iter_mut().enumerate() {
-                    *acc += op_term(row, slot);
-                }
-                for (slot, acc) in emb_slots.iter_mut().enumerate() {
-                    *acc += emb_term(row, slot);
-                }
-            }
-        };
-
-        // Absorb under an arbitrary chunking (coalesces to one segment),
-        // fill the draw buffers, then retract the tail. The split
-        // segment's buffers reset by contract, so re-run the "kernels"
-        // over the kept rows — exactly the warm-cache repair protocol.
-        let mut p = PartialAssessment::identity(draws);
-        let mut row = 0usize;
-        for block in fps.chunks(chunk) {
-            p.absorb(row, block);
-            row += block.len();
-        }
-        fill(&mut p, 0..fps.len());
-        p.retract(cut..fps.len(), &fps).expect("trailing retract");
-        fill(&mut p, 0..cut);
-
-        let mut rebuilt = PartialAssessment::identity(draws);
-        rebuilt.absorb(0, &fps[..cut]);
-        fill(&mut rebuilt, 0..cut);
-
-        prop_assert_eq!(&p, &rebuilt);
-        prop_assert_eq!(p.range(), Some((0, cut)));
-        let a = p.clone().finish();
-        let b = rebuilt.finish();
-        prop_assert_eq!(a.operational_mt.to_bits(), b.operational_mt.to_bits());
-        prop_assert_eq!(a.embodied_mt.to_bits(), b.embodied_mt.to_bits());
-        prop_assert_eq!(&a, &b);
-        // Intervals drawn from the finished vectors agree bit for bit.
-        let plan = DrawPlan::new(draws.max(1)).with_seed(seed);
-        prop_assert_eq!(
-            plan.interval_of(a.operational_mt, &a.op_draws),
-            plan.interval_of(b.operational_mt, &b.op_draws)
-        );
-        prop_assert_eq!(
-            plan.interval_of(a.embodied_mt, &a.emb_draws),
-            plan.interval_of(b.embodied_mt, &b.emb_draws)
-        );
-    }
-
-    /// `FleetState::update_rows` — the O(k) splice + retract/re-absorb
-    /// cache repair — is bit-identical to a cold `Assessment` over the
+    /// `FleetState::update_rows` — the O(k) splice and footprint-cache
+    /// repair — is bit-identical to a cold `Assessment` over the
     /// edited fleet: per-system footprint bits, both interval families and
     /// the paired comparison, for any fleet, seed, mask and touched range,
     /// with and without a warm cache.
@@ -1164,23 +981,21 @@ proptest! {
             cold.compare("full", "masked")
         );
 
-        // The repaired cache itself carries the bits a from-scratch serial
-        // fold over the edited fleet would.
+        // The repaired cache folds to the cold run's first slice.
         if warm {
-            let mut rebuilt = PartialAssessment::identity(0);
-            rebuilt.absorb(0, &cold.slices()[0].footprints);
             let repaired = state.cached_totals().expect("still warm");
-            let reference = rebuilt.finish();
+            let reference = &cold.slices()[0];
             prop_assert_eq!(
                 repaired.operational_mt.to_bits(),
-                reference.operational_mt.to_bits()
+                reference.operational_total_mt.to_bits()
             );
             prop_assert_eq!(
                 repaired.embodied_mt.to_bits(),
-                reference.embodied_mt.to_bits()
+                reference.embodied_total_mt.to_bits()
             );
-            prop_assert_eq!(repaired.op_covered, reference.op_covered);
-            prop_assert_eq!(repaired.emb_covered, reference.emb_covered);
+            prop_assert_eq!(repaired.op_covered, reference.coverage.operational);
+            prop_assert_eq!(repaired.emb_covered, reference.coverage.embodied);
+            prop_assert_eq!(repaired.total, reference.coverage.total);
         }
     }
 }
