@@ -152,37 +152,21 @@ pub struct SweepCsvWriter {
 
 impl SweepCsvWriter {
     /// Opens one spill sidecar per scenario next to `target`
-    /// (`<target>.<pid>-<k>.s0.part0`, `.part1`, …). The pid +
+    /// (`<target>.<pid>-<k>.part0`, `.part1`, …). The pid +
     /// process-local counter make the names unique, and the files are
     /// opened `create_new`, so a concurrent sweep spilling next to the
     /// same target (or a pre-existing user file that happens to share a
     /// name) surfaces as an error instead of silently interleaving rows.
     /// Nothing is written to `target` itself until
-    /// [`finish`](SweepCsvWriter::finish). Equivalent to
-    /// [`create_sharded`](SweepCsvWriter::create_sharded) with shard 0 —
-    /// the single-writer case every non-sharded sweep uses.
+    /// [`finish`](SweepCsvWriter::finish).
     pub fn create(target: impl Into<PathBuf>, scenarios: usize) -> io::Result<SweepCsvWriter> {
-        SweepCsvWriter::create_sharded(target, scenarios, 0)
-    }
-
-    /// [`create`](SweepCsvWriter::create) with a shard tag in the sidecar
-    /// names (`<target>.<pid>-<k>.s<shard>.part<i>`): a sharded sweep
-    /// (`--stream --shards N --out`) that ever spills per shard gets
-    /// sidecars whose provenance is visible on disk and collision-free by
-    /// construction, and the assembled artifact stays byte-identical —
-    /// the tag only touches the temporary names.
-    pub fn create_sharded(
-        target: impl Into<PathBuf>,
-        scenarios: usize,
-        shard: usize,
-    ) -> io::Result<SweepCsvWriter> {
         static SPILL_EPOCH: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let epoch = SPILL_EPOCH.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let stamp = format!("{}-{epoch}", std::process::id());
         let target = target.into();
         let mut parts = Vec::with_capacity(scenarios);
         for i in 0..scenarios {
-            let path = PathBuf::from(format!("{}.{stamp}.s{shard}.part{i}", target.display()));
+            let path = PathBuf::from(format!("{}.{stamp}.part{i}", target.display()));
             match fs::OpenOptions::new()
                 .write(true)
                 .create_new(true)
@@ -552,6 +536,16 @@ mod tests {
         let dir = std::env::temp_dir();
         for rows in [1usize, 13, 70, 500] {
             let target = dir.join(format!("sweep-writer-{}-{rows}.csv", std::process::id()));
+            // Every sibling named `<target>.…`: the spill sidecars.
+            let stem = target.file_name().unwrap().to_string_lossy().to_string();
+            let sidecars = || -> Vec<String> {
+                fs::read_dir(&dir)
+                    .unwrap()
+                    .filter_map(|e| e.ok())
+                    .map(|e| e.file_name().to_string_lossy().to_string())
+                    .filter(|name| name.starts_with(&format!("{stem}.")))
+                    .collect()
+            };
             let mut writer = SweepCsvWriter::create(&target, matrix.len()).unwrap();
             Assessment::stream(InMemoryChunks::new(&list, rows))
                 .scenarios(&matrix)
@@ -559,65 +553,25 @@ mod tests {
                 .run()
                 .unwrap();
             assert!(writer.error().is_none());
+            // Mid-flight: exactly one `<target>.<pid>-<k>.part<i>` per scenario.
+            let mut spilled = sidecars();
+            spilled.sort();
+            assert_eq!(spilled.len(), matrix.len(), "rows {rows}: {spilled:?}");
+            for (i, name) in spilled.iter().enumerate() {
+                assert!(
+                    name.ends_with(&format!(".part{i}")),
+                    "rows {rows}: {spilled:?}"
+                );
+            }
             let finished = writer.finish().unwrap();
             assert_eq!(finished, target);
             let streamed = fs::read_to_string(&target).unwrap();
             assert_eq!(streamed, expected, "rows {rows}");
-            // The spill sidecars (named `<target>.<stamp>.partN`) must be
-            // gone: no sibling may share the target's name as a prefix.
-            let stem = target.file_name().unwrap().to_string_lossy().to_string();
-            let leftovers: Vec<String> = fs::read_dir(target.parent().unwrap())
-                .unwrap()
-                .filter_map(|e| e.ok())
-                .map(|e| e.file_name().to_string_lossy().to_string())
-                .filter(|name| name.starts_with(&format!("{stem}.")))
-                .collect();
+            // The sidecars must be gone after `finish`.
+            let leftovers = sidecars();
             assert!(leftovers.is_empty(), "sidecars left behind: {leftovers:?}");
             fs::remove_file(&target).ok();
         }
-    }
-
-    #[test]
-    fn sharded_spill_naming_keeps_artifact_byte_identical() {
-        let list = generate_full(&SyntheticConfig {
-            n: 40,
-            ..Default::default()
-        });
-        let matrix = sweep_matrix();
-        let expected =
-            frame::csv::write(&Assessment::of(&list).scenarios(&matrix).run().to_frame());
-        let target = std::env::temp_dir().join(format!("sweep-sharded-{}.csv", std::process::id()));
-        let mut writer = SweepCsvWriter::create_sharded(&target, matrix.len(), 5).unwrap();
-        // Mid-flight the sidecars must carry the shard tag, so concurrent
-        // shard writers next to one target can never collide by name.
-        let stem = target.file_name().unwrap().to_string_lossy().to_string();
-        let sidecars: Vec<String> = fs::read_dir(target.parent().unwrap())
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().to_string())
-            .filter(|name| name.starts_with(&format!("{stem}.")))
-            .collect();
-        assert_eq!(sidecars.len(), matrix.len());
-        assert!(
-            sidecars.iter().all(|name| name.contains(".s5.part")),
-            "sidecars must be shard-tagged: {sidecars:?}"
-        );
-        Assessment::stream(InMemoryChunks::new(&list, 7))
-            .scenarios(&matrix)
-            .rows(|block| writer.append(&block))
-            .run()
-            .unwrap();
-        assert!(writer.error().is_none());
-        writer.finish().unwrap();
-        assert_eq!(fs::read_to_string(&target).unwrap(), expected);
-        let leftovers: Vec<String> = fs::read_dir(target.parent().unwrap())
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().to_string())
-            .filter(|name| name.starts_with(&format!("{stem}.")))
-            .collect();
-        assert!(leftovers.is_empty(), "sidecars left behind: {leftovers:?}");
-        fs::remove_file(&target).ok();
     }
 
     #[test]

@@ -686,7 +686,7 @@ const CARBON_TERMS: &[&str] = &[
 /// statement's `;`) mentions a carbon-total accessor is a running fleet
 /// total built outside `easyc::PartialAssessment`/`easyc::fold`. Such loops
 /// have a fold order fixed by accident (whatever order the loop visits),
-/// not by contract — shard- and worker-count invariance only holds for
+/// not by contract — chunk- and worker-count invariance only holds for
 /// totals folded through the running fold. `easyc::partial` itself is the one
 /// module allowed to accumulate directly (it *is* the fold), and test code
 /// is exempt (serial reference folds in tests are the point).

@@ -5,18 +5,18 @@
 //! through the incremental session under a two-scenario matrix without
 //! ever materializing it — peak fleet residency is asserted to be one
 //! chunk — and cross-checks the fold against the in-memory session on the
-//! synthetic 500 (bit-identity). Criterion groups then sweep chunk budget
-//! and worker count on a 100k-system fleet.
+//! synthetic 500 (bit-identity). A second proof streams a 20k-row CSV with
+//! the parser inline and behind [`Prefetched`], asserting identical folds.
+//! Criterion groups then sweep chunk budget and worker count on a
+//! 100k-system fleet, and time serial vs prefetched CSV ingest.
 
 use bench::{banner, BENCH_SEED};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use easyc::scenario::{DataScenario, MetricBit, MetricMask, ScenarioMatrix};
 use easyc::Assessment;
-use std::fs::File;
-use std::io::{BufReader, Cursor};
-use std::path::Path;
+use std::io::Cursor;
 use top500::io::{export_csv, stream_csv};
-use top500::stream::{Prefetched, ShardedCsvReader, SyntheticChunks};
+use top500::stream::{Prefetched, SyntheticChunks};
 use top500::synthetic::{generate_full, SyntheticConfig};
 
 fn matrix() -> ScenarioMatrix {
@@ -235,120 +235,9 @@ fn bench_streaming(c: &mut Criterion) {
     group.finish();
 }
 
-/// Byte-range sharded ingest vs the single-consumer CSV stream over the
-/// same on-disk file: `split_points` plans the shards, N parse lanes feed
-/// the one running [`easyc::PartialAssessment`] fold in file order, and
-/// the result is asserted bit-identical to the serial stream before any
-/// wall clock is reported. On a single hardware thread the lanes
-/// time-slice one core, so expect ≈1×; the >1× ingest scaling needs a
-/// spare core per lane (the identity claim holds regardless of where the
-/// lanes run).
-fn sharded_ingest_proof(path: &Path, rows: u32, chunk: usize) {
-    let workers = parallel::default_workers();
-    let m = matrix();
-    let start = std::time::Instant::now();
-    let serial = Assessment::stream(stream_csv(
-        BufReader::new(File::open(path).expect("reopen CSV")),
-        chunk,
-    ))
-    .scenarios(&m)
-    .workers(workers)
-    .run()
-    .expect("serial CSV stream");
-    let serial_time = start.elapsed();
-    assert_eq!(serial.systems(), rows as usize);
-    println!(
-        "serial CSV ingest, {rows} rows x {} scenarios ({workers} workers): {:.2}s",
-        m.len(),
-        serial_time.as_secs_f64()
-    );
-    for shards in [1usize, 2, 4, 8] {
-        let reader = ShardedCsvReader::open(path, shards, chunk).expect("plan byte-range shards");
-        assert_eq!(reader.rows(), rows as usize, "split plan miscounted rows");
-        let start = std::time::Instant::now();
-        let sharded = Assessment::stream(reader)
-            .scenarios(&m)
-            .workers(workers)
-            .run()
-            .expect("sharded CSV stream");
-        let elapsed = start.elapsed();
-        assert_eq!(sharded.systems(), serial.systems());
-        for (a, b) in sharded.slices().iter().zip(serial.slices()) {
-            assert_eq!(a.coverage, b.coverage, "sharded fold drifted");
-            assert_eq!(a.operational_total_mt, b.operational_total_mt);
-            assert_eq!(a.embodied_total_mt, b.embodied_total_mt);
-        }
-        println!(
-            "  {shards} shard(s): {:.2}s ({:.2}x vs serial; fold bit-identical)",
-            elapsed.as_secs_f64(),
-            serial_time.as_secs_f64() / elapsed.as_secs_f64().max(1e-9)
-        );
-    }
-}
-
-/// Sharded vs serial CSV ingest at the million-row scale (20k rows under
-/// `--test` so the CI smoke stays fast): the `--shards N` pipeline end to
-/// end, from `split_points` through the lane merge.
-fn bench_sharded(c: &mut Criterion) {
-    banner(
-        "Sharded byte-range ingest",
-        "split_points + N parse lanes feeding the running PartialAssessment fold in file order",
-    );
-    let test_mode = std::env::args().any(|a| a == "--test");
-    let rows: u32 = if test_mode { 20_000 } else { 1_000_000 };
-    const CHUNK: usize = 8_192;
-    let path = std::env::temp_dir().join(format!("bench-shards-{}.csv", std::process::id()));
-    let text = export_csv(&generate_full(&config(rows)));
-    std::fs::write(&path, &text).expect("write synthetic fleet CSV");
-    println!(
-        "synthetic fleet CSV: {rows} rows, {:.1} MiB at {}",
-        text.len() as f64 / (1024.0 * 1024.0),
-        path.display()
-    );
-    drop(text);
-    sharded_ingest_proof(&path, rows, CHUNK);
-
-    let workers = parallel::default_workers();
-    let m = matrix();
-    let mut group = c.benchmark_group("streaming/shard_merge_vs_serial");
-    group.throughput(Throughput::Elements(2 * u64::from(rows)));
-    group.bench_function("serial", |b| {
-        b.iter(|| {
-            Assessment::stream(stream_csv(
-                BufReader::new(File::open(&path).expect("reopen CSV")),
-                CHUNK,
-            ))
-            .scenarios(std::hint::black_box(&m))
-            .workers(workers)
-            .run()
-            .unwrap()
-        })
-    });
-    for shards in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::from_parameter(shards), &shards, |b, &s| {
-            b.iter(|| {
-                Assessment::stream(
-                    ShardedCsvReader::open(&path, s, CHUNK).expect("plan byte-range shards"),
-                )
-                .scenarios(std::hint::black_box(&m))
-                .workers(workers)
-                .run()
-                .unwrap()
-            })
-        });
-    }
-    group.finish();
-    let _ = std::fs::remove_file(&path);
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_streaming
 }
-criterion_group! {
-    name = shard_benches;
-    config = Criterion::default().sample_size(3);
-    targets = bench_sharded
-}
-criterion_main!(benches, shard_benches);
+criterion_main!(benches);

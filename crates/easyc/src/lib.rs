@@ -91,8 +91,8 @@
 //! - [`stream`] — the chunked (larger-than-memory) source and its row sink.
 //! - [`partial`] — the running fold the engine accumulates through
 //!   ([`partial::PartialAssessment`]): absorb adjacent footprint blocks in
-//!   rank order, so every chunking, shard count and worker count adds the
-//!   same terms as one serial left fold.
+//!   rank order, so every chunking and worker count adds the same terms
+//!   as one serial left fold.
 //! - [`state`] — the resident-service layer: a long-lived
 //!   [`state::FleetState`] (parsed list, Phase-1 metrics, columnar layout
 //!   and a content-hash-keyed footprint cache) answering cheap borrowed

@@ -4,8 +4,8 @@
 //! Every fleet total in the engine is a strict left fold in rank order.
 //! [`PartialAssessment`] holds that fold's state — the [`FleetTotals`]
 //! accumulators, whose row count is also the row where the fold ends — so
-//! every engine path (list and resident runs, the streamed fold, sharded
-//! ingest with ordered delivery) adds the same terms in the same order:
+//! every engine path (list and resident runs, the streamed fold) adds the
+//! same terms in the same order:
 //!
 //! - [`PartialAssessment::identity`] — the empty fold, ending at row 0,
 //!   with both per-sample draw buffers allocated;

@@ -19,11 +19,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// Returns true when the value is [`Value::Null`].
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// Best-effort numeric view (integers widen to `f64`).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -141,14 +136,6 @@ impl Column {
         }
     }
 
-    /// Typed view of an integer column.
-    pub fn as_i64(&self) -> Option<&[Option<i64>]> {
-        match self {
-            Column::I64(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Typed view of a string column.
     pub fn as_str(&self) -> Option<&[Option<String>]> {
         match self {
@@ -214,11 +201,6 @@ impl Column {
 
 /// Convenience constructors mirroring `vec!`-style ergonomics.
 impl Column {
-    /// Builds a float column from plain values (no nulls).
-    pub fn from_f64(values: impl IntoIterator<Item = f64>) -> Column {
-        Column::F64(values.into_iter().map(Some).collect())
-    }
-
     /// Builds an integer column from plain values (no nulls).
     pub fn from_i64(values: impl IntoIterator<Item = i64>) -> Column {
         Column::I64(values.into_iter().map(Some).collect())

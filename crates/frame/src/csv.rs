@@ -421,212 +421,6 @@ impl<R: BufRead> Iterator for ChunkedReader<R> {
     }
 }
 
-/// One byte-range shard of a CSV file, as planned by [`split_points`]:
-/// replaying [`CsvSplit::header`] followed by the file bytes
-/// `[start, end)` through a [`ChunkedReader`] parses exactly this shard's
-/// `rows` data records.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CsvShard {
-    /// First byte of the shard's data range.
-    pub start: u64,
-    /// One past the last byte of the shard's data range.
-    pub end: u64,
-    /// Data records whose bytes fall in `[start, end)` — interior blank
-    /// records count (they parse as one null row), file-trailing blanks do
-    /// not (both the whole-file and the shard parse drop them).
-    pub rows: usize,
-}
-
-/// A record-aligned decomposition of a CSV file into byte ranges — the
-/// plan [`split_points`] produces for parallel byte-range ingest.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CsvSplit {
-    /// The raw file bytes up to and including the header record's final
-    /// newline (leading comment lines included, verbatim). Chaining these
-    /// bytes in front of any shard's byte range replays the exact prefix a
-    /// serial reader saw, so every shard parses under the true header with
-    /// no separate header-handling logic.
-    pub header: Vec<u8>,
-    /// The data byte ranges, ascending and exactly tiling
-    /// `[header.len() as seen in the file, file_len)`. Ranges can be empty
-    /// (more shards than records).
-    pub shards: Vec<CsvShard>,
-}
-
-impl CsvSplit {
-    /// Total data rows across all shards.
-    pub fn rows(&self) -> usize {
-        self.shards.iter().map(|s| s.rows).sum::<usize>()
-    }
-}
-
-/// Plans a decomposition of the CSV file at `path` into `shards`
-/// contiguous byte ranges whose boundaries fall only on logical-record
-/// boundaries, in one streaming pass with O(shards) memory.
-///
-/// The scan mirrors [`ChunkedReader`]'s record accounting exactly: lines
-/// join into one logical record until the quote count is even (so a split
-/// target that lands inside a quoted, embedded-newline field *resyncs
-/// forward* to the true end of that record), `#`-comment lines are skipped
-/// before quote accounting when `strip_comments` is set (the Top 500
-/// template convention — pass the same flag the reader uses), and CRLF is
-/// accepted. Boundaries are placed only immediately after a completed
-/// **non-empty** record, so interior blank records always travel with the
-/// non-empty record that follows them (trailing blanks belong to the last
-/// shard and are dropped by every parser, whole-file and sharded alike).
-///
-/// Split targets are the `shards − 1` equidistant byte offsets of the data
-/// region; each boundary is the first eligible record end at or past its
-/// target, so shard sizes stay near-equal except when single records span
-/// targets. A file with fewer records than shards comes back with empty
-/// trailing ranges; a file with no records at all (empty, or nothing but
-/// comments/blank lines) yields `header` = the whole file and all-empty
-/// ranges.
-pub fn split_points(
-    path: &std::path::Path,
-    shards: usize,
-    strip_comments: bool,
-) -> Result<CsvSplit> {
-    let io_err = |e: std::io::Error| FrameError::Io(e.to_string());
-    let shards = shards.max(1);
-    let file = std::fs::File::open(path).map_err(io_err)?;
-    let file_len = file.metadata().map_err(io_err)?.len();
-    let mut input = std::io::BufReader::new(file);
-
-    let mut offset: u64 = 0;
-    let mut line = String::new();
-    let mut header: Vec<u8> = Vec::new();
-    let mut header_end: Option<u64> = None;
-    // Pending logical record, mirrored from [`ChunkedReader::fill`]: the
-    // record completes when its quote count is even.
-    let mut pending_active = false;
-    let mut pending_even = true;
-    let mut pending_len = 0usize;
-    // Interior boundaries placed so far and the rows of each closed range.
-    // The plan holds `shards` entries whatever the file, so a shard count
-    // too large to allocate is an error rather than an abort.
-    let too_many = |e: std::collections::TryReserveError| {
-        FrameError::InvalidArgument(format!("cannot plan {shards} shards: {e}"))
-    };
-    let mut boundaries: Vec<u64> = Vec::new();
-    boundaries.try_reserve_exact(shards - 1).map_err(too_many)?;
-    let mut range_rows: Vec<usize> = Vec::new();
-    range_rows.try_reserve_exact(shards).map_err(too_many)?;
-    let mut rows_current = 0usize;
-    let mut held_blanks = 0usize;
-
-    // Completes a record at byte offset `pos`. The first completed record
-    // is the header; blanks are held until the next non-empty record (they
-    // parse with it, or drop at EOF); non-empty records advance the row
-    // count and may close ranges whose byte target has been passed.
-    let complete = |pos: u64,
-                    is_blank: bool,
-                    header_end: &mut Option<u64>,
-                    boundaries: &mut Vec<u64>,
-                    range_rows: &mut Vec<usize>,
-                    rows_current: &mut usize,
-                    held_blanks: &mut usize| {
-        let data_start = match *header_end {
-            None => {
-                *header_end = Some(pos);
-                return;
-            }
-            Some(start) => start,
-        };
-        if is_blank {
-            *held_blanks += 1;
-            return;
-        }
-        *rows_current += *held_blanks + 1;
-        *held_blanks = 0;
-        let data_len = file_len - data_start;
-        while boundaries.len() < shards - 1 {
-            let k = (boundaries.len() + 1) as u64;
-            let target = data_start + data_len * k / shards as u64;
-            if pos < target {
-                break;
-            }
-            boundaries.push(pos);
-            range_rows.push(*rows_current);
-            *rows_current = 0;
-        }
-    };
-
-    loop {
-        line.clear();
-        let read = input.read_line(&mut line).map_err(io_err)?;
-        if read == 0 {
-            if pending_active {
-                complete(
-                    offset,
-                    pending_len == 0,
-                    &mut header_end,
-                    &mut boundaries,
-                    &mut range_rows,
-                    &mut rows_current,
-                    &mut held_blanks,
-                );
-            }
-            break;
-        }
-        if header_end.is_none() {
-            header.extend_from_slice(line.as_bytes());
-        }
-        offset += read as u64;
-        let content = line.strip_suffix('\n').unwrap_or(&line);
-        let content = content.strip_suffix('\r').unwrap_or(content);
-        if strip_comments && content.trim_start().starts_with('#') {
-            continue;
-        }
-        if !pending_active {
-            pending_active = true;
-            pending_len = 0;
-        } else {
-            pending_len += 1; // the joining '\n'
-        }
-        pending_len += content.len();
-        if content.matches('"').count() % 2 == 1 {
-            pending_even = !pending_even;
-        }
-        if pending_even {
-            complete(
-                offset,
-                pending_len == 0,
-                &mut header_end,
-                &mut boundaries,
-                &mut range_rows,
-                &mut rows_current,
-                &mut held_blanks,
-            );
-            pending_active = false;
-        }
-    }
-    // Trailing blanks held at EOF drop, exactly as every parser drops them.
-    let data_start = header_end.unwrap_or(file_len);
-    while boundaries.len() < shards - 1 {
-        boundaries.push(file_len);
-        range_rows.push(rows_current);
-        rows_current = 0;
-    }
-    range_rows.push(rows_current);
-    let mut planned = Vec::new();
-    planned.try_reserve_exact(shards).map_err(too_many)?;
-    let mut start = data_start;
-    for (i, rows) in range_rows.into_iter().enumerate() {
-        let end = if i < boundaries.len() {
-            boundaries[i]
-        } else {
-            file_len
-        };
-        planned.push(CsvShard { start, end, rows });
-        start = end;
-    }
-    Ok(CsvSplit {
-        header,
-        shards: planned,
-    })
-}
-
 /// Quotes a field when it contains separators, quotes or newlines.
 fn escape(field: &str) -> String {
     if field.contains(',') || field.contains('"') || field.contains('\n') {
@@ -903,159 +697,6 @@ mod tests {
         let first = reader.next_chunk().unwrap().unwrap();
         assert_eq!(first.names(), &["a", "b"]);
         assert_eq!(reader.names().unwrap(), &["a", "b"]);
-    }
-
-    // ----------------------------------------------------- byte-range splits
-
-    /// Writes `content` to a fresh temp file and returns its path.
-    fn temp_csv(content: &str) -> std::path::PathBuf {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        let path = std::env::temp_dir().join(format!(
-            "frame-split-{}-{}.csv",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::write(&path, content).expect("write temp csv");
-        path
-    }
-
-    /// Every row of every chunk as (column-ordered) values.
-    fn flatten(frames: &[DataFrame]) -> Vec<Vec<Value>> {
-        let mut rows = Vec::new();
-        for df in frames {
-            for r in 0..df.len() {
-                rows.push(
-                    df.names()
-                        .iter()
-                        .map(|n| df.value(n, r).expect("in-range"))
-                        .collect(),
-                );
-            }
-        }
-        rows
-    }
-
-    /// Splits `text` at each shard count and asserts the byte ranges tile
-    /// the data region, resync to record boundaries, carry exact row
-    /// counts, and reassemble to the serial parse row for row.
-    fn assert_split_equivalent(text: &str, strip: bool, shard_counts: &[usize]) {
-        let path = temp_csv(text);
-        let bytes = std::fs::read(&path).expect("read back");
-        let serial: Vec<DataFrame> = {
-            let reader = ChunkedReader::new(&bytes[..], 3);
-            let reader = if strip {
-                reader.strip_comments()
-            } else {
-                reader
-            };
-            reader.map(|c| c.expect("serial chunk parses")).collect()
-        };
-        let reference = flatten(&serial);
-        for &count in shard_counts {
-            let split = split_points(&path, count, strip).expect("split plans");
-            assert_eq!(split.shards.len(), count, "shards {count}");
-            let mut cursor = split.header.len() as u64;
-            for shard in &split.shards {
-                assert_eq!(shard.start, cursor, "shards {count}: ranges must tile");
-                assert!(shard.end >= shard.start, "shards {count}");
-                cursor = shard.end;
-            }
-            assert_eq!(cursor, bytes.len() as u64, "shards {count}: must reach EOF");
-            assert_eq!(split.rows(), reference.len(), "shards {count}");
-            let mut all: Vec<DataFrame> = Vec::new();
-            for shard in &split.shards {
-                let mut replay = split.header.clone();
-                replay.extend_from_slice(&bytes[shard.start as usize..shard.end as usize]);
-                let reader = ChunkedReader::new(&replay[..], 3);
-                let reader = if strip {
-                    reader.strip_comments()
-                } else {
-                    reader
-                };
-                let frames: Vec<DataFrame> = reader.map(|c| c.expect("shard parses")).collect();
-                let got: usize = frames.iter().map(DataFrame::len).sum();
-                assert_eq!(got, shard.rows, "shards {count}: planned row count");
-                all.extend(frames);
-            }
-            assert_eq!(flatten(&all), reference, "shards {count}");
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn split_points_reassembles_row_for_row() {
-        let text = "# leading note\nrank,name,power\n# interior\n1,Frontier,22.7\n\
-                    2,\"two\nlines\",3.5\n3,\"with, comma\",4.5\n4,plain,\n5,last,9.25\n\n";
-        assert_split_equivalent(text, true, &[1, 2, 3, 4, 5, 8]);
-    }
-
-    #[test]
-    fn split_points_without_comment_stripping() {
-        assert_split_equivalent("a,b\n1,2\n3,4\n5,6\n7,8\n", false, &[1, 2, 3, 4, 9]);
-    }
-
-    #[test]
-    fn split_points_resyncs_across_quoted_newlines() {
-        // One quoted field with an embedded newline spans the byte
-        // midpoint: the 2-shard boundary must skip forward to the record's
-        // true end instead of cutting the field.
-        let filler = "x".repeat(40);
-        let text = format!("name,v\nshort,1\n\"{filler}\n{filler}\",2\ntail,3\n");
-        let path = temp_csv(&text);
-        let split = split_points(&path, 2, false).expect("split plans");
-        let boundary = split.shards[0].end as usize;
-        assert_eq!(text.as_bytes()[boundary - 1], b'\n');
-        assert_eq!(split.shards[0].rows, 2, "quoted record stays whole");
-        assert_eq!(split.shards[1].rows, 1);
-        let _ = std::fs::remove_file(&path);
-        assert_split_equivalent(&text, false, &[2, 3]);
-    }
-
-    #[test]
-    fn split_points_header_only_and_empty_inputs() {
-        let path = temp_csv("a,b\n");
-        let split = split_points(&path, 3, false).expect("split plans");
-        assert_eq!(split.header, b"a,b\n");
-        assert_eq!(split.shards.len(), 3);
-        assert!(split
-            .shards
-            .iter()
-            .all(|s| s.start == 4 && s.end == 4 && s.rows == 0));
-        let _ = std::fs::remove_file(&path);
-
-        let path = temp_csv("");
-        let split = split_points(&path, 2, false).expect("split plans");
-        assert!(split.header.is_empty());
-        assert_eq!(split.rows(), 0);
-        assert!(split.shards.iter().all(|s| s.start == 0 && s.end == 0));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn split_points_more_shards_than_rows() {
-        assert_split_equivalent("x\n1\n2\n", false, &[5]);
-    }
-
-    #[test]
-    fn split_points_refuses_a_shard_count_it_cannot_allocate() {
-        let path = temp_csv("x\n1\n2\n");
-        let err = split_points(&path, usize::MAX, false).unwrap_err();
-        assert!(matches!(err, FrameError::InvalidArgument(_)), "{err:?}");
-        assert!(err.to_string().contains("shards"), "{err}");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn split_points_keeps_interior_blanks_drops_trailing() {
-        // The interior blank parses as one null row and must travel with
-        // the record after it; the trailing blanks vanish for every parser.
-        assert_split_equivalent("x\n1\n\n2\n\n\n", false, &[1, 2, 3]);
-    }
-
-    #[test]
-    fn split_points_crlf_and_no_final_newline() {
-        assert_split_equivalent("a,b\r\n1,2\r\n3,4\r\n5,6", false, &[2, 3]);
     }
 
     #[test]

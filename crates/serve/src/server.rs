@@ -211,7 +211,14 @@ pub fn spawn(
                     .name("serve-conn".into())
                     .spawn(move || connection(stream, tx, conn_shared));
                 match handle {
-                    Ok(h) => connections.push(h),
+                    Ok(h) => {
+                        // Join exited connections now, so a finished
+                        // thread's stack is not held until shutdown.
+                        for done in connections.extract_if(.., |c| c.is_finished()) {
+                            let _ = done.join();
+                        }
+                        connections.push(h);
+                    }
                     Err(_) => continue,
                 }
             }

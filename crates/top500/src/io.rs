@@ -250,17 +250,6 @@ pub fn stream_csv<R: BufRead>(input: R, rows_per_chunk: usize) -> CsvFleetReader
     }
 }
 
-impl<R: BufRead> CsvFleetReader<R> {
-    /// Labels [`ImportError::BadRow`] indices as if this reader had already
-    /// consumed `offset` data rows. A shard worker parsing the byte range
-    /// after `offset` earlier records uses this so its errors carry the
-    /// same global row index a serial reader would report.
-    pub fn with_row_offset(mut self, offset: usize) -> CsvFleetReader<R> {
-        self.rows_seen = offset;
-        self
-    }
-}
-
 impl<R: BufRead> FleetChunks for CsvFleetReader<R> {
     type Error = ImportError;
 
@@ -459,6 +448,20 @@ mod tests {
         assert_eq!(streamed.len(), 2);
         assert_eq!(streamed[0].name.as_deref(), Some("Mare, Nostrum"));
         assert_eq!(import_csv(text).unwrap().systems(), streamed);
+
+        // An interior comment line and quoted fields spanning raw lines.
+        let text = "# template comment\nrank,name,rmax_tflops\n1,\"Mare,\nNostrum\",100\n\
+                    # interior comment\n2,plain,50\n3,\"also\nsplit\",25\n4,tail,10\n";
+        let whole = import_csv(text).unwrap();
+        assert_eq!(whole.len(), 4);
+        assert_eq!(whole.systems()[0].name.as_deref(), Some("Mare,\nNostrum"));
+        for rows in [1usize, 2, 3] {
+            assert_eq!(
+                stream_all(text, rows).unwrap(),
+                whole.systems(),
+                "rows {rows}"
+            );
+        }
     }
 
     #[test]
@@ -473,19 +476,32 @@ mod tests {
 
     #[test]
     fn streamed_import_reports_global_row_in_errors() {
-        // Row 2 (0-based, third data row) is bad; with 1-row chunks the
-        // error must still carry the global index, like import_csv.
-        let text = "rank,rmax_tflops\n1,10\n2,20\n3,-5\n";
+        // Row 2 (0-based, third data row) is bad; with small chunks the
+        // error must still carry the global index, like import_csv, and
+        // no row after it may be delivered.
+        let text = "rank,rmax_tflops\n1,10\n2,20\n3,-5\n4,40\n5,50\n";
         let whole_err = import_csv(text).unwrap_err();
-        let mut reader = stream_csv(text.as_bytes(), 1);
-        let mut streamed_err = None;
-        while let Some(chunk) = reader.next_chunk() {
-            if let Err(e) = chunk {
-                streamed_err = Some(e);
-            }
-        }
-        assert_eq!(streamed_err.unwrap(), whole_err);
         assert!(matches!(whole_err, ImportError::BadRow { row: 2, .. }));
+        for rows in [1usize, 2, 4] {
+            let mut reader = stream_csv(text.as_bytes(), rows);
+            let mut delivered = Vec::new();
+            let streamed_err = loop {
+                match reader.next_chunk() {
+                    Some(Ok(list)) => delivered.extend(list.systems().iter().map(|s| s.rank)),
+                    Some(Err(e)) => break e,
+                    None => panic!("rows {rows}: stream ended without the bad row"),
+                }
+            };
+            assert_eq!(streamed_err, whole_err, "rows {rows}");
+            assert!(
+                reader.next_chunk().is_none(),
+                "rows {rows}: fused after error"
+            );
+            assert!(
+                delivered.iter().all(|&rank| rank < 3),
+                "rows {rows}: {delivered:?}"
+            );
+        }
     }
 
     #[test]

@@ -20,27 +20,17 @@
 //! - [`InMemoryChunks`] — an already-loaded list re-served in chunks, used
 //!   to pin streamed-vs-in-memory bit-identity in tests.
 //!
-//! Plus two combinators: [`Prefetched`] wraps any `Send` source and parses
+//! Plus one combinator: [`Prefetched`] wraps any `Send` source and parses
 //! the next chunk on a dedicated background thread while the consumer
 //! works on the current one — a double buffer with rendezvous
 //! backpressure, so ingest latency hides behind assessment without the
-//! residency bound growing past two chunks. [`ShardedCsvReader`] goes
-//! further for seekable CSV files: `frame::csv::split_points` plans
-//! record-aligned byte ranges, one parse worker streams each range
-//! concurrently, and the consumer drains the lanes in file order — N
-//! parsers feeding one fold, bit-identical to a serial read.
+//! residency bound growing past two chunks.
 
-use crate::io::{stream_csv, ImportError};
 use crate::list::Top500List;
 use crate::record::SystemRecord;
 use crate::synthetic::{generate_range, SyntheticConfig};
-use frame::csv::{CsvShard, CsvSplit};
-use frame::FrameError;
 use std::convert::Infallible;
 use std::fmt::Display;
-use std::fs::File;
-use std::io::{BufReader, Cursor, Read, Seek, SeekFrom};
-use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
@@ -300,209 +290,6 @@ impl<E> Drop for Prefetched<E> {
     }
 }
 
-/// One shard lane of a [`ShardedCsvReader`]: a parse worker and the
-/// bounded channel it feeds.
-struct ShardLane {
-    rx: Option<Receiver<Result<Top500List, ImportError>>>,
-    worker: Option<JoinHandle<()>>,
-}
-
-impl ShardLane {
-    /// Starts the lane's parse worker; a failed thread spawn returns its
-    /// `io::Error`.
-    fn spawn(
-        path: &Path,
-        header: &[u8],
-        shard: &CsvShard,
-        index: usize,
-        rows_before: usize,
-        rows_per_chunk: usize,
-    ) -> std::io::Result<ShardLane> {
-        // Capacity 1 = double buffering per lane: each worker parses one
-        // chunk ahead of the consumer, so total residency is O(shards),
-        // never the whole file.
-        let (tx, rx) = sync_channel::<Result<Top500List, ImportError>>(1);
-        let path = path.to_path_buf();
-        let header = header.to_vec();
-        let (start, len) = (shard.start, shard.end - shard.start);
-        let worker = std::thread::Builder::new()
-            .name(format!("csv-shard-{index}"))
-            .spawn(move || {
-                let io_err = |e: std::io::Error| ImportError::Csv(FrameError::Io(e.to_string()));
-                let mut file = match File::open(&path) {
-                    Ok(f) => f,
-                    Err(e) => {
-                        let _ = tx.send(Err(io_err(e)));
-                        return;
-                    }
-                };
-                if let Err(e) = file.seek(SeekFrom::Start(start)) {
-                    let _ = tx.send(Err(io_err(e)));
-                    return;
-                }
-                // Replaying the header bytes in front of the shard's byte
-                // range reconstructs exactly the prefix a serial reader
-                // saw, so schema handling needs no special casing; the row
-                // offset keeps error labels global.
-                let input = Cursor::new(header).chain(BufReader::new(file.take(len)));
-                let mut reader = stream_csv(input, rows_per_chunk).with_row_offset(rows_before);
-                while let Some(item) = reader.next_chunk() {
-                    let failed = item.is_err();
-                    if tx.send(item).is_err() || failed {
-                        // Consumer hung up, or the source fused after an
-                        // error — either way this lane is done.
-                        return;
-                    }
-                }
-            })?;
-        Ok(ShardLane {
-            rx: Some(rx),
-            worker: Some(worker),
-        })
-    }
-}
-
-/// Parallel byte-range CSV ingest: N parse workers, one deterministic
-/// stream.
-///
-/// [`frame::csv::split_points`] plans `shards` record-aligned byte ranges
-/// over the file (resynchronising across quoted embedded newlines), then
-/// one named worker thread per non-empty range streams its bytes through
-/// the standard [`stream_csv`] reader — each worker replays the header in
-/// front of its range, so all of [`crate::io::CsvFleetReader`]'s schema
-/// and conversion rules apply unchanged. The consumer drains the lanes in
-/// file order, so downstream folds see records in exactly the order a
-/// serial [`stream_csv`] over the whole file would deliver them: the
-/// *records* and their order are bit-identical, only the chunk boundaries
-/// differ (each shard restarts its chunk budget). Per-lane channels hold
-/// at most one parsed chunk, bounding residency at O(`shards`) chunks.
-///
-/// Error semantics match the serial reader's: [`ImportError::BadRow`]
-/// labels carry global row indices (each worker is offset by the rows
-/// before its shard), and after the first delivered error the reader is
-/// fused. Dropping a `ShardedCsvReader` mid-stream disconnects all lanes
-/// and joins their workers.
-pub struct ShardedCsvReader {
-    split: CsvSplit,
-    lanes: Vec<ShardLane>,
-    current: usize,
-    done: bool,
-}
-
-impl ShardedCsvReader {
-    /// Plans the byte-range split of the CSV file at `path` and starts one
-    /// parse worker per non-empty shard, each yielding chunks of at most
-    /// `rows_per_chunk` rows. A file with no data records gets a single
-    /// lane replaying just the header, so header-only semantics (schema
-    /// check, one empty chunk) match [`stream_csv`] exactly. A worker that
-    /// fails to start is an [`ImportError`]; the lanes already started are
-    /// disconnected and joined before it returns.
-    pub fn open(
-        path: &Path,
-        shards: usize,
-        rows_per_chunk: usize,
-    ) -> Result<ShardedCsvReader, ImportError> {
-        let split = frame::csv::split_points(path, shards, true)?;
-        let mut planned: Vec<(usize, CsvShard, usize)> = Vec::new();
-        let mut rows_before = 0usize;
-        for (index, shard) in split.shards.iter().enumerate() {
-            if shard.rows > 0 {
-                planned.push((index, shard.clone(), rows_before));
-                rows_before += shard.rows;
-            }
-        }
-        if planned.is_empty() {
-            // No data rows anywhere. Run the (empty) first range through
-            // one lane anyway: the replayed header still produces the
-            // serial reader's single empty chunk and required-column
-            // check, and an entirely empty file still produces nothing.
-            if let Some(shard) = split.shards.first() {
-                planned.push((0, shard.clone(), 0));
-            }
-        }
-        let mut reader = ShardedCsvReader {
-            split,
-            lanes: Vec::with_capacity(planned.len()),
-            current: 0,
-            done: false,
-        };
-        for (index, shard, rows_before) in &planned {
-            // On error, dropping `reader` joins the lanes started so far.
-            let lane = ShardLane::spawn(
-                path,
-                &reader.split.header,
-                shard,
-                *index,
-                *rows_before,
-                rows_per_chunk,
-            )
-            .map_err(|e| {
-                ImportError::Csv(FrameError::Io(format!(
-                    "cannot start csv shard thread {index}: {e}"
-                )))
-            })?;
-            reader.lanes.push(lane);
-        }
-        Ok(reader)
-    }
-
-    /// The byte-range plan this reader is executing.
-    pub fn split(&self) -> &CsvSplit {
-        &self.split
-    }
-
-    /// Total data rows the plan counted across all shards.
-    pub fn rows(&self) -> usize {
-        self.split.rows()
-    }
-}
-
-impl FleetChunks for ShardedCsvReader {
-    type Error = ImportError;
-
-    fn next_chunk(&mut self) -> Option<Result<Top500List, ImportError>> {
-        if self.done {
-            return None;
-        }
-        while let Some(lane) = self.lanes.get_mut(self.current) {
-            let rx = lane.rx.as_ref().expect("undrained lane has a receiver");
-            match rx.recv() {
-                Ok(item) => {
-                    if item.is_err() {
-                        self.done = true;
-                    }
-                    return Some(item);
-                }
-                Err(_) => {
-                    // Lane exhausted: reap it and move to the next shard.
-                    lane.rx.take();
-                    if let Some(worker) = lane.worker.take() {
-                        let _ = worker.join();
-                    }
-                    self.current += 1;
-                }
-            }
-        }
-        self.done = true;
-        None
-    }
-}
-
-impl Drop for ShardedCsvReader {
-    fn drop(&mut self) {
-        // Disconnect every lane first so workers blocked on a full channel
-        // error out of `send` instead of deadlocking the joins.
-        for lane in &mut self.lanes {
-            lane.rx.take();
-        }
-        for lane in &mut self.lanes {
-            if let Some(worker) = lane.worker.take() {
-                let _ = worker.join();
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -707,141 +494,5 @@ mod tests {
         let mut source = Prefetched::new(SyntheticChunks::new(config, 10));
         assert!(source.next_chunk().is_some());
         drop(source); // must disconnect + join, not deadlock
-    }
-
-    // ---------------------------------------------------- sharded ingest
-
-    use crate::io::{export_csv, import_csv};
-    use crate::synthetic::{mask_baseline, MaskRates};
-
-    fn temp_csv(content: &str) -> std::path::PathBuf {
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        let path = std::env::temp_dir().join(format!(
-            "top500-shard-{}-{}.csv",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::write(&path, content).expect("write temp csv");
-        path
-    }
-
-    #[test]
-    fn sharded_reader_identical_to_serial_stream_and_whole_file_import() {
-        let full = generate_full(&SyntheticConfig {
-            n: 60,
-            ..Default::default()
-        });
-        let masked = mask_baseline(&full, &MaskRates::default(), 3);
-        let text = export_csv(&masked);
-        let path = temp_csv(&text);
-        let whole = import_csv(&text).unwrap();
-        for shards in [1usize, 2, 3, 5, 9, 64] {
-            for rows in [1usize, 7, 64] {
-                let reader = ShardedCsvReader::open(&path, shards, rows).unwrap();
-                assert_eq!(reader.rows(), 60, "shards {shards} rows {rows}");
-                let (all, _) = drain(reader);
-                assert_eq!(all, whole.systems(), "shards {shards} rows {rows}");
-            }
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn sharded_reader_resyncs_comments_and_quoted_newlines() {
-        // Comment lines and a quoted field spanning raw lines sit right
-        // where naive byte splits would cut; the planner must resync.
-        let text = "# template comment\nrank,name,rmax_tflops\n1,\"Mare,\nNostrum\",100\n\
-                    # interior comment\n2,plain,50\n3,\"also\nsplit\",25\n4,tail,10\n";
-        let path = temp_csv(text);
-        let serial = {
-            let mut reader = stream_csv(text.as_bytes(), 2);
-            let mut all = Vec::new();
-            while let Some(chunk) = reader.next_chunk() {
-                all.extend(chunk.unwrap().systems().iter().cloned());
-            }
-            all
-        };
-        assert_eq!(serial.len(), 4);
-        for shards in [2usize, 3, 4] {
-            let (all, _) = drain(ShardedCsvReader::open(&path, shards, 2).unwrap());
-            assert_eq!(all, serial, "shards {shards}");
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn sharded_reader_reports_global_rows_and_fuses_on_error() {
-        // The bad row lands in a late shard; its error label must still be
-        // the global data-row index a serial reader reports.
-        let mut text = String::from("rank,rmax_tflops\n");
-        for rank in 1..=20 {
-            text.push_str(&format!("{rank},{}\n", rank * 10));
-        }
-        text.push_str("21,-5\n");
-        let serial_err = {
-            let mut reader = stream_csv(text.as_bytes(), 4);
-            let mut err = None;
-            while let Some(chunk) = reader.next_chunk() {
-                if let Err(e) = chunk {
-                    err = Some(e);
-                }
-            }
-            err.unwrap()
-        };
-        assert!(matches!(serial_err, ImportError::BadRow { row: 20, .. }));
-        let path = temp_csv(&text);
-        let mut reader = ShardedCsvReader::open(&path, 4, 4).unwrap();
-        let mut rows = 0usize;
-        let mut sharded_err = None;
-        while let Some(chunk) = reader.next_chunk() {
-            match chunk {
-                Ok(list) => rows += list.len(),
-                Err(e) => sharded_err = Some(e),
-            }
-        }
-        assert_eq!(sharded_err.unwrap(), serial_err);
-        assert!(rows < 21, "rows after the bad one must not be delivered");
-        assert!(reader.next_chunk().is_none(), "fused after error");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn sharded_reader_missing_required_column_fails_like_serial() {
-        let path = temp_csv("name\nfoo\nbar\nbaz\n");
-        let mut reader = ShardedCsvReader::open(&path, 3, 8).unwrap();
-        assert_eq!(
-            reader.next_chunk().unwrap().unwrap_err(),
-            ImportError::MissingColumn("rank")
-        );
-        assert!(reader.next_chunk().is_none(), "fused after error");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn sharded_reader_header_only_and_empty_files() {
-        let path = temp_csv("rank,rmax_tflops\n");
-        let mut reader = ShardedCsvReader::open(&path, 4, 8).unwrap();
-        let first = reader.next_chunk().unwrap().unwrap();
-        assert!(first.is_empty(), "schema-bearing empty chunk, like serial");
-        assert!(reader.next_chunk().is_none());
-        let _ = std::fs::remove_file(&path);
-
-        let path = temp_csv("");
-        let mut reader = ShardedCsvReader::open(&path, 4, 8).unwrap();
-        assert!(reader.next_chunk().is_none(), "empty file yields nothing");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn dropping_a_sharded_reader_mid_stream_does_not_hang() {
-        let full = generate_full(&SyntheticConfig {
-            n: 500,
-            ..Default::default()
-        });
-        let path = temp_csv(&export_csv(&full));
-        let mut reader = ShardedCsvReader::open(&path, 4, 10).unwrap();
-        assert!(reader.next_chunk().is_some());
-        drop(reader); // must disconnect all lanes + join, not deadlock
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -25,15 +25,14 @@
 //!                      current one; memory bounded by --chunk-rows (at most
 //!                      two chunks resident), not fleet size
 //!   --chunk-rows N     rows per streamed chunk (default 8192)
-//!   --shards N         parallel byte-range ingest (requires --stream and a
-//!                      systems CSV): the file is split into N record-aligned
-//!                      byte ranges parsed by N workers, merged in file order
-//!                      — results bit-identical to a serial read
+//!   (any other --option, or a second systems path, is a usage error)
 //! top500-carbon sweep-template              print the scenario CSV template
 //! top500-carbon serve [systems.csv] [--addr H:P --synthetic N --workers N
 //!                     --serve-workers N --queue-depth N --timeout-ms N --cold]
 //!                                           resident JSONL/TCP assessment server
 //!                                           over a warm easyc::FleetState
+//!                                           (systems.csv and --synthetic
+//!                                           are exclusive)
 //! top500-carbon query --addr H:P <op>       one request against a running server
 //!                                           (status / assess / sweep / compare /
 //!                                           invalidate / shutdown)
@@ -53,7 +52,7 @@ use top500_carbon::frame;
 use top500_carbon::serve::{self, ServeConfig};
 use top500_carbon::top500::io::{export_csv, import_csv, stream_csv, COLUMNS};
 use top500_carbon::top500::list::Top500List;
-use top500_carbon::top500::stream::{FleetChunks, Prefetched, ShardedCsvReader, SyntheticChunks};
+use top500_carbon::top500::stream::{FleetChunks, Prefetched, SyntheticChunks};
 use top500_carbon::top500::synthetic::{generate_full, SyntheticConfig};
 
 const DEFAULT_SEED: u64 = 0x5EED_CAFE;
@@ -109,8 +108,6 @@ fn usage(problem: &str) -> ExitCode {
     eprintln!("    --stream            pipelined chunked ingestion (parse overlaps assess),");
     eprintln!("                        memory bounded by --chunk-rows, not fleet size");
     eprintln!("    --chunk-rows N      rows per streamed chunk (default {DEFAULT_CHUNK_ROWS})");
-    eprintln!("    --shards N          parallel byte-range ingest of the systems CSV");
-    eprintln!("                        (requires --stream; bit-identical to a serial read)");
     eprintln!("  top500-carbon sweep-template          print the scenario CSV template");
     eprintln!("  top500-carbon serve [systems.csv] [options]");
     eprintln!("                                        resident assessment server (JSONL/TCP)");
@@ -136,24 +133,33 @@ fn usage(problem: &str) -> ExitCode {
 /// Parsed `--flag value` pairs, as (name, value) in argv order.
 type Flags = Vec<(String, String)>;
 
-/// Parses `--flag value` pairs shared by `serve`/`query`, collecting
-/// positionals. Returns `None` on a malformed pair.
-fn parse_flags(rest: &[String]) -> Option<(Vec<String>, Flags)> {
+/// Parses the arguments of `serve`/`query`: `--name value` pairs for the
+/// names in `valued`, bare `--name` switches for those in `switches`, and
+/// positionals. Any other `--` argument, or a valued flag without its
+/// value, is an error that names it.
+fn parse_flags(
+    rest: &[String],
+    valued: &[&str],
+    switches: &[&str],
+) -> Result<(Vec<String>, Flags), String> {
     let mut positionals = Vec::new();
     let mut flags = Vec::new();
     let mut iter = rest.iter();
     while let Some(arg) = iter.next() {
-        if let Some(name) = arg.strip_prefix("--") {
-            if name == "cold" || name == "raw" {
-                flags.push((name.to_string(), String::new()));
-            } else {
-                flags.push((name.to_string(), iter.next()?.clone()));
-            }
-        } else {
+        let Some(name) = arg.strip_prefix("--") else {
             positionals.push(arg.clone());
+            continue;
+        };
+        if switches.contains(&name) {
+            flags.push((name.to_string(), String::new()));
+        } else if valued.contains(&name) {
+            let value = iter.next().ok_or_else(|| format!("{arg} needs a value"))?;
+            flags.push((name.to_string(), value.clone()));
+        } else {
+            return Err(format!("unknown option `{arg}`"));
         }
     }
-    Some((positionals, flags))
+    Ok((positionals, flags))
 }
 
 fn flag<'a>(flags: &'a [(String, String)], name: &str) -> Option<&'a str> {
@@ -164,11 +170,23 @@ fn flag<'a>(flags: &'a [(String, String)], name: &str) -> Option<&'a str> {
 }
 
 fn cmd_serve(rest: &[String]) -> ExitCode {
-    let Some((positionals, flags)) = parse_flags(rest) else {
-        return usage("serve: every --flag needs a value");
+    let valued = [
+        "addr",
+        "synthetic",
+        "workers",
+        "serve-workers",
+        "queue-depth",
+        "timeout-ms",
+    ];
+    let (positionals, flags) = match parse_flags(rest, &valued, &["cold"]) {
+        Ok(parsed) => parsed,
+        Err(problem) => return usage(&format!("serve: {problem}")),
     };
     if positionals.len() > 1 {
         return usage("serve takes at most one systems.csv");
+    }
+    if !positionals.is_empty() && flag(&flags, "synthetic").is_some() {
+        return usage("pass either systems.csv or --synthetic N, not both");
     }
     let addr = flag(&flags, "addr").unwrap_or("127.0.0.1:0");
     let mut config = top500_carbon::easyc::EasyCConfig::default();
@@ -259,8 +277,14 @@ fn cmd_serve(rest: &[String]) -> ExitCode {
 }
 
 fn cmd_query(rest: &[String]) -> ExitCode {
-    let Some((positionals, flags)) = parse_flags(rest) else {
-        return usage("query: every --flag needs a value");
+    // Request fields forwarded verbatim when given, by value type.
+    const INTEGERS: [&str; 3] = ["draws", "seed", "workers"];
+    const NUMBERS: [&str; 4] = ["confidence", "pue", "utilization", "aci"];
+    const STRINGS: [&str; 3] = ["mask", "scenario", "hash"];
+    let valued = [&["addr", "out"][..], &INTEGERS, &NUMBERS, &STRINGS].concat();
+    let (positionals, flags) = match parse_flags(rest, &valued, &[]) {
+        Ok(parsed) => parsed,
+        Err(problem) => return usage(&format!("query: {problem}")),
     };
     let Some(addr) = flag(&flags, "addr") else {
         return usage("query requires --addr HOST:PORT");
@@ -269,8 +293,7 @@ fn cmd_query(rest: &[String]) -> ExitCode {
         return usage("query requires an op (status/assess/sweep/compare/invalidate/shutdown)");
     };
     let mut request = serve::json::Obj::new().field_str("op", op);
-    // Shared numeric knobs, forwarded verbatim when given.
-    for key in ["draws", "seed", "workers"] {
+    for key in INTEGERS {
         if let Some(v) = flag(&flags, key) {
             match v.parse::<usize>() {
                 Ok(n) => request = request.field_int(key, n),
@@ -278,20 +301,15 @@ fn cmd_query(rest: &[String]) -> ExitCode {
             }
         }
     }
-    for (key, field) in [
-        ("confidence", "confidence"),
-        ("pue", "pue"),
-        ("utilization", "utilization"),
-        ("aci", "aci"),
-    ] {
+    for key in NUMBERS {
         if let Some(v) = flag(&flags, key) {
             match v.parse::<f64>() {
-                Ok(x) => request = request.field_num(field, x),
+                Ok(x) => request = request.field_num(key, x),
                 Err(_) => return usage(&format!("--{key} requires a number")),
             }
         }
     }
-    for key in ["mask", "scenario", "hash"] {
+    for key in STRINGS {
         if let Some(v) = flag(&flags, key) {
             request = request.field_str(key, v);
         }
@@ -391,7 +409,6 @@ fn cmd_sweep(scenarios_path: &Path, rest: &[String]) -> ExitCode {
     let mut workers: usize = top500_carbon::parallel::default_workers();
     let mut stream = false;
     let mut chunk_rows = DEFAULT_CHUNK_ROWS;
-    let mut shards: Option<usize> = None;
     let mut synthetic_n: Option<u32> = None;
     let mut plan = DrawPlan::new(0);
     let mut draws_given = false;
@@ -414,11 +431,6 @@ fn cmd_sweep(scenarios_path: &Path, rest: &[String]) -> ExitCode {
             match iter.next().and_then(|n| n.parse::<usize>().ok()) {
                 Some(n) if n > 0 => chunk_rows = n,
                 _ => return usage("--chunk-rows requires a positive integer"),
-            }
-        } else if arg == "--shards" {
-            match iter.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => shards = Some(n),
-                _ => return usage("--shards requires a positive integer"),
             }
         } else if arg == "--synthetic" {
             match iter.next().and_then(|n| n.parse::<u32>().ok()) {
@@ -451,22 +463,18 @@ fn cmd_sweep(scenarios_path: &Path, rest: &[String]) -> ExitCode {
                 Some(pair) => compare = Some(pair),
                 None => return usage("--compare requires two scenario names as A,B"),
             }
+        } else if arg.starts_with("--") {
+            return usage(&format!("sweep: unknown option `{arg}`"));
+        } else if let Some(first) = systems_path {
+            return usage(&format!(
+                "sweep takes one systems.csv, got `{first}` and `{arg}`"
+            ));
         } else {
             systems_path = Some(arg);
         }
     }
     if systems_path.is_some() && synthetic_n.is_some() {
         return usage("pass either systems.csv or --synthetic N, not both");
-    }
-    if shards.is_some() {
-        if !stream {
-            return usage("--shards requires --stream");
-        }
-        if systems_path.is_none() {
-            return usage(
-                "--shards splits a systems CSV byte range; it cannot apply to --synthetic",
-            );
-        }
     }
     if let Some((a, b)) = &compare {
         for name in [a, b] {
@@ -493,28 +501,8 @@ fn cmd_sweep(scenarios_path: &Path, rest: &[String]) -> ExitCode {
         };
         // The next chunk parses on a background thread while the engine
         // assesses the current one; at most two chunks are ever resident.
-        // With --shards, N byte-range workers parse concurrently instead,
-        // merged in file order — same records, same results.
         return match systems_path {
             Some(p) => {
-                if let Some(shards) = shards {
-                    let reader = match ShardedCsvReader::open(Path::new(p), shards, chunk_rows) {
-                        Ok(r) => r,
-                        Err(e) => {
-                            eprintln!("error: cannot split {p}: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                    return run_stream_sweep(
-                        reader,
-                        &matrix,
-                        workers,
-                        plan,
-                        compare.as_ref(),
-                        out_path,
-                        &format!("{shards}-shard byte-range ingest"),
-                    );
-                }
                 let file = match File::open(p) {
                     Ok(f) => f,
                     Err(e) => {
@@ -529,7 +517,6 @@ fn cmd_sweep(scenarios_path: &Path, rest: &[String]) -> ExitCode {
                     plan,
                     compare.as_ref(),
                     out_path,
-                    "prefetched ingest",
                 )
             }
             None => run_stream_sweep(
@@ -539,7 +526,6 @@ fn cmd_sweep(scenarios_path: &Path, rest: &[String]) -> ExitCode {
                 plan,
                 compare.as_ref(),
                 out_path,
-                "prefetched ingest",
             ),
         };
     }
@@ -601,10 +587,9 @@ fn run_stream_sweep<S: FleetChunks>(
     plan: DrawPlan,
     compare: Option<&(String, String)>,
     out_path: Option<&str>,
-    ingest: &str,
 ) -> ExitCode {
     println!(
-        "streaming sweep: {} scenarios, {} workers, folded per chunk ({ingest})\n",
+        "streaming sweep: {} scenarios, {} workers, folded per chunk (prefetched ingest)\n",
         matrix.len(),
         workers
     );

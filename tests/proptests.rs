@@ -9,7 +9,7 @@ use top500_carbon::easyc::{
 };
 use top500_carbon::frame::{csv, stats, Column, DataFrame};
 use top500_carbon::top500::io::{export_csv, import_csv, stream_csv};
-use top500_carbon::top500::stream::{InMemoryChunks, ShardedCsvReader};
+use top500_carbon::top500::stream::InMemoryChunks;
 use top500_carbon::top500::synthetic::{generate_full, SyntheticConfig};
 use top500_carbon::top500::{SystemRecord, Top500List};
 
@@ -801,30 +801,19 @@ proptest! {
     }
 
     #[test]
-    fn sharded_ingest_bit_identical_to_serial_stream_and_in_memory_session(
+    fn csv_stream_bit_identical_to_in_memory_session(
         n in 1u32..40,
         seed in 0u64..1_000,
         rows_per_chunk in 1usize..48,
-        shards in 1usize..9,
         workers in 1usize..4,
         mask in arb_mask(),
     ) {
-        // Byte-range sharded ingest — split_points + N parse workers +
-        // ordered lane drain — must reproduce the single-consumer CSV
-        // stream AND the in-memory session exactly: coverage, totals, both
-        // interval families, retained draw vectors, and compare deltas,
-        // for any fleet, seed, chunk budget, shard count, worker count and
-        // availability mask.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        // The chunked CSV stream must reproduce the in-memory session over
+        // the whole-file import exactly: coverage, totals, both interval
+        // families, retained draw vectors, and compare deltas, for any
+        // fleet, seed, chunk budget, worker count and availability mask.
         let list = generate_full(&SyntheticConfig { n, seed, ..Default::default() });
         let text = export_csv(&list);
-        let path = std::env::temp_dir().join(format!(
-            "proptest-shard-{}-{}.csv",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::write(&path, &text).expect("write temp csv");
         let matrix = ScenarioMatrix::new()
             .with(DataScenario::full("full"))
             .with(DataScenario::masked("masked", mask));
@@ -835,36 +824,15 @@ proptest! {
             .uncertainty(24)
             .seed(seed)
             .run();
-        let serial = Assessment::stream(stream_csv(text.as_bytes(), rows_per_chunk))
+        let streamed = Assessment::stream(stream_csv(text.as_bytes(), rows_per_chunk))
             .workers(workers)
             .scenarios(&matrix)
             .uncertainty(24)
             .seed(seed)
             .run()
-            .expect("serial CSV stream");
-        let reader = ShardedCsvReader::open(&path, shards, rows_per_chunk)
-            .expect("plan byte-range shards");
-        prop_assert_eq!(reader.rows(), imported.len());
-        let sharded = Assessment::stream(reader)
-            .workers(workers)
-            .scenarios(&matrix)
-            .uncertainty(24)
-            .seed(seed)
-            .run()
-            .expect("sharded CSV stream");
-        let _ = std::fs::remove_file(&path);
-        prop_assert_eq!(sharded.systems(), imported.len());
-        for (s, r) in sharded.slices().iter().zip(serial.slices()) {
-            prop_assert_eq!(s.coverage, r.coverage);
-            prop_assert_eq!(
-                s.operational_total_mt.to_bits(),
-                r.operational_total_mt.to_bits()
-            );
-            prop_assert_eq!(s.embodied_total_mt.to_bits(), r.embodied_total_mt.to_bits());
-            prop_assert_eq!(s.interval, r.interval);
-            prop_assert_eq!(s.embodied_interval, r.embodied_interval);
-        }
-        for (s, m) in sharded.slices().iter().zip(session.slices()) {
+            .expect("CSV stream");
+        prop_assert_eq!(streamed.systems(), imported.len());
+        for (s, m) in streamed.slices().iter().zip(session.slices()) {
             prop_assert_eq!(s.coverage, m.coverage);
             let mut op = 0.0;
             let mut emb = 0.0;
@@ -874,21 +842,22 @@ proptest! {
             }
             prop_assert_eq!(s.operational_total_mt.to_bits(), op.to_bits());
             prop_assert_eq!(s.embodied_total_mt.to_bits(), emb.to_bits());
+            prop_assert_eq!(
+                s.operational_total_mt.to_bits(),
+                m.operational_total_mt.to_bits()
+            );
+            prop_assert_eq!(s.embodied_total_mt.to_bits(), m.embodied_total_mt.to_bits());
             let name = s.scenario.name.as_str();
             prop_assert_eq!(s.interval, session.interval(name));
             prop_assert_eq!(s.embodied_interval, session.embodied_interval(name));
         }
         prop_assert_eq!(
-            sharded.compare("full", "masked"),
+            streamed.compare("full", "masked"),
             session.compare("full", "masked")
         );
-        prop_assert_eq!(
-            sharded.compare("full", "masked"),
-            serial.compare("full", "masked")
-        );
         for name in ["full", "masked"] {
-            prop_assert_eq!(sharded.operational_draws(name), session.operational_draws(name));
-            prop_assert_eq!(sharded.embodied_draws(name), session.embodied_draws(name));
+            prop_assert_eq!(streamed.operational_draws(name), session.operational_draws(name));
+            prop_assert_eq!(streamed.embodied_draws(name), session.embodied_draws(name));
         }
     }
 }

@@ -4,6 +4,7 @@
 //! [`Assessment`], and survive many concurrent clients hammering mixed
 //! queries.
 
+use std::sync::{RwLock, RwLockReadGuard};
 use top500_carbon::easyc::{
     Assessment, EasyCConfig, FleetState, PartialAssessment, ScenarioMatrix,
 };
@@ -12,6 +13,15 @@ use top500_carbon::serve::{spawn, Client, ServeConfig};
 use top500_carbon::top500::synthetic::{generate_full, SyntheticConfig};
 
 const SEED: u64 = 0x5EED_CAFE;
+
+/// Every test here holds this shared, except the address-space test,
+/// which holds it exclusively: no other test's threads (nor the malloc
+/// arenas they reserve) may move `VmSize` while it measures.
+static ADDRESS_SPACE: RwLock<()> = RwLock::new(());
+
+fn shared_address_space() -> RwLockReadGuard<'static, ()> {
+    ADDRESS_SPACE.read().unwrap_or_else(|e| e.into_inner())
+}
 
 fn fleet_state(n: u32, warm: bool) -> FleetState {
     let list = generate_full(&SyntheticConfig {
@@ -38,6 +48,7 @@ fn bits(value: &Value, path: &[&str]) -> u64 {
 
 #[test]
 fn warm_and_cold_servers_answer_byte_identically_and_match_a_cold_session() {
+    let _shared = shared_address_space();
     let warm = spawn(fleet_state(60, true), "127.0.0.1:0", ServeConfig::default()).unwrap();
     let cold = spawn(
         fleet_state(60, false),
@@ -113,6 +124,7 @@ fn warm_and_cold_servers_answer_byte_identically_and_match_a_cold_session() {
 
 #[test]
 fn sweep_csv_over_the_wire_is_byte_identical_to_the_session_artifact() {
+    let _shared = shared_address_space();
     let server = spawn(fleet_state(40, true), "127.0.0.1:0", ServeConfig::default()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
     let matrix_csv = ScenarioMatrix::csv_template();
@@ -169,6 +181,7 @@ fn sweep_csv_over_the_wire_is_byte_identical_to_the_session_artifact() {
 
 #[test]
 fn concurrent_clients_see_identical_bytes_for_identical_queries() {
+    let _shared = shared_address_space();
     let config = ServeConfig {
         workers: 4,
         queue_depth: 64,
@@ -219,6 +232,7 @@ fn concurrent_clients_see_identical_bytes_for_identical_queries() {
 
 #[test]
 fn an_oversized_workers_field_gets_the_same_reply_bytes_as_none() {
+    let _shared = shared_address_space();
     // The server caps a requested fan-out at the state's own worker count,
     // and results are bit-identical at any worker count, so a client asking
     // for 3000 threads gets exactly the bytes of the plain request.
@@ -240,6 +254,7 @@ fn an_oversized_workers_field_gets_the_same_reply_bytes_as_none() {
 
 #[test]
 fn invalidate_evicts_the_current_cache_and_ignores_stale_hashes() {
+    let _shared = shared_address_space();
     let server = spawn(fleet_state(25, true), "127.0.0.1:0", ServeConfig::default()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
 
@@ -292,6 +307,7 @@ fn invalidate_evicts_the_current_cache_and_ignores_stale_hashes() {
 
 #[test]
 fn editing_a_csv_cell_evicts_the_cache_and_advances_the_hash() {
+    let _shared = shared_address_space();
     // The state-level regression behind the serve `invalidate` contract: a
     // one-cell source edit re-keys the cache, and the old hash goes stale.
     let list = generate_full(&SyntheticConfig {
@@ -327,4 +343,35 @@ fn editing_a_csv_cell_evicts_the_cache_and_advances_the_hash() {
         InvalidateOutcome::Evicted
     );
     assert!(!state.is_warm());
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn sequential_connections_do_not_grow_the_address_space() {
+    // Each connection runs on its own thread. Once its client hangs up,
+    // that thread must be joined, not kept (stack mapped) until shutdown.
+    let _exclusive = ADDRESS_SPACE.write().unwrap_or_else(|e| e.into_inner());
+    fn vm_size_kib() -> u64 {
+        let status = std::fs::read_to_string("/proc/self/status").unwrap();
+        let line = status.lines().find(|l| l.starts_with("VmSize:")).unwrap();
+        line.split_whitespace().nth(1).unwrap().parse().unwrap()
+    }
+    let server = spawn(fleet_state(20, true), "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.addr();
+    let status = || {
+        let mut client = Client::connect(addr).unwrap();
+        let reply = client.request_raw(r#"{"op":"status"}"#).unwrap();
+        assert!(reply.contains(r#""ok":true"#), "{reply}");
+    };
+    // A few connections first, so the arenas and stacks a steady state
+    // reuses exist before the baseline is read.
+    (0..16).for_each(|_| status());
+    let before = vm_size_kib();
+    (0..400).for_each(|_| status());
+    let grown = vm_size_kib().saturating_sub(before);
+    assert!(
+        grown < 256 * 1024,
+        "VmSize grew {grown} KiB over 400 sequential connections"
+    );
+    server.shutdown();
 }
