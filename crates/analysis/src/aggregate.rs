@@ -36,7 +36,7 @@ pub struct Aggregate {
 
 impl Aggregate {
     /// Aggregates the present values of a series.
-    pub fn of(values: &[Option<f64>]) -> Aggregate {
+    pub(crate) fn of(values: &[Option<f64>]) -> Aggregate {
         let present: Vec<f64> = values.iter().flatten().copied().collect();
         let total = normalize_zero(present.iter().sum());
         Aggregate {
@@ -55,7 +55,7 @@ impl Aggregate {
     /// the exact sum [`Aggregate::of`] would compute. Applies the same
     /// zero normalisation and empty-mean policy as the series
     /// constructors, so the two paths share one policy.
-    pub fn from_sum(count: usize, total: f64) -> Aggregate {
+    pub(crate) fn from_sum(count: usize, total: f64) -> Aggregate {
         let total = normalize_zero(total);
         Aggregate {
             count,

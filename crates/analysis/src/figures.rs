@@ -54,7 +54,7 @@ impl Fig2 {
     }
 
     /// CSV rendering.
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let rows: Vec<Vec<String>> = self
             .bars
             .iter()
@@ -134,7 +134,7 @@ impl Table1 {
     }
 
     /// CSV rendering.
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let rows: Vec<Vec<String>> = self
             .rows
             .iter()
@@ -198,7 +198,7 @@ impl CarbonByRank {
     }
 
     /// CSV rendering.
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let rows: Vec<Vec<String>> = self
             .points
             .iter()
@@ -281,7 +281,7 @@ impl Fig4 {
     }
 
     /// CSV rendering.
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let rows: Vec<Vec<String>> = self
             .methods
             .iter()
@@ -297,8 +297,7 @@ impl Fig4 {
 /// fixed two-scenario editions (Figure 5 = operational, Figure 6 =
 /// embodied) are the `baseline`/`public` instantiations; arbitrary
 /// [`ScenarioMatrix`](easyc::ScenarioMatrix) sweeps render one
-/// coverage-by-rank panel per scenario through [`CoverageByRange::from_slices`]
-/// or [`CoverageByRange::from_matrix`].
+/// coverage-by-rank panel per scenario through `from_slices`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoverageByRange {
     /// Output ("Operational" / "Embodied").
@@ -392,7 +391,7 @@ impl CoverageByRange {
     /// Builds one panel per scenario from the footprints of sweep slices
     /// (a list or state [`easyc::AssessmentOutput`]; a streamed run keeps
     /// none).
-    pub fn from_slices(slices: &[easyc::ScenarioSlice], embodied: bool) -> CoverageByRange {
+    pub(crate) fn from_slices(slices: &[easyc::ScenarioSlice], embodied: bool) -> CoverageByRange {
         CoverageByRange {
             output: output_label(embodied),
             scenarios: slices.iter().map(|s| s.scenario.name.clone()).collect(),
@@ -405,25 +404,9 @@ impl CoverageByRange {
         }
     }
 
-    /// Runs a whole [`easyc::ScenarioMatrix`] over `list` through one
-    /// [`easyc::Assessment`] session and renders coverage-by-rank panels
-    /// per scenario.
-    pub fn from_matrix(
-        list: &top500::list::Top500List,
-        matrix: &easyc::ScenarioMatrix,
-        config: easyc::EasyCConfig,
-        embodied: bool,
-    ) -> CoverageByRange {
-        let output = easyc::Assessment::of(list)
-            .config(config)
-            .scenarios(matrix)
-            .run();
-        CoverageByRange::from_slices(output.slices(), embodied)
-    }
-
     /// Coverage fraction of the full-list bucket for panel `scenario`;
     /// `None` when no such panel exists.
-    pub fn overall_of(&self, scenario: usize) -> Option<f64> {
+    pub(crate) fn overall_of(&self, scenario: usize) -> Option<f64> {
         self.rows
             .last()
             .expect("1-500 bucket present")
@@ -436,7 +419,7 @@ impl CoverageByRange {
     /// Only meaningful for the fixed two-panel editions
     /// ([`CoverageByRange::from_appendix`] / [`CoverageByRange::from_pipeline`]:
     /// `false` = baseline, `true` = +public); panics on any other panel
-    /// layout — use [`CoverageByRange::overall_of`] for arbitrary matrices.
+    /// layout — use `CoverageByRange::overall_of` for arbitrary matrices.
     pub fn overall(&self, public: bool) -> f64 {
         assert_eq!(
             self.scenarios.len(),
@@ -469,7 +452,7 @@ impl CoverageByRange {
 
     /// CSV rendering: `rank_range` plus one `coverage_<scenario>` column
     /// per panel.
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let headers: Vec<String> = std::iter::once("rank_range".to_string())
             .chain(self.scenarios.iter().map(|s| format!("coverage_{s}")))
             .collect();
@@ -572,7 +555,7 @@ impl Fig9 {
     }
 
     /// CSV of per-rank diffs.
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let rows: Vec<Vec<String>> = self
             .operational
             .diffs
@@ -791,12 +774,10 @@ mod tests {
                     .without(MetricBit::PowerKw)
                     .without(MetricBit::AnnualEnergy),
             ));
-        let fig = CoverageByRange::from_matrix(
-            &out.enriched,
-            &matrix,
-            easyc::EasyCConfig::default(),
-            true,
-        );
+        let session = easyc::Assessment::of(&out.enriched)
+            .scenarios(&matrix)
+            .run();
+        let fig = CoverageByRange::from_slices(session.slices(), true);
         assert_eq!(fig.scenarios, vec!["full", "no-structure", "no-power"]);
         assert_eq!(fig.rows.len(), 14);
         // Hiding structure can only hurt embodied coverage, in every band.
@@ -807,12 +788,7 @@ mod tests {
                 range.label()
             );
         }
-        // Panels must agree with a direct session's slice coverage.
-        let session = easyc::Assessment::of(&out.enriched)
-            .scenarios(&matrix)
-            .run();
-        let direct = CoverageByRange::from_slices(session.slices(), true);
-        assert_eq!(fig, direct);
+        // Panels must agree with the session's slice coverage.
         assert!(
             (fig.overall_of(0).unwrap()
                 - session.slice("full").unwrap().coverage.embodied_fraction())
@@ -857,9 +833,9 @@ mod tests {
     fn fig11_bases_in_plausible_ratio() {
         let (op_panel, emb_panel) = fig11(&rows());
         // ~11724 PF / ~1394 kMT ≈ 8.4 PFlops per kMT CO2e.
-        let base = op_panel.projected.at(2024).unwrap();
+        let base = op_panel.projected.points[0].value;
         assert!((base - 8.4).abs() < 0.2, "base {base}");
-        assert!(emb_panel.projected.at(2024).unwrap() < base);
+        assert!(emb_panel.projected.points[0].value < base);
     }
 
     #[test]

@@ -173,7 +173,7 @@ pub fn scenario_sweep(
 
 /// Summarises an assessment's scenarios (no re-assessment), whatever its
 /// source. Every slice carries its engine-folded coverage and totals —
-/// exactly the sums [`Aggregate::of`] would compute over the footprints —
+/// exactly the sums `Aggregate::of` would compute over the footprints —
 /// so a streamed run (which keeps no footprints) summarises bit-identically
 /// to an in-memory run over the same systems.
 pub fn summarize(output: &AssessmentOutput) -> Vec<ScenarioSummary> {
@@ -235,7 +235,7 @@ pub fn render_sweep(summaries: &[ScenarioSummary]) -> String {
 }
 
 /// CSV rendering of a sweep.
-pub fn sweep_to_csv(summaries: &[ScenarioSummary]) -> String {
+pub(crate) fn sweep_to_csv(summaries: &[ScenarioSummary]) -> String {
     let rows: Vec<Vec<String>> = summaries
         .iter()
         .map(|s| {
@@ -309,7 +309,7 @@ pub fn render_deltas(deltas: &[ScenarioDelta]) -> String {
 }
 
 /// CSV rendering of paired scenario deltas.
-pub fn deltas_to_csv(deltas: &[ScenarioDelta]) -> String {
+pub(crate) fn deltas_to_csv(deltas: &[ScenarioDelta]) -> String {
     let cell = |iv: &Option<Interval>, pick: fn(&Interval) -> f64| -> String {
         iv.map(|iv| format!("{:.3}", pick(&iv))).unwrap_or_default()
     };

@@ -16,8 +16,8 @@
 //! Module map (see DESIGN.md §4 for the experiment index):
 //! [`interpolate`] (nearest-10-peer fill), [`aggregate`] (totals +
 //! equivalences), [`sensitivity`] (Figure 9), [`projection`] (Figures 10,
-//! 11), [`figures`] (one generator per figure/table), [`render`] (text
-//! tables), [`report`] (run everything, write artifacts).
+//! 11), [`figures`] (one generator per figure/table, rendered as text
+//! tables and CSV), [`report`] (run everything, write artifacts).
 
 pub mod aggregate;
 pub mod figures;
@@ -25,11 +25,12 @@ pub mod fleet;
 pub mod interpolate;
 pub mod pipeline;
 pub mod projection;
-pub mod render;
+mod render;
 pub mod report;
 pub mod sensitivity;
 pub mod turnover;
-pub mod validate;
+#[cfg(test)]
+mod validate;
 
 pub use aggregate::{Aggregate, Equivalences};
 pub use interpolate::nearest_peer_interpolation;

@@ -48,11 +48,6 @@ pub struct ProjectionSeries {
 }
 
 impl ProjectionSeries {
-    /// Value at `year`, if projected.
-    pub fn at(&self, year: u32) -> Option<f64> {
-        self.points.iter().find(|p| p.year == year).map(|p| p.value)
-    }
-
     /// Ratio of the final to the first value.
     pub fn overall_growth(&self) -> f64 {
         match (self.points.first(), self.points.last()) {
@@ -86,7 +81,7 @@ pub struct Projection {
 }
 
 /// Builds Figure 10 from base-year totals using the turnover-derived rates.
-pub fn figure10(op_total_2024_mt: f64, emb_total_2024_mt: f64) -> Projection {
+pub(crate) fn figure10(op_total_2024_mt: f64, emb_total_2024_mt: f64) -> Projection {
     Projection {
         operational: project(
             "Operational Carbon (projected)",
@@ -118,7 +113,7 @@ pub struct PerfPerCarbon {
 pub(crate) const RATIO_LINEAR_GROWTH_PER_YEAR: f64 = 0.2;
 
 /// Builds one panel of Figure 11 from the 2024 list performance and carbon.
-pub fn figure11(total_pflops_2024: f64, carbon_kmt_2024: f64) -> PerfPerCarbon {
+pub(crate) fn figure11(total_pflops_2024: f64, carbon_kmt_2024: f64) -> PerfPerCarbon {
     let base_ratio = total_pflops_2024 / carbon_kmt_2024;
     let projected = ProjectionSeries {
         label: "Projected".to_string(),
@@ -178,20 +173,13 @@ mod tests {
     }
 
     #[test]
-    fn projection_at_year() {
-        let p = figure10(1000.0, 1000.0);
-        assert_eq!(p.operational.at(2024), Some(1000.0));
-        assert!(p.operational.at(2031).is_none());
-    }
-
-    #[test]
     fn ideal_dwarfs_projected_by_2030() {
         // The gap between Dennard-ideal and reality is the figure's point:
         // ideal is 2^(6/1.5) = 16x by 2030; projected is only slightly up.
         let panel = figure11(11_700.0, 1393.7);
-        let base = panel.projected.at(2024).unwrap();
-        let ideal_2030 = panel.ideal.at(2030).unwrap();
-        let proj_2030 = panel.projected.at(2030).unwrap();
+        let base = panel.projected.points[0].value;
+        let ideal_2030 = panel.ideal.points[6].value;
+        let proj_2030 = panel.projected.points[6].value;
         assert!((ideal_2030 / base - 16.0).abs() < 0.01);
         assert!(proj_2030 < base * 1.3);
         assert!(ideal_2030 > proj_2030 * 10.0);
@@ -200,8 +188,8 @@ mod tests {
     #[test]
     fn projected_ratio_grows_linearly() {
         let panel = figure11(11_700.0, 1393.7);
-        let base = panel.projected.at(2024).unwrap();
-        let next = panel.projected.at(2025).unwrap();
+        let base = panel.projected.points[0].value;
+        let next = panel.projected.points[1].value;
         assert!((next - base - 0.2).abs() < 1e-12);
     }
 

@@ -2,7 +2,7 @@
 
 /// Renders rows as an aligned text table. `headers.len()` must equal each
 /// row's length.
-pub fn text_table(headers: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn text_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (w, cell) in widths.iter_mut().zip(row) {
@@ -33,7 +33,7 @@ pub fn text_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Renders rows as CSV (no quoting — figure data is numeric/simple).
-pub fn csv_table(headers: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn csv_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut out = headers.join(",");
     out.push('\n');
     for row in rows {
@@ -44,12 +44,12 @@ pub fn csv_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Formats an `Option<f64>` for table cells (empty when missing).
-pub fn opt(v: Option<f64>) -> String {
+pub(crate) fn opt(v: Option<f64>) -> String {
     v.map(|x| format!("{x:.0}")).unwrap_or_default()
 }
 
 /// Formats a fraction as a percentage with one decimal.
-pub fn pct(fraction: f64) -> String {
+pub(crate) fn pct(fraction: f64) -> String {
     format!("{:.1}%", fraction * 100.0)
 }
 

@@ -72,7 +72,7 @@ pub struct PipelineHeadline {
 
 impl Headline {
     /// Pretty-printed JSON (hand-rolled; the environment has no serde).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         fn num(v: f64) -> String {
             if v.is_finite() {
                 format!("{v}")
@@ -215,12 +215,6 @@ impl SweepCsvWriter {
         if let Err(e) = writer.write_all(rows.as_bytes()) {
             self.error = Some(e);
         }
-    }
-
-    /// First latched I/O error, if any (also returned by
-    /// [`finish`](SweepCsvWriter::finish)).
-    pub fn error(&self) -> Option<&io::Error> {
-        self.error.as_ref()
     }
 
     /// Writes the header plus every scenario's spilled rows (matrix order)
@@ -552,7 +546,7 @@ mod tests {
                 .rows(|block| writer.append(&block))
                 .run()
                 .unwrap();
-            assert!(writer.error().is_none());
+            assert!(writer.error.is_none());
             // Mid-flight: exactly one `<target>.<pid>-<k>.part<i>` per scenario.
             let mut spilled = sidecars();
             spilled.sort();
@@ -603,7 +597,7 @@ mod tests {
             .rows(|block| writer.append(&block))
             .run()
             .unwrap();
-        assert!(writer.error().is_some());
+        assert!(writer.error.is_some());
         assert!(writer.finish().is_err());
         fs::remove_file(&target).ok();
     }

@@ -58,7 +58,7 @@ impl SensitivityReport {
 }
 
 /// Builds the report from appendix scenario pairs.
-pub fn from_scenarios(pairs: &[(u32, Option<f64>, Option<f64>)]) -> SensitivityReport {
+pub(crate) fn from_scenarios(pairs: &[(u32, Option<f64>, Option<f64>)]) -> SensitivityReport {
     let mut diffs = Vec::with_capacity(pairs.len());
     let mut baseline_total = 0.0;
     let mut enriched_total = 0.0;
@@ -112,7 +112,7 @@ pub fn from_scenarios(pairs: &[(u32, Option<f64>, Option<f64>)]) -> SensitivityR
 /// list (e.g. two [`easyc::ScenarioSlice`]s), so scenario sensitivity
 /// studies run off ONE batch pass instead of bespoke re-runs. `embodied`
 /// selects which output is compared.
-pub fn from_footprints(
+pub(crate) fn from_footprints(
     baseline: &[easyc::SystemFootprint],
     enriched: &[easyc::SystemFootprint],
     embodied: bool,
@@ -171,7 +171,7 @@ pub fn between(
 }
 
 /// Operational sensitivity from appendix rows.
-pub fn operational(rows: &[AppendixRow]) -> SensitivityReport {
+pub(crate) fn operational(rows: &[AppendixRow]) -> SensitivityReport {
     let pairs: Vec<_> = rows
         .iter()
         .map(|r| (r.rank, r.operational.top500, r.operational.public))
@@ -180,7 +180,7 @@ pub fn operational(rows: &[AppendixRow]) -> SensitivityReport {
 }
 
 /// Embodied sensitivity from appendix rows.
-pub fn embodied(rows: &[AppendixRow]) -> SensitivityReport {
+pub(crate) fn embodied(rows: &[AppendixRow]) -> SensitivityReport {
     let pairs: Vec<_> = rows
         .iter()
         .map(|r| (r.rank, r.embodied.top500, r.embodied.public))

@@ -6,119 +6,64 @@
 //! systems dominating, concentration similar. We compare in log space with
 //! the Kolmogorov–Smirnov distance and the Gini coefficient.
 
+use crate::pipeline::StudyPipeline;
 use frame::stats::{gini, ks_statistic};
 
-/// Shape-comparison result between two carbon series.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShapeComparison {
-    /// KS distance between the log-scaled, median-normalised samples.
-    pub ks_log_normalised: f64,
-    /// Gini coefficient of sample A (reference).
-    pub gini_reference: f64,
-    /// Gini coefficient of sample B (pipeline).
-    pub gini_pipeline: f64,
-}
-
-impl ShapeComparison {
-    /// Absolute difference of the concentration coefficients.
-    pub fn gini_gap(&self) -> f64 {
-        (self.gini_reference - self.gini_pipeline).abs()
-    }
-}
-
-/// Compares two positive carbon series after log-scaling and
-/// median-centering (so only the *shape* matters, not the scale).
-/// Returns `None` when either series has no positive values.
-pub fn compare_shapes(reference: &[f64], pipeline: &[f64]) -> Option<ShapeComparison> {
-    let log_centered = |values: &[f64]| -> Option<Vec<f64>> {
+/// KS distance between the log-scaled, median-centred positive values of
+/// two carbon series (so only the *shape* matters, not the scale), and the
+/// absolute gap between their Gini coefficients.
+fn compare_shapes(reference: &[f64], pipeline: &[f64]) -> (f64, f64) {
+    let log_centered = |values: &[f64]| -> Vec<f64> {
         let logs: Vec<f64> = values
             .iter()
             .copied()
             .filter(|v| *v > 0.0)
             .map(f64::ln)
             .collect();
-        if logs.is_empty() {
-            return None;
-        }
-        let median = frame::stats::median(&logs)?;
-        Some(logs.iter().map(|v| v - median).collect())
+        let median = frame::stats::median(&logs).unwrap();
+        logs.iter().map(|v| v - median).collect()
     };
-    let a = log_centered(reference)?;
-    let b = log_centered(pipeline)?;
-    Some(ShapeComparison {
-        ks_log_normalised: ks_statistic(&a, &b)?,
-        gini_reference: gini(reference)?,
-        gini_pipeline: gini(pipeline)?,
-    })
+    let ks = ks_statistic(&log_centered(reference), &log_centered(pipeline)).unwrap();
+    let gini_gap = (gini(reference).unwrap() - gini(pipeline).unwrap()).abs();
+    (ks, gini_gap)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::pipeline::StudyPipeline;
+fn reference_operational() -> Vec<f64> {
+    top500::appendix::load()
+        .iter()
+        .filter_map(|r| r.operational.interpolated)
+        .collect()
+}
 
-    fn reference_operational() -> Vec<f64> {
-        top500::appendix::load()
-            .iter()
-            .filter_map(|r| r.operational.interpolated)
-            .collect()
-    }
+fn reference_embodied() -> Vec<f64> {
+    top500::appendix::load()
+        .iter()
+        .filter_map(|r| r.embodied.interpolated)
+        .collect()
+}
 
-    fn reference_embodied() -> Vec<f64> {
-        top500::appendix::load()
-            .iter()
-            .filter_map(|r| r.embodied.interpolated)
-            .collect()
-    }
+#[test]
+fn pipeline_operational_shape_close_to_paper() {
+    let out = StudyPipeline::new(500, 0x5EED_CAFE).run();
+    let (ks, gini_gap) = compare_shapes(&reference_operational(), &out.operational_interpolated);
+    // Same heavy-tail family: KS below 0.45 in log space, concentration
+    // within 0.25. (Identical data would be 0; unrelated distributions
+    // typically exceed 0.6.)
+    assert!(ks < 0.45, "KS {ks}");
+    assert!(gini_gap < 0.25, "gini gap {gini_gap}");
+}
 
-    #[test]
-    fn identical_series_compare_perfectly() {
-        let a = reference_operational();
-        let cmp = compare_shapes(&a, &a).unwrap();
-        assert_eq!(cmp.ks_log_normalised, 0.0);
-        assert_eq!(cmp.gini_gap(), 0.0);
-    }
+#[test]
+fn pipeline_embodied_shape_close_to_paper() {
+    let out = StudyPipeline::new(500, 0x5EED_CAFE).run();
+    let (ks, gini_gap) = compare_shapes(&reference_embodied(), &out.embodied_interpolated);
+    assert!(ks < 0.5, "KS {ks}");
+    assert!(gini_gap < 0.3, "gini gap {gini_gap}");
+}
 
-    #[test]
-    fn scale_invariance() {
-        let a = reference_operational();
-        let scaled: Vec<f64> = a.iter().map(|v| v * 2.8).collect();
-        let cmp = compare_shapes(&a, &scaled).unwrap();
-        // Log-centering cancels the scale up to floating-point tie-breaks
-        // at repeated values (a few CDF steps on 500 points).
-        assert!(cmp.ks_log_normalised < 0.02, "{}", cmp.ks_log_normalised);
-        assert!(cmp.gini_gap() < 1e-9);
-    }
-
-    #[test]
-    fn pipeline_operational_shape_close_to_paper() {
-        let out = StudyPipeline::new(500, 0x5EED_CAFE).run();
-        let cmp = compare_shapes(&reference_operational(), &out.operational_interpolated).unwrap();
-        // Same heavy-tail family: KS below 0.45 in log space, concentration
-        // within 0.25. (Identical data would be 0; unrelated distributions
-        // typically exceed 0.6.)
-        assert!(cmp.ks_log_normalised < 0.45, "KS {}", cmp.ks_log_normalised);
-        assert!(cmp.gini_gap() < 0.25, "gini gap {}", cmp.gini_gap());
-    }
-
-    #[test]
-    fn pipeline_embodied_shape_close_to_paper() {
-        let out = StudyPipeline::new(500, 0x5EED_CAFE).run();
-        let cmp = compare_shapes(&reference_embodied(), &out.embodied_interpolated).unwrap();
-        assert!(cmp.ks_log_normalised < 0.5, "KS {}", cmp.ks_log_normalised);
-        assert!(cmp.gini_gap() < 0.3, "gini gap {}", cmp.gini_gap());
-    }
-
-    #[test]
-    fn reference_is_heavy_tailed() {
-        // The paper's fleet concentrates carbon in few systems.
-        let g = frame::stats::gini(&reference_operational()).unwrap();
-        assert!(g > 0.4, "reference gini {g}");
-    }
-
-    #[test]
-    fn degenerate_inputs_are_none() {
-        assert!(compare_shapes(&[], &[1.0]).is_none());
-        assert!(compare_shapes(&[0.0, -1.0], &[1.0]).is_none());
-    }
+#[test]
+fn reference_is_heavy_tailed() {
+    // The paper's fleet concentrates carbon in few systems.
+    let g = gini(&reference_operational()).unwrap();
+    assert!(g > 0.4, "reference gini {g}");
 }

@@ -123,10 +123,6 @@ pub struct FileItems {
     /// Every identifier token in the file, deduplicated — the reference
     /// set `dead-public` consults.
     pub idents: std::collections::BTreeSet<String>,
-    /// Identifiers appearing inside this file's `#[cfg(test)]`/`#[test]`
-    /// ranges — an in-file test is a legitimate consumer of pub API, so
-    /// `dead-public` counts these as references too.
-    pub test_idents: std::collections::BTreeSet<String>,
 }
 
 /// Index of the bracket matching the opener at `open`.
@@ -188,9 +184,6 @@ pub fn parse_items(path: &str, lexed: &Lexed) -> FileItems {
     for t in &lexed.tokens {
         if t.kind == TokKind::Ident {
             out.idents.insert(t.text.clone());
-            if in_test(t.line) {
-                out.test_idents.insert(t.text.clone());
-            }
         }
     }
     collect_sync_decls(lexed, &mut out.sync_decls);

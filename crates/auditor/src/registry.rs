@@ -96,7 +96,7 @@ pub const REGISTRY: &[Rule] = &[
     Rule {
         id: "panic-surface",
         summary: "unwrap/expect/panic!/call-result indexing on serve's request lifecycle and easyc hot paths must carry an `// audit: allow(panic-surface) — reason` justification or be refactored into structured errors",
-        scope: "fns in crates/serve and the easyc hot-path modules (session, stream, state, partial, columns) reachable from the request/assessment entry points",
+        scope: "fns in crates/serve and the easyc hot-path modules (session, stream, state, partial, columns, uncertainty) reachable from the request/assessment entry points",
         kind: RuleKind::Semantic,
     },
     Rule {
@@ -107,7 +107,7 @@ pub const REGISTRY: &[Rule] = &[
     },
     Rule {
         id: "dead-public",
-        summary: "every pub fn/const/static/trait in a result crate is referenced by some other workspace file or an in-file test (bin/test/bench/example or another crate) — unreferenced pub API is rot from past refactors; types are exempt (they flow through inference unnamed)",
+        summary: "every pub fn/const/static/trait in a result crate is referenced by some other workspace file (bin/test/bench/example or another crate); the defining file's own tests do not count — pub API that nothing else calls is rot from past refactors; types are exempt (they flow through inference unnamed)",
         scope: "pub nameable items of the result library crates",
         kind: RuleKind::Semantic,
     },

@@ -5,11 +5,3 @@
 pub fn assess_pipeline() -> u64 {
     2 + 1
 }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn runs() {
-        let _ = super::assess_pipeline();
-    }
-}

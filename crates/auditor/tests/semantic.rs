@@ -30,6 +30,14 @@ fn lines_of(violations: &[Violation], rule: &str) -> Vec<usize> {
 
 const CLOCK_SINK: &str = include_str!("fixtures/semantic_clock_sink.rs");
 
+/// A binary calling the entry point, so `dead-public` sees it used.
+fn pipeline_caller() -> (String, String) {
+    src(
+        "src/main.rs",
+        "fn main() {\n    let _ = easyc::pipeline::assess_pipeline();\n}\n",
+    )
+}
+
 fn clock_manifests() -> Vec<(String, String)> {
     vec![
         manifest("crates/easyc/Cargo.toml", "easyc", &["telem"]),
@@ -72,6 +80,7 @@ fn unreachable_clock_sink_is_clean() {
             include_str!("fixtures/semantic_clock_entry_ok.rs"),
         ),
         src("crates/telem/src/telemetry.rs", CLOCK_SINK),
+        pipeline_caller(),
     ];
     let v = audit_sources(&sources, &clock_manifests());
     assert!(v.is_empty(), "expected clean, got: {v:?}");
@@ -87,6 +96,7 @@ fn clock_edges_are_gated_by_the_dependency_closure() {
             include_str!("fixtures/semantic_clock_entry_bad.rs"),
         ),
         src("crates/telem/src/telemetry.rs", CLOCK_SINK),
+        pipeline_caller(),
     ];
     let manifests = vec![
         manifest("crates/easyc/Cargo.toml", "easyc", &[]),
@@ -199,6 +209,16 @@ fn cross_file_references_make_pub_items_live() {
     ];
     let v = audit_sources(&sources, &[]);
     assert!(v.is_empty(), "expected clean, got: {v:?}");
+}
+
+#[test]
+fn a_pub_fn_called_only_by_its_own_tests_is_flagged() {
+    let sources = vec![src(
+        "crates/frame/src/share.rs",
+        include_str!("fixtures/semantic_dead_public_test_only.rs"),
+    )];
+    let v = audit_sources(&sources, &[]);
+    assert_eq!(lines_of(&v, "dead-public"), vec![5]);
 }
 
 #[test]

@@ -125,7 +125,7 @@ impl FleetColumns {
     /// resolution is per-row pure (the memoisation only avoids repeated
     /// lookups, it never changes a value), so patched rows carry exactly
     /// the bits a rebuild would, and untouched rows are never read.
-    pub fn patch_range(
+    pub(crate) fn patch_range(
         &mut self,
         list: &Top500List,
         metrics: &[SevenMetrics],
@@ -217,13 +217,8 @@ impl FleetColumns {
     }
 
     /// Number of systems.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// True when the fleet is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     fn with_capacity(n: usize) -> FleetColumns {
@@ -385,7 +380,7 @@ fn resolve_row<'a>(
     };
 
     // Grid intensity with location visible — the same cascade as
-    // `operational::resolve_aci`, with the linear scans memoised.
+    // `operational::resolve_aci_view`, with the linear scans memoised.
     let regional = |cache: &mut HashMap<Region, f64>, region: Region| {
         *cache.entry(region).or_insert_with(|| regional_aci(region))
     };
@@ -476,7 +471,6 @@ mod tests {
         let (list, metrics) = fleet();
         let c = FleetColumns::build(&list, &metrics);
         assert_eq!(c.len(), 70);
-        assert!(!c.is_empty());
         for (i, r) in list.systems().iter().enumerate() {
             assert_eq!(c.rank[i], r.rank);
             assert_eq!(c.has_accelerator.get(i), r.has_accelerator());
@@ -502,7 +496,8 @@ mod tests {
         let (list, metrics) = fleet();
         let c = FleetColumns::build(&list, &metrics);
         for (i, r) in list.systems().iter().enumerate() {
-            let expected = crate::operational::resolve_aci(r);
+            let view = crate::view::SystemView::full(r, &metrics[i]);
+            let expected = crate::operational::resolve_aci_view(&view);
             assert_eq!(c.aci_located[i], expected, "row {i}");
             let tdp = match r.processor.as_deref() {
                 Some(p) => hwdb::cpu::lookup_or_generic(p).0.tdp_watts,

@@ -39,7 +39,7 @@ impl Default for EasyCConfig {
 
 impl EasyCConfig {
     /// The configuration's overrides as a scenario [`OverrideSet`].
-    pub fn overrides(&self) -> OverrideSet {
+    pub(crate) fn overrides(&self) -> OverrideSet {
         OverrideSet {
             pue: self.pue_override,
             utilization: self.utilization_override,

@@ -14,7 +14,7 @@
 ///
 /// Bit-identical to `Iterator::sum::<f64>()` over the same iterator; use
 /// this in result paths so the fold order is explicit.
-pub fn sum_f64(values: impl IntoIterator<Item = f64>) -> f64 {
+pub(crate) fn sum_f64(values: impl IntoIterator<Item = f64>) -> f64 {
     values.into_iter().fold(0.0, |acc, v| acc + v)
 }
 

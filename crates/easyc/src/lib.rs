@@ -112,7 +112,7 @@ pub mod coverage;
 pub mod embodied;
 pub mod error;
 pub mod estimator;
-pub mod fold;
+mod fold;
 pub mod metrics;
 pub mod operational;
 pub mod partial;

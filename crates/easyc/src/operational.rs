@@ -21,7 +21,7 @@ use hwdb::pue::{infer_site_class, DEFAULT_PUE};
 use top500::record::SystemRecord;
 
 /// Hours in the modelled year.
-pub const HOURS_PER_YEAR: f64 = 8760.0;
+pub(crate) const HOURS_PER_YEAR: f64 = 8760.0;
 
 /// Which data supplied the average power.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,7 +74,7 @@ impl AciSource {
     }
 
     /// Relative half-width of the uncertainty band.
-    pub fn relative_uncertainty(self) -> f64 {
+    pub(crate) fn relative_uncertainty(self) -> f64 {
         match self {
             AciSource::Country(_) => 0.10,
             AciSource::Site(_) => 0.05,
@@ -100,19 +100,9 @@ pub struct OperationalEstimate {
     pub utilization: f64,
 }
 
-/// Resolves the grid intensity for a record.
-pub fn resolve_aci(record: &SystemRecord) -> AciSource {
-    if let Some(aci) = record.country.as_deref().and_then(country_aci) {
-        return AciSource::Country(aci);
-    }
-    if let Some(region) = record.region {
-        return AciSource::Regional(regional_aci(region));
-    }
-    AciSource::WorldPrior(regional_aci(Region::World))
-}
-
-/// [`resolve_aci`] through a scenario lens: masked location falls to the
-/// world prior without any record clone.
+/// Resolves the grid intensity through a scenario lens: the country's
+/// intensity, else the region's, else the world prior. A masked location
+/// falls to the world prior without any record clone.
 pub(crate) fn resolve_aci_view(view: &SystemView<'_>) -> AciSource {
     if let Some(aci) = view.country().and_then(country_aci) {
         return AciSource::Country(aci);
@@ -193,7 +183,10 @@ pub(crate) fn resolve_power_view(view: &SystemView<'_>) -> Result<(f64, PowerPat
 }
 
 /// Full operational estimate for a record with default priors.
-pub fn estimate(record: &SystemRecord, metrics: &SevenMetrics) -> Result<OperationalEstimate> {
+pub(crate) fn estimate(
+    record: &SystemRecord,
+    metrics: &SevenMetrics,
+) -> Result<OperationalEstimate> {
     estimate_with(record, metrics, &OverrideSet::NONE)
 }
 

@@ -17,7 +17,6 @@
 //!   one interleaved pass by [`crate::session::Assessment`], loadable from
 //!   CSV for the `sweep` CLI command.
 
-use crate::coverage::Scenario;
 use crate::metrics::SevenMetrics;
 use top500::record::SystemRecord;
 
@@ -50,7 +49,7 @@ pub enum MetricBit {
 
 impl MetricBit {
     /// All maskable inputs, in bit order.
-    pub const ALL: [MetricBit; 11] = [
+    pub(crate) const ALL: [MetricBit; 11] = [
         MetricBit::OperationYear,
         MetricBit::Nodes,
         MetricBit::Gpus,
@@ -65,7 +64,7 @@ impl MetricBit {
     ];
 
     /// Spec-string token (used by [`MetricMask::parse`]).
-    pub fn token(self) -> &'static str {
+    pub(crate) fn token(self) -> &'static str {
         match self {
             MetricBit::OperationYear => "year",
             MetricBit::Nodes => "nodes",
@@ -112,18 +111,13 @@ impl MetricMask {
         MetricMask(bits & MetricMask::ALL.0)
     }
 
-    /// Raw bit representation.
-    pub fn bits(self) -> u16 {
-        self.0
-    }
-
     /// True when `bit`'s input is visible.
-    pub fn contains(self, bit: MetricBit) -> bool {
+    pub(crate) fn contains(self, bit: MetricBit) -> bool {
         self.0 & bit.bit() != 0
     }
 
     /// Copy with `bit` visible.
-    pub fn with(self, bit: MetricBit) -> MetricMask {
+    pub(crate) fn with(self, bit: MetricBit) -> MetricMask {
         MetricMask(self.0 | bit.bit())
     }
 
@@ -145,11 +139,6 @@ impl MetricMask {
     /// Inputs hidden by this mask.
     pub fn complement(self) -> MetricMask {
         MetricMask(!self.0 & MetricMask::ALL.0)
-    }
-
-    /// Number of visible inputs.
-    pub fn visible_count(self) -> usize {
-        self.0.count_ones() as usize
     }
 
     /// Parses a spec string: whitespace-separated tokens starting from
@@ -291,13 +280,8 @@ impl OverrideSet {
         aci_g_per_kwh: None,
     };
 
-    /// True when no override is set.
-    pub fn is_empty(&self) -> bool {
-        self.pue.is_none() && self.utilization.is_none() && self.aci_g_per_kwh.is_none()
-    }
-
     /// This set, with unset fields filled from `fallback`.
-    pub fn or(self, fallback: OverrideSet) -> OverrideSet {
+    pub(crate) fn or(self, fallback: OverrideSet) -> OverrideSet {
         OverrideSet {
             pue: self.pue.or(fallback.pue),
             utilization: self.utilization.or(fallback.utilization),
@@ -342,18 +326,6 @@ impl DataScenario {
         self.overrides = overrides;
         self
     }
-
-    /// True when the scenario changes nothing (full mask, no overrides).
-    pub fn is_identity(&self) -> bool {
-        self.mask == MetricMask::ALL && self.overrides.is_empty()
-    }
-
-    /// The legacy fixed scenarios as data. The legacy enum encoded *which
-    /// list* was assessed (masked vs enriched records); as a `DataScenario`
-    /// both see every field the list carries.
-    pub(crate) fn from_legacy(scenario: Scenario) -> DataScenario {
-        DataScenario::full(scenario.label())
-    }
 }
 
 /// An ordered set of scenarios to assess in one batch pass.
@@ -369,16 +341,8 @@ impl ScenarioMatrix {
     }
 
     /// Matrix holding the given scenarios.
-    pub fn from_scenarios(scenarios: Vec<DataScenario>) -> ScenarioMatrix {
+    pub(crate) fn from_scenarios(scenarios: Vec<DataScenario>) -> ScenarioMatrix {
         ScenarioMatrix { scenarios }
-    }
-
-    /// The two scenarios of the paper, as data.
-    pub fn legacy() -> ScenarioMatrix {
-        ScenarioMatrix::from_scenarios(vec![
-            DataScenario::from_legacy(Scenario::Baseline),
-            DataScenario::from_legacy(Scenario::BaselinePlusPublic),
-        ])
     }
 
     /// Appends a scenario (builder style).
@@ -407,15 +371,12 @@ impl ScenarioMatrix {
         &self.scenarios
     }
 
-    /// Scenario by name.
-    pub fn by_name(&self, name: &str) -> Option<&DataScenario> {
-        self.scenarios.iter().find(|s| s.name == name)
-    }
-
     /// Parses a scenario matrix from CSV text with columns
     /// `name,mask[,pue_override][,utilization_override][,aci_override]`.
     /// `mask` uses the [`MetricMask::parse`] spec syntax; empty override
-    /// cells leave the prior in place.
+    /// cells leave the prior in place, and a non-finite override (`NaN`,
+    /// `inf`, or a literal that overflows `f64`) is an error naming the
+    /// scenario and the column.
     pub fn from_csv(text: &str) -> Result<ScenarioMatrix, String> {
         let df = frame::csv::parse(text).map_err(|e| e.to_string())?;
         let name_col = df.column("name").map_err(|e| e.to_string())?;
@@ -464,10 +425,19 @@ impl ScenarioMatrix {
             };
             let mask =
                 MetricMask::parse(&mask_spec).map_err(|e| format!("scenario `{name}`: {e}"))?;
+            let cell = |values: &Option<Vec<Option<f64>>>, col: &str| match values
+                .as_ref()
+                .and_then(|v| v[i])
+            {
+                Some(v) if !v.is_finite() => Err(format!(
+                    "scenario `{name}`: {col} `{v}` is not a finite number"
+                )),
+                cell => Ok(cell),
+            };
             let overrides = OverrideSet {
-                pue: pue.as_ref().and_then(|v| v[i]),
-                utilization: util.as_ref().and_then(|v| v[i]),
-                aci_g_per_kwh: aci.as_ref().and_then(|v| v[i]),
+                pue: cell(&pue, "pue_override")?,
+                utilization: cell(&util, "utilization_override")?,
+                aci_g_per_kwh: cell(&aci, "aci_override")?,
             };
             scenarios.push(DataScenario {
                 name,
@@ -516,7 +486,6 @@ mod tests {
         assert_eq!(m.with(MetricBit::PowerKw), MetricMask::ALL);
         assert_eq!(m.union(m.complement()), MetricMask::ALL);
         assert_eq!(m.intersect(m.complement()), MetricMask::NONE);
-        assert_eq!(MetricMask::ALL.visible_count(), 11);
     }
 
     #[test]
@@ -528,13 +497,18 @@ mod tests {
         assert!(!m.contains(MetricBit::AnnualEnergy));
         assert!(m.contains(MetricBit::Nodes));
         let n = MetricMask::parse("none +nodes +gpus").unwrap();
-        assert_eq!(n.visible_count(), 2);
+        assert_eq!(
+            n,
+            MetricMask::NONE
+                .with(MetricBit::Nodes)
+                .with(MetricBit::Gpus)
+        );
         assert!(MetricMask::parse("all -warp").is_err());
     }
 
     #[test]
     fn spec_roundtrip() {
-        for bits in 0..=MetricMask::ALL.bits() {
+        for bits in 0..=MetricMask::ALL.0 {
             let mask = MetricMask::from_bits(bits);
             assert_eq!(
                 MetricMask::parse(&mask.to_spec()).unwrap(),
@@ -599,38 +573,19 @@ mod tests {
         let merged = a.or(b);
         assert_eq!(merged.pue, Some(1.2));
         assert_eq!(merged.utilization, Some(0.7));
-        assert!(OverrideSet::NONE.is_empty());
-        assert!(!merged.is_empty());
-    }
-
-    #[test]
-    fn legacy_conversion() {
-        let matrix = ScenarioMatrix::legacy();
-        assert_eq!(matrix.len(), 2);
-        assert!(matrix.scenarios()[0].is_identity());
-        assert_eq!(matrix.scenarios()[0].name, Scenario::Baseline.label());
-        assert!(matrix
-            .by_name(Scenario::BaselinePlusPublic.label())
-            .is_some());
     }
 
     #[test]
     fn matrix_from_csv_roundtrip() {
         let matrix = ScenarioMatrix::from_csv(&ScenarioMatrix::csv_template()).unwrap();
+        let by_name = |name: &str| matrix.scenarios().iter().find(|s| s.name == name).unwrap();
         assert_eq!(matrix.len(), 5);
-        assert!(matrix.by_name("full").unwrap().is_identity());
-        let no_power = matrix.by_name("no-power").unwrap();
+        assert_eq!(*by_name("full"), DataScenario::full("full"));
+        let no_power = by_name("no-power");
         assert!(!no_power.mask.contains(MetricBit::PowerKw));
         assert!(!no_power.mask.contains(MetricBit::AnnualEnergy));
-        assert_eq!(matrix.by_name("site-pue").unwrap().overrides.pue, Some(1.1));
-        assert_eq!(
-            matrix
-                .by_name("clean-grid")
-                .unwrap()
-                .overrides
-                .aci_g_per_kwh,
-            Some(50.0)
-        );
+        assert_eq!(by_name("site-pue").overrides.pue, Some(1.1));
+        assert_eq!(by_name("clean-grid").overrides.aci_g_per_kwh, Some(50.0));
     }
 
     #[test]
@@ -638,17 +593,28 @@ mod tests {
         // A name column of bare numbers is type-inferred as integers by the
         // CSV reader; scenario names must still round-trip as text.
         let matrix = ScenarioMatrix::from_csv("name,mask\n2024,all\n1,all -power\n").unwrap();
-        assert!(matrix.by_name("2024").unwrap().is_identity());
-        assert!(!matrix
-            .by_name("1")
-            .unwrap()
-            .mask
-            .contains(MetricBit::PowerKw));
+        assert_eq!(matrix.scenarios()[0], DataScenario::full("2024"));
+        assert_eq!(matrix.scenarios()[1].name, "1");
+        assert!(!matrix.scenarios()[1].mask.contains(MetricBit::PowerKw));
     }
 
     #[test]
     fn matrix_from_csv_rejects_bad_mask() {
         let err = ScenarioMatrix::from_csv("name,mask\nbroken,all -nope\n").unwrap_err();
         assert!(err.contains("nope"), "{err}");
+    }
+
+    #[test]
+    fn matrix_from_csv_rejects_non_finite_overrides() {
+        for (col, cell) in [
+            ("pue_override", "NaN"),
+            ("utilization_override", "inf"),
+            ("aci_override", "-inf"),
+            ("aci_override", "1e999"),
+        ] {
+            let text = format!("name,mask,{col}\nok,all,\nbad,all,{cell}\n");
+            let err = ScenarioMatrix::from_csv(&text).unwrap_err();
+            assert!(err.contains("`bad`") && err.contains(col), "{err}");
+        }
     }
 }

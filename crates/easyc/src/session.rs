@@ -36,12 +36,10 @@
 //! items run on the calling thread at `workers(1)`, and on at most
 //! `workers` scoped threads otherwise, which start and join inside the
 //! phase — so a warm resident hit, with nothing to compute, starts no
-//! thread. Each block is split into roughly `workers × items_per_worker`
-//! contiguous sub-ranges (default 4× the workers — fine enough that one
-//! slow item cannot idle the other threads, see
-//! [`Assessment::items_per_worker`]). Wide matrices do not walk scenarios
-//! sequentially, so a slow scenario cannot leave workers idle while others
-//! wait. Output is deterministic and bit-identical to the serial
+//! thread. Each block is split into roughly `workers × 4` contiguous
+//! sub-ranges (fine enough that one slow item cannot idle the other
+//! threads). Wide matrices do not walk scenarios sequentially, so a slow
+//! scenario cannot leave workers idle while others wait. Output is deterministic and bit-identical to the serial
 //! per-system path at any worker count, chunk granularity, fleet chunking
 //! and cache temperature:
 //!
@@ -74,8 +72,8 @@ use crate::partial::PartialAssessment;
 use crate::scenario::{DataScenario, ScenarioMatrix};
 use crate::uncertainty::{
     embodied_block_accumulate, embodied_factors, fleet_factors, operational_block_accumulate,
-    operational_noise, DrawPlan, EmbFactorColumns, Interval, OpFactorColumns, PriorUncertainty,
-    ScenarioDelta, ScenarioDraws,
+    operational_noise, DrawPlan, EmbFactorColumns, Interval, OpFactorColumns, ScenarioDelta,
+    ScenarioDraws,
 };
 use crate::view::FleetView;
 use frame::DataFrame;
@@ -96,12 +94,12 @@ pub struct Assessment<Src> {
     config: EasyCConfig,
     matrix: Option<ScenarioMatrix>,
     plan: DrawPlan,
-    items_per_worker: usize,
 }
 
-/// Default work-item oversubscription: ~4 items per worker, so a skewed
-/// item (one giant system, a cache-cold stretch) stops one worker for a
-/// quarter of a share instead of idling the other threads at the tail.
+/// Work-item oversubscription: ~4 items per worker, so a skewed item (one
+/// giant system, a cache-cold stretch) stops one worker for a quarter of a
+/// share instead of idling the other threads at the tail. Results are
+/// bit-identical at any granularity, so this is purely a scheduling choice.
 const DEFAULT_ITEMS_PER_WORKER: usize = 4;
 
 impl<Src> Assessment<Src> {
@@ -112,7 +110,6 @@ impl<Src> Assessment<Src> {
             config,
             matrix: None,
             plan: DrawPlan::default(),
-            items_per_worker: DEFAULT_ITEMS_PER_WORKER,
         }
     }
 
@@ -168,12 +165,6 @@ impl<Src> Assessment<Src> {
         self
     }
 
-    /// Prior uncertainty widths used by the Monte-Carlo draws.
-    pub fn priors(mut self, priors: PriorUncertainty) -> Assessment<Src> {
-        self.plan.priors = priors;
-        self
-    }
-
     /// Replaces the whole [`DrawPlan`] (draws, level, seed and priors) in
     /// one call.
     pub fn draw_plan(mut self, plan: DrawPlan) -> Assessment<Src> {
@@ -181,25 +172,9 @@ impl<Src> Assessment<Src> {
         self
     }
 
-    /// Work items planned per worker within each block (default 4). The
-    /// plan splits each block into `workers × items_per_worker` contiguous
-    /// sub-ranges; finer items interleave better on skewed lists, coarser
-    /// items have less dispatch overhead. Results are bit-identical at any
-    /// granularity — this is purely a scheduler knob (pinned by
-    /// `tests/batch_matrix`).
-    pub fn items_per_worker(mut self, items: usize) -> Assessment<Src> {
-        self.items_per_worker = items.max(1);
-        self
-    }
-
     /// Splits the plan into its source and an engine ready to run it.
     pub(crate) fn into_parts(self) -> (Src, Engine) {
-        let engine = Engine::new(
-            self.matrix.as_ref(),
-            &self.config,
-            self.plan,
-            self.items_per_worker,
-        );
+        let engine = Engine::new(self.matrix.as_ref(), &self.config, self.plan);
         (self.source, engine)
     }
 }
@@ -256,7 +231,7 @@ pub(crate) struct Engine {
     /// `EasyC::assess_scenario` semantics).
     effective: Vec<DataScenario>,
     plan: DrawPlan,
-    /// Work items per block: `workers × items_per_worker`.
+    /// Work items per block: `workers × DEFAULT_ITEMS_PER_WORKER`.
     granularity: usize,
     /// Threads per phase, passed to [`parallel::run`] (workers=1 keeps the
     /// calling thread, so e.g. thread-local clone counters in tests observe
@@ -269,12 +244,7 @@ pub(crate) struct Engine {
 }
 
 impl Engine {
-    fn new(
-        matrix: Option<&ScenarioMatrix>,
-        config: &EasyCConfig,
-        plan: DrawPlan,
-        items_per_worker: usize,
-    ) -> Engine {
+    fn new(matrix: Option<&ScenarioMatrix>, config: &EasyCConfig, plan: DrawPlan) -> Engine {
         let workers = config.workers.max(1);
         let display: Vec<DataScenario> = match matrix {
             Some(matrix) => matrix.scenarios().to_vec(),
@@ -296,7 +266,7 @@ impl Engine {
             display,
             effective,
             plan,
-            granularity: workers * items_per_worker,
+            granularity: workers * DEFAULT_ITEMS_PER_WORKER,
             workers,
             blocks: 0,
             systems: 0,

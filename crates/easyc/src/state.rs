@@ -25,7 +25,7 @@
 //!
 //! [`FleetState::update_rows`] splices `k` edited records in place and
 //! repairs every warm product in O(k) work: re-extract `k` metric rows,
-//! [`FleetColumns::patch_range`] `k` columns rows, and re-estimate `k`
+//! `FleetColumns::patch_range` `k` columns rows, and re-estimate `k`
 //! footprints through the same kernels. No fold is cached: totals are
 //! folded from the footprints when asked for
 //! ([`FleetState::cached_totals`], or a query's own
@@ -186,11 +186,6 @@ impl FleetState {
     /// The resident fleet.
     pub fn list(&self) -> &Top500List {
         &self.list
-    }
-
-    /// Phase-1 metrics, one per system (rank order).
-    pub fn metrics(&self) -> &[SevenMetrics] {
-        &self.metrics
     }
 
     /// The configuration every query plans against.

@@ -260,23 +260,22 @@ mod tests {
     #[test]
     fn streamed_results_independent_of_workers_and_granularity() {
         let list = list(60);
-        let run = |workers, items| {
-            Assessment::stream(InMemoryChunks::new(&list, 13))
+        let run = |workers, rows| {
+            Assessment::stream(InMemoryChunks::new(&list, rows))
                 .scenarios(&matrix())
                 .workers(workers)
-                .items_per_worker(items)
                 .uncertainty(50)
                 .seed(3)
                 .run()
                 .unwrap()
         };
-        let reference = run(1, 1);
-        for (workers, items) in [(2, 1), (4, 4), (8, 2)] {
-            let got = run(workers, items);
+        let reference = run(1, 60);
+        for (workers, rows) in [(2, 13), (4, 7), (8, 1)] {
+            let got = run(workers, rows);
             for (a, b) in reference.slices().iter().zip(got.slices()) {
                 assert_eq!(a.operational_total_mt, b.operational_total_mt);
                 assert_eq!(a.embodied_total_mt, b.embodied_total_mt);
-                assert_eq!(a.interval, b.interval, "workers {workers} items {items}");
+                assert_eq!(a.interval, b.interval, "workers {workers} rows {rows}");
                 assert_eq!(a.embodied_interval, b.embodied_interval);
             }
         }

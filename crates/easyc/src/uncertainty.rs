@@ -83,22 +83,6 @@ impl Interval {
         self.hi - self.lo
     }
 
-    /// Relative half-width of the interval, guarded against a zero or
-    /// near-zero (subnormal) point estimate: a degenerate interval
-    /// (`hi == lo`) reports `0.0`, and a non-degenerate interval around an
-    /// effectively-zero point reports `f64::INFINITY` — never `NaN` and
-    /// never an overflowing unchecked division.
-    pub fn relative_halfwidth(&self) -> f64 {
-        let halfwidth = (self.hi - self.lo) / 2.0;
-        if halfwidth == 0.0 {
-            0.0
-        } else if self.point.abs().is_normal() {
-            (halfwidth / self.point.abs()).abs()
-        } else {
-            f64::INFINITY
-        }
-    }
-
     /// The naive difference interval of two **independent** bands:
     /// `variant − baseline` with bounds `[v.lo − b.hi, v.hi − b.lo]`. Its
     /// width is the *sum* of the two widths — the reference a paired
@@ -175,7 +159,7 @@ impl DrawPlan {
     }
 
     /// Lower tail mass of the plan's two-sided interval.
-    pub fn alpha(&self) -> f64 {
+    pub(crate) fn alpha(&self) -> f64 {
         (1.0 - self.level.clamp(0.0, 1.0)) / 2.0
     }
 
@@ -216,7 +200,7 @@ impl DrawPlan {
     /// Collapses a draw vector into the plan's percentile interval around
     /// `point`. `None` when the vector is empty (no draws requested, or a
     /// scenario with nothing estimable).
-    pub fn interval_of(&self, point: f64, draws: &[f64]) -> Option<Interval> {
+    pub(crate) fn interval_of(&self, point: f64, draws: &[f64]) -> Option<Interval> {
         tail_interval(point, draws, self.alpha())
     }
 
@@ -314,12 +298,16 @@ impl ScenarioDelta {
 /// Two-sided percentile interval of a draw vector around `point`, sorting
 /// the vector once and reading both tails off the sorted copy (a
 /// per-quantile `stats::quantile` call would clone-and-sort twice).
+/// `total_cmp` orders any float, so a non-finite draw (finite inputs can
+/// still overflow) yields a non-finite bound instead of a panic. Valid
+/// draws are sums of non-negative terms and their paired differences,
+/// never `-0.0`, so for them this is the `partial_cmp` order.
 fn tail_interval(point: f64, draws: &[f64], alpha: f64) -> Option<Interval> {
     if draws.is_empty() {
         return None;
     }
     let mut sorted = draws.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in draw vector"));
+    sorted.sort_by(f64::total_cmp);
     Some(Interval {
         point,
         lo: stats::quantile_of_sorted(&sorted, alpha)?,
@@ -730,41 +718,8 @@ mod tests {
             .with_priors(wide_priors)
             .system_embodied_interval(&base)
             .unwrap();
-        assert!(wide.relative_halfwidth() > narrow.relative_halfwidth());
-    }
-
-    #[test]
-    fn relative_halfwidth_is_nan_free_for_degenerate_points() {
-        // Zero mean, non-zero width: infinity, not NaN, not a panic.
-        let zero_mean = Interval {
-            point: 0.0,
-            lo: -1.0,
-            hi: 1.0,
-        };
-        assert_eq!(zero_mean.relative_halfwidth(), f64::INFINITY);
-        // Subnormal mean behaves like zero (an unchecked division would
-        // overflow to a meaningless huge finite value or inf by accident).
-        let subnormal = Interval {
-            point: f64::MIN_POSITIVE / 2.0,
-            lo: -1.0,
-            hi: 1.0,
-        };
-        assert_eq!(subnormal.relative_halfwidth(), f64::INFINITY);
-        // Degenerate interval: zero width whatever the point.
-        let degenerate = Interval {
-            point: 0.0,
-            lo: 3.0,
-            hi: 3.0,
-        };
-        assert_eq!(degenerate.relative_halfwidth(), 0.0);
-        // Healthy interval: plain relative half-width, negative points ok.
-        let healthy = Interval {
-            point: -10.0,
-            lo: -12.0,
-            hi: -8.0,
-        };
-        assert!((healthy.relative_halfwidth() - 0.2).abs() < 1e-12);
-        assert!(!healthy.relative_halfwidth().is_nan());
+        // Same base, same point: the wider band is the wider interval.
+        assert!(wide.width() > narrow.width());
     }
 
     #[test]
@@ -807,7 +762,7 @@ mod tests {
         });
         let plan = DrawPlan::new(600).with_confidence(0.9).with_seed(3);
         let fleet = plan.operational_interval(&op_bases(&list)).unwrap();
-        let fleet_rel = fleet.relative_halfwidth();
+        let fleet_rel = fleet.width() / 2.0 / fleet.point;
         assert!(
             fleet_rel > 0.05,
             "systematic error must not vanish in the aggregate, got {fleet_rel}"

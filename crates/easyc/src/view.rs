@@ -47,43 +47,31 @@ impl<'a> SystemView<'a> {
     }
 
     /// Unmasked view (ground-truth scenario).
-    pub fn full(record: &'a SystemRecord, metrics: &'a SevenMetrics) -> Self {
+    pub(crate) fn full(record: &'a SystemRecord, metrics: &'a SevenMetrics) -> Self {
         SystemView::new(record, metrics, MetricMask::ALL)
-    }
-
-    /// The mask this view reads through.
-    pub fn mask(&self) -> MetricMask {
-        self.mask
-    }
-
-    /// The underlying record, unmasked. Only for fields no scenario can
-    /// hide (rank, Rmax/Rpeak); estimator code must go through the typed
-    /// accessors for everything maskable.
-    pub fn record(&self) -> &'a SystemRecord {
-        self.record
     }
 
     // ------------------------------------------------- always-visible data
 
     /// List rank (a listing requirement; never maskable).
-    pub fn rank(&self) -> u32 {
+    pub(crate) fn rank(&self) -> u32 {
         self.record.rank
     }
 
     /// LINPACK Rmax, TFlop/s (listing requirement).
-    pub fn rmax_tflops(&self) -> f64 {
+    pub(crate) fn rmax_tflops(&self) -> f64 {
         self.record.rmax_tflops
     }
 
     /// Processor description string. Not one of the maskable inputs — the
     /// legacy clone path never blanked it either.
-    pub fn processor(&self) -> Option<&'a str> {
+    pub(crate) fn processor(&self) -> Option<&'a str> {
         self.record.processor.as_deref()
     }
 
     /// Accelerator model text. Like the processor string, never masked:
     /// the `gpus` *count* is the maskable metric.
-    pub fn accelerator(&self) -> Option<&'a str> {
+    pub(crate) fn accelerator(&self) -> Option<&'a str> {
         self.record.accelerator.as_deref()
     }
 
@@ -95,29 +83,29 @@ impl<'a> SystemView<'a> {
     // ------------------------------------------------ masked record fields
 
     /// Measured LINPACK power, kW — hidden by [`MetricBit::PowerKw`].
-    pub fn power_kw(&self) -> Option<f64> {
+    pub(crate) fn power_kw(&self) -> Option<f64> {
         self.visible(MetricBit::PowerKw, self.record.power_kw)
     }
 
     /// Hosting country — hidden by [`MetricBit::Location`].
-    pub fn country(&self) -> Option<&'a str> {
+    pub(crate) fn country(&self) -> Option<&'a str> {
         self.visible(MetricBit::Location, self.record.country.as_deref())
     }
 
     /// World region — hidden by [`MetricBit::Location`].
-    pub fn region(&self) -> Option<Region> {
+    pub(crate) fn region(&self) -> Option<Region> {
         self.visible(MetricBit::Location, self.record.region)
     }
 
     // ------------------------------------------------ masked metric fields
 
     /// Operation year — hidden by [`MetricBit::OperationYear`].
-    pub fn operation_year(&self) -> Option<u32> {
+    pub(crate) fn operation_year(&self) -> Option<u32> {
         self.visible(MetricBit::OperationYear, self.metrics.operation_year)
     }
 
     /// Compute-node count — hidden by [`MetricBit::Nodes`].
-    pub fn nodes(&self) -> Option<u64> {
+    pub(crate) fn nodes(&self) -> Option<u64> {
         self.visible(MetricBit::Nodes, self.metrics.nodes)
     }
 
@@ -135,32 +123,32 @@ impl<'a> SystemView<'a> {
     }
 
     /// CPU socket count — hidden by [`MetricBit::Cpus`].
-    pub fn cpus(&self) -> Option<u64> {
+    pub(crate) fn cpus(&self) -> Option<u64> {
         self.visible(MetricBit::Cpus, self.metrics.cpus)
     }
 
     /// Memory capacity, GB — hidden by [`MetricBit::MemoryGb`].
-    pub fn memory_gb(&self) -> Option<f64> {
+    pub(crate) fn memory_gb(&self) -> Option<f64> {
         self.visible(MetricBit::MemoryGb, self.metrics.memory_gb)
     }
 
     /// Memory technology — hidden by [`MetricBit::MemoryType`].
-    pub fn memory_type(&self) -> Option<&'a str> {
+    pub(crate) fn memory_type(&self) -> Option<&'a str> {
         self.visible(MetricBit::MemoryType, self.metrics.memory_type.as_deref())
     }
 
     /// SSD capacity, GB — hidden by [`MetricBit::SsdGb`].
-    pub fn ssd_gb(&self) -> Option<f64> {
+    pub(crate) fn ssd_gb(&self) -> Option<f64> {
         self.visible(MetricBit::SsdGb, self.metrics.ssd_gb)
     }
 
     /// Measured annual energy, MWh — hidden by [`MetricBit::AnnualEnergy`].
-    pub fn annual_energy_mwh(&self) -> Option<f64> {
+    pub(crate) fn annual_energy_mwh(&self) -> Option<f64> {
         self.visible(MetricBit::AnnualEnergy, self.metrics.annual_energy_mwh)
     }
 
     /// Average utilisation — hidden by [`MetricBit::Utilization`].
-    pub fn utilization(&self) -> Option<f64> {
+    pub(crate) fn utilization(&self) -> Option<f64> {
         self.visible(MetricBit::Utilization, self.metrics.utilization)
     }
 
@@ -176,7 +164,7 @@ impl<'a> SystemView<'a> {
 /// One scenario's zero-copy lens over a whole list: the borrowed records,
 /// their pre-extracted metrics, and the scenario's mask and (pre-merged)
 /// overrides. Building a `FleetView` allocates nothing and clones no
-/// record; iterating it yields [`SystemView`]s.
+/// record; [`FleetView::system`] yields each system's [`SystemView`].
 #[derive(Debug, Clone, Copy)]
 pub struct FleetView<'a> {
     list: &'a Top500List,
@@ -206,49 +194,25 @@ impl<'a> FleetView<'a> {
         }
     }
 
-    /// The underlying list.
-    pub fn list(&self) -> &'a Top500List {
-        self.list
-    }
-
     /// The scenario's mask.
-    pub fn mask(&self) -> MetricMask {
+    pub(crate) fn mask(&self) -> MetricMask {
         self.mask
     }
 
     /// The scenario's overrides (already merged with any configuration
     /// overrides by the caller).
-    pub fn overrides(&self) -> OverrideSet {
+    pub(crate) fn overrides(&self) -> OverrideSet {
         self.overrides
     }
 
     /// Number of systems.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.metrics.len()
-    }
-
-    /// True when the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
     }
 
     /// Lens on the `i`-th system (rank order).
     pub fn system(&self, i: usize) -> SystemView<'a> {
         SystemView::new(&self.list.systems()[i], &self.metrics[i], self.mask)
-    }
-
-    /// Iterates every system's view, rank order.
-    pub fn iter(&self) -> impl Iterator<Item = SystemView<'a>> + '_ {
-        (0..self.len()).map(move |i| self.system(i))
-    }
-
-    /// Iterates the views of a contiguous index range — the unit the
-    /// session's (scenario × chunk) work items operate on.
-    pub fn range(
-        &self,
-        range: std::ops::Range<usize>,
-    ) -> impl Iterator<Item = SystemView<'a>> + '_ {
-        range.map(move |i| self.system(i))
     }
 }
 
@@ -359,7 +323,7 @@ mod tests {
         let before = top500::record::clones_on_thread();
         let view = FleetView::new(&list, &metrics, &scenario);
         let mut seen = 0;
-        for sys in view.iter() {
+        for sys in (0..view.len()).map(|i| view.system(i)) {
             assert_eq!(sys.power_kw(), None);
             assert_eq!(sys.annual_energy_mwh(), None);
             seen += 1;
@@ -383,10 +347,9 @@ mod tests {
         let list = Top500List::new((1..=10).map(record_at).collect());
         let metrics: Vec<SevenMetrics> = list.systems().iter().map(SevenMetrics::extract).collect();
         let view = FleetView::new(&list, &metrics, &DataScenario::full("full"));
-        let ranks: Vec<u32> = view.range(3..7).map(|v| v.rank()).collect();
+        let ranks: Vec<u32> = (3..7).map(|i| view.system(i).rank()).collect();
         assert_eq!(ranks, vec![4, 5, 6, 7]);
         assert_eq!(view.len(), 10);
-        assert!(!view.is_empty());
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub enum AggFn {
 
 impl AggFn {
     /// Display name used for the output column suffix.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             AggFn::Sum => "sum",
             AggFn::Mean => "mean",

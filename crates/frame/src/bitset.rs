@@ -23,16 +23,6 @@ impl Bitset {
         }
     }
 
-    /// Number of bits.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the bitset holds zero bits.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Sets bit `i` to `value`. Panics when `i` is out of range.
     pub fn assign(&mut self, i: usize, value: bool) {
         assert!(i < self.len, "bit {i} out of range {}", self.len);
@@ -96,8 +86,6 @@ mod tests {
     #[test]
     fn set_get_roundtrip() {
         let mut b = Bitset::new(130);
-        assert_eq!(b.len(), 130);
-        assert!(!b.is_empty());
         b.set(0);
         b.set(63);
         b.set(64);
@@ -150,7 +138,6 @@ mod tests {
     #[test]
     fn empty_bitset() {
         let b = Bitset::new(0);
-        assert!(b.is_empty());
         assert_eq!(b.words().len(), 0);
         assert_eq!(b.word(0), 0);
         assert_eq!(b.count_ones(), 0);

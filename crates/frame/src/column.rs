@@ -67,7 +67,7 @@ pub enum Column {
 
 impl Column {
     /// Number of rows (including nulls).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Column::F64(v) => v.len(),
             Column::I64(v) => v.len(),
@@ -76,45 +76,13 @@ impl Column {
         }
     }
 
-    /// True when the column has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Static name of the column's type, for error messages.
-    pub fn type_name(&self) -> &'static str {
+    pub(crate) fn type_name(&self) -> &'static str {
         match self {
             Column::F64(_) => "f64",
             Column::I64(_) => "i64",
             Column::Str(_) => "str",
             Column::Bool(_) => "bool",
-        }
-    }
-
-    /// Number of non-null entries.
-    pub fn count_present(&self) -> usize {
-        match self {
-            Column::F64(v) => v.iter().filter(|x| x.is_some()).count(),
-            Column::I64(v) => v.iter().filter(|x| x.is_some()).count(),
-            Column::Str(v) => v.iter().filter(|x| x.is_some()).count(),
-            Column::Bool(v) => v.iter().filter(|x| x.is_some()).count(),
-        }
-    }
-
-    /// Number of null entries.
-    pub fn count_null(&self) -> usize {
-        self.len() - self.count_present()
-    }
-
-    /// True when the entry at `row` is null. Out-of-range rows are an error
-    /// at the [`DataFrame`](crate::DataFrame) layer; here we panic like slice
-    /// indexing, which keeps hot loops branch-light.
-    pub fn is_null_at(&self, row: usize) -> bool {
-        match self {
-            Column::F64(v) => v[row].is_none(),
-            Column::I64(v) => v[row].is_none(),
-            Column::Str(v) => v[row].is_none(),
-            Column::Bool(v) => v[row].is_none(),
         }
     }
 
@@ -128,14 +96,6 @@ impl Column {
         }
     }
 
-    /// Typed view of a float column.
-    pub fn as_f64(&self) -> Option<&[Option<f64>]> {
-        match self {
-            Column::F64(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Typed view of a string column.
     pub fn as_str(&self) -> Option<&[Option<String>]> {
         match self {
@@ -144,16 +104,8 @@ impl Column {
         }
     }
 
-    /// Typed view of a boolean column.
-    pub fn as_bool(&self) -> Option<&[Option<bool>]> {
-        match self {
-            Column::Bool(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Numeric view: floats pass through, integers widen; other types fail.
-    pub fn numeric(&self, name: &str) -> Result<Vec<Option<f64>>> {
+    pub(crate) fn numeric(&self, name: &str) -> Result<Vec<Option<f64>>> {
         match self {
             Column::F64(v) => Ok(v.clone()),
             Column::I64(v) => Ok(v.iter().map(|x| x.map(|i| i as f64)).collect()),
@@ -164,48 +116,10 @@ impl Column {
             }),
         }
     }
-
-    /// Creates a new column holding only the rows in `keep` (in order).
-    pub fn take(&self, keep: &[usize]) -> Column {
-        match self {
-            Column::F64(v) => Column::F64(keep.iter().map(|&i| v[i]).collect()),
-            Column::I64(v) => Column::I64(keep.iter().map(|&i| v[i]).collect()),
-            Column::Str(v) => Column::Str(keep.iter().map(|&i| v[i].clone()).collect()),
-            Column::Bool(v) => Column::Bool(keep.iter().map(|&i| v[i]).collect()),
-        }
-    }
-
-    /// Appends a [`Value`] to the column, coercing integers into float
-    /// columns. Returns an error on incompatible types.
-    pub fn push_value(&mut self, value: Value) -> Result<()> {
-        match (self, value) {
-            (Column::F64(v), Value::Null) => v.push(None),
-            (Column::F64(v), Value::F64(x)) => v.push(Some(x)),
-            (Column::F64(v), Value::I64(x)) => v.push(Some(x as f64)),
-            (Column::I64(v), Value::Null) => v.push(None),
-            (Column::I64(v), Value::I64(x)) => v.push(Some(x)),
-            (Column::Str(v), Value::Null) => v.push(None),
-            (Column::Str(v), Value::Str(x)) => v.push(Some(x)),
-            (Column::Bool(v), Value::Null) => v.push(None),
-            (Column::Bool(v), Value::Bool(x)) => v.push(Some(x)),
-            (col, v) => {
-                return Err(FrameError::InvalidArgument(format!(
-                    "cannot push {v:?} into {} column",
-                    col.type_name()
-                )))
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Convenience constructors mirroring `vec!`-style ergonomics.
 impl Column {
-    /// Builds an integer column from plain values (no nulls).
-    pub fn from_i64(values: impl IntoIterator<Item = i64>) -> Column {
-        Column::I64(values.into_iter().map(Some).collect())
-    }
-
     /// Builds a string column from plain values (no nulls).
     pub fn from_str_iter<S: Into<String>>(values: impl IntoIterator<Item = S>) -> Column {
         Column::Str(values.into_iter().map(|s| Some(s.into())).collect())
@@ -220,10 +134,6 @@ mod tests {
     fn len_and_nulls() {
         let c = Column::F64(vec![Some(1.0), None, Some(3.0)]);
         assert_eq!(c.len(), 3);
-        assert_eq!(c.count_present(), 2);
-        assert_eq!(c.count_null(), 1);
-        assert!(c.is_null_at(1));
-        assert!(!c.is_null_at(0));
     }
 
     #[test]
@@ -245,26 +155,6 @@ mod tests {
         let c = Column::from_str_iter(["a"]);
         let err = c.numeric("name").unwrap_err();
         assert!(matches!(err, FrameError::TypeMismatch { .. }));
-    }
-
-    #[test]
-    fn take_reorders_and_repeats() {
-        let c = Column::from_i64([10, 20, 30]);
-        let t = c.take(&[2, 0, 0]);
-        assert_eq!(t, Column::from_i64([30, 10, 10]));
-    }
-
-    #[test]
-    fn push_value_coerces_int_to_float() {
-        let mut c = Column::F64(vec![]);
-        c.push_value(Value::I64(4)).unwrap();
-        assert_eq!(c, Column::F64(vec![Some(4.0)]));
-    }
-
-    #[test]
-    fn push_value_type_error() {
-        let mut c = Column::I64(vec![]);
-        assert!(c.push_value(Value::Str("x".into())).is_err());
     }
 
     #[test]

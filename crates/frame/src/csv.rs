@@ -235,9 +235,10 @@ pub fn parse(text: &str) -> Result<DataFrame> {
 /// non-numeric cell degrades a whole-file numeric column to string
 /// (every cell then reads as a string), while chunks without the
 /// offending cell still parse as numbers — consumers that must match
-/// whole-file semantics on such mixed columns need to parse whole-file.
-/// Columns that are kind-consistent (or only mix within one chunk) parse
-/// identically.
+/// whole-file semantics on such mixed columns read each cell on its own
+/// (re-parsing string cells, as the Top500 importer does) or parse
+/// whole-file. Columns that are kind-consistent (or only mix within one
+/// chunk) parse identically.
 ///
 /// A header-only input yields exactly one zero-row chunk (so consumers can
 /// still validate the schema); an empty input yields no chunks. After the
@@ -297,12 +298,6 @@ impl<R: BufRead> ChunkedReader<R> {
     pub fn strip_comments(mut self) -> ChunkedReader<R> {
         self.strip_comments = true;
         self
-    }
-
-    /// Column names of the input, available once the first chunk has been
-    /// read.
-    pub fn names(&self) -> Option<&[String]> {
-        self.names.as_deref()
     }
 
     /// Completes the pending logical record and routes it to `ready` (via
@@ -691,40 +686,24 @@ mod tests {
     }
 
     #[test]
-    fn chunked_reader_reports_names() {
-        let mut reader = ChunkedReader::new("a,b\n1,2\n".as_bytes(), 1);
-        assert!(reader.names().is_none());
-        let first = reader.next_chunk().unwrap().unwrap();
-        assert_eq!(first.names(), &["a", "b"]);
-        assert_eq!(reader.names().unwrap(), &["a", "b"]);
-    }
-
-    #[test]
     fn header_plus_chunked_rows_byte_identical_to_whole_write() {
         // The streaming-artifact contract: write_header + per-chunk
         // write_rows must concatenate to exactly what `write` produces
         // over the whole frame, quoting included.
-        let df = DataFrame::new()
-            .with_column(
-                "name",
-                Column::from_str_iter(vec![
-                    "plain".to_string(),
-                    "with, comma".to_string(),
-                    "with \"quote\"".to_string(),
-                    "multi\nline".to_string(),
-                ]),
-            )
-            .unwrap()
-            .with_column(
-                "x",
-                Column::F64(vec![Some(1.5), None, Some(-3.0), Some(0.25)]),
-            )
-            .unwrap();
+        let names = ["plain", "with, comma", "with \"quote\"", "multi\nline"];
+        let xs = [Some(1.5), None, Some(-3.0), Some(0.25)];
+        let frame = |names: &[&str], xs: &[Option<f64>]| {
+            DataFrame::new()
+                .with_column("name", Column::from_str_iter(names.iter().copied()))
+                .unwrap()
+                .with_column("x", Column::F64(xs.to_vec()))
+                .unwrap()
+        };
+        let df = frame(&names, &xs);
         let whole = write(&df);
         let mut pieced = write_header(&df);
-        for row in 0..df.len() {
-            let chunk = df.take(&[row]).unwrap();
-            pieced.push_str(&write_rows(&chunk));
+        for row in 0..names.len() {
+            pieced.push_str(&write_rows(&frame(&names[row..=row], &xs[row..=row])));
         }
         assert_eq!(pieced, whole);
     }

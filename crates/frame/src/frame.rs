@@ -3,7 +3,6 @@
 
 use crate::column::{Column, Value};
 use crate::error::{FrameError, Result};
-use crate::series::Series;
 use std::collections::HashMap;
 
 /// An ordered set of named, equal-length, nullable columns.
@@ -42,7 +41,7 @@ impl DataFrame {
 
     /// Adds a column. The first column fixes the row count; later columns
     /// must match it. Errors on duplicates and length mismatches.
-    pub fn add_column(&mut self, name: impl Into<String>, column: Column) -> Result<()> {
+    pub(crate) fn add_column(&mut self, name: impl Into<String>, column: Column) -> Result<()> {
         let name = name.into();
         if self.names.contains(&name) {
             return Err(FrameError::DuplicateColumn(name));
@@ -61,7 +60,7 @@ impl DataFrame {
         Ok(())
     }
 
-    /// Builder-style [`add_column`](Self::add_column).
+    /// Builder-style `add_column`.
     pub fn with_column(mut self, name: impl Into<String>, column: Column) -> Result<DataFrame> {
         self.add_column(name, column)?;
         Ok(self)
@@ -80,11 +79,6 @@ impl DataFrame {
         Ok(&self.columns[self.index_of(name)?])
     }
 
-    /// A named view of a column as a [`Series`].
-    pub fn series(&self, name: &str) -> Result<Series> {
-        Ok(Series::new(name, self.column(name)?.clone()))
-    }
-
     /// Numeric view of a column (integers widen to f64).
     pub fn numeric(&self, name: &str) -> Result<Vec<Option<f64>>> {
         self.column(name)?.numeric(name)
@@ -101,69 +95,12 @@ impl DataFrame {
         Ok(self.column(name)?.value(row))
     }
 
-    /// New frame with only the listed columns, in the listed order.
-    pub fn select(&self, names: &[&str]) -> Result<DataFrame> {
-        let mut out = DataFrame::new();
-        for &n in names {
-            out.add_column(n, self.column(n)?.clone())?;
-        }
-        Ok(out)
-    }
-
-    /// New frame holding the rows at `indices` (may repeat / reorder).
-    pub fn take(&self, indices: &[usize]) -> Result<DataFrame> {
-        if let Some(&bad) = indices.iter().find(|&&i| i >= self.rows) {
-            return Err(FrameError::RowOutOfBounds {
-                row: bad,
-                len: self.rows,
-            });
-        }
-        let mut out = DataFrame::new();
-        for (name, col) in self.names.iter().zip(&self.columns) {
-            out.add_column(name.clone(), col.take(indices))?;
-        }
-        Ok(out)
-    }
-
-    /// Rows matching a predicate over the row index.
-    pub(crate) fn filter_by_index(&self, mut pred: impl FnMut(usize) -> bool) -> Result<DataFrame> {
-        let keep: Vec<usize> = (0..self.rows).filter(|&i| pred(i)).collect();
-        self.take(&keep)
-    }
-
-    /// Rows where the named numeric column is non-null and satisfies `pred`.
-    pub fn filter_numeric(
-        &self,
-        name: &str,
-        mut pred: impl FnMut(f64) -> bool,
-    ) -> Result<DataFrame> {
-        let values = self.numeric(name)?;
-        self.filter_by_index(|i| values[i].map(&mut pred).unwrap_or(false))
-    }
-
-    /// Stable sort by a numeric column, nulls last.
-    pub fn sort_by_numeric(&self, name: &str, ascending: bool) -> Result<DataFrame> {
-        let values = self.numeric(name)?;
-        let mut idx: Vec<usize> = (0..self.rows).collect();
-        idx.sort_by(|&a, &b| match (values[a], values[b]) {
-            (Some(x), Some(y)) => {
-                let ord = x.partial_cmp(&y).expect("NaN in sort key");
-                if ascending {
-                    ord
-                } else {
-                    ord.reverse()
-                }
-            }
-            (Some(_), None) => std::cmp::Ordering::Less,
-            (None, Some(_)) => std::cmp::Ordering::Greater,
-            (None, None) => std::cmp::Ordering::Equal,
-        });
-        self.take(&idx)
-    }
-
     /// Group rows by the string key in `key` (nulls grouped under `None`)
     /// and return `(key, row_indices)` pairs in first-appearance order.
-    pub fn group_indices_by_str(&self, key: &str) -> Result<Vec<(Option<String>, Vec<usize>)>> {
+    pub(crate) fn group_indices_by_str(
+        &self,
+        key: &str,
+    ) -> Result<Vec<(Option<String>, Vec<usize>)>> {
         let col = self.column(key)?;
         let values = col.as_str().ok_or_else(|| FrameError::TypeMismatch {
             column: key.to_string(),
@@ -187,41 +124,6 @@ impl DataFrame {
             })
             .collect())
     }
-
-    /// Vertically concatenates another frame with identical schema.
-    pub fn concat(&self, other: &DataFrame) -> Result<DataFrame> {
-        if self.names != other.names {
-            return Err(FrameError::InvalidArgument(
-                "concat requires identical column names and order".into(),
-            ));
-        }
-        let mut out = DataFrame::new();
-        for ((name, a), b) in self.names.iter().zip(&self.columns).zip(&other.columns) {
-            let merged = match (a, b) {
-                (Column::F64(x), Column::F64(y)) => {
-                    Column::F64(x.iter().chain(y).copied().collect())
-                }
-                (Column::I64(x), Column::I64(y)) => {
-                    Column::I64(x.iter().chain(y).copied().collect())
-                }
-                (Column::Str(x), Column::Str(y)) => {
-                    Column::Str(x.iter().chain(y).cloned().collect())
-                }
-                (Column::Bool(x), Column::Bool(y)) => {
-                    Column::Bool(x.iter().chain(y).copied().collect())
-                }
-                (a, b) => {
-                    return Err(FrameError::TypeMismatch {
-                        column: name.clone(),
-                        requested: a.type_name(),
-                        actual: b.type_name(),
-                    })
-                }
-            };
-            out.add_column(name.clone(), merged)?;
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -230,7 +132,10 @@ mod tests {
 
     fn sample() -> DataFrame {
         DataFrame::new()
-            .with_column("rank", Column::from_i64([1, 2, 3, 4]))
+            .with_column(
+                "rank",
+                Column::I64(vec![Some(1), Some(2), Some(3), Some(4)]),
+            )
             .unwrap()
             .with_column(
                 "power",
@@ -260,7 +165,7 @@ mod tests {
     #[test]
     fn duplicate_column_rejected() {
         let err = sample()
-            .with_column("rank", Column::from_i64([9, 9, 9, 9]))
+            .with_column("rank", Column::I64(vec![Some(9); 4]))
             .unwrap_err();
         assert!(matches!(err, FrameError::DuplicateColumn(_)));
     }
@@ -268,16 +173,9 @@ mod tests {
     #[test]
     fn length_mismatch_rejected() {
         let err = sample()
-            .with_column("x", Column::from_i64([1]))
+            .with_column("x", Column::I64(vec![Some(1)]))
             .unwrap_err();
         assert!(matches!(err, FrameError::LengthMismatch { .. }));
-    }
-
-    #[test]
-    fn select_projects_and_orders() {
-        let df = sample().select(&["vendor", "rank"]).unwrap();
-        assert_eq!(df.names(), &["vendor", "rank"]);
-        assert_eq!(df.len(), 4);
     }
 
     #[test]
@@ -285,34 +183,6 @@ mod tests {
         assert!(matches!(
             sample().column("nope"),
             Err(FrameError::UnknownColumn(_))
-        ));
-    }
-
-    #[test]
-    fn filter_numeric_drops_nulls_and_nonmatching() {
-        let df = sample().filter_numeric("power", |p| p >= 20.0).unwrap();
-        assert_eq!(df.len(), 2); // 30.0 and 20.0; null row excluded
-    }
-
-    #[test]
-    fn sort_puts_nulls_last() {
-        let df = sample().sort_by_numeric("power", true).unwrap();
-        let power = df.numeric("power").unwrap();
-        assert_eq!(power, vec![Some(10.0), Some(20.0), Some(30.0), None]);
-    }
-
-    #[test]
-    fn sort_descending() {
-        let df = sample().sort_by_numeric("power", false).unwrap();
-        let power = df.numeric("power").unwrap();
-        assert_eq!(power, vec![Some(30.0), Some(20.0), Some(10.0), None]);
-    }
-
-    #[test]
-    fn take_out_of_bounds() {
-        assert!(matches!(
-            sample().take(&[0, 9]),
-            Err(FrameError::RowOutOfBounds { .. })
         ));
     }
 
@@ -325,27 +195,5 @@ mod tests {
             vec![Some("HPE".to_string()), None, Some("Dell".to_string())]
         );
         assert_eq!(groups[0].1, vec![0, 1]);
-    }
-
-    #[test]
-    fn concat_roundtrip() {
-        let df = sample();
-        let cat = df.concat(&df).unwrap();
-        assert_eq!(cat.len(), 8);
-        assert_eq!(cat.value("rank", 4).unwrap(), Value::I64(1));
-    }
-
-    #[test]
-    fn concat_schema_mismatch() {
-        let df = sample();
-        let other = df.select(&["rank"]).unwrap();
-        assert!(df.concat(&other).is_err());
-    }
-
-    #[test]
-    fn series_stats_via_frame() {
-        let s = sample().series("power").unwrap();
-        assert_eq!(s.sum().unwrap(), 60.0);
-        assert_eq!(s.count_present(), 3);
     }
 }

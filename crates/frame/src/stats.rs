@@ -2,8 +2,8 @@
 //!
 //! Conventions: functions that can be meaningless on empty input return
 //! `Option`; `sum` returns 0.0 on empty input (the additive identity).
-//! All functions take slices of already-present (non-null) values — null
-//! handling happens at the [`Series`](crate::Series) layer.
+//! All functions take slices of already-present (non-null) values; callers
+//! drop nulls first.
 
 /// Kahan-compensated sum. For 500-element carbon totals plain summation is
 /// already fine, but the benches sweep to millions of synthetic rows where
@@ -28,28 +28,6 @@ pub fn mean(values: &[f64]) -> Option<f64> {
     } else {
         Some(sum(values) / values.len() as f64)
     }
-}
-
-/// Population variance; `None` on empty input.
-pub fn variance(values: &[f64]) -> Option<f64> {
-    let m = mean(values)?;
-    let ss: f64 = values.iter().map(|v| (v - m) * (v - m)).sum();
-    Some(ss / values.len() as f64)
-}
-
-/// Population standard deviation; `None` on empty input.
-pub fn stddev(values: &[f64]) -> Option<f64> {
-    variance(values).map(f64::sqrt)
-}
-
-/// Sample standard deviation (n-1); `None` for fewer than two values.
-pub fn stddev_sample(values: &[f64]) -> Option<f64> {
-    if values.len() < 2 {
-        return None;
-    }
-    let m = mean(values)?;
-    let ss: f64 = values.iter().map(|v| (v - m) * (v - m)).sum();
-    Some((ss / (values.len() - 1) as f64).sqrt())
 }
 
 /// Linear-interpolated quantile (the "type 7" estimator used by numpy's
@@ -86,130 +64,6 @@ pub fn quantile_of_sorted(sorted: &[f64], q: f64) -> Option<f64> {
 /// Median (50th percentile).
 pub fn median(values: &[f64]) -> Option<f64> {
     quantile(values, 0.5)
-}
-
-/// Result of an ordinary least-squares fit `y = slope * x + intercept`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinearFit {
-    /// Fitted slope.
-    pub slope: f64,
-    /// Fitted intercept.
-    pub intercept: f64,
-    /// Coefficient of determination (1.0 for a perfect fit, 0.0 when the fit
-    /// explains nothing; can be negative for a worse-than-mean model on
-    /// degenerate input).
-    pub r2: f64,
-}
-
-/// Ordinary least squares over paired samples. `None` when fewer than two
-/// points or when `x` is constant.
-pub fn linear_fit(x: &[f64], y: &[f64]) -> Option<LinearFit> {
-    if x.len() != y.len() || x.len() < 2 {
-        return None;
-    }
-    let n = x.len() as f64;
-    let mx = sum(x) / n;
-    let my = sum(y) / n;
-    let mut sxx = 0.0;
-    let mut sxy = 0.0;
-    let mut syy = 0.0;
-    for (&xi, &yi) in x.iter().zip(y) {
-        sxx += (xi - mx) * (xi - mx);
-        sxy += (xi - mx) * (yi - my);
-        syy += (yi - my) * (yi - my);
-    }
-    if sxx == 0.0 {
-        return None;
-    }
-    let slope = sxy / sxx;
-    let intercept = my - slope * mx;
-    let r2 = if syy == 0.0 {
-        1.0
-    } else {
-        1.0 - (syy - slope * sxy) / syy
-    };
-    Some(LinearFit {
-        slope,
-        intercept,
-        r2,
-    })
-}
-
-/// Fits exponential growth `y = a * g^x` by OLS on `ln y`; returns
-/// `(a, g)`. Requires all `y > 0`. Used by the projection pipeline to check
-/// the paper's 10.3 %/yr operational growth is self-consistent.
-pub fn exponential_fit(x: &[f64], y: &[f64]) -> Option<(f64, f64)> {
-    if y.iter().any(|&v| v <= 0.0) {
-        return None;
-    }
-    let ln_y: Vec<f64> = y.iter().map(|v| v.ln()).collect();
-    let fit = linear_fit(x, &ln_y)?;
-    Some((fit.intercept.exp(), fit.slope.exp()))
-}
-
-/// A fixed-width histogram over `[min, max)` with an implicit clamp of
-/// out-of-range values into the edge bins.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    /// Inclusive lower edge of the first bin.
-    pub min: f64,
-    /// Exclusive upper edge of the last bin.
-    pub max: f64,
-    /// Per-bin counts.
-    pub counts: Vec<u64>,
-}
-
-impl Histogram {
-    /// Builds a histogram with `bins` equal-width bins. Empty input produces
-    /// all-zero counts; `bins` must be > 0 and `max > min`.
-    pub fn build(values: &[f64], min: f64, max: f64, bins: usize) -> Option<Histogram> {
-        if bins == 0 || max <= min || !max.is_finite() || !min.is_finite() {
-            return None;
-        }
-        let mut counts = vec![0u64; bins];
-        let width = (max - min) / bins as f64;
-        for &v in values {
-            let idx = ((v - min) / width).floor();
-            let idx = idx.clamp(0.0, (bins - 1) as f64) as usize;
-            counts[idx] += 1;
-        }
-        Some(Histogram { min, max, counts })
-    }
-
-    /// Total count across bins.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-}
-
-/// Deterministic bootstrap mean confidence interval using a caller-supplied
-/// index sampler (the `parallel` crate provides the RNG streams). Returns
-/// `(lo, hi)` at the given two-sided confidence `level` (e.g. 0.95).
-pub fn bootstrap_mean_ci(
-    values: &[f64],
-    resamples: usize,
-    level: f64,
-    mut sample_index: impl FnMut(usize) -> usize,
-) -> Option<(f64, f64)> {
-    if values.is_empty() || resamples == 0 {
-        return None;
-    }
-    let mut means = Vec::with_capacity(resamples);
-    for _ in 0..resamples {
-        let mut s = 0.0;
-        for _ in 0..values.len() {
-            s += values[sample_index(values.len())];
-        }
-        means.push(s / values.len() as f64);
-    }
-    let alpha = (1.0 - level.clamp(0.0, 1.0)) / 2.0;
-    // One sort serves both tails — a per-tail `quantile` call would
-    // clone-and-sort the resample vector twice.
-    means.sort_by(|a, b| a.partial_cmp(b).expect("NaN in bootstrap means"));
-    Some((
-        quantile_of_sorted(&means, alpha)?,
-        quantile_of_sorted(&means, 1.0 - alpha)?,
-    ))
 }
 
 /// Two-sample Kolmogorov–Smirnov statistic: the maximum distance between
@@ -262,27 +116,6 @@ pub fn gini(values: &[f64]) -> Option<f64> {
     Some(weighted / (n * total))
 }
 
-/// Pearson correlation coefficient; `None` when undefined.
-pub fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
-    if x.len() != y.len() || x.len() < 2 {
-        return None;
-    }
-    let mx = mean(x)?;
-    let my = mean(y)?;
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    for (&a, &b) in x.iter().zip(y) {
-        sxy += (a - mx) * (b - my);
-        sxx += (a - mx) * (a - mx);
-        syy += (b - my) * (b - my);
-    }
-    if sxx == 0.0 || syy == 0.0 {
-        return None;
-    }
-    Some(sxy / (sxx * syy).sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,23 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn variance_of_constant_is_zero() {
-        assert_eq!(variance(&[5.0, 5.0, 5.0]), Some(0.0));
-    }
-
-    #[test]
-    fn stddev_known_value() {
-        let sd = stddev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]).unwrap();
-        assert!((sd - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sample_stddev_needs_two() {
-        assert_eq!(stddev_sample(&[1.0]), None);
-        assert!(stddev_sample(&[1.0, 3.0]).unwrap() > 0.0);
-    }
-
-    #[test]
     fn quantile_endpoints() {
         let v = [3.0, 1.0, 2.0];
         assert_eq!(quantile(&v, 0.0), Some(1.0));
@@ -342,57 +158,6 @@ mod tests {
         let v = [1.0, 2.0];
         assert_eq!(quantile(&v, -3.0), Some(1.0));
         assert_eq!(quantile(&v, 7.0), Some(2.0));
-    }
-
-    #[test]
-    fn linear_fit_exact_line() {
-        let x = [0.0, 1.0, 2.0, 3.0];
-        let y = [1.0, 3.0, 5.0, 7.0];
-        let fit = linear_fit(&x, &y).unwrap();
-        assert!((fit.slope - 2.0).abs() < 1e-12);
-        assert!((fit.intercept - 1.0).abs() < 1e-12);
-        assert!((fit.r2 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn linear_fit_constant_x_is_none() {
-        assert!(linear_fit(&[1.0, 1.0], &[2.0, 3.0]).is_none());
-    }
-
-    #[test]
-    fn exponential_fit_recovers_growth() {
-        // y = 100 * 1.103^x — the paper's operational growth rate.
-        let x: Vec<f64> = (0..7).map(|i| i as f64).collect();
-        let y: Vec<f64> = x.iter().map(|&t| 100.0 * 1.103f64.powf(t)).collect();
-        let (a, g) = exponential_fit(&x, &y).unwrap();
-        assert!((a - 100.0).abs() < 1e-6);
-        assert!((g - 1.103).abs() < 1e-9);
-    }
-
-    #[test]
-    fn exponential_fit_rejects_nonpositive() {
-        assert!(exponential_fit(&[0.0, 1.0], &[1.0, 0.0]).is_none());
-    }
-
-    #[test]
-    fn histogram_counts_and_clamps() {
-        let h = Histogram::build(&[0.5, 1.5, 2.5, -10.0, 99.0], 0.0, 3.0, 3).unwrap();
-        assert_eq!(h.counts, vec![2, 1, 2]); // -10 clamps into bin 0, 99 into bin 2
-        assert_eq!(h.total(), 5);
-    }
-
-    #[test]
-    fn histogram_invalid_args() {
-        assert!(Histogram::build(&[1.0], 0.0, 1.0, 0).is_none());
-        assert!(Histogram::build(&[1.0], 1.0, 1.0, 4).is_none());
-    }
-
-    #[test]
-    fn bootstrap_identity_sampler_degenerates_to_mean() {
-        // Sampler that always returns index 0: every resample mean = values[0].
-        let v = [4.0, 8.0, 12.0];
-        let (lo, hi) = bootstrap_mean_ci(&v, 10, 0.95, |_| 0).unwrap();
-        assert_eq!((lo, hi), (4.0, 4.0));
     }
 
     #[test]
@@ -438,17 +203,5 @@ mod tests {
     #[test]
     fn gini_rejects_negatives() {
         assert_eq!(gini(&[1.0, -1.0]), None);
-    }
-
-    #[test]
-    fn pearson_perfect_correlation() {
-        let x = [1.0, 2.0, 3.0];
-        let y = [2.0, 4.0, 6.0];
-        assert!((pearson(&x, &y).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_undefined_for_constant() {
-        assert!(pearson(&[1.0, 1.0], &[2.0, 3.0]).is_none());
     }
 }

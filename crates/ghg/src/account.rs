@@ -1,6 +1,6 @@
 //! The fail-closed GHG Protocol accounting computation.
 
-use crate::checklist::{RequiredMetric, EMBODIED_CHECKLIST, OPERATIONAL_CHECKLIST};
+use crate::checklist::{RequiredMetric, OPERATIONAL_CHECKLIST};
 use std::collections::HashMap;
 
 /// Supplied metric values, keyed by checklist id. Values are in the natural
@@ -17,43 +17,18 @@ impl GhgInputs {
         GhgInputs::default()
     }
 
-    /// Sets a metric value.
-    pub fn set(&mut self, id: &'static str, value: f64) -> &mut Self {
-        self.values.insert(id, value);
-        self
-    }
-
     /// Gets a metric value.
-    pub fn get(&self, id: &str) -> Option<f64> {
+    pub(crate) fn get(&self, id: &str) -> Option<f64> {
         self.values.get(id).copied()
     }
 
-    /// Number of supplied metrics.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True when nothing has been supplied.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
     /// Ids from `checklist` that are not supplied.
-    pub fn missing<'a>(&self, checklist: &'a [RequiredMetric]) -> Vec<&'a RequiredMetric> {
+    pub(crate) fn missing<'a>(&self, checklist: &'a [RequiredMetric]) -> Vec<&'a RequiredMetric> {
         checklist
             .iter()
             .filter(|m| !self.values.contains_key(m.id))
             .collect()
     }
-}
-
-/// A completed inventory (only constructible when every input is present).
-#[derive(Debug, Clone, PartialEq)]
-pub struct GhgInventory {
-    /// Scope 1+2 annual emissions, MT CO2e.
-    pub operational_mt: f64,
-    /// Scope 3 embodied emissions, MT CO2e.
-    pub embodied_mt: f64,
 }
 
 /// Error type: the protocol refuses to estimate with gaps.
@@ -98,110 +73,58 @@ pub fn operational(inputs: &GhgInputs) -> Result<f64, MissingMetrics> {
     Ok(scope1 + scope2)
 }
 
-/// Runs the embodied (scope 3) tabulation; fail-closed like
-/// [`operational`].
-pub fn embodied(inputs: &GhgInputs) -> Result<f64, MissingMetrics> {
-    let missing = inputs.missing(EMBODIED_CHECKLIST);
-    if !missing.is_empty() {
-        return Err(MissingMetrics {
-            ids: missing.iter().map(|m| m.id).collect(),
-        });
-    }
-    let cpu_dies = inputs.get("bom_cpu_model_counts").unwrap();
-    let cpu_area = inputs.get("cpu_die_area_per_model").unwrap();
-    let gpu_dies = inputs.get("bom_gpu_model_counts").unwrap();
-    let gpu_area = inputs.get("gpu_die_area_per_model").unwrap();
-    let fab_energy = inputs.get("cpu_fab_energy_mix").unwrap(); // kg/cm²
-    let yield_fraction = inputs.get("cpu_fab_yield").unwrap().clamp(0.05, 1.0);
-    let dram_gb = inputs.get("bom_dimm_inventory").unwrap();
-    let dram_factor = inputs.get("dram_fab_energy_per_gb").unwrap();
-    let transport = inputs.get("upstream_transport_tonne_km").unwrap() * 0.1 / 1000.0;
-    let silicon = (cpu_dies * cpu_area + gpu_dies * gpu_area) * fab_energy / yield_fraction;
-    Ok((silicon + dram_gb * dram_factor) / 1000.0 + transport)
-}
-
-/// Full inventory — both computations must succeed.
-pub fn inventory(inputs: &GhgInputs) -> Result<GhgInventory, MissingMetrics> {
-    let operational_mt = operational(inputs)?;
-    let embodied_mt = embodied(inputs)?;
-    Ok(GhgInventory {
-        operational_mt,
-        embodied_mt,
-    })
-}
-
-/// Fills every operational + embodied metric with a plausible value for a
-/// site that *does* have full internal telemetry — used by tests and the
-/// coverage study to show the method works when (and only when) everything
-/// is known.
-pub fn fully_instrumented_example() -> GhgInputs {
-    let mut inputs = GhgInputs::new();
-    for m in OPERATIONAL_CHECKLIST.iter().chain(EMBODIED_CHECKLIST) {
-        // Representative magnitudes for a mid-size (~2 MW) HPC site.
-        let value = match m.id {
-            "metered_it_energy_kwh_monthly" => 1.3e6,
-            "metered_facility_energy_kwh_monthly" => 1.5e6,
-            "grid_supplier_emission_factor_monthly" => 0.38,
-            "grid_transmission_losses" => 0.05,
-            "rec_purchases_mwh" => 2000.0,
-            "diesel_fuel_litres" => 4000.0,
-            "refrigerant_leakage_kg" => 12.0,
-            "bom_cpu_model_counts" => 5000.0,
-            "cpu_die_area_per_model" => 7.4,
-            "bom_gpu_model_counts" => 2000.0,
-            "gpu_die_area_per_model" => 8.26,
-            "cpu_fab_energy_mix" => 1.6,
-            "cpu_fab_yield" => 0.85,
-            "bom_dimm_inventory" => 1.2e6,
-            "dram_fab_energy_per_gb" => 0.3,
-            "upstream_transport_tonne_km" => 5.0e5,
-            _ => 1.0,
-        };
-        inputs.set(m.id, value);
-    }
-    inputs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every operational metric filled with a plausible value for a site
+    /// that *does* have full internal telemetry: the method works when (and
+    /// only when) everything is known.
+    fn fully_instrumented_example() -> GhgInputs {
+        let mut inputs = GhgInputs::new();
+        for m in OPERATIONAL_CHECKLIST {
+            // Representative magnitudes for a mid-size (~2 MW) HPC site.
+            let value = match m.id {
+                "metered_it_energy_kwh_monthly" => 1.3e6,
+                "metered_facility_energy_kwh_monthly" => 1.5e6,
+                "grid_supplier_emission_factor_monthly" => 0.38,
+                "grid_transmission_losses" => 0.05,
+                "rec_purchases_mwh" => 2000.0,
+                "diesel_fuel_litres" => 4000.0,
+                "refrigerant_leakage_kg" => 12.0,
+                _ => 1.0,
+            };
+            inputs.values.insert(m.id, value);
+        }
+        inputs
+    }
 
     #[test]
     fn empty_inputs_fail_closed() {
         let err = operational(&GhgInputs::new()).unwrap_err();
         assert_eq!(err.ids.len(), OPERATIONAL_CHECKLIST.len());
-        assert!(embodied(&GhgInputs::new()).is_err());
     }
 
     #[test]
     fn one_missing_metric_still_fails() {
-        let mut inputs = fully_instrumented_example();
-        // Re-create without one metric.
-        let mut partial = GhgInputs::new();
-        for m in OPERATIONAL_CHECKLIST.iter().chain(EMBODIED_CHECKLIST) {
-            if m.id != "refrigerant_leakage_kg" {
-                partial.set(m.id, inputs.get(m.id).unwrap());
-            }
-        }
+        let mut partial = fully_instrumented_example();
+        partial.values.remove("refrigerant_leakage_kg");
         let err = operational(&partial).unwrap_err();
         assert_eq!(err.ids, vec!["refrigerant_leakage_kg"]);
-        assert!(inputs.set("x", 0.0).get("x").is_some());
     }
 
     #[test]
     fn fully_instrumented_site_gets_inventory() {
-        let inv = inventory(&fully_instrumented_example()).unwrap();
-        assert!(inv.operational_mt > 0.0);
-        assert!(inv.embodied_mt > 0.0);
+        let operational_mt = operational(&fully_instrumented_example()).unwrap();
         // Sanity: a ~2 MW site lands in the thousands of MT CO2e.
-        assert!(inv.operational_mt > 1000.0 && inv.operational_mt < 20_000.0);
+        assert!(operational_mt > 1000.0 && operational_mt < 20_000.0);
     }
 
     #[test]
     fn recs_reduce_scope2() {
         let base = fully_instrumented_example();
         let mut more_recs = base.clone();
-        more_recs.set("rec_purchases_mwh", 10_000.0);
+        more_recs.values.insert("rec_purchases_mwh", 10_000.0);
         let a = operational(&base).unwrap();
         let b = operational(&more_recs).unwrap();
         assert!(b < a);

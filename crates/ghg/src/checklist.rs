@@ -83,11 +83,6 @@ pub const EMBODIED_CHECKLIST: &[RequiredMetric] = &[
     metric!("firmware_update_logistics", Scope::Scope3, false),
 ];
 
-/// Number of distinct metrics across both checklists.
-pub fn total_metric_count() -> usize {
-    OPERATIONAL_CHECKLIST.len() + EMBODIED_CHECKLIST.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,7 +90,7 @@ mod tests {
     #[test]
     fn checklists_are_long() {
         // The point of the baseline: far more metrics than EasyC's 7.
-        assert!(total_metric_count() > 40);
+        assert!(OPERATIONAL_CHECKLIST.len() + EMBODIED_CHECKLIST.len() > 40);
     }
 
     #[test]
@@ -106,7 +101,7 @@ mod tests {
             .filter(|m| m.publicly_available)
             .count();
         assert!(
-            public * 4 < total_metric_count(),
+            public * 4 < OPERATIONAL_CHECKLIST.len() + EMBODIED_CHECKLIST.len(),
             "only a small fraction is public"
         );
     }

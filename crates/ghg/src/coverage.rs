@@ -13,7 +13,7 @@ use top500::record::SystemRecord;
 /// record? Only sites that disclose measured annual energy *and* have full
 /// facility instrumentation (which we approximate as: utilisation also
 /// public, a vanishingly rare disclosure) can.
-pub fn operational_reportable(record: &SystemRecord) -> bool {
+pub(crate) fn operational_reportable(record: &SystemRecord) -> bool {
     // Metered facility energy is the irreplaceable item; the few systems
     // with both annual energy and utilisation disclosures are "open
     // science" sites with sustainability reports.
@@ -23,7 +23,7 @@ pub fn operational_reportable(record: &SystemRecord) -> bool {
 /// Can this system complete the embodied checklist? The checklist needs
 /// supplier factors, fab mixes and full BOMs, none of which are ever
 /// public: the answer is always no.
-pub fn embodied_reportable(_record: &SystemRecord) -> bool {
+pub(crate) fn embodied_reportable(_record: &SystemRecord) -> bool {
     // Supplier emission factors and fab-site mixes are contractual data.
     // No Top 500 system publishes them (paper §IV-A: "none of the systems
     // provided reporting under the GHG protocol").

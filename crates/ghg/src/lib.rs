@@ -17,6 +17,6 @@ pub mod checklist;
 pub mod coverage;
 pub mod scopes;
 
-pub use account::{GhgInputs, GhgInventory};
+pub use account::GhgInputs;
 pub use checklist::{RequiredMetric, EMBODIED_CHECKLIST, OPERATIONAL_CHECKLIST};
 pub use scopes::Scope;

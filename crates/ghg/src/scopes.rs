@@ -10,28 +10,3 @@ pub enum Scope {
     /// Value-chain emissions (manufacturing, transport, disposal, ...).
     Scope3,
 }
-
-impl Scope {
-    /// All scopes in numeric order.
-    pub const ALL: [Scope; 3] = [Scope::Scope1, Scope::Scope2, Scope::Scope3];
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Scope::Scope1 => "Scope 1 (direct)",
-            Scope::Scope2 => "Scope 2 (purchased energy)",
-            Scope::Scope3 => "Scope 3 (value chain)",
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn three_scopes() {
-        assert_eq!(Scope::ALL.len(), 3);
-        assert!(Scope::Scope3.name().contains("value chain"));
-    }
-}

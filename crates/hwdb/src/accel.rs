@@ -52,7 +52,7 @@ pub struct AccelSpec {
 // The A40's real die area happens to round to 6.28 cm^2; it is data, not
 // an approximation of a mathematical constant.
 #[allow(clippy::approx_constant)]
-pub const ACCELS: &[AccelSpec] = &[
+pub(crate) const ACCELS: &[AccelSpec] = &[
     AccelSpec {
         pattern: "gh200",
         model: "NVIDIA GH200",
@@ -333,7 +333,7 @@ pub const MAINSTREAM_FALLBACK: AccelSpec = AccelSpec {
 
 /// Coarse family labels that identify a vendor but not the silicon — the
 /// form top500.org often reports. These cannot anchor an embodied estimate.
-pub const GENERIC_LABELS: &[&str] = &[
+pub(crate) const GENERIC_LABELS: &[&str] = &[
     "nvidia gpu",
     "amd gpu",
     "intel gpu",

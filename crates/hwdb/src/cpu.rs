@@ -26,7 +26,7 @@ pub struct CpuSpec {
 }
 
 /// The CPU database. Longest/most-specific patterns first.
-pub const CPUS: &[CpuSpec] = &[
+pub(crate) const CPUS: &[CpuSpec] = &[
     CpuSpec {
         pattern: "epyc 9754",
         family: "AMD EPYC Bergamo",
@@ -389,7 +389,7 @@ pub const GENERIC_CPU: CpuSpec = CpuSpec {
 /// `"epyc"` regardless of table order. Returns `None` when nothing
 /// matches — callers decide whether to use [`GENERIC_CPU`] (and record
 /// that a fallback happened).
-pub fn lookup(description: &str) -> Option<&'static CpuSpec> {
+pub(crate) fn lookup(description: &str) -> Option<&'static CpuSpec> {
     let lower = description.to_ascii_lowercase();
     CPUS.iter()
         .filter(|spec| lower.contains(spec.pattern))

@@ -32,33 +32,11 @@ pub enum ProcessNode {
 }
 
 impl ProcessNode {
-    /// All nodes, oldest first.
-    pub const ALL: [ProcessNode; 6] = [
-        ProcessNode::N28,
-        ProcessNode::N16,
-        ProcessNode::N10,
-        ProcessNode::N7,
-        ProcessNode::N5,
-        ProcessNode::N3,
-    ];
-
-    /// Nominal feature size in nanometres (for display/sorting).
-    pub fn nanometres(self) -> u32 {
-        match self {
-            ProcessNode::N28 => 28,
-            ProcessNode::N16 => 16,
-            ProcessNode::N10 => 10,
-            ProcessNode::N7 => 7,
-            ProcessNode::N5 => 5,
-            ProcessNode::N3 => 3,
-        }
-    }
-
     /// Fab energy + direct gas + materials carbon per cm² of *printed* die,
     /// in kgCO2e/cm², before yield. Values follow the ACT supplementary
     /// aggregates (TSMC-class fab on the Taiwanese grid): newer nodes use
     /// more EUV passes and more energy per wafer.
-    pub fn gross_intensity_kg_per_cm2(self) -> f64 {
+    pub(crate) fn gross_intensity_kg_per_cm2(self) -> f64 {
         match self {
             ProcessNode::N28 => 0.9,
             ProcessNode::N16 => 1.2,
@@ -84,7 +62,7 @@ impl ProcessNode {
 }
 
 /// Poisson yield model: fraction of dies of `area_cm2` that are good.
-pub fn poisson_yield(node: ProcessNode, area_cm2: f64) -> f64 {
+pub(crate) fn poisson_yield(node: ProcessNode, area_cm2: f64) -> f64 {
     (-node.defect_density_per_cm2() * area_cm2).exp()
 }
 
@@ -117,8 +95,9 @@ mod tests {
 
     #[test]
     fn newer_nodes_are_more_carbon_intensive() {
+        use ProcessNode::*;
         let mut last = 0.0;
-        for node in ProcessNode::ALL {
+        for node in [N28, N16, N10, N7, N5, N3] {
             let v = node.gross_intensity_kg_per_cm2();
             assert!(v > last, "{node:?} should exceed previous node");
             last = v;
@@ -158,10 +137,5 @@ mod tests {
     #[test]
     fn advanced_packaging_costs_more() {
         assert!(packaging_kg(true) > packaging_kg(false));
-    }
-
-    #[test]
-    fn nanometres_ordering() {
-        assert!(ProcessNode::N28.nanometres() > ProcessNode::N3.nanometres());
     }
 }

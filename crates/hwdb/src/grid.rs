@@ -56,7 +56,7 @@ impl Region {
 
 /// `(country, gCO2e/kWh, region)` — national annual average carbon
 /// intensity of consumed electricity.
-pub const COUNTRY_ACI: &[(&str, f64, Region)] = &[
+pub(crate) const COUNTRY_ACI: &[(&str, f64, Region)] = &[
     ("United States", 369.0, Region::NorthAmerica),
     ("Canada", 126.0, Region::NorthAmerica),
     ("Mexico", 424.0, Region::NorthAmerica),

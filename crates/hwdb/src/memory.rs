@@ -49,10 +49,7 @@ impl MemoryType {
 pub const DEFAULT_DRAM_KG_PER_GB: f64 = 0.315;
 
 /// Embodied kgCO2e per GB of datacenter NAND (TLC, current-gen).
-pub const SSD_KG_PER_GB: f64 = 0.025;
-
-/// Embodied kgCO2e per GB of HDD capacity (for sites reporting disk only).
-pub const HDD_KG_PER_GB: f64 = 0.004;
+pub(crate) const SSD_KG_PER_GB: f64 = 0.025;
 
 /// Chassis, motherboard, PSU, cabling and cooling hardware per compute
 /// node, kgCO2e (server-LCA manufacturing aggregate less silicon/DRAM).
@@ -117,8 +114,7 @@ mod tests {
 
     #[test]
     fn ssd_cheaper_than_dram_per_gb() {
-        let (hdd, ssd, dram) = (HDD_KG_PER_GB, SSD_KG_PER_GB, DEFAULT_DRAM_KG_PER_GB);
+        let (ssd, dram) = (SSD_KG_PER_GB, DEFAULT_DRAM_KG_PER_GB);
         assert!(ssd < dram);
-        assert!(hdd < ssd);
     }
 }

@@ -6,7 +6,7 @@
 //! and needs no external dependencies at all.
 
 /// SplitMix64 PRNG (Steele, Lea, Flood 2014). One 64-bit state word; each
-/// [`SplitMix64::next`] advances by the golden-gamma constant and mixes.
+/// `SplitMix64::next` advances by the golden-gamma constant and mixes.
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
     state: u64,
@@ -14,15 +14,14 @@ pub struct SplitMix64 {
 
 impl SplitMix64 {
     /// Creates a generator from a seed.
-    pub fn new(seed: u64) -> SplitMix64 {
+    pub(crate) fn new(seed: u64) -> SplitMix64 {
         SplitMix64 { state: seed }
     }
 
     /// Next raw 64-bit output. (Not `Iterator::next` — generators are
     /// infinite streams and an `Option` wrapper would just be noise.)
-    #[allow(clippy::should_implement_trait)]
     #[inline]
-    pub fn next(&mut self) -> u64 {
+    pub(crate) fn next(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -72,11 +71,6 @@ impl RngStreams {
     /// Creates a stream factory from a master seed.
     pub fn new(seed: u64) -> RngStreams {
         RngStreams { seed }
-    }
-
-    /// The master seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Deterministic generator for stream `index`.

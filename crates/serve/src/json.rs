@@ -8,7 +8,7 @@
 //! fields strictly in call order. Floats are written with Rust's shortest
 //! round-trip formatting, which is a pure function of the bits — exact
 //! carbon bits additionally travel as 16-digit hex strings
-//! ([`Obj::field_bits`]) so clients never depend on decimal round-trips.
+//! (`Obj::field_bits`) so clients never depend on decimal round-trips.
 
 use std::fmt::Write as _;
 
@@ -418,13 +418,13 @@ impl Obj {
 
     /// Adds a float's exact bits as a 16-digit hex string — the field
     /// clients compare for bit-identity.
-    pub fn field_bits(self, key: &str, value: f64) -> Obj {
+    pub(crate) fn field_bits(self, key: &str, value: f64) -> Obj {
         let hex = format!("{:016x}", value.to_bits());
         self.field_str(key, &hex)
     }
 
     /// Adds a boolean field.
-    pub fn field_bool(mut self, key: &str, value: bool) -> Obj {
+    pub(crate) fn field_bool(mut self, key: &str, value: bool) -> Obj {
         self.key(key);
         self.buf.push_str(if value { "true" } else { "false" });
         self
@@ -432,7 +432,7 @@ impl Obj {
 
     /// Adds a pre-rendered JSON fragment (an [`Obj::finish`] result or an
     /// array built from them) verbatim.
-    pub fn field_raw(mut self, key: &str, json: &str) -> Obj {
+    pub(crate) fn field_raw(mut self, key: &str, json: &str) -> Obj {
         self.key(key);
         self.buf.push_str(json);
         self
@@ -452,7 +452,7 @@ impl Default for Obj {
 }
 
 /// Renders pre-rendered JSON fragments as an array.
-pub fn array(items: &[String]) -> String {
+pub(crate) fn array(items: &[String]) -> String {
     let mut out = String::from("[");
     for (i, item) in items.iter().enumerate() {
         if i > 0 {
@@ -465,7 +465,7 @@ pub fn array(items: &[String]) -> String {
 }
 
 /// Parses a 16-digit hex string back into `f64` bits — the inverse of
-/// [`Obj::field_bits`].
+/// `Obj::field_bits`.
 pub fn bits_from_hex(hex: &str) -> Option<f64> {
     (hex.len() == 16)
         .then(|| u64::from_str_radix(hex, 16).ok())

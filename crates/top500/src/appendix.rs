@@ -27,18 +27,6 @@ pub struct ScenarioValues {
     pub interpolated: Option<f64>,
 }
 
-impl ScenarioValues {
-    /// The value under the best non-interpolated scenario.
-    pub fn best_measured(&self) -> Option<f64> {
-        self.public.or(self.top500)
-    }
-
-    /// True when the value only exists via interpolation.
-    pub fn is_interpolated_only(&self) -> bool {
-        self.best_measured().is_none() && self.interpolated.is_some()
-    }
-}
-
 /// One row of Table II.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AppendixRow {
@@ -155,18 +143,10 @@ mod tests {
             count(&rows, |r| r.operational.top500),
             paper::OP_COVERAGE_TOP500
         );
-        assert_eq!(
-            count(&rows, |r| r.operational.public),
-            paper::OP_COVERAGE_PUBLIC
-        );
         assert_eq!(count(&rows, |r| r.operational.interpolated), 500);
         assert_eq!(
             count(&rows, |r| r.embodied.top500),
             paper::EMB_COVERAGE_TOP500
-        );
-        assert_eq!(
-            count(&rows, |r| r.embodied.public),
-            paper::EMB_COVERAGE_PUBLIC
         );
         assert_eq!(count(&rows, |r| r.embodied.interpolated), 500);
     }
@@ -176,8 +156,6 @@ mod tests {
         let rows = load();
         let op_i = total(&rows, |r| r.operational.interpolated);
         let emb_i = total(&rows, |r| r.embodied.interpolated);
-        let op_p = total(&rows, |r| r.operational.public);
-        let emb_p = total(&rows, |r| r.embodied.public);
         // Paper rounds to 3 significant figures; allow 1 %.
         assert!(
             (op_i / paper::OP_TOTAL_INTERPOLATED_MT - 1.0).abs() < 0.01,
@@ -186,14 +164,6 @@ mod tests {
         assert!(
             (emb_i / paper::EMB_TOTAL_INTERPOLATED_MT - 1.0).abs() < 0.01,
             "emb_i={emb_i}"
-        );
-        assert!(
-            (op_p / paper::OP_TOTAL_COVERED_MT - 1.0).abs() < 0.01,
-            "op_p={op_p}"
-        );
-        assert!(
-            (emb_p / paper::EMB_TOTAL_COVERED_MT - 1.0).abs() < 0.01,
-            "emb_p={emb_p}"
         );
     }
 
@@ -238,13 +208,15 @@ mod tests {
     #[test]
     fn interpolated_only_counts() {
         let rows = load();
+        let interpolated_only =
+            |sv: &ScenarioValues| sv.public.or(sv.top500).is_none() && sv.interpolated.is_some();
         let op_only = rows
             .iter()
-            .filter(|r| r.operational.is_interpolated_only())
+            .filter(|r| interpolated_only(&r.operational))
             .count();
         let emb_only = rows
             .iter()
-            .filter(|r| r.embodied.is_interpolated_only())
+            .filter(|r| interpolated_only(&r.embodied))
             .count();
         assert_eq!(op_only, 10); // "adding the missing 10 systems"
         assert_eq!(emb_only, 96); // "adding the missing 96 systems"
@@ -286,21 +258,5 @@ mod tests {
             .unwrap();
         let ratio = frontier.embodied.public.unwrap() / el_capitan.embodied.public.unwrap();
         assert!((ratio - 2.6).abs() < 0.1, "ratio {ratio}");
-    }
-
-    #[test]
-    fn best_measured_prefers_public() {
-        let sv = ScenarioValues {
-            top500: Some(1.0),
-            public: Some(2.0),
-            interpolated: Some(2.0),
-        };
-        assert_eq!(sv.best_measured(), Some(2.0));
-        let sv = ScenarioValues {
-            top500: Some(1.0),
-            public: None,
-            interpolated: Some(1.0),
-        };
-        assert_eq!(sv.best_measured(), Some(1.0));
     }
 }

@@ -71,8 +71,17 @@ impl From<FrameError> for ImportError {
     }
 }
 
+/// A numeric cell: a number, or text that parses as one. Anything that is
+/// not a finite number (`NaN`, `inf`, an overflowing literal such as
+/// `1e999`, a stray token such as `unknown`) reads as missing, like an
+/// empty cell. A cell's value therefore never depends on how the CSV
+/// reader typed the rest of its column (a whole file or one chunk).
 fn opt_f64(df: &DataFrame, col: &str, row: usize) -> Option<f64> {
-    df.value(col, row).ok().and_then(|v| v.as_f64())
+    let value = match df.value(col, row).ok()? {
+        Value::Str(text) => text.parse::<f64>().ok(),
+        other => other.as_f64(),
+    };
+    value.filter(|v| v.is_finite())
 }
 
 fn opt_u64(df: &DataFrame, col: &str, row: usize) -> Option<u64> {
@@ -108,8 +117,7 @@ fn check_required(df: &DataFrame) -> Result<(), ImportError> {
 /// `row_label` is the global 0-based data-row index reported in errors
 /// (they differ when the frame is one chunk of a streamed file). Shared by
 /// [`import_csv`] and [`CsvFleetReader`], so the row-conversion rules
-/// cannot drift between the two paths (column typing can — see the
-/// [`CsvFleetReader`] caveats).
+/// cannot drift between the two paths.
 fn row_to_record(
     df: &DataFrame,
     row: usize,
@@ -198,7 +206,8 @@ fn row_to_record(
 }
 
 /// Parses a Top500-style CSV into a list. `rank` and `rmax_tflops` are
-/// required; everything else is optional and becomes a missing item.
+/// required; everything else is optional and becomes a missing item, as
+/// does a numeric cell holding anything but a finite number.
 pub fn import_csv(text: &str) -> Result<Top500List, ImportError> {
     // `#`-prefixed lines are comments (the `template` command emits them).
     let cleaned: String = text
@@ -221,16 +230,12 @@ pub fn import_csv(text: &str) -> Result<Top500List, ImportError> {
 ///
 /// The schema, comment handling (`#` lines) and per-row conversion are
 /// exactly [`import_csv`]'s (one shared code path); the required-column
-/// check runs on the first chunk. Two caveats bound the equivalence with
-/// a whole-file import: rows must be rank-ordered (each chunk is sorted
-/// by rank on its own, like any [`Top500List`], but chunks are emitted in
-/// file order), and column *type inference* is per chunk — a column whose
-/// cells mix kinds across chunks (say one `unknown` in an otherwise
-/// numeric `power_kw`) degrades to string whole-file but stays numeric in
-/// clean chunks, so such malformed columns can import differently; see
-/// [`frame::csv::ChunkedReader`]. Clean, kind-consistent CSVs (incl.
-/// everything `export_csv` emits) import identically. After the first
-/// error the reader is fused.
+/// check runs on the first chunk. Each numeric cell is read on its own (a
+/// non-finite or non-numeric value is missing), so a stray token imports
+/// the same whole-file and streamed. One caveat bounds the equivalence
+/// with a whole-file import: rows must be rank-ordered (each chunk is
+/// sorted by rank on its own, like any [`Top500List`], but chunks are
+/// emitted in file order). After the first error the reader is fused.
 #[derive(Debug)]
 pub struct CsvFleetReader<R> {
     chunks: csv::ChunkedReader<R>,
@@ -437,6 +442,27 @@ mod tests {
         for rows in [1usize, 7, 32, 60, 500] {
             let streamed = stream_all(&text, rows).unwrap();
             assert_eq!(streamed, whole.systems(), "rows {rows}");
+        }
+    }
+
+    #[test]
+    fn non_finite_cells_import_as_missing() {
+        let csv = |bad: [&str; 4]| {
+            format!(
+                "rank,rmax_tflops,power_kw,memory_gb,ssd_gb,utilization,annual_energy_mwh,node_count\n\
+                 1,1000,{0},512,10,0.8,{1},100\n\
+                 2,900,500,{2},20,{0},4000,{3}\n\
+                 3,800,400,256,{3},0.5,3000,{1}\n\
+                 4,700,300,128,40,0.7,2000,50\n",
+                bad[0], bad[1], bad[2], bad[3]
+            )
+        };
+        let dirty = csv(["NaN", "inf", "-inf", "1e999"]);
+        let clean = import_csv(&csv([""; 4])).unwrap();
+        assert_eq!(import_csv(&dirty).unwrap().systems(), clean.systems());
+        for rows in [1usize, 3] {
+            let streamed = stream_all(&dirty, rows).unwrap();
+            assert_eq!(streamed, clean.systems(), "rows {rows}");
         }
     }
 

@@ -36,16 +36,6 @@ impl RankRange {
         (self.lo..=self.hi).contains(&rank)
     }
 
-    /// Number of ranks in the bucket.
-    pub fn len(&self) -> usize {
-        (self.hi - self.lo + 1) as usize
-    }
-
-    /// Ranges are never empty.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Axis label, e.g. "26-50" or "1-500".
     pub fn label(&self) -> String {
         format!("{}-{}", self.lo, self.hi)
@@ -90,16 +80,11 @@ impl Top500List {
     }
 
     /// System by rank, if present.
-    pub fn by_rank(&self, rank: u32) -> Option<&SystemRecord> {
+    pub(crate) fn by_rank(&self, rank: u32) -> Option<&SystemRecord> {
         self.systems
             .binary_search_by_key(&rank, |s| s.rank)
             .ok()
             .map(|i| &self.systems[i])
-    }
-
-    /// Systems whose rank falls in `range`.
-    pub fn in_range(&self, range: RankRange) -> impl Iterator<Item = &SystemRecord> {
-        self.systems.iter().filter(move |s| range.contains(s.rank))
     }
 
     /// Sum of Rmax over the list, TFlop/s.
@@ -120,7 +105,7 @@ mod tests {
             let hits = buckets.iter().filter(|b| b.contains(rank)).count();
             assert_eq!(hits, 1, "rank {rank} in {hits} buckets");
         }
-        assert_eq!(buckets.iter().map(RankRange::len).sum::<usize>(), 500);
+        assert_eq!(buckets.iter().map(|b| b.hi - b.lo + 1).sum::<u32>(), 500);
     }
 
     #[test]
@@ -142,12 +127,5 @@ mod tests {
         assert_eq!(list.by_rank(2).unwrap().rmax_tflops, 50.0);
         assert!(list.by_rank(9).is_none());
         assert_eq!(list.total_rmax_tflops(), 160.0);
-    }
-
-    #[test]
-    fn in_range_filters() {
-        let list = Top500List::new((1..=20).map(|r| SystemRecord::bare(r, 1.0, 2.0)).collect());
-        let bucket = RankRange { lo: 11, hi: 25 };
-        assert_eq!(list.in_range(bucket).count(), 10);
     }
 }

@@ -131,7 +131,7 @@ impl SystemRecord {
     }
 
     /// Which of the 19 reportable data items are missing on this record.
-    pub fn missing_items(&self) -> Vec<DataItem> {
+    pub(crate) fn missing_items(&self) -> Vec<DataItem> {
         DataItem::ALL
             .iter()
             .copied()
@@ -239,31 +239,6 @@ impl DataItem {
         DataItem::SsdCapacity,
         DataItem::Utilization,
     ];
-
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            DataItem::Name => "Name",
-            DataItem::Country => "Country",
-            DataItem::Region => "Region",
-            DataItem::OperationYear => "Operation Year",
-            DataItem::Vendor => "Vendor",
-            DataItem::Processor => "Processor",
-            DataItem::TotalCores => "Total Cores",
-            DataItem::AcceleratorModel => "Accelerator Model",
-            DataItem::AcceleratorCount => "Accelerator Count",
-            DataItem::Rmax => "Rmax",
-            DataItem::Rpeak => "Rpeak",
-            DataItem::Nmax => "Nmax",
-            DataItem::PowerKw => "Power (kW)",
-            DataItem::NodeCount => "# of Compute Nodes",
-            DataItem::CpuCount => "# of CPUs",
-            DataItem::MemoryCapacity => "Memory Capacity",
-            DataItem::MemoryType => "Memory Type",
-            DataItem::SsdCapacity => "SSD Capacity",
-            DataItem::Utilization => "System Util (opt.)",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -318,11 +293,7 @@ mod tests {
     fn all_items_distinct() {
         let mut seen = std::collections::HashSet::new();
         for item in DataItem::ALL {
-            assert!(
-                seen.insert(item.label()),
-                "duplicate label {}",
-                item.label()
-            );
+            assert!(seen.insert(item), "duplicate item {item:?}");
         }
         assert_eq!(seen.len(), 19);
     }

@@ -12,6 +12,7 @@ use top500_carbon::easyc::{
     Assessment, DataScenario, DrawPlan, EasyC, EasyCConfig, MetricBit, MetricMask, OverrideSet,
     ScenarioMatrix, SystemFootprint,
 };
+use top500_carbon::top500::stream::InMemoryChunks;
 use top500_carbon::top500::synthetic::{generate_full, mask_baseline, MaskRates, SyntheticConfig};
 
 fn full_500() -> top500_carbon::top500::list::Top500List {
@@ -92,29 +93,34 @@ fn session_bit_identical_to_serial_full_500_at_pinned_worker_counts() {
 
 #[test]
 fn session_bit_identical_across_chunk_granularities() {
-    // The chunk-skew fix made the work-item size a scheduler knob
-    // (~4× workers by default). Any granularity must produce bit-identical
-    // output — including the Monte-Carlo intervals, whose draws depend
-    // only on (seed, sample, base index).
+    // A run plans `workers × 4` work items per block, so the worker count
+    // and the fleet's chunking together set the work-item size. Any
+    // granularity must produce bit-identical output — including the
+    // Monte-Carlo intervals, whose draws depend only on (seed, sample,
+    // base index).
     let list = full_500();
     let matrix = scenario_matrix();
-    let run = |workers: usize, items: usize| {
-        Assessment::of(&list)
+    let reference = Assessment::of(&list)
+        .workers(1)
+        .scenarios(&matrix)
+        .uncertainty(60)
+        .seed(7)
+        .run();
+    for (workers, rows) in [(1usize, 500usize), (2, 1), (2, 64), (8, 7), (8, 500)] {
+        let mut footprints = vec![Vec::new(); matrix.len()];
+        let got = Assessment::stream(InMemoryChunks::new(&list, rows))
             .workers(workers)
-            .items_per_worker(items)
             .scenarios(&matrix)
             .uncertainty(60)
             .seed(7)
+            .rows(|block| footprints[block.scenario_index].extend_from_slice(block.footprints))
             .run()
-    };
-    let reference = run(1, 1); // one chunk per scenario: the coarsest plan
-    for (workers, items) in [(1usize, 4usize), (2, 1), (2, 4), (8, 2), (8, 16)] {
-        let got = run(workers, items);
-        for (a, b) in reference.slices().iter().zip(got.slices()) {
+            .expect("in-memory chunks cannot fail");
+        for ((a, b), fps) in reference.slices().iter().zip(got.slices()).zip(&footprints) {
             assert_bit_identical(
                 &a.footprints,
-                &b.footprints,
-                &format!("workers {workers} items/worker {items}"),
+                fps,
+                &format!("workers {workers} rows/chunk {rows}"),
             );
             assert_eq!(a.coverage, b.coverage);
         }

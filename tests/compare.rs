@@ -182,23 +182,30 @@ fn compare_deterministic_across_workers_and_granularity() {
         n: 120,
         ..Default::default()
     });
-    let run = |workers: usize, items: usize| {
-        Assessment::of(&list)
+    let run = |workers: usize, rows: usize| {
+        Assessment::stream(InMemoryChunks::new(&list, rows))
             .workers(workers)
-            .items_per_worker(items)
             .scenarios(&matrix())
             .uncertainty(80)
             .seed(9)
             .run()
+            .unwrap()
             .compare("full", "no-power")
             .unwrap()
     };
-    let reference = run(1, 1);
-    for (workers, items) in [(2usize, 1usize), (4, 4), (8, 2)] {
+    let reference = Assessment::of(&list)
+        .workers(1)
+        .scenarios(&matrix())
+        .uncertainty(80)
+        .seed(9)
+        .run()
+        .compare("full", "no-power")
+        .unwrap();
+    for (workers, rows) in [(1usize, 120usize), (2, 1), (4, 17), (8, 60)] {
         assert_eq!(
-            run(workers, items),
+            run(workers, rows),
             reference,
-            "workers {workers} items {items}"
+            "workers {workers} rows {rows}"
         );
     }
 }

@@ -22,6 +22,16 @@ fn abstract_coverage_claims() {
         paper::EMB_COVERAGE_TOP500
     );
     // "coverage can be increased to 98% ... and 80.8%"
+    assert_eq!(
+        rows.iter()
+            .filter(|r| r.operational.public.is_some())
+            .count(),
+        paper::OP_COVERAGE_PUBLIC
+    );
+    assert_eq!(
+        rows.iter().filter(|r| r.embodied.public.is_some()).count(),
+        paper::EMB_COVERAGE_PUBLIC
+    );
     let fig5 = CoverageByRange::from_appendix(&rows, false);
     let fig6 = CoverageByRange::from_appendix(&rows, true);
     assert!((fig5.overall(true) - 0.98).abs() < 1e-9);
@@ -62,6 +72,9 @@ fn section_iv_b_interpolation_deltas() {
     let op_i: f64 = rows.iter().filter_map(|r| r.operational.interpolated).sum();
     let emb_p: f64 = rows.iter().filter_map(|r| r.embodied.public).sum();
     let emb_i: f64 = rows.iter().filter_map(|r| r.embodied.interpolated).sum();
+    // The covered totals the deltas are taken from (3 significant figures).
+    assert!((op_p / paper::OP_TOTAL_COVERED_MT - 1.0).abs() < 0.01);
+    assert!((emb_p / paper::EMB_TOTAL_COVERED_MT - 1.0).abs() < 0.01);
     assert!((op_i / op_p - 1.0 - paper::OP_INTERPOLATION_DELTA).abs() < 0.001);
     assert!((emb_i / emb_p - 1.0 - paper::EMB_INTERPOLATION_DELTA).abs() < 0.001);
 }

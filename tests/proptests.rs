@@ -577,24 +577,26 @@ proptest! {
         mask in arb_mask(),
         overrides in arb_overrides(),
         workers in 1usize..5,
-        items in 1usize..6,
+        rows_per_chunk in 1usize..48,
     ) {
-        // The whole session pipeline — FleetColumns built once, (scenario ×
-        // chunk) items through the columnar kernels at any worker count and
-        // chunk granularity — must equal the serial per-record facade.
+        // The whole session pipeline — FleetColumns built per chunk, (scenario
+        // × sub-range) items through the columnar kernels at any worker count
+        // and chunk granularity — must equal the serial per-record facade.
         let list = generate_full(&SyntheticConfig { n, seed, ..Default::default() });
         let matrix = ScenarioMatrix::new()
             .with(DataScenario::full("full"))
             .with(DataScenario::masked("masked", mask).with_overrides(overrides));
-        let session = Assessment::of(&list)
+        let mut footprints = vec![Vec::new(); matrix.len()];
+        Assessment::stream(InMemoryChunks::new(&list, rows_per_chunk))
             .workers(workers)
-            .items_per_worker(items)
             .scenarios(&matrix)
-            .run();
+            .rows(|block| footprints[block.scenario_index].extend_from_slice(block.footprints))
+            .run()
+            .expect("in-memory chunks cannot fail");
         let tool = EasyC::new();
-        for (slice, scenario) in session.slices().iter().zip(matrix.scenarios()) {
-            prop_assert_eq!(slice.footprints.len(), list.len());
-            for (record, fp) in list.systems().iter().zip(&slice.footprints) {
+        for (fps, scenario) in footprints.iter().zip(matrix.scenarios()) {
+            prop_assert_eq!(fps.len(), list.len());
+            for (record, fp) in list.systems().iter().zip(fps) {
                 let reference = tool.assess_scenario(record, scenario);
                 prop_assert_eq!(&fp.operational, &reference.operational);
                 prop_assert_eq!(&fp.embodied, &reference.embodied);
@@ -807,13 +809,28 @@ proptest! {
         rows_per_chunk in 1usize..48,
         workers in 1usize..4,
         mask in arb_mask(),
+        stray in prop::option::of((0usize..4, 0usize..40, 0usize..3)),
     ) {
         // The chunked CSV stream must reproduce the in-memory session over
         // the whole-file import exactly: coverage, totals, both interval
         // families, retained draw vectors, and compare deltas, for any
-        // fleet, seed, chunk budget, worker count and availability mask.
+        // fleet, seed, chunk budget, worker count and availability mask —
+        // and with a stray token in one numeric cell, which must read as
+        // missing in that cell alone, whatever the chunking.
         let list = generate_full(&SyntheticConfig { n, seed, ..Default::default() });
-        let text = export_csv(&list);
+        let mut text = export_csv(&list);
+        if let Some((token, row, from_end)) = stray {
+            // `annual_energy_mwh`, `utilization` and `ssd_gb` are the last
+            // three fields of a data line, all numeric.
+            let token = ["unknown", "n/a", "NaN", "inf"][token];
+            let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+            let line = &mut lines[1 + row % n as usize];
+            let mut fields: Vec<&str> = line.rsplitn(4, ',').collect();
+            fields[from_end] = token;
+            let edited = fields.into_iter().rev().collect::<Vec<_>>().join(",");
+            *line = edited;
+            text = lines.join("\n") + "\n";
+        }
         let matrix = ScenarioMatrix::new()
             .with(DataScenario::full("full"))
             .with(DataScenario::masked("masked", mask));

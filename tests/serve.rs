@@ -180,6 +180,35 @@ fn sweep_csv_over_the_wire_is_byte_identical_to_the_session_artifact() {
 }
 
 #[test]
+fn a_non_finite_matrix_override_is_a_bad_scenario_and_the_worker_lives() {
+    let _shared = shared_address_space();
+    // One compute worker: were the hostile sweep to kill it, nothing would
+    // answer the follow-up requests.
+    let config = ServeConfig {
+        workers: 1,
+        ..Default::default()
+    };
+    let server = spawn(fleet_state(50, true), "127.0.0.1:0", config).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let sweep = top500_carbon::serve::json::Obj::new()
+        .field_str("op", "sweep")
+        .field_str(
+            "matrix_csv",
+            "name,mask,pue_override,utilization_override,aci_override\nbad,all,,,NaN\n",
+        )
+        .field_int("draws", 8)
+        .finish();
+    let reply = client.request_raw(&sweep).unwrap();
+    assert!(reply.contains(r#""code":"bad-scenario""#), "{reply}");
+    assert!(reply.contains("aci_override"), "{reply}");
+    let assess = client.request_raw(r#"{"op":"assess","draws":8}"#).unwrap();
+    assert!(assess.contains(r#""ok":true"#), "{assess}");
+    let status = client.request_raw(r#"{"op":"status"}"#).unwrap();
+    assert!(status.contains(r#""queued":0"#), "{status}");
+    server.shutdown();
+}
+
+#[test]
 fn concurrent_clients_see_identical_bytes_for_identical_queries() {
     let _shared = shared_address_space();
     let config = ServeConfig {
