@@ -95,8 +95,8 @@ pub const REGISTRY: &[Rule] = &[
     },
     Rule {
         id: "panic-surface",
-        summary: "unwrap/expect/panic!/call-result indexing on serve's request lifecycle and easyc hot paths must carry an `// audit: allow(panic-surface) — reason` justification or be refactored into structured errors",
-        scope: "fns in crates/serve and the easyc hot-path modules (session, stream, state, partial, columns, uncertainty) reachable from the request/assessment entry points",
+        summary: "unwrap/expect/panic!/call-result indexing on serve's request lifecycle, the easyc hot paths and the CSV ingest path must carry an `// audit: allow(panic-surface) — reason` justification or be refactored into structured errors",
+        scope: "fns in crates/serve, the easyc hot-path modules (session, stream, state, partial, columns, uncertainty) and the ingest path (frame::csv, top500::{io, stream}) reachable from their pub entry points",
         kind: RuleKind::Semantic,
     },
     Rule {

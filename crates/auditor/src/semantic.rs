@@ -75,18 +75,22 @@ fn transitive_wall_clock(files: &[FileItems], graph: &Graph, out: &mut Vec<Viola
 
 // --------------------------------------------------------- panic-surface
 
-/// The request-lifecycle / hot-path files whose reachable panics must be
-/// justified or refactored to structured errors.
+/// The request-lifecycle / hot-path files, and the CSV ingest path every
+/// untrusted file goes through, whose reachable panics must be justified
+/// or refactored to structured errors.
 fn is_panic_scope(path: &str) -> bool {
-    const EASYC_HOT: &[&str] = &[
+    const HOT: &[&str] = &[
         "crates/easyc/src/session.rs",
         "crates/easyc/src/stream.rs",
         "crates/easyc/src/state.rs",
         "crates/easyc/src/partial.rs",
         "crates/easyc/src/columns.rs",
         "crates/easyc/src/uncertainty.rs",
+        "crates/frame/src/csv.rs",
+        "crates/top500/src/io.rs",
+        "crates/top500/src/stream.rs",
     ];
-    path.starts_with("crates/serve/src/") || EASYC_HOT.contains(&path)
+    path.starts_with("crates/serve/src/") || HOT.contains(&path)
 }
 
 fn panic_surface(files: &[FileItems], graph: &Graph, out: &mut Vec<Violation>) {

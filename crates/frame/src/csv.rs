@@ -1,86 +1,311 @@
 //! Minimal CSV reader/writer (RFC 4180 quoting, empty field = null).
 //!
-//! The Top 500 appendix dataset and every figure artifact round-trip through
-//! this module, so it is tested for quoting, embedded separators, CRLF and
-//! type inference. For inputs too large to materialize, [`ChunkedReader`]
-//! streams the same dialect as bounded [`DataFrame`] chunks.
+//! Every CSV this workspace reads goes through one byte-level
+//! [`Tokenizer`], and every CSV it writes through one escape rule
+//! ([`escape_into`]). The dialect:
+//!
+//! - Records end at `\n`. One trailing `\r` is stripped from each raw line
+//!   (inside a quoted field too), so CRLF files read like LF files.
+//! - A record whose quote count is odd continues on the next raw line
+//!   (the newline becomes part of the quoted field).
+//! - With comments on ([`Tokenizer::strip_comments`]), a raw line whose
+//!   `trim_start()` begins with `#` is dropped before quote accounting,
+//!   inside a quoted field too, and does not count as a line in errors.
+//! - Trailing blank records are dropped; an interior blank record is one
+//!   empty field.
+//! - Fields are split on `,`. A field that starts with `"` is quoted: `""`
+//!   inside it is one quote, and text after the closing quote is appended
+//!   (`"a"b` reads `ab`). A quote anywhere else is an error, and so is a
+//!   quote left open at the end of input.
+//! - Each record is checked as UTF-8 once; invalid UTF-8 is an error,
+//!   never replaced.
+//!
+//! [`parse`] and [`ChunkedReader`] read a CSV into typed [`DataFrame`]s
+//! (whole-file, or in bounded chunks for inputs too large to materialize);
+//! typed readers such as `top500::io` take the tokenizer's fields as
+//! `&str` and never build a frame. The writer ([`write()`], [`write_header`],
+//! [`write_rows`]) renders a frame column by column into one buffer.
 
 use crate::column::{Column, Value};
 use crate::error::{FrameError, Result};
 use crate::frame::DataFrame;
+use std::fmt::{Display, Write as _};
 use std::io::BufRead;
+use std::ops::Range;
 
-/// Splits one logical CSV record that has already been isolated (no embedded
-/// newlines — those are handled by [`parse`]).
-fn split_record(line: &str, line_no: usize) -> Result<Vec<String>> {
-    let mut fields = Vec::new();
-    let mut field = String::new();
-    let mut chars = line.chars().peekable();
-    let mut in_quotes = false;
-    while let Some(c) = chars.next() {
-        if in_quotes {
-            match c {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        field.push('"');
-                    } else {
-                        in_quotes = false;
-                    }
-                }
-                other => field.push(other),
-            }
-        } else {
-            match c {
-                ',' => fields.push(std::mem::take(&mut field)),
-                '"' => {
-                    if field.is_empty() {
-                        in_quotes = true;
-                    } else {
-                        return Err(FrameError::Csv {
-                            line: line_no,
-                            message: "quote inside unquoted field".into(),
-                        });
-                    }
-                }
-                other => field.push(other),
-            }
-        }
+fn csv_error(line: usize, message: &str) -> FrameError {
+    FrameError::Csv {
+        line,
+        message: message.to_string(),
     }
-    if in_quotes {
-        return Err(FrameError::Csv {
-            line: line_no,
-            message: "unterminated quote".into(),
-        });
-    }
-    fields.push(field);
-    Ok(fields)
 }
 
-/// Joins raw text lines into logical records, re-merging lines that were
-/// split inside a quoted field.
-fn logical_records(text: &str) -> Vec<(usize, String)> {
-    let mut records = Vec::new();
-    let mut pending = String::new();
-    let mut pending_start = 0usize;
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.strip_suffix('\r').unwrap_or(raw);
-        if pending.is_empty() {
-            pending_start = i + 1;
-            pending.push_str(line);
+/// Where one field's text lives: a range of the record itself, or, for a
+/// quoted field (whose `""` pairs are unescaped), a range of the
+/// tokenizer's unescape buffer.
+#[derive(Debug, Clone)]
+enum Span {
+    Raw(Range<usize>),
+    Unescaped(Range<usize>),
+}
+
+/// The one field of a blank record.
+const BLANK: &[Span] = &[Span::Raw(0..0)];
+
+/// One record's fields, borrowed from the [`Tokenizer`] until its next
+/// call.
+#[derive(Debug, Clone, Copy)]
+pub struct Record<'a> {
+    /// 1-based line the record starts on (comment lines not counted).
+    line: usize,
+    text: &'a str,
+    unescaped: &'a str,
+    spans: &'a [Span],
+}
+
+impl<'a> Record<'a> {
+    /// Checks the record has exactly `width` fields (the header's count).
+    pub fn check_width(&self, width: usize) -> Result<()> {
+        if self.spans.len() == width {
+            return Ok(());
+        }
+        Err(FrameError::Csv {
+            line: self.line,
+            message: format!("expected {width} fields, got {}", self.spans.len()),
+        })
+    }
+
+    /// The record's fields in order, unescaped.
+    pub fn fields(&self) -> impl ExactSizeIterator<Item = &'a str> + 'a {
+        let (text, unescaped) = (self.text, self.unescaped);
+        self.spans.iter().map(move |span| match span {
+            Span::Raw(range) => &text[range.clone()],
+            Span::Unescaped(range) => &unescaped[range.clone()],
+        })
+    }
+}
+
+/// Byte-level CSV tokenizer over any [`BufRead`]: yields one [`Record`] at
+/// a time in the module's dialect, reusing its buffers, so a record costs
+/// no allocation once the buffers have grown to the longest one.
+#[derive(Debug)]
+pub struct Tokenizer<R> {
+    input: R,
+    strip_comments: bool,
+    /// The current logical record: its raw lines joined by `\n`.
+    raw: Vec<u8>,
+    /// Unescaped text of the current record's quoted fields.
+    unescaped: String,
+    spans: Vec<Span>,
+    /// Non-comment raw lines read so far.
+    line_no: usize,
+    /// Blank records held back until a later record shows they are
+    /// interior (trailing ones are dropped at the end of input): how many,
+    /// and the line of the first. Blank records are single raw lines, so
+    /// held ones sit on consecutive lines.
+    blanks: usize,
+    blank_line: usize,
+    /// Start line of the record waiting in `raw` behind held blanks.
+    staged: Option<usize>,
+}
+
+impl<R: BufRead> Tokenizer<R> {
+    /// Tokenizer over `input`, comments off.
+    pub fn new(input: R) -> Tokenizer<R> {
+        Tokenizer {
+            input,
+            strip_comments: false,
+            raw: Vec::new(),
+            unescaped: String::new(),
+            spans: Vec::new(),
+            line_no: 0,
+            blanks: 0,
+            blank_line: 0,
+            staged: None,
+        }
+    }
+
+    /// Drops `#` comment lines (see the module docs) before parsing. Line
+    /// numbers in errors then count only non-comment lines.
+    pub fn strip_comments(mut self) -> Tokenizer<R> {
+        self.strip_comments = true;
+        self
+    }
+
+    /// The next record: `Ok(None)` at the end of input, `Err` on an I/O
+    /// error or a malformed record (callers stop at the first error).
+    pub fn next_record(&mut self) -> Result<Option<Record<'_>>> {
+        loop {
+            if let Some(line) = self.staged {
+                if self.blanks > 0 {
+                    self.blanks -= 1;
+                    self.blank_line += 1;
+                    return Ok(Some(Record {
+                        line: self.blank_line - 1,
+                        text: "",
+                        unescaped: "",
+                        spans: BLANK,
+                    }));
+                }
+                self.staged = None;
+                return self.split(line).map(Some);
+            }
+            match self.read_logical()? {
+                None => {
+                    self.blanks = 0;
+                    return Ok(None);
+                }
+                Some(line) if self.raw.is_empty() => {
+                    if self.blanks == 0 {
+                        self.blank_line = line;
+                    }
+                    self.blanks += 1;
+                }
+                Some(line) => self.staged = Some(line),
+            }
+        }
+    }
+
+    /// Reads the next logical record into `raw`: raw lines joined by `\n`
+    /// until its quote count is even, or the input ends. Returns the line
+    /// it starts on, `None` when no line is left.
+    fn read_logical(&mut self) -> Result<Option<usize>> {
+        self.raw.clear();
+        let mut start = None;
+        let mut open = false;
+        loop {
+            let line_at = self.raw.len();
+            if start.is_some() {
+                self.raw.push(b'\n');
+            }
+            let content_at = self.raw.len();
+            let read = self
+                .input
+                .read_until(b'\n', &mut self.raw)
+                .map_err(|e| FrameError::Io(e.to_string()))?;
+            if read == 0 {
+                self.raw.truncate(line_at);
+                return Ok(start);
+            }
+            if self.raw.last() == Some(&b'\n') {
+                self.raw.pop();
+            }
+            if self.raw.len() > content_at && self.raw.last() == Some(&b'\r') {
+                self.raw.pop();
+            }
+            let content = &self.raw[content_at..];
+            if self.strip_comments && is_comment(content) {
+                self.raw.truncate(line_at);
+                continue;
+            }
+            self.line_no += 1;
+            start.get_or_insert(self.line_no);
+            if content.iter().filter(|&&b| b == b'"').count() % 2 == 1 {
+                open = !open;
+            }
+            if !open {
+                return Ok(start);
+            }
+        }
+    }
+
+    /// Checks the record in `raw` as UTF-8 and splits it into fields.
+    fn split(&mut self, line: usize) -> Result<Record<'_>> {
+        let text = std::str::from_utf8(&self.raw).map_err(|_| csv_error(line, "invalid UTF-8"))?;
+        self.spans.clear();
+        self.unescaped.clear();
+        split_fields(text, line, &mut self.spans, &mut self.unescaped)?;
+        Ok(Record {
+            line,
+            text,
+            unescaped: &self.unescaped,
+            spans: &self.spans,
+        })
+    }
+}
+
+/// True when `line` is a comment: its `str::trim_start()` begins with `#`.
+/// Bytes after the first non-whitespace character are not inspected, so a
+/// comment is dropped before its encoding is checked.
+fn is_comment(line: &[u8]) -> bool {
+    // `char::is_whitespace` on ASCII: tab, LF, VT, FF, CR and space.
+    let Some(at) = line
+        .iter()
+        .position(|b| !matches!(b, b'\t' | b'\n' | 0x0B | 0x0C | b'\r' | b' '))
+    else {
+        return false;
+    };
+    let rest = &line[at..];
+    match rest.first() {
+        Some(b'#') => true,
+        Some(b) if b.is_ascii() => false,
+        // Unicode whitespace (NEL, NBSP, …) may still come before a `#`.
+        _ => {
+            let valid = match std::str::from_utf8(rest) {
+                Ok(text) => text,
+                Err(e) => std::str::from_utf8(&rest[..e.valid_up_to()]).unwrap_or_default(),
+            };
+            valid.trim_start().starts_with('#')
+        }
+    }
+}
+
+/// Splits one logical record into field spans, unescaping quoted fields
+/// into `unescaped`.
+fn split_fields(
+    text: &str,
+    line: usize,
+    spans: &mut Vec<Span>,
+    unescaped: &mut String,
+) -> Result<()> {
+    let bytes = text.as_bytes();
+    let plain_end = |mut at: usize| {
+        while at < bytes.len() && bytes[at] != b',' && bytes[at] != b'"' {
+            at += 1;
+        }
+        at
+    };
+    let mut at = 0;
+    loop {
+        let start = at;
+        at = plain_end(at);
+        if bytes.get(at) != Some(&b'"') {
+            spans.push(Span::Raw(start..at));
+        } else if at > start {
+            return Err(csv_error(line, "quote inside unquoted field"));
         } else {
-            pending.push('\n');
-            pending.push_str(line);
+            let from = unescaped.len();
+            at += 1;
+            loop {
+                let Some(quote) = bytes[at..].iter().position(|&b| b == b'"') else {
+                    return Err(csv_error(line, "unterminated quote"));
+                };
+                let quote = at + quote;
+                unescaped.push_str(&text[at..quote]);
+                if bytes.get(quote + 1) == Some(&b'"') {
+                    unescaped.push('"');
+                    at = quote + 2;
+                } else {
+                    at = quote + 1;
+                    break;
+                }
+            }
+            // Text after the closing quote joins the field; the closing
+            // quote is never followed by another, so any later quote is
+            // inside a non-empty field.
+            let tail = at;
+            at = plain_end(at);
+            if bytes.get(at) == Some(&b'"') {
+                return Err(csv_error(line, "quote inside unquoted field"));
+            }
+            unescaped.push_str(&text[tail..at]);
+            spans.push(Span::Unescaped(from..unescaped.len()));
         }
-        // A record is complete when it contains an even number of quotes.
-        if pending.matches('"').count().is_multiple_of(2) {
-            records.push((pending_start, std::mem::take(&mut pending)));
+        if at >= bytes.len() {
+            return Ok(());
         }
+        at += 1;
     }
-    if !pending.is_empty() {
-        records.push((pending_start, pending));
-    }
-    records
 }
 
 /// Infers a cell value: empty → null, else i64, else f64, else bool, else str.
@@ -130,23 +355,8 @@ impl Kind {
     }
 }
 
-/// Builds a typed frame from header names and isolated logical records —
-/// the shared back half of [`parse`] and [`ChunkedReader`], so whole-file
-/// and streamed chunks go through one code path.
-fn frame_from_records(names: &[String], records: &[(usize, String)]) -> Result<DataFrame> {
-    let mut cells: Vec<Vec<Value>> = vec![Vec::new(); names.len()];
-    for (line_no, record) in records {
-        let fields = split_record(record, *line_no)?;
-        if fields.len() != names.len() {
-            return Err(FrameError::Csv {
-                line: *line_no,
-                message: format!("expected {} fields, got {}", names.len(), fields.len()),
-            });
-        }
-        for (col, field) in cells.iter_mut().zip(&fields) {
-            col.push(infer_value(field));
-        }
-    }
+/// Builds a typed frame from header names and per-column inferred cells.
+fn frame_from_cells(names: &[String], cells: Vec<Vec<Value>>) -> Result<DataFrame> {
     let mut df = DataFrame::new();
     for (name, values) in names.iter().zip(cells) {
         let kind = values.iter().fold(Kind::Unknown, Kind::merge);
@@ -182,9 +392,9 @@ fn frame_from_records(names: &[String], records: &[(usize, String)]) -> Result<D
             // Unknown (all nulls) defaults to string.
             Kind::Str | Kind::Unknown => Column::Str(
                 values
-                    .iter()
+                    .into_iter()
                     .map(|v| match v {
-                        Value::Str(s) => Some(s.clone()),
+                        Value::Str(s) => Some(s),
                         Value::I64(i) => Some(i.to_string()),
                         Value::F64(f) => Some(f.to_string()),
                         Value::Bool(b) => Some(b.to_string()),
@@ -202,70 +412,40 @@ fn frame_from_records(names: &[String], records: &[(usize, String)]) -> Result<D
 ///
 /// Types are inferred per column across all rows; mixed int/float widens to
 /// float, any other mixture falls back to string. Empty fields become nulls.
+/// This is [`ChunkedReader`] drained as one chunk; empty input gives a
+/// frame with no columns.
 pub fn parse(text: &str) -> Result<DataFrame> {
-    let mut records = logical_records(text);
-    // Trailing blank lines are newline artifacts, not records; interior
-    // blank lines are one empty (null) field — meaningful for one-column
-    // data, a field-count error otherwise.
-    while records.last().map(|(_, r)| r.is_empty()).unwrap_or(false) {
-        records.pop();
-    }
-    let mut iter = records.into_iter();
-    let (header_line, header) = match iter.next() {
-        Some(h) => h,
-        None => return Ok(DataFrame::new()),
-    };
-    let names = split_record(&header, header_line)?;
-    let rest: Vec<(usize, String)> = iter.collect();
-    frame_from_records(&names, &rest)
+    ChunkedReader::new(text.as_bytes(), usize::MAX)
+        .next_chunk()
+        .unwrap_or_else(|| Ok(DataFrame::new()))
 }
 
 /// Streaming CSV reader that yields [`DataFrame`] chunks of at most
 /// `rows_per_chunk` rows, so arbitrarily large inputs parse in bounded
-/// memory (at most one chunk of records plus one partial logical record is
-/// resident at any time).
+/// memory (at most one chunk of cells plus one record is resident at any
+/// time).
 ///
-/// The dialect is identical to [`parse`]: RFC 4180 quoting, CRLF, embedded
-/// newlines (records are re-merged across raw lines until the quote count
-/// is even — including across chunk boundaries), trailing blank lines
-/// dropped, interior blank lines kept. The one divergence is column *type
-/// inference*, which is necessarily per chunk rather than whole-file: a
-/// column whose kinds mix *across* chunks comes back with different
-/// chunk-local types than [`parse`] would assign globally. Concretely, one
-/// non-numeric cell degrades a whole-file numeric column to string
-/// (every cell then reads as a string), while chunks without the
-/// offending cell still parse as numbers — consumers that must match
-/// whole-file semantics on such mixed columns read each cell on its own
-/// (re-parsing string cells, as the Top500 importer does) or parse
-/// whole-file. Columns that are kind-consistent (or only mix within one
-/// chunk) parse identically.
+/// It drains the module's [`Tokenizer`], so the dialect is exactly
+/// [`parse`]'s, records re-merged across raw lines and chunk boundaries
+/// included. The one divergence is column *type inference*, which is
+/// necessarily per chunk rather than whole-file: a column whose kinds mix
+/// *across* chunks comes back with different chunk-local types than
+/// [`parse`] would assign globally (one non-numeric cell degrades a
+/// whole-file numeric column to string, while chunks without it still
+/// parse as numbers). Columns that are kind-consistent, or mix only within
+/// one chunk, parse identically. Typed readers that know their schema
+/// (`top500::io`) read the tokenizer's fields directly and infer nothing.
 ///
 /// A header-only input yields exactly one zero-row chunk (so consumers can
 /// still validate the schema); an empty input yields no chunks. After the
 /// first `Err`, the reader is fused and yields `None` forever.
 #[derive(Debug)]
 pub struct ChunkedReader<R> {
-    input: R,
+    records: Tokenizer<R>,
     rows_per_chunk: usize,
-    /// Drop lines whose trimmed start is `#` (the Top 500 template's
-    /// comment convention) before any quote accounting, exactly like the
-    /// pre-filter the whole-file importer applies.
-    strip_comments: bool,
-    /// Header names, parsed from the first logical record.
+    /// Header names, from the first record.
     names: Option<Vec<String>>,
-    /// Completed records waiting to be emitted (bounded by one chunk).
-    ready: Vec<(usize, String)>,
-    /// Completed *empty* records held back until we know whether they are
-    /// interior (kept, like [`parse`]) or trailing (dropped).
-    blanks: Vec<(usize, String)>,
-    /// Partial logical record: content, 1-based start line, quote parity.
-    pending: String,
-    pending_start: usize,
-    pending_active: bool,
-    pending_quotes_even: bool,
-    line_no: usize,
     emitted_any: bool,
-    eof: bool,
     fused: bool,
 }
 
@@ -275,92 +455,12 @@ impl<R: BufRead> ChunkedReader<R> {
     /// as 1).
     pub fn new(input: R, rows_per_chunk: usize) -> ChunkedReader<R> {
         ChunkedReader {
-            input,
+            records: Tokenizer::new(input),
             rows_per_chunk: rows_per_chunk.max(1),
-            strip_comments: false,
             names: None,
-            ready: Vec::new(),
-            blanks: Vec::new(),
-            pending: String::new(),
-            pending_start: 0,
-            pending_active: false,
-            pending_quotes_even: true,
-            line_no: 0,
             emitted_any: false,
-            eof: false,
             fused: false,
         }
-    }
-
-    /// Drops `#`-prefixed comment lines before parsing. Line numbers in
-    /// errors then count only non-comment lines, matching a pre-filtered
-    /// whole-file parse.
-    pub fn strip_comments(mut self) -> ChunkedReader<R> {
-        self.strip_comments = true;
-        self
-    }
-
-    /// Completes the pending logical record and routes it to `ready` (via
-    /// the blank-holding queue, so trailing blanks can still be dropped).
-    fn complete_pending(&mut self) {
-        let record = std::mem::take(&mut self.pending);
-        let start = self.pending_start;
-        self.pending_active = false;
-        self.pending_quotes_even = true;
-        if record.is_empty() {
-            self.blanks.push((start, record));
-        } else {
-            self.ready.append(&mut self.blanks);
-            self.ready.push((start, record));
-        }
-    }
-
-    /// Reads raw lines until one chunk of records is ready or EOF.
-    fn fill(&mut self) -> Result<()> {
-        // +1: the first record is the header, not a data row. Saturating,
-        // so a `usize::MAX` budget means "everything", not a wrapped 0.
-        let want = self
-            .rows_per_chunk
-            .saturating_add(usize::from(self.names.is_none()));
-        let mut line = String::new();
-        while !self.eof && self.ready.len() < want {
-            line.clear();
-            let read = self
-                .input
-                .read_line(&mut line)
-                .map_err(|e| FrameError::Io(e.to_string()))?;
-            if read == 0 {
-                self.eof = true;
-                if self.pending_active {
-                    self.complete_pending();
-                }
-                // Blanks still held at EOF are trailing: drop them.
-                self.blanks.clear();
-                break;
-            }
-            let content = line.strip_suffix('\n').unwrap_or(&line);
-            let content = content.strip_suffix('\r').unwrap_or(content);
-            if self.strip_comments && content.trim_start().starts_with('#') {
-                continue;
-            }
-            self.line_no += 1;
-            if !self.pending_active {
-                self.pending_active = true;
-                self.pending_start = self.line_no;
-            } else {
-                self.pending.push('\n');
-            }
-            self.pending.push_str(content);
-            if content.matches('"').count() % 2 == 1 {
-                self.pending_quotes_even = !self.pending_quotes_even;
-            }
-            // A record is complete when it contains an even number of
-            // quotes — the same rule the whole-file splitter uses.
-            if self.pending_quotes_even {
-                self.complete_pending();
-            }
-        }
-        Ok(())
     }
 
     /// Reads the next chunk: `None` at end of input, `Some(Err)` on the
@@ -377,34 +477,35 @@ impl<R: BufRead> ChunkedReader<R> {
     }
 
     fn advance(&mut self) -> Option<Result<DataFrame>> {
-        if let Err(e) = self.fill() {
-            return Some(Err(e));
-        }
         if self.names.is_none() {
-            let (header_line, header) = match self.ready.first() {
-                Some(h) => (h.0, h.1.clone()),
-                None => return None, // empty input
-            };
-            self.ready.remove(0);
-            match split_record(&header, header_line) {
-                Ok(names) => self.names = Some(names),
+            self.names = match self.records.next_record() {
+                Ok(Some(header)) => Some(header.fields().map(str::to_string).collect()),
+                Ok(None) => return None,
                 Err(e) => return Some(Err(e)),
-            }
+            };
         }
-        if self.ready.is_empty() && self.eof {
-            if self.emitted_any {
-                return None;
+        let names = self.names.as_deref()?;
+        let mut cells: Vec<Vec<Value>> = vec![Vec::new(); names.len()];
+        let mut rows = 0;
+        while rows < self.rows_per_chunk {
+            let record = match self.records.next_record() {
+                Ok(Some(record)) => record,
+                Ok(None) => break,
+                Err(e) => return Some(Err(e)),
+            };
+            if let Err(e) = record.check_width(names.len()) {
+                return Some(Err(e));
             }
-            // Header-only input: one empty chunk so the schema is visible.
-            self.emitted_any = true;
-            let names = self.names.clone().expect("header parsed above");
-            return Some(frame_from_records(&names, &[]));
+            for (column, field) in cells.iter_mut().zip(record.fields()) {
+                column.push(infer_value(field));
+            }
+            rows += 1;
         }
-        let take = self.rows_per_chunk.min(self.ready.len());
-        let records: Vec<(usize, String)> = self.ready.drain(..take).collect();
+        if rows == 0 && self.emitted_any {
+            return None;
+        }
         self.emitted_any = true;
-        let names = self.names.clone().expect("header parsed above");
-        Some(frame_from_records(&names, &records))
+        Some(frame_from_cells(names, cells))
     }
 }
 
@@ -416,13 +517,22 @@ impl<R: BufRead> Iterator for ChunkedReader<R> {
     }
 }
 
-/// Quotes a field when it contains separators, quotes or newlines.
-fn escape(field: &str) -> String {
-    if field.contains(',') || field.contains('"') || field.contains('\n') {
-        format!("\"{}\"", field.replace('"', "\"\""))
-    } else {
-        field.to_string()
+/// Appends `field` to `out`, quoted (with `"` doubled) when it holds a
+/// `,`, a `"` or a newline — the one escape rule of every CSV this
+/// workspace writes.
+pub fn escape_into(out: &mut String, field: &str) {
+    if !field.bytes().any(|b| matches!(b, b',' | b'"' | b'\n')) {
+        out.push_str(field);
+        return;
     }
+    out.push('"');
+    for piece in field.split_inclusive('"') {
+        out.push_str(piece);
+        if piece.ends_with('"') {
+            out.push('"');
+        }
+    }
+    out.push('"');
 }
 
 /// Serialises a frame to CSV text (header + rows, `\n` separators, empty
@@ -430,21 +540,17 @@ fn escape(field: &str) -> String {
 /// [`write_rows`] — streaming writers use the two halves directly to append
 /// chunk-at-a-time rows under a single header.
 pub fn write(df: &DataFrame) -> String {
-    let mut out = write_header(df);
-    out.push_str(&write_rows(df));
+    let mut out = String::new();
+    push_header(&mut out, df);
+    push_rows(&mut out, df);
     out
 }
 
 /// Serialises just the header line (column names, `\n`-terminated) of a
 /// frame. Byte-identical to the first line [`write()`] produces.
 pub fn write_header(df: &DataFrame) -> String {
-    let mut out = df
-        .names()
-        .iter()
-        .map(|n| escape(n))
-        .collect::<Vec<_>>()
-        .join(",");
-    out.push('\n');
+    let mut out = String::new();
+    push_header(&mut out, df);
     out
 }
 
@@ -454,16 +560,51 @@ pub fn write_header(df: &DataFrame) -> String {
 /// reproduces `write` over the concatenated frame exactly.
 pub fn write_rows(df: &DataFrame) -> String {
     let mut out = String::new();
-    for row in 0..df.len() {
-        let mut fields = Vec::with_capacity(df.width());
-        for name in df.names() {
-            let v = df.value(name, row).expect("in-range row and known column");
-            fields.push(escape(&v.to_string()));
+    push_rows(&mut out, df);
+    out
+}
+
+fn push_header(out: &mut String, df: &DataFrame) {
+    for (i, name) in df.names().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        out.push_str(&fields.join(","));
+        escape_into(out, name);
+    }
+    out.push('\n');
+}
+
+/// Renders every row, cell by cell: numbers and booleans through their
+/// `Display`, text through [`escape_into`], nulls as empty fields.
+fn push_rows(out: &mut String, df: &DataFrame) {
+    let columns = df.columns();
+    for row in 0..df.len() {
+        for (i, column) in columns.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            match column {
+                Column::F64(v) => push_display(out, v.get(row)),
+                Column::I64(v) => push_display(out, v.get(row)),
+                Column::Bool(v) => push_display(out, v.get(row)),
+                Column::Str(v) => {
+                    if let Some(Some(text)) = v.get(row) {
+                        escape_into(out, text);
+                    }
+                }
+            }
+        }
         out.push('\n');
     }
-    out
+}
+
+/// Appends a cell's `Display`, written straight into `out` (nothing for a
+/// null).
+fn push_display<T: Display>(out: &mut String, cell: Option<&Option<T>>) {
+    if let Some(Some(value)) = cell {
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{value}");
+    }
 }
 
 #[cfg(test)]
@@ -558,6 +699,98 @@ mod tests {
     fn bool_inference() {
         let df = parse("flag\ntrue\nfalse\n\n").unwrap();
         assert_eq!(df.column("flag").unwrap().type_name(), "bool");
+    }
+
+    // ----------------------------------------------------------- tokenizer
+
+    /// Every record's (line, fields) until the end of input or the first
+    /// error.
+    fn tokens(text: &[u8], comments: bool) -> (Vec<(usize, Vec<String>)>, Option<FrameError>) {
+        let mut tokenizer = Tokenizer::new(text);
+        if comments {
+            tokenizer = tokenizer.strip_comments();
+        }
+        let mut records = Vec::new();
+        loop {
+            match tokenizer.next_record() {
+                Ok(Some(r)) => records.push((r.line, r.fields().map(str::to_string).collect())),
+                Ok(None) => return (records, None),
+                Err(e) => return (records, Some(e)),
+            }
+        }
+    }
+
+    fn owned(fields: &[&str]) -> Vec<String> {
+        fields.iter().map(|f| f.to_string()).collect()
+    }
+
+    #[test]
+    fn tokenizer_quoting_rules() {
+        let (records, err) = tokens(b"a,\"b,c\",\"d\"\"e\"\n\"\"x,,\"q\"tail\n", false);
+        assert_eq!(err, None);
+        assert_eq!(
+            records,
+            vec![
+                (1, owned(&["a", "b,c", "d\"e"])),
+                (2, owned(&["x", "", "qtail"])),
+            ]
+        );
+        for (bad, message) in [
+            (&b"ab\"c\n"[..], "quote inside unquoted field"),
+            (b"\"a\"b\"\n", "quote inside unquoted field"),
+            (b"\"open,\n", "unterminated quote"),
+        ] {
+            let (records, err) = tokens(bad, false);
+            assert!(records.is_empty());
+            assert_eq!(err, Some(csv_error(1, message)), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn tokenizer_holds_blanks_until_they_prove_interior() {
+        let (records, err) = tokens(b"x\n\n\n1\n\n\n", false);
+        assert_eq!(err, None);
+        let lines: Vec<usize> = records.iter().map(|r| r.0).collect();
+        assert_eq!(lines, vec![1, 2, 3, 4]);
+        assert_eq!(records[1].1, owned(&[""]));
+    }
+
+    #[test]
+    fn tokenizer_strips_one_cr_per_raw_line_and_drops_comments_inside_quotes() {
+        let (records, _) = tokens(b"a\r\r\n\"b\r\nc\"\r\n", false);
+        assert_eq!(records, vec![(1, owned(&["a\r"])), (2, owned(&["b\nc"]))]);
+        // The comment line inside the quoted field is dropped and not
+        // counted, so `tail` is on line 3.
+        let (records, err) = tokens(b"# lead\n\"x\n  # inner\ny\"\ntail\n", true);
+        assert_eq!(err, None);
+        assert_eq!(records, vec![(1, owned(&["x\ny"])), (3, owned(&["tail"]))]);
+        // Unicode whitespace before `#` still makes a comment.
+        let (records, _) = tokens("\u{a0}# nbsp\nv\n".as_bytes(), true);
+        assert_eq!(records, vec![(1, owned(&["v"]))]);
+    }
+
+    #[test]
+    fn tokenizer_strip_comments_matches_prefiltered_text() {
+        // Comment lines anywhere read as if they were never in the file.
+        let raw = "# template header\nrank,name\n# interior note\n1,alpha\n2,beta\n";
+        let filtered: String = raw
+            .lines()
+            .filter(|l| !l.trim_start().starts_with('#'))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let stripped = tokens(raw.as_bytes(), true);
+        assert_eq!(stripped, tokens(filtered.as_bytes(), false));
+        assert_eq!(stripped.0[1], (2, owned(&["1", "alpha"])));
+    }
+
+    #[test]
+    fn tokenizer_rejects_invalid_utf8_at_its_record() {
+        let (records, err) = tokens(b"ok\nbad\xff,1\n", false);
+        assert_eq!(records, vec![(1, owned(&["ok"]))]);
+        assert_eq!(err, Some(csv_error(2, "invalid UTF-8")));
+        // A comment line is dropped before its bytes are checked.
+        let (records, err) = tokens(b"#\xff\nok\n", true);
+        assert_eq!((records, err), (vec![(1, owned(&["ok"]))], None));
     }
 
     // ----------------------------------------------------- chunked reader
@@ -666,26 +899,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_reader_strip_comments_matches_prefiltered_parse() {
-        let raw = "# template header\nrank,name\n# interior note\n1,alpha\n2,beta\n";
-        let filtered: String = raw
-            .lines()
-            .filter(|l| !l.trim_start().starts_with('#'))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let whole = parse(&filtered).unwrap();
-        let chunks: Vec<DataFrame> = ChunkedReader::new(raw.as_bytes(), 1)
-            .strip_comments()
-            .map(|c| c.unwrap())
-            .collect();
-        assert_eq!(total_rows(&chunks), whole.len());
-        assert_eq!(
-            chunks[0].value("name", 0).unwrap(),
-            Value::Str("alpha".into())
-        );
-    }
-
-    #[test]
     fn header_plus_chunked_rows_byte_identical_to_whole_write() {
         // The streaming-artifact contract: write_header + per-chunk
         // write_rows must concatenate to exactly what `write` produces
@@ -706,5 +919,37 @@ mod tests {
             pieced.push_str(&write_rows(&frame(&names[row..=row], &xs[row..=row])));
         }
         assert_eq!(pieced, whole);
+    }
+
+    #[test]
+    fn typed_writer_renders_every_kind_like_value_display() {
+        let df = DataFrame::new()
+            .with_column("s", Column::Str(vec![Some("a\"b".into()), None]))
+            .unwrap()
+            .with_column("i", Column::I64(vec![Some(-7), None]))
+            .unwrap()
+            .with_column("f", Column::F64(vec![Some(-0.0), Some(1e21)]))
+            .unwrap()
+            .with_column("b", Column::Bool(vec![None, Some(true)]))
+            .unwrap();
+        let mut expected = String::from("s,i,f,b\n");
+        for row in 0..df.len() {
+            let cells: Vec<String> = df
+                .names()
+                .iter()
+                .map(|name| {
+                    let mut cell = String::new();
+                    escape_into(&mut cell, &df.value(name, row).unwrap().to_string());
+                    cell
+                })
+                .collect();
+            expected.push_str(&cells.join(","));
+            expected.push('\n');
+        }
+        assert_eq!(write(&df), expected);
+        assert_eq!(
+            write(&df),
+            "s,i,f,b\n\"a\"\"b\",-7,-0,\n,,1000000000000000000000,true\n"
+        );
     }
 }

@@ -39,6 +39,11 @@ impl DataFrame {
         &self.names
     }
 
+    /// Columns in insertion order (parallel to [`DataFrame::names`]).
+    pub(crate) fn columns(&self) -> &[Column] {
+        &self.columns
+    }
+
     /// Adds a column. The first column fixes the row count; later columns
     /// must match it. Errors on duplicates and length mismatches.
     pub(crate) fn add_column(&mut self, name: impl Into<String>, column: Column) -> Result<()> {

@@ -5,11 +5,26 @@
 //! the pipeline through this module. The schema is a pragmatic superset of
 //! the top500.org export: unknown columns are ignored, absent columns mean
 //! "item not reported" — which is exactly the missingness the study models.
+//!
+//! Reading is typed: [`CsvFleetReader`] maps the header onto [`COLUMNS`]
+//! once, then parses each record of `frame::csv`'s tokenizer straight into
+//! a [`SystemRecord`]. A text column is taken verbatim, a numeric one is
+//! read as a number on its own; nothing is inferred from the rest of the
+//! column. [`import_csv`] is that reader drained into one list, and
+//! [`export_csv`] writes with `frame::csv`'s escape rule, so
+//! `import_csv(&export_csv(&list))` gives `list` back, with two exceptions
+//! the reading dialect forces on text fields: a `\r\n` inside text comes
+//! back as `\n` (one `\r` is stripped from every raw line), and text with
+//! a newline followed by a line whose first non-blank character is `#`
+//! does not read back as written (that line is a comment, and the quote
+//! closing the field goes with it).
 
 use crate::list::Top500List;
 use crate::record::SystemRecord;
 use crate::stream::FleetChunks;
-use frame::{csv, DataFrame, FrameError, Value};
+use frame::{csv, FrameError};
+use std::collections::HashSet;
+use std::fmt::{Display, Write as _};
 use std::io::BufRead;
 
 /// Column names recognised by the importer (case-sensitive, snake_case).
@@ -71,187 +86,181 @@ impl From<FrameError> for ImportError {
     }
 }
 
-/// A numeric cell: a number, or text that parses as one. Anything that is
-/// not a finite number (`NaN`, `inf`, an overflowing literal such as
-/// `1e999`, a stray token such as `unknown`) reads as missing, like an
-/// empty cell. A cell's value therefore never depends on how the CSV
-/// reader typed the rest of its column (a whole file or one chunk).
-fn opt_f64(df: &DataFrame, col: &str, row: usize) -> Option<f64> {
-    let value = match df.value(col, row).ok()? {
-        Value::Str(text) => text.parse::<f64>().ok(),
-        other => other.as_f64(),
+/// A numeric cell: text read as an `i64` first (and widened, so `-0` reads
+/// `+0.0`), else as an `f64`. Anything that is not a finite number (an
+/// empty cell, `NaN`, `inf`, an overflowing literal such as `1e999`, a
+/// stray token such as `unknown`) reads as missing.
+fn number(cell: &str) -> Option<f64> {
+    let value = match cell.parse::<i64>() {
+        Ok(i) => i as f64,
+        Err(_) => cell.parse::<f64>().ok()?,
     };
-    value.filter(|v| v.is_finite())
+    value.is_finite().then_some(value)
 }
 
-fn opt_u64(df: &DataFrame, col: &str, row: usize) -> Option<u64> {
-    opt_f64(df, col, row)
-        .filter(|v| *v >= 0.0)
-        .map(|v| v as u64)
+fn count(cell: &str) -> Option<u64> {
+    number(cell).filter(|v| *v >= 0.0).map(|v| v as u64)
 }
 
-fn opt_str(df: &DataFrame, col: &str, row: usize) -> Option<String> {
-    match df.value(col, row) {
-        Ok(Value::Str(s)) if !s.is_empty() => Some(s),
-        Ok(Value::I64(i)) => Some(i.to_string()),
-        Ok(Value::F64(x)) => Some(x.to_string()),
-        _ => None,
-    }
+/// A text cell, verbatim; an empty cell is missing.
+fn text(cell: &str) -> Option<String> {
+    (!cell.is_empty()).then(|| cell.to_string())
 }
 
-/// Checks the two required columns are present.
-fn check_required(df: &DataFrame) -> Result<(), ImportError> {
-    for required in ["rank", "rmax_tflops"] {
-        if !df.names().iter().any(|n| n == required) {
-            return Err(ImportError::MissingColumn(if required == "rank" {
-                "rank"
-            } else {
-                "rmax_tflops"
-            }));
-        }
-    }
-    Ok(())
-}
-
-/// Converts one parsed CSV row into a record. `row` indexes the frame,
-/// `row_label` is the global 0-based data-row index reported in errors
-/// (they differ when the frame is one chunk of a streamed file). Shared by
-/// [`import_csv`] and [`CsvFleetReader`], so the row-conversion rules
-/// cannot drift between the two paths.
-fn row_to_record(
-    df: &DataFrame,
-    row: usize,
-    row_label: usize,
-) -> Result<SystemRecord, ImportError> {
-    let has = |c: &str| df.names().iter().any(|n| n == c);
-    let rank = opt_u64(df, "rank", row).ok_or_else(|| ImportError::BadRow {
-        row: row_label,
+/// Converts one data row, its cells in [`COLUMNS`] order (`""` where the
+/// file has no such column), into a record. `row` is the global 0-based
+/// data-row index reported in errors.
+fn system_of(cells: [&str; COLUMNS.len()], row: usize) -> Result<SystemRecord, ImportError> {
+    let [rank, name, country, region, year, vendor, processor, total_cores, accelerator, accelerator_count, rmax_tflops, rpeak_tflops, nmax, power_kw, node_count, cpu_count, memory_gb, memory_type, ssd_gb, utilization, annual_energy_mwh] =
+        cells;
+    let rank = count(rank).ok_or_else(|| ImportError::BadRow {
+        row,
         message: "rank not a number".into(),
     })?;
-    let rmax = opt_f64(df, "rmax_tflops", row)
+    let rmax = number(rmax_tflops)
         .filter(|v| *v > 0.0)
         .ok_or_else(|| ImportError::BadRow {
-            row: row_label,
+            row,
             message: "rmax_tflops missing or non-positive".into(),
         })?;
-    let rpeak = if has("rpeak_tflops") {
-        opt_f64(df, "rpeak_tflops", row).unwrap_or(rmax * 1.4)
-    } else {
-        rmax * 1.4
-    };
-    let mut s = SystemRecord::bare(rank as u32, rmax, rpeak);
-    if has("name") {
-        s.name = opt_str(df, "name", row);
-    }
-    if has("country") {
-        s.country = opt_str(df, "country", row);
-        s.region = s.country.as_deref().and_then(hwdb::grid::country_region);
-    }
-    if has("region") {
-        // Explicit region wins over the country-derived default (it is
-        // the only location signal anonymous systems carry).
-        if let Some(region) = opt_str(df, "region", row)
-            .as_deref()
-            .and_then(hwdb::grid::Region::parse)
-        {
-            s.region = Some(region);
-        }
-    }
-    if has("year") {
-        s.year = opt_u64(df, "year", row).map(|y| y as u32);
-    }
-    if has("vendor") {
-        s.vendor = opt_str(df, "vendor", row);
-    }
-    if has("processor") {
-        s.processor = opt_str(df, "processor", row);
-    }
-    if has("total_cores") {
-        s.total_cores = opt_u64(df, "total_cores", row);
-    }
-    if has("accelerator") {
-        s.accelerator = opt_str(df, "accelerator", row);
-    }
-    if has("accelerator_count") {
-        s.accelerator_count = opt_u64(df, "accelerator_count", row);
-    }
-    if has("nmax") {
-        s.nmax = opt_u64(df, "nmax", row);
-    }
-    if has("power_kw") {
-        s.power_kw = opt_f64(df, "power_kw", row);
-    }
-    if has("node_count") {
-        s.node_count = opt_u64(df, "node_count", row);
-    }
-    if has("cpu_count") {
-        s.cpu_count = opt_u64(df, "cpu_count", row);
-    }
-    if has("memory_gb") {
-        s.memory_gb = opt_f64(df, "memory_gb", row);
-    }
-    if has("memory_type") {
-        s.memory_type = opt_str(df, "memory_type", row);
-    }
-    if has("ssd_gb") {
-        s.ssd_gb = opt_f64(df, "ssd_gb", row);
-    }
-    if has("utilization") {
-        s.utilization = opt_f64(df, "utilization", row);
-    }
-    if has("annual_energy_mwh") {
-        s.annual_energy_mwh = opt_f64(df, "annual_energy_mwh", row);
-    }
-    Ok(s)
+    let country = text(country);
+    // An explicit region wins over the country-derived default (it is the
+    // only location signal anonymous systems carry).
+    let region = hwdb::grid::Region::parse(region)
+        .or_else(|| country.as_deref().and_then(hwdb::grid::country_region));
+    Ok(SystemRecord {
+        rank: rank as u32,
+        name: text(name),
+        country,
+        region,
+        year: count(year).map(|y| y as u32),
+        vendor: text(vendor),
+        processor: text(processor),
+        total_cores: count(total_cores),
+        accelerator: text(accelerator),
+        accelerator_count: count(accelerator_count),
+        rmax_tflops: rmax,
+        rpeak_tflops: number(rpeak_tflops).unwrap_or(rmax * 1.4),
+        nmax: count(nmax),
+        power_kw: number(power_kw),
+        node_count: count(node_count),
+        cpu_count: count(cpu_count),
+        memory_gb: number(memory_gb),
+        memory_type: text(memory_type),
+        ssd_gb: number(ssd_gb),
+        utilization: number(utilization),
+        annual_energy_mwh: number(annual_energy_mwh),
+    })
 }
 
 /// Parses a Top500-style CSV into a list. `rank` and `rmax_tflops` are
-/// required; everything else is optional and becomes a missing item, as
-/// does a numeric cell holding anything but a finite number.
+/// required (an empty or comment-only file has neither); everything else
+/// is optional and becomes a missing item, as does a numeric cell holding
+/// anything but a finite number. This is [`stream_csv`] drained as one
+/// chunk.
 pub fn import_csv(text: &str) -> Result<Top500List, ImportError> {
-    // `#`-prefixed lines are comments (the `template` command emits them).
-    let cleaned: String = text
-        .lines()
-        .filter(|l| !l.trim_start().starts_with('#'))
-        .collect::<Vec<_>>()
-        .join("\n");
-    let df = csv::parse(&cleaned)?;
-    check_required(&df)?;
-    let mut systems = Vec::with_capacity(df.len());
-    for row in 0..df.len() {
-        systems.push(row_to_record(&df, row, row)?);
-    }
-    Ok(Top500List::new(systems))
+    // An unbounded budget reads the whole file as one chunk, and a file
+    // without a header record is an error, so the first call answers.
+    stream_csv(text.as_bytes(), usize::MAX)
+        .next_chunk()
+        .unwrap_or_else(|| Ok(Top500List::default()))
 }
 
 /// Streams a Top500-schema CSV as bounded [`Top500List`] chunks — the
 /// larger-than-memory counterpart of [`import_csv`], implementing
 /// [`FleetChunks`] for the incremental assessment session.
 ///
-/// The schema, comment handling (`#` lines) and per-row conversion are
-/// exactly [`import_csv`]'s (one shared code path); the required-column
-/// check runs on the first chunk. Each numeric cell is read on its own (a
-/// non-finite or non-numeric value is missing), so a stray token imports
-/// the same whole-file and streamed. One caveat bounds the equivalence
-/// with a whole-file import: rows must be rank-ordered (each chunk is
-/// sorted by rank on its own, like any [`Top500List`], but chunks are
-/// emitted in file order). After the first error the reader is fused.
+/// `#` lines are comments. The header is checked before any row: it must
+/// exist and name `rank` and `rmax_tflops`, and no name may repeat. Each
+/// cell is then read on its own (text verbatim, a non-finite or
+/// non-numeric number missing), so a file imports the same whatever the
+/// chunk budget. One caveat bounds the equivalence with a whole-file
+/// import: rows must be rank-ordered (each chunk is sorted by rank on its
+/// own, like any [`Top500List`], but chunks are emitted in file order).
+/// After the first error the reader is fused.
 #[derive(Debug)]
 pub struct CsvFleetReader<R> {
-    chunks: csv::ChunkedReader<R>,
+    records: csv::Tokenizer<R>,
+    rows_per_chunk: usize,
+    /// Per header field: the [`COLUMNS`] index it fills, or `None` for an
+    /// unknown column. Resolved once, from the header record.
+    slots: Option<Vec<Option<usize>>>,
     rows_seen: usize,
-    checked: bool,
+    emitted_any: bool,
     fused: bool,
 }
 
 /// Opens a chunked CSV stream over any buffered reader, `rows_per_chunk`
-/// data rows at a time.
+/// data rows at a time (a budget of 0 is treated as 1).
 pub fn stream_csv<R: BufRead>(input: R, rows_per_chunk: usize) -> CsvFleetReader<R> {
     CsvFleetReader {
-        chunks: csv::ChunkedReader::new(input, rows_per_chunk).strip_comments(),
+        records: csv::Tokenizer::new(input).strip_comments(),
+        rows_per_chunk: rows_per_chunk.max(1),
+        slots: None,
         rows_seen: 0,
-        checked: false,
+        emitted_any: false,
         fused: false,
+    }
+}
+
+impl<R: BufRead> CsvFleetReader<R> {
+    /// Reads the header record and maps it onto [`COLUMNS`].
+    fn header(&mut self) -> Result<Vec<Option<usize>>, ImportError> {
+        let header = self
+            .records
+            .next_record()?
+            .ok_or(ImportError::MissingColumn("rank"))?;
+        let mut seen = HashSet::new();
+        let mut slots = Vec::new();
+        for name in header.fields() {
+            if !seen.insert(name) {
+                return Err(FrameError::DuplicateColumn(name.to_string()).into());
+            }
+            slots.push(COLUMNS.iter().position(|c| *c == name));
+        }
+        for required in ["rank", "rmax_tflops"] {
+            if !seen.contains(required) {
+                return Err(ImportError::MissingColumn(required));
+            }
+        }
+        Ok(slots)
+    }
+
+    fn advance(&mut self) -> Option<Result<Top500List, ImportError>> {
+        if self.slots.is_none() {
+            match self.header() {
+                Ok(slots) => self.slots = Some(slots),
+                Err(e) => return Some(Err(e)),
+            }
+        }
+        let slots = self.slots.as_deref()?;
+        let mut systems = Vec::new();
+        while systems.len() < self.rows_per_chunk {
+            let record = match self.records.next_record() {
+                Ok(Some(record)) => record,
+                Ok(None) => break,
+                Err(e) => return Some(Err(e.into())),
+            };
+            if let Err(e) = record.check_width(slots.len()) {
+                return Some(Err(e.into()));
+            }
+            let mut cells = [""; COLUMNS.len()];
+            for (slot, field) in slots.iter().zip(record.fields()) {
+                if let Some(column) = slot {
+                    cells[*column] = field;
+                }
+            }
+            match system_of(cells, self.rows_seen + systems.len()) {
+                Ok(system) => systems.push(system),
+                Err(e) => return Some(Err(e)),
+            }
+        }
+        if systems.is_empty() && self.emitted_any {
+            return None;
+        }
+        self.emitted_any = true;
+        self.rows_seen += systems.len();
+        Some(Ok(Top500List::new(systems)))
     }
 }
 
@@ -262,79 +271,65 @@ impl<R: BufRead> FleetChunks for CsvFleetReader<R> {
         if self.fused {
             return None;
         }
-        let df = match self.chunks.next_chunk()? {
-            Ok(df) => df,
-            Err(e) => {
-                self.fused = true;
-                return Some(Err(e.into()));
-            }
-        };
-        if !self.checked {
-            if let Err(e) = check_required(&df) {
-                self.fused = true;
-                return Some(Err(e));
-            }
-            self.checked = true;
+        let result = self.advance();
+        if matches!(result, Some(Err(_)) | None) {
+            self.fused = true;
         }
-        let mut systems = Vec::with_capacity(df.len());
-        for row in 0..df.len() {
-            match row_to_record(&df, row, self.rows_seen + row) {
-                Ok(s) => systems.push(s),
-                Err(e) => {
-                    self.fused = true;
-                    return Some(Err(e));
-                }
-            }
-        }
-        self.rows_seen += df.len();
-        Some(Ok(Top500List::new(systems)))
+        result
     }
 }
 
 /// Serialises a list back to the canonical CSV schema (all columns, empty
-/// fields for missing items). `import_csv(export_csv(list))` round-trips.
+/// fields for missing items), text escaped by `frame::csv::escape_into`.
+/// `import_csv(export_csv(list))` round-trips, except for text holding
+/// `\r\n` or a newline followed by a `#`-led line (see the module docs).
 pub fn export_csv(list: &Top500List) -> String {
     let mut out = COLUMNS.join(",");
     out.push('\n');
     for s in list.systems() {
-        let quote = |v: &Option<String>| -> String {
-            match v {
-                Some(text) if text.contains(',') || text.contains('"') => {
-                    format!("\"{}\"", text.replace('"', "\"\""))
-                }
-                Some(text) => text.clone(),
-                None => String::new(),
-            }
-        };
-        let num = |v: Option<f64>| v.map(|x| format!("{x}")).unwrap_or_default();
-        let int = |v: Option<u64>| v.map(|x| x.to_string()).unwrap_or_default();
-        let fields = [
-            s.rank.to_string(),
-            quote(&s.name),
-            quote(&s.country),
-            s.region.map(|r| r.as_str().to_string()).unwrap_or_default(),
-            s.year.map(|y| y.to_string()).unwrap_or_default(),
-            quote(&s.vendor),
-            quote(&s.processor),
-            int(s.total_cores),
-            quote(&s.accelerator),
-            int(s.accelerator_count),
-            format!("{}", s.rmax_tflops),
-            format!("{}", s.rpeak_tflops),
-            int(s.nmax),
-            num(s.power_kw),
-            int(s.node_count),
-            int(s.cpu_count),
-            num(s.memory_gb),
-            quote(&s.memory_type),
-            num(s.ssd_gb),
-            num(s.utilization),
-            num(s.annual_energy_mwh),
-        ];
-        out.push_str(&fields.join(","));
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{}", s.rank);
+        push_text(&mut out, &s.name);
+        push_text(&mut out, &s.country);
+        out.push(',');
+        if let Some(region) = s.region {
+            out.push_str(region.as_str());
+        }
+        push_number(&mut out, s.year);
+        push_text(&mut out, &s.vendor);
+        push_text(&mut out, &s.processor);
+        push_number(&mut out, s.total_cores);
+        push_text(&mut out, &s.accelerator);
+        push_number(&mut out, s.accelerator_count);
+        push_number(&mut out, Some(s.rmax_tflops));
+        push_number(&mut out, Some(s.rpeak_tflops));
+        push_number(&mut out, s.nmax);
+        push_number(&mut out, s.power_kw);
+        push_number(&mut out, s.node_count);
+        push_number(&mut out, s.cpu_count);
+        push_number(&mut out, s.memory_gb);
+        push_text(&mut out, &s.memory_type);
+        push_number(&mut out, s.ssd_gb);
+        push_number(&mut out, s.utilization);
+        push_number(&mut out, s.annual_energy_mwh);
         out.push('\n');
     }
     out
+}
+
+/// Appends a separator and the value's `Display` (nothing when missing).
+fn push_number<T: Display>(out: &mut String, value: Option<T>) {
+    out.push(',');
+    if let Some(value) = value {
+        let _ = write!(out, "{value}");
+    }
+}
+
+fn push_text(out: &mut String, value: &Option<String>) {
+    out.push(',');
+    if let Some(text) = value {
+        csv::escape_into(out, text);
+    }
 }
 
 #[cfg(test)]
@@ -528,6 +523,97 @@ mod tests {
                 "rows {rows}: {delivered:?}"
             );
         }
+    }
+
+    #[test]
+    fn text_fields_round_trip_verbatim() {
+        // Text that looks like a number or a boolean, or needs quoting,
+        // must come back as written, whole-file and streamed alike.
+        let texts = [
+            "007",
+            "1.50",
+            "True",
+            "false",
+            "1e3",
+            "Mare, Nostrum",
+            "say \"hi\"",
+            "two\nlines",
+        ];
+        let systems: Vec<SystemRecord> = texts
+            .iter()
+            .enumerate()
+            .map(|(i, text)| {
+                let mut s = SystemRecord::bare(i as u32 + 1, 100.0, 140.0);
+                s.name = Some(text.to_string());
+                s.vendor = Some(texts[texts.len() - 1 - i].to_string());
+                s
+            })
+            .collect();
+        let list = Top500List::new(systems);
+        let text = export_csv(&list);
+        assert_eq!(import_csv(&text).unwrap().systems(), list.systems());
+        for rows in [1usize, 3] {
+            assert_eq!(
+                stream_all(&text, rows).unwrap(),
+                list.systems(),
+                "rows {rows}"
+            );
+        }
+
+        // The two documented exceptions: one `\r` is stripped from every
+        // raw line, so `\r\n` in text comes back as `\n`; and a `#`-led
+        // line inside text is a comment, taking the closing quote with it.
+        let named = |name: &str| {
+            let mut s = SystemRecord::bare(1, 100.0, 140.0);
+            s.name = Some(name.to_string());
+            export_csv(&Top500List::new(vec![s]))
+        };
+        let text = named("a\r\nb");
+        let mut expected = SystemRecord::bare(1, 100.0, 140.0);
+        expected.name = Some("a\nb".into());
+        assert_eq!(import_csv(&text).unwrap().systems(), [expected.clone()]);
+        assert_eq!(stream_all(&text, 1).unwrap(), [expected]);
+        let text = named("two\n# lines");
+        let expected = ImportError::Csv(FrameError::Csv {
+            line: 2,
+            message: "unterminated quote".into(),
+        });
+        assert_eq!(import_csv(&text).unwrap_err(), expected);
+        assert_eq!(stream_all(&text, 1).unwrap_err(), expected);
+    }
+
+    #[test]
+    fn empty_or_comment_only_input_misses_rank() {
+        for text in ["", "# only a comment\n", "#a\r\n  # b\n"] {
+            assert_eq!(
+                import_csv(text).unwrap_err(),
+                ImportError::MissingColumn("rank"),
+                "{text:?}"
+            );
+            let mut reader = stream_csv(text.as_bytes(), 4);
+            assert_eq!(
+                reader.next_chunk().unwrap().unwrap_err(),
+                ImportError::MissingColumn("rank"),
+                "{text:?}"
+            );
+            assert!(reader.next_chunk().is_none(), "{text:?}: fused");
+        }
+    }
+
+    #[test]
+    fn numeric_cells_read_as_i64_first_then_f64() {
+        let list = import_csv("rank,rmax_tflops,power_kw,memory_gb\n1,10,-0,-0.0\n").unwrap();
+        let s = &list.systems()[0];
+        assert_eq!(s.power_kw.map(f64::to_bits), Some(0.0f64.to_bits()));
+        assert_eq!(s.memory_gb.map(f64::to_bits), Some((-0.0f64).to_bits()));
+    }
+
+    #[test]
+    fn duplicated_header_name_is_error() {
+        let text = "rank,rmax_tflops,name,name\n1,10,a,b\n";
+        let expected = ImportError::Csv(FrameError::DuplicateColumn("name".into()));
+        assert_eq!(import_csv(text).unwrap_err(), expected);
+        assert_eq!(stream_all(text, 1).unwrap_err(), expected);
     }
 
     #[test]

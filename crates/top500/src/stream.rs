@@ -12,7 +12,8 @@
 //! Three sources ship here:
 //!
 //! - [`crate::io::CsvFleetReader`] — a Top500-schema CSV streamed through
-//!   the quote-aware `frame::csv::ChunkedReader` (files larger than RAM).
+//!   the byte-level `frame::csv::Tokenizer` and parsed straight into
+//!   records (files larger than RAM).
 //! - [`SyntheticChunks`] — the calibrated synthetic generator, chunked;
 //!   each chunk is bit-identical to the same rank slice of
 //!   [`crate::synthetic::generate_full`], so a million-row fleet needs no
@@ -238,6 +239,7 @@ impl<E: Send + 'static> Prefetched<E> {
                     }
                 }
             })
+            // audit: allow(panic-surface) — one thread per stream at set-up; failing to spawn it means the OS is out of threads, where `std::thread::spawn` panics too
             .expect("failed to spawn prefetch thread");
         Prefetched {
             rx: Some(rx),

@@ -70,3 +70,33 @@ fn non_finite_matrix_overrides_are_refused_and_overflowing_ones_run() {
     assert_eq!(output.status.code(), Some(0), "{stderr}");
     std::fs::remove_file(&matrix).ok();
 }
+
+#[test]
+fn empty_or_comment_only_systems_csv_is_an_error_in_both_modes() {
+    let dir = std::env::temp_dir();
+    let id = std::process::id();
+    let scenarios = dir.join(format!("cli-empty-scenarios-{id}.csv"));
+    std::fs::write(&scenarios, ScenarioMatrix::csv_template()).expect("write scenarios");
+    let out = dir.join(format!("cli-empty-out-{id}.csv"));
+    for (label, text) in [("empty", ""), ("comments", "# nothing\n  # here\r\n")] {
+        let systems = dir.join(format!("cli-empty-{label}-{id}.csv"));
+        std::fs::write(&systems, text).expect("write systems");
+        let (scen, sys) = (scenarios.to_str().unwrap(), systems.to_str().unwrap());
+        for stream in [false, true] {
+            let mut args = vec!["sweep", scen, sys, "--out", out.to_str().unwrap()];
+            if stream {
+                args.push("--stream");
+            }
+            let output = Command::new(env!("CARGO_BIN_EXE_top500-carbon"))
+                .args(&args)
+                .output()
+                .expect("run the CLI");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(output.status.code(), Some(1), "{label} {args:?}: {stderr}");
+            assert!(stderr.contains("`rank`"), "{label} {args:?}: {stderr}");
+        }
+        std::fs::remove_file(&systems).ok();
+    }
+    std::fs::remove_file(&scenarios).ok();
+    std::fs::remove_file(&out).ok();
+}

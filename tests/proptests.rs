@@ -7,9 +7,9 @@ use top500_carbon::easyc::{
     EmbodiedEstimate, FleetColumns, FleetState, FleetView, MetricMask, OperationalEstimate,
     OverrideSet, PartialAssessment, ScenarioMatrix, SevenMetrics, SystemFootprint, SystemView,
 };
-use top500_carbon::frame::{csv, stats, Column, DataFrame};
-use top500_carbon::top500::io::{export_csv, import_csv, stream_csv};
-use top500_carbon::top500::stream::InMemoryChunks;
+use top500_carbon::frame::{csv, stats, Column, DataFrame, FrameError};
+use top500_carbon::top500::io::{export_csv, import_csv, stream_csv, ImportError};
+use top500_carbon::top500::stream::{FleetChunks, InMemoryChunks};
 use top500_carbon::top500::synthetic::{generate_full, SyntheticConfig};
 use top500_carbon::top500::{SystemRecord, Top500List};
 
@@ -169,6 +169,329 @@ proptest! {
                 (None, None) => {}
                 other => prop_assert!(false, "null mismatch {other:?}"),
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------- CSV byte soup
+
+/// The row-at-a-time record splitter `frame::csv` used before its
+/// byte-level tokenizer (`logical_records`), kept as the tokenizer's
+/// oracle. Raw lines end at `\n` and lose one trailing `\r` each (the
+/// streamed reader's rule; `str::lines` would strip `\r\n` and then one
+/// more `\r`); with `comments`, `#` lines are dropped first, as
+/// `import_csv` used to pre-filter; trailing blank records are dropped, as
+/// `parse` did.
+fn oracle_records(text: &str, comments: bool) -> Vec<(usize, String)> {
+    let lines = text
+        .split_terminator('\n')
+        .map(|raw| raw.strip_suffix('\r').unwrap_or(raw))
+        .filter(|line| !(comments && line.trim_start().starts_with('#')));
+    let mut records = Vec::new();
+    let mut pending = String::new();
+    let mut pending_start = 0usize;
+    for (i, line) in lines.enumerate() {
+        if pending.is_empty() {
+            pending_start = i + 1;
+            pending.push_str(line);
+        } else {
+            pending.push('\n');
+            pending.push_str(line);
+        }
+        // A record is complete when it contains an even number of quotes.
+        if pending.matches('"').count().is_multiple_of(2) {
+            records.push((pending_start, std::mem::take(&mut pending)));
+        }
+    }
+    if !pending.is_empty() {
+        records.push((pending_start, pending));
+    }
+    while records.last().is_some_and(|(_, r)| r.is_empty()) {
+        records.pop();
+    }
+    records
+}
+
+/// The `String`-per-field splitter of one isolated record that `frame::csv`
+/// used before its byte-level tokenizer (`split_record`), kept as the
+/// tokenizer's oracle.
+fn oracle_split(line: &str, line_no: usize) -> Result<Vec<String>, FrameError> {
+    let mut fields = Vec::new();
+    let mut field = String::new();
+    let mut chars = line.chars().peekable();
+    let mut in_quotes = false;
+    while let Some(c) = chars.next() {
+        if in_quotes {
+            match c {
+                '"' => {
+                    if chars.peek() == Some(&'"') {
+                        chars.next();
+                        field.push('"');
+                    } else {
+                        in_quotes = false;
+                    }
+                }
+                other => field.push(other),
+            }
+        } else {
+            match c {
+                ',' => fields.push(std::mem::take(&mut field)),
+                '"' => {
+                    if field.is_empty() {
+                        in_quotes = true;
+                    } else {
+                        return Err(FrameError::Csv {
+                            line: line_no,
+                            message: "quote inside unquoted field".into(),
+                        });
+                    }
+                }
+                other => field.push(other),
+            }
+        }
+    }
+    if in_quotes {
+        return Err(FrameError::Csv {
+            line: line_no,
+            message: "unterminated quote".into(),
+        });
+    }
+    fields.push(field);
+    Ok(fields)
+}
+
+/// Every record until the first malformed one, and that error. A record
+/// is its fields plus, when its width differs from the first record's (as
+/// `parse` checks rows against the header), the width error. Both errors
+/// carry the line the record starts on.
+type Tokens = (Vec<(Vec<String>, Option<FrameError>)>, Option<FrameError>);
+
+fn oracle_tokens(text: &str, comments: bool) -> Tokens {
+    let mut records: Vec<(Vec<String>, Option<FrameError>)> = Vec::new();
+    for (line, record) in oracle_records(text, comments) {
+        let fields = match oracle_split(&record, line) {
+            Ok(fields) => fields,
+            Err(e) => return (records, Some(e)),
+        };
+        let width = records.first().map_or(fields.len(), |first| first.0.len());
+        let mismatch = (fields.len() != width).then(|| FrameError::Csv {
+            line,
+            message: format!("expected {width} fields, got {}", fields.len()),
+        });
+        records.push((fields, mismatch));
+    }
+    (records, None)
+}
+
+fn tokenizer_tokens(bytes: &[u8], comments: bool) -> Tokens {
+    let mut tokenizer = csv::Tokenizer::new(bytes);
+    if comments {
+        tokenizer = tokenizer.strip_comments();
+    }
+    let mut records = Vec::new();
+    loop {
+        match tokenizer.next_record() {
+            Ok(Some(r)) => {
+                let width = records
+                    .first()
+                    .map_or(r.fields().len(), |first: &(Vec<String>, _)| first.0.len());
+                let mismatch = r.check_width(width).err();
+                records.push((r.fields().map(str::to_string).collect(), mismatch));
+            }
+            Ok(None) => return (records, None),
+            Err(e) => return (records, Some(e)),
+        }
+    }
+}
+
+/// Every streamed record in rank order (each chunk is rank-sorted on its
+/// own, and the sort is stable), or the stream's error.
+fn streamed_fleet(bytes: &[u8], rows_per_chunk: usize) -> Result<Vec<SystemRecord>, ImportError> {
+    let mut reader = stream_csv(bytes, rows_per_chunk);
+    let mut all = Vec::new();
+    while let Some(chunk) = reader.next_chunk() {
+        all.extend(chunk?.systems().iter().cloned());
+    }
+    all.sort_by_key(|s| s.rank);
+    Ok(all)
+}
+
+/// Soup pieces, weighted toward CSV structure. Pieces from
+/// `SOUP_UTF8_PIECES` on are not valid UTF-8 on their own: a lone
+/// continuation byte, a lead byte without its continuation, and 0xFF.
+const SOUP: &[&[u8]] = &[
+    b",",
+    b",",
+    b",",
+    b"\"",
+    b"\"",
+    b"\"",
+    b"\n",
+    b"\n",
+    b"\r",
+    b"\r",
+    b"#",
+    b" ",
+    b" ",
+    b"0",
+    b"1",
+    b"3",
+    b"7",
+    b"9",
+    b".",
+    b"-",
+    b"e",
+    b"a",
+    b"x",
+    b"N",
+    "\u{e9}".as_bytes(),
+    "\u{a0}".as_bytes(),
+    &[0x80],
+    &[0xC3],
+    &[0xFF],
+];
+const SOUP_UTF8_PIECES: usize = SOUP.len() - 3;
+
+/// Prefixes: none, or a valid Top500 header (after a comment, too).
+/// `rank` and `rmax_tflops` lead every header.
+const SOUP_HEADERS: &[&str] = &[
+    "",
+    "rank,rmax_tflops",
+    "rank,rmax_tflops,name,vendor",
+    "# template\nrank,rmax_tflops,power_kw",
+];
+
+/// Whole cells for rows shaped like the header: numbers (with `-0` and
+/// `-0.0`, whose signs a reader must keep apart), text that looks like a
+/// number or a boolean, quoted text holding separators, quotes, newlines
+/// and a `#` line, and tokens that read as missing. The first
+/// `SOUP_RANKS` cells are also drawn for `rank`, the first `SOUP_RMAX`
+/// for `rmax_tflops`, so many rows import and some do not.
+const SOUP_CELLS: &[&str] = &[
+    "1",
+    "2",
+    "7",
+    "3",
+    "1e3",
+    "2.5",
+    "-0",
+    "x",
+    "-0.0",
+    "1.50",
+    "007",
+    "",
+    "1e999",
+    "NaN",
+    "inf",
+    "True",
+    "false",
+    " 3",
+    "Mare Nostrum",
+    "\"Mare, Nostrum\"",
+    "\"say \"\"hi\"\"\"",
+    "\"two\nlines\"",
+    "\"two\n# lines\"",
+    "\u{e9}",
+];
+const SOUP_RANKS: usize = 8;
+const SOUP_RMAX: usize = 7;
+
+/// One line of a soup case: a row shaped like the header, byte soup, a
+/// comment or a blank line; `\n` or `\r\n` after it.
+fn soup_line(
+    out: &mut Vec<u8>,
+    kind: usize,
+    picks: &[usize],
+    crlf: bool,
+    width: usize,
+    utf8: bool,
+) {
+    let pick = |i: usize, of: usize| picks.get(i).map_or(0, |p| p % of);
+    match kind {
+        0..=11 => {
+            for column in 0..width {
+                let of = match column {
+                    0 => SOUP_RANKS,
+                    1 => SOUP_RMAX,
+                    _ => SOUP_CELLS.len(),
+                };
+                if column > 0 {
+                    out.push(b',');
+                }
+                out.extend_from_slice(SOUP_CELLS[pick(column, of)].as_bytes());
+            }
+        }
+        12 | 13 => {
+            let pieces = if utf8 {
+                &SOUP[..SOUP_UTF8_PIECES]
+            } else {
+                SOUP
+            };
+            for p in picks {
+                out.extend_from_slice(pieces[p % pieces.len()]);
+            }
+        }
+        14 => out.extend_from_slice(b"  # a comment"),
+        _ => {}
+    }
+    out.extend_from_slice(if crlf { b"\r\n" } else { b"\n" });
+}
+
+/// Byte soup: an optional Top500 header, then lines of header-shaped rows,
+/// arbitrary bytes weighted toward `,` `"` `\n` `\r` `#`, space, digits
+/// and letters (invalid UTF-8 mixed in for half the cases), comments and
+/// blanks.
+fn byte_soup() -> impl Strategy<Value = Vec<u8>> {
+    (
+        0usize..SOUP_HEADERS.len(),
+        prop::collection::vec(
+            (
+                0usize..16,
+                prop::collection::vec(0usize..1024, 0..12),
+                prop::bool::ANY,
+            ),
+            0..12,
+        ),
+        prop::bool::ANY,
+    )
+        .prop_map(|(header, lines, utf8)| {
+            let header = SOUP_HEADERS[header];
+            let width = header.lines().last().map_or(3, |h| h.split(',').count());
+            let mut bytes = Vec::new();
+            if !header.is_empty() {
+                bytes.extend_from_slice(header.as_bytes());
+                bytes.push(b'\n');
+            }
+            for (kind, picks, crlf) in lines {
+                soup_line(&mut bytes, kind, &picks, crlf, width, utf8);
+            }
+            bytes
+        })
+}
+
+proptest! {
+    #[test]
+    fn csv_byte_soup_never_panics_and_every_reader_agrees(bytes in byte_soup()) {
+        // Hostile input on the ingest surface: nothing may panic; the
+        // tokenizer must equal the row-at-a-time oracle wherever the
+        // oracle applies (valid UTF-8); a streamed fleet must end the
+        // same way at every chunk budget; and the whole-file import must
+        // agree with it.
+        let text = std::str::from_utf8(&bytes).ok();
+        for comments in [false, true] {
+            let tokens = tokenizer_tokens(&bytes, comments);
+            if let Some(text) = text {
+                prop_assert_eq!(&tokens, &oracle_tokens(text, comments), "comments {}", comments);
+            }
+        }
+        let fleet = streamed_fleet(&bytes, usize::MAX);
+        for rows in [1usize, 2, 7] {
+            prop_assert_eq!(&streamed_fleet(&bytes, rows), &fleet, "rows {}", rows);
+        }
+        if let Some(text) = text {
+            let imported = import_csv(text).map(|list| list.systems().to_vec());
+            prop_assert_eq!(&imported, &fleet);
+            let _ = csv::parse(text);
         }
     }
 }
