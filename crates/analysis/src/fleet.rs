@@ -6,14 +6,10 @@
 //! `frame` group-by machinery (the study's dataframe substrate).
 
 use crate::aggregate::Aggregate;
-use easyc::{
-    Assessment, AssessmentOutput, CoverageReport, EasyCConfig, Interval, ScenarioDelta,
-    ScenarioMatrix, SystemFootprint,
-};
+use easyc::{AssessmentOutput, CoverageReport, Interval, ScenarioDelta, SystemFootprint};
 use frame::agg::{group_by, AggFn};
 use frame::{Column, DataFrame};
 use top500::list::Top500List;
-use top500::stream::FleetChunks;
 
 /// One group's share of the fleet footprint.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,18 +155,6 @@ pub struct ScenarioSummary {
     pub embodied: Aggregate,
 }
 
-/// Sweeps a whole scenario matrix over the list in ONE interleaved session
-/// pass (shared metric extraction, (scenario × chunk) items in one phase)
-/// and summarises each scenario — the replacement for re-running the
-/// assessment N times.
-pub fn scenario_sweep(
-    list: &Top500List,
-    matrix: &ScenarioMatrix,
-    config: EasyCConfig,
-) -> Vec<ScenarioSummary> {
-    summarize(&Assessment::of(list).config(config).scenarios(matrix).run())
-}
-
 /// Summarises an assessment's scenarios (no re-assessment), whatever its
 /// source. Every slice carries its engine-folded coverage and totals —
 /// exactly the sums `Aggregate::of` would compute over the footprints —
@@ -190,22 +174,6 @@ pub fn summarize(output: &AssessmentOutput) -> Vec<ScenarioSummary> {
             embodied: Aggregate::from_sum(slice.coverage.embodied, slice.embodied_total_mt),
         })
         .collect()
-}
-
-/// [`scenario_sweep`] over a chunked fleet source: the whole matrix in one
-/// incremental session, memory bounded by the source's chunk budget —
-/// fleets of millions of systems summarize without ever being resident.
-pub fn scenario_sweep_streamed<S: FleetChunks>(
-    source: S,
-    matrix: &ScenarioMatrix,
-    config: EasyCConfig,
-) -> Result<Vec<ScenarioSummary>, S::Error> {
-    Ok(summarize(
-        &Assessment::stream(source)
-            .config(config)
-            .scenarios(matrix)
-            .run()?,
-    ))
 }
 
 /// Renders a sweep as an aligned text table.
@@ -363,6 +331,7 @@ pub fn concentration(shares: &[GroupShare], k: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::pipeline::StudyPipeline;
+    use easyc::{Assessment, ScenarioMatrix};
 
     fn setup() -> (Top500List, Vec<SystemFootprint>) {
         let out = StudyPipeline::new(500, 7).run();
@@ -426,7 +395,7 @@ mod tests {
                         .without(MetricBit::PowerKw)
                         .without(MetricBit::AnnualEnergy),
                 ));
-        let summaries = scenario_sweep(&out.baseline, &matrix, easyc::EasyCConfig::default());
+        let summaries = summarize(&Assessment::of(&out.baseline).scenarios(&matrix).run());
         assert_eq!(summaries.len(), 2);
         // The "full" slice must agree with a direct assessment.
         let direct = Assessment::of(&out.baseline).run().into_footprints();
@@ -461,14 +430,14 @@ mod tests {
                         .without(MetricBit::PowerKw)
                         .without(MetricBit::AnnualEnergy),
                 ));
-        let in_memory = scenario_sweep(&out.baseline, &matrix, easyc::EasyCConfig::default());
+        let in_memory = summarize(&Assessment::of(&out.baseline).scenarios(&matrix).run());
         for rows in [1usize, 16, 150, 1000] {
-            let streamed = scenario_sweep_streamed(
-                InMemoryChunks::new(&out.baseline, rows),
-                &matrix,
-                easyc::EasyCConfig::default(),
-            )
-            .unwrap();
+            let streamed = summarize(
+                &Assessment::stream(InMemoryChunks::new(&out.baseline, rows))
+                    .scenarios(&matrix)
+                    .run()
+                    .unwrap(),
+            );
             assert_eq!(streamed, in_memory, "rows {rows}");
         }
     }

@@ -75,9 +75,10 @@ fn transitive_wall_clock(files: &[FileItems], graph: &Graph, out: &mut Vec<Viola
 
 // --------------------------------------------------------- panic-surface
 
-/// The request-lifecycle / hot-path files, and the CSV ingest path every
-/// untrusted file goes through, whose reachable panics must be justified
-/// or refactored to structured errors.
+/// The request-lifecycle / hot-path files, the CSV ingest path every
+/// untrusted file goes through, and the scenario matrix and mask parsers
+/// serve runs on client text, whose reachable panics must be justified or
+/// refactored to structured errors.
 fn is_panic_scope(path: &str) -> bool {
     const HOT: &[&str] = &[
         "crates/easyc/src/session.rs",
@@ -85,6 +86,7 @@ fn is_panic_scope(path: &str) -> bool {
         "crates/easyc/src/state.rs",
         "crates/easyc/src/partial.rs",
         "crates/easyc/src/columns.rs",
+        "crates/easyc/src/scenario.rs",
         "crates/easyc/src/uncertainty.rs",
         "crates/frame/src/csv.rs",
         "crates/top500/src/io.rs",

@@ -149,11 +149,19 @@ fn panic_rule_scopes_to_serve_and_easyc_hot_paths_only() {
     // The same panicky source outside the scope (an easyc cold-path file)
     // draws no panic-surface finding.
     let sources = vec![src(
-        "crates/easyc/src/scenario.rs",
+        "crates/easyc/src/coverage.rs",
         include_str!("fixtures/semantic_panic_bad.rs"),
     )];
     let v = audit_sources(&sources, &[]);
     assert!(lines_of(&v, "panic-surface").is_empty());
+    // The scenario matrix and mask parsers read serve's client text, so
+    // their file is in scope.
+    let sources = vec![src(
+        "crates/easyc/src/scenario.rs",
+        include_str!("fixtures/semantic_panic_bad.rs"),
+    )];
+    let v = audit_sources(&sources, &[]);
+    assert_eq!(lines_of(&v, "panic-surface"), vec![6, 12]);
 }
 
 // ------------------------------------------------------------ lock-order

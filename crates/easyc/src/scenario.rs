@@ -18,7 +18,18 @@
 //!   CSV for the `sweep` CLI command.
 
 use crate::metrics::SevenMetrics;
+use frame::{csv, FrameError};
 use top500::record::SystemRecord;
+
+/// The scenario matrix CSV's columns, in the order
+/// [`ScenarioMatrix::from_csv`] reads them.
+const MATRIX_COLUMNS: [&str; 5] = [
+    "name",
+    "mask",
+    "pue_override",
+    "utilization_override",
+    "aci_override",
+];
 
 /// One assessment input that a scenario can mask out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -372,75 +383,44 @@ impl ScenarioMatrix {
     }
 
     /// Parses a scenario matrix from CSV text with columns
-    /// `name,mask[,pue_override][,utilization_override][,aci_override]`.
-    /// `mask` uses the [`MetricMask::parse`] spec syntax; empty override
-    /// cells leave the prior in place, and a non-finite override (`NaN`,
-    /// `inf`, or a literal that overflows `f64`) is an error naming the
+    /// `name,mask[,pue_override][,utilization_override][,aci_override]`
+    /// (other columns are ignored; a repeated one is an error). Names are
+    /// taken verbatim. `mask` uses the [`MetricMask::parse`] spec syntax
+    /// (empty means `all`); an empty override cell leaves the prior in
+    /// place, and any other cell that is not a finite number (`NaN`, `inf`,
+    /// a literal that overflows `f64`, a word) is an error naming the
     /// scenario and the column.
     pub fn from_csv(text: &str) -> Result<ScenarioMatrix, String> {
-        let df = frame::csv::parse(text).map_err(|e| e.to_string())?;
-        let name_col = df.column("name").map_err(|e| e.to_string())?;
-        let mask_col = df.column("mask").map_err(|e| e.to_string())?;
-        let numeric = |col: &str| -> Result<Option<Vec<Option<f64>>>, String> {
-            if !df.names().iter().any(|n| n == col) {
-                return Ok(None);
-            }
-            match df.numeric(col) {
-                Ok(values) => Ok(Some(values)),
-                // An all-empty column has no type evidence and parses as
-                // string; treat it as "no overrides in this column".
-                Err(e) => {
-                    let column = df.column(col).map_err(|e| e.to_string())?;
-                    let all_null =
-                        (0..df.len()).all(|i| matches!(column.value(i), frame::Value::Null));
-                    if all_null {
-                        Ok(Some(vec![None; df.len()]))
-                    } else {
-                        Err(e.to_string())
-                    }
-                }
-            }
+        let mut records = csv::Tokenizer::new(text.as_bytes());
+        let Some(first) = records.next_record().map_err(|e| e.to_string())? else {
+            return Err(FrameError::UnknownColumn("name".into()).to_string());
         };
-        let pue = numeric("pue_override")?;
-        let util = numeric("utilization_override")?;
-        let aci = numeric("aci_override")?;
-        let mut scenarios = Vec::with_capacity(df.len());
-        // Numeric-looking cells (a name column of years, say) are
-        // type-inferred by the CSV reader; render the cell text, never the
-        // Rust debug representation.
-        fn cell_text(value: frame::Value) -> String {
-            match value {
-                frame::Value::Str(s) => s,
-                frame::Value::I64(v) => v.to_string(),
-                frame::Value::F64(v) => v.to_string(),
-                frame::Value::Bool(b) => b.to_string(),
-                frame::Value::Null => String::new(),
+        let header = csv::Header::map(&first, &MATRIX_COLUMNS).map_err(|e| e.to_string())?;
+        for required in ["name", "mask"] {
+            if !header.has(required) {
+                return Err(FrameError::UnknownColumn(required.into()).to_string());
             }
         }
-        for i in 0..df.len() {
-            let name = cell_text(name_col.value(i));
-            let mask_spec = match mask_col.value(i) {
-                frame::Value::Null => "all".to_string(),
-                other => cell_text(other),
-            };
-            let mask =
-                MetricMask::parse(&mask_spec).map_err(|e| format!("scenario `{name}`: {e}"))?;
-            let cell = |values: &Option<Vec<Option<f64>>>, col: &str| match values
-                .as_ref()
-                .and_then(|v| v[i])
-            {
-                Some(v) if !v.is_finite() => Err(format!(
-                    "scenario `{name}`: {col} `{v}` is not a finite number"
-                )),
-                cell => Ok(cell),
+        let mut scenarios = Vec::new();
+        while let Some(record) = records.next_record().map_err(|e| e.to_string())? {
+            let [name, mask, pue, utilization, aci] =
+                header.cells(&record).map_err(|e| e.to_string())?;
+            let mask = MetricMask::parse(mask).map_err(|e| format!("scenario `{name}`: {e}"))?;
+            let value = |column: &str, cell: &str| {
+                if cell.is_empty() {
+                    return Ok(None);
+                }
+                csv::number(cell).map(Some).ok_or_else(|| {
+                    format!("scenario `{name}`: {column} `{cell}` is not a finite number")
+                })
             };
             let overrides = OverrideSet {
-                pue: cell(&pue, "pue_override")?,
-                utilization: cell(&util, "utilization_override")?,
-                aci_g_per_kwh: cell(&aci, "aci_override")?,
+                pue: value("pue_override", pue)?,
+                utilization: value("utilization_override", utilization)?,
+                aci_g_per_kwh: value("aci_override", aci)?,
             };
             scenarios.push(DataScenario {
-                name,
+                name: name.to_string(),
                 mask,
                 overrides,
             });
@@ -590,12 +570,60 @@ mod tests {
 
     #[test]
     fn matrix_from_csv_keeps_numeric_names_textual() {
-        // A name column of bare numbers is type-inferred as integers by the
-        // CSV reader; scenario names must still round-trip as text.
+        // Names that look like numbers or booleans are taken verbatim, and
+        // every override keeps the bits of `frame::csv::number`.
         let matrix = ScenarioMatrix::from_csv("name,mask\n2024,all\n1,all -power\n").unwrap();
         assert_eq!(matrix.scenarios()[0], DataScenario::full("2024"));
         assert_eq!(matrix.scenarios()[1].name, "1");
         assert!(!matrix.scenarios()[1].mask.contains(MetricBit::PowerKw));
+
+        let matrix = ScenarioMatrix::from_csv(
+            "name,mask,pue_override,utilization_override,aci_override\n\
+             007,all,1,,\n\
+             1.50,all -power,-0,,\n\
+             True,,,-0.0,\n\
+             1e3,all,,,1e2\n\
+             -0,none,,,\n",
+        )
+        .unwrap();
+        let names: Vec<&str> = matrix.scenarios().iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["007", "1.50", "True", "1e3", "-0"]);
+        let bits = |v: Option<f64>| v.map(f64::to_bits);
+        let [a, b, c, d, e] = matrix.scenarios() else {
+            panic!("five scenarios");
+        };
+        assert_eq!(bits(a.overrides.pue), Some(1.0f64.to_bits()));
+        assert_eq!(bits(b.overrides.pue), Some(0.0f64.to_bits()));
+        assert!(!b.mask.contains(MetricBit::PowerKw));
+        assert_eq!(c.mask, MetricMask::ALL);
+        assert_eq!(bits(c.overrides.utilization), Some((-0.0f64).to_bits()));
+        assert_eq!(bits(d.overrides.aci_g_per_kwh), Some(100.0f64.to_bits()));
+        assert_eq!(e.mask, MetricMask::NONE);
+        assert_eq!(e.overrides, OverrideSet::NONE);
+    }
+
+    #[test]
+    fn matrix_from_csv_rejects_malformed_matrices() {
+        let header = "name,mask,pue_override,utilization_override,aci_override\n";
+        for text in [
+            String::new(),
+            "mask\nall\n".to_string(),
+            "name\nfull\n".to_string(),
+            "name,mask,name\nfull,all,x\n".to_string(),
+            format!("{header}full,all\n"),
+            format!("{header}full,all,,,,\n"),
+            format!("{header}\"full,all,,,\n"),
+            format!("{header}bad,all,fast,,\n"),
+            format!("{header}bad,all,,1.5.1,\n"),
+        ] {
+            assert!(ScenarioMatrix::from_csv(&text).is_err(), "{text:?}");
+        }
+        let err =
+            ScenarioMatrix::from_csv(&format!("{header}ok,all,,,\nbad,all,fast,,\n")).unwrap_err();
+        assert!(
+            err.contains("`bad`") && err.contains("pue_override"),
+            "{err}"
+        );
     }
 
     #[test]

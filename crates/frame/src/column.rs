@@ -87,7 +87,7 @@ impl Column {
     }
 
     /// Cell accessor producing an owned [`Value`].
-    pub fn value(&self, row: usize) -> Value {
+    pub(crate) fn value(&self, row: usize) -> Value {
         match self {
             Column::F64(v) => v[row].map(Value::F64).unwrap_or(Value::Null),
             Column::I64(v) => v[row].map(Value::I64).unwrap_or(Value::Null),

@@ -20,15 +20,19 @@
 //! - Each record is checked as UTF-8 once; invalid UTF-8 is an error,
 //!   never replaced.
 //!
-//! [`parse`] and [`ChunkedReader`] read a CSV into typed [`DataFrame`]s
-//! (whole-file, or in bounded chunks for inputs too large to materialize);
-//! typed readers such as `top500::io` take the tokenizer's fields as
-//! `&str` and never build a frame. The writer ([`write()`], [`write_header`],
-//! [`write_rows`]) renders a frame column by column into one buffer.
+//! Readers are typed by their schema, and nothing infers a type from a
+//! column's contents. A reader (the fleet reader in `top500::io`, the
+//! scenario matrix in `easyc`, Table II in `top500::appendix`) maps the
+//! header record once onto the columns it knows ([`Header`]), then takes
+//! each record's fields as `&str`: text verbatim, numbers by one rule
+//! ([`number`]). No reader builds a [`DataFrame`]. The writer ([`write()`],
+//! [`write_header`], [`write_rows`]) renders a frame column by column into
+//! one buffer.
 
-use crate::column::{Column, Value};
+use crate::column::Column;
 use crate::error::{FrameError, Result};
 use crate::frame::DataFrame;
+use std::collections::HashSet;
 use std::fmt::{Display, Write as _};
 use std::io::BufRead;
 use std::ops::Range;
@@ -308,213 +312,67 @@ fn split_fields(
     }
 }
 
-/// Infers a cell value: empty → null, else i64, else f64, else bool, else str.
-fn infer_value(field: &str) -> Value {
-    if field.is_empty() {
-        return Value::Null;
-    }
-    if let Ok(i) = field.parse::<i64>() {
-        return Value::I64(i);
-    }
-    if let Ok(f) = field.parse::<f64>() {
-        return Value::F64(f);
-    }
-    match field {
-        "true" | "TRUE" | "True" => Value::Bool(true),
-        "false" | "FALSE" | "False" => Value::Bool(false),
-        _ => Value::Str(field.to_string()),
-    }
+/// A header record mapped once onto the `N` columns a typed reader knows,
+/// so that each data record spreads into those columns with no name
+/// lookup.
+#[derive(Debug, Clone)]
+pub struct Header<'c, const N: usize> {
+    columns: &'c [&'c str; N],
+    /// Per header field: the index in `columns` it fills, or `None` for a
+    /// name the reader does not know.
+    slots: Vec<Option<usize>>,
 }
 
-/// Column type lattice used during inference: Null < I64 < F64, anything
-/// else degrades to Str; Bool only merges with Bool/Null.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Unknown,
-    I64,
-    F64,
-    Bool,
-    Str,
-}
-
-impl Kind {
-    fn merge(self, v: &Value) -> Kind {
-        let vk = match v {
-            Value::Null => return self,
-            Value::I64(_) => Kind::I64,
-            Value::F64(_) => Kind::F64,
-            Value::Bool(_) => Kind::Bool,
-            Value::Str(_) => Kind::Str,
-        };
-        match (self, vk) {
-            (Kind::Unknown, k) => k,
-            (a, b) if a == b => a,
-            (Kind::I64, Kind::F64) | (Kind::F64, Kind::I64) => Kind::F64,
-            _ => Kind::Str,
-        }
-    }
-}
-
-/// Builds a typed frame from header names and per-column inferred cells.
-fn frame_from_cells(names: &[String], cells: Vec<Vec<Value>>) -> Result<DataFrame> {
-    let mut df = DataFrame::new();
-    for (name, values) in names.iter().zip(cells) {
-        let kind = values.iter().fold(Kind::Unknown, Kind::merge);
-        let column = match kind {
-            Kind::I64 => Column::I64(
-                values
-                    .iter()
-                    .map(|v| match v {
-                        Value::I64(i) => Some(*i),
-                        _ => None,
-                    })
-                    .collect(),
-            ),
-            Kind::F64 => Column::F64(
-                values
-                    .iter()
-                    .map(|v| match v {
-                        Value::F64(f) => Some(*f),
-                        Value::I64(i) => Some(*i as f64),
-                        _ => None,
-                    })
-                    .collect(),
-            ),
-            Kind::Bool => Column::Bool(
-                values
-                    .iter()
-                    .map(|v| match v {
-                        Value::Bool(b) => Some(*b),
-                        _ => None,
-                    })
-                    .collect(),
-            ),
-            // Unknown (all nulls) defaults to string.
-            Kind::Str | Kind::Unknown => Column::Str(
-                values
-                    .into_iter()
-                    .map(|v| match v {
-                        Value::Str(s) => Some(s),
-                        Value::I64(i) => Some(i.to_string()),
-                        Value::F64(f) => Some(f.to_string()),
-                        Value::Bool(b) => Some(b.to_string()),
-                        Value::Null => None,
-                    })
-                    .collect(),
-            ),
-        };
-        df.add_column(name.clone(), column)?;
-    }
-    Ok(df)
-}
-
-/// Parses CSV text (first record = header) into a typed [`DataFrame`].
-///
-/// Types are inferred per column across all rows; mixed int/float widens to
-/// float, any other mixture falls back to string. Empty fields become nulls.
-/// This is [`ChunkedReader`] drained as one chunk; empty input gives a
-/// frame with no columns.
-pub fn parse(text: &str) -> Result<DataFrame> {
-    ChunkedReader::new(text.as_bytes(), usize::MAX)
-        .next_chunk()
-        .unwrap_or_else(|| Ok(DataFrame::new()))
-}
-
-/// Streaming CSV reader that yields [`DataFrame`] chunks of at most
-/// `rows_per_chunk` rows, so arbitrarily large inputs parse in bounded
-/// memory (at most one chunk of cells plus one record is resident at any
-/// time).
-///
-/// It drains the module's [`Tokenizer`], so the dialect is exactly
-/// [`parse`]'s, records re-merged across raw lines and chunk boundaries
-/// included. The one divergence is column *type inference*, which is
-/// necessarily per chunk rather than whole-file: a column whose kinds mix
-/// *across* chunks comes back with different chunk-local types than
-/// [`parse`] would assign globally (one non-numeric cell degrades a
-/// whole-file numeric column to string, while chunks without it still
-/// parse as numbers). Columns that are kind-consistent, or mix only within
-/// one chunk, parse identically. Typed readers that know their schema
-/// (`top500::io`) read the tokenizer's fields directly and infer nothing.
-///
-/// A header-only input yields exactly one zero-row chunk (so consumers can
-/// still validate the schema); an empty input yields no chunks. After the
-/// first `Err`, the reader is fused and yields `None` forever.
-#[derive(Debug)]
-pub struct ChunkedReader<R> {
-    records: Tokenizer<R>,
-    rows_per_chunk: usize,
-    /// Header names, from the first record.
-    names: Option<Vec<String>>,
-    emitted_any: bool,
-    fused: bool,
-}
-
-impl<R: BufRead> ChunkedReader<R> {
-    /// Reader over `input` yielding chunks of at most `rows_per_chunk`
-    /// data rows (the header does not count; a budget of 0 is treated
-    /// as 1).
-    pub fn new(input: R, rows_per_chunk: usize) -> ChunkedReader<R> {
-        ChunkedReader {
-            records: Tokenizer::new(input),
-            rows_per_chunk: rows_per_chunk.max(1),
-            names: None,
-            emitted_any: false,
-            fused: false,
-        }
-    }
-
-    /// Reads the next chunk: `None` at end of input, `Some(Err)` on the
-    /// first I/O or CSV error (after which the reader is fused).
-    pub fn next_chunk(&mut self) -> Option<Result<DataFrame>> {
-        if self.fused {
-            return None;
-        }
-        let result = self.advance();
-        if matches!(result, Some(Err(_)) | None) {
-            self.fused = true;
-        }
-        result
-    }
-
-    fn advance(&mut self) -> Option<Result<DataFrame>> {
-        if self.names.is_none() {
-            self.names = match self.records.next_record() {
-                Ok(Some(header)) => Some(header.fields().map(str::to_string).collect()),
-                Ok(None) => return None,
-                Err(e) => return Some(Err(e)),
-            };
-        }
-        let names = self.names.as_deref()?;
-        let mut cells: Vec<Vec<Value>> = vec![Vec::new(); names.len()];
-        let mut rows = 0;
-        while rows < self.rows_per_chunk {
-            let record = match self.records.next_record() {
-                Ok(Some(record)) => record,
-                Ok(None) => break,
-                Err(e) => return Some(Err(e)),
-            };
-            if let Err(e) = record.check_width(names.len()) {
-                return Some(Err(e));
+impl<'c, const N: usize> Header<'c, N> {
+    /// Maps `header`'s names onto `columns`. Unknown names are ignored;
+    /// any name that repeats, known or not, is
+    /// [`FrameError::DuplicateColumn`].
+    pub fn map(header: &Record<'_>, columns: &'c [&'c str; N]) -> Result<Header<'c, N>> {
+        let mut seen = HashSet::new();
+        let mut slots = Vec::with_capacity(header.spans.len());
+        for name in header.fields() {
+            if !seen.insert(name) {
+                return Err(FrameError::DuplicateColumn(name.to_string()));
             }
-            for (column, field) in cells.iter_mut().zip(record.fields()) {
-                column.push(infer_value(field));
+            slots.push(columns.iter().position(|c| *c == name));
+        }
+        Ok(Header { columns, slots })
+    }
+
+    /// True when the header names `column`.
+    pub fn has(&self, column: &str) -> bool {
+        self.slots
+            .iter()
+            .flatten()
+            .any(|&at| self.columns[at] == column)
+    }
+
+    /// `record`'s fields in the reader's column order, `""` for a column
+    /// the header does not name. A record whose width differs from the
+    /// header's is an error.
+    pub fn cells<'a>(&self, record: &Record<'a>) -> Result<[&'a str; N]> {
+        record.check_width(self.slots.len())?;
+        let mut cells = [""; N];
+        for (slot, field) in self.slots.iter().zip(record.fields()) {
+            if let Some(at) = *slot {
+                cells[at] = field;
             }
-            rows += 1;
         }
-        if rows == 0 && self.emitted_any {
-            return None;
-        }
-        self.emitted_any = true;
-        Some(frame_from_cells(names, cells))
+        Ok(cells)
     }
 }
 
-impl<R: BufRead> Iterator for ChunkedReader<R> {
-    type Item = Result<DataFrame>;
-
-    fn next(&mut self) -> Option<Result<DataFrame>> {
-        self.next_chunk()
-    }
+/// A numeric cell, by the one rule every reader shares: the text read as
+/// an `i64` first (and widened, so `-0` reads `+0.0`), else as an `f64`.
+/// Anything that is not a finite number (an empty cell, `NaN`, `inf`, an
+/// overflowing literal such as `1e999`, a stray token such as `unknown`)
+/// is `None`.
+pub fn number(cell: &str) -> Option<f64> {
+    let value = match cell.parse::<i64>() {
+        Ok(i) => i as f64,
+        Err(_) => cell.parse::<f64>().ok()?,
+    };
+    value.is_finite().then_some(value)
 }
 
 /// Appends `field` to `out`, quoted (with `"` doubled) when it holds a
@@ -611,96 +469,6 @@ fn push_display<T: Display>(out: &mut String, cell: Option<&Option<T>>) {
 mod tests {
     use super::*;
 
-    #[test]
-    fn parse_basic_types() {
-        let df = parse("rank,name,power\n1,Frontier,22.7\n2,Aurora,\n").unwrap();
-        assert_eq!(df.len(), 2);
-        assert_eq!(df.column("rank").unwrap().type_name(), "i64");
-        assert_eq!(df.column("power").unwrap().type_name(), "f64");
-        assert_eq!(df.value("power", 1).unwrap(), Value::Null);
-    }
-
-    #[test]
-    fn mixed_int_float_widens() {
-        let df = parse("x\n1\n2.5\n").unwrap();
-        assert_eq!(df.column("x").unwrap().type_name(), "f64");
-        assert_eq!(df.numeric("x").unwrap(), vec![Some(1.0), Some(2.5)]);
-    }
-
-    #[test]
-    fn mixed_number_string_degrades_to_str() {
-        let df = parse("x\n1\nabc\n").unwrap();
-        assert_eq!(df.column("x").unwrap().type_name(), "str");
-        assert_eq!(df.value("x", 0).unwrap(), Value::Str("1".into()));
-    }
-
-    #[test]
-    fn quoted_fields_with_commas() {
-        let df = parse("name,v\n\"MareNostrum 5, ACC\",3\n").unwrap();
-        assert_eq!(
-            df.value("name", 0).unwrap(),
-            Value::Str("MareNostrum 5, ACC".into())
-        );
-    }
-
-    #[test]
-    fn escaped_quotes() {
-        let df = parse("name\n\"say \"\"hi\"\"\"\n").unwrap();
-        assert_eq!(
-            df.value("name", 0).unwrap(),
-            Value::Str("say \"hi\"".into())
-        );
-    }
-
-    #[test]
-    fn embedded_newline_in_quotes() {
-        let df = parse("name,v\n\"two\nlines\",1\n").unwrap();
-        assert_eq!(df.len(), 1);
-        assert_eq!(
-            df.value("name", 0).unwrap(),
-            Value::Str("two\nlines".into())
-        );
-    }
-
-    #[test]
-    fn crlf_handled() {
-        let df = parse("a,b\r\n1,2\r\n").unwrap();
-        assert_eq!(df.len(), 1);
-        assert_eq!(df.value("b", 0).unwrap(), Value::I64(2));
-    }
-
-    #[test]
-    fn field_count_mismatch_is_error() {
-        let err = parse("a,b\n1\n").unwrap_err();
-        assert!(matches!(err, FrameError::Csv { line: 2, .. }));
-    }
-
-    #[test]
-    fn unterminated_quote_is_error() {
-        assert!(parse("a\n\"oops\n").is_err());
-    }
-
-    #[test]
-    fn roundtrip_preserves_values() {
-        let text = "rank,name,power\n1,Frontier,22.7\n2,\"X, Y\",\n";
-        let df = parse(text).unwrap();
-        let df2 = parse(&write(&df)).unwrap();
-        assert_eq!(df, df2);
-    }
-
-    #[test]
-    fn empty_input_is_empty_frame() {
-        let df = parse("").unwrap();
-        assert_eq!(df.width(), 0);
-        assert_eq!(df.len(), 0);
-    }
-
-    #[test]
-    fn bool_inference() {
-        let df = parse("flag\ntrue\nfalse\n\n").unwrap();
-        assert_eq!(df.column("flag").unwrap().type_name(), "bool");
-    }
-
     // ----------------------------------------------------------- tokenizer
 
     /// Every record's (line, fields) until the end of input or the first
@@ -793,109 +561,51 @@ mod tests {
         assert_eq!((records, err), (vec![(1, owned(&["ok"]))], None));
     }
 
-    // ----------------------------------------------------- chunked reader
-
-    /// Reads `text` in chunks of `rows` and returns every chunk.
-    fn chunks_of(text: &str, rows: usize) -> Vec<DataFrame> {
-        ChunkedReader::new(text.as_bytes(), rows)
-            .map(|c| c.expect("chunk parses"))
-            .collect()
-    }
-
-    /// Concatenated row count across chunks.
-    fn total_rows(chunks: &[DataFrame]) -> usize {
-        chunks.iter().map(DataFrame::len).sum()
-    }
+    // -------------------------------------------------- header and number
 
     #[test]
-    fn chunked_reader_matches_parse_row_for_row() {
-        let text = "rank,name,power\n1,Frontier,22.7\n2,Aurora,\n3,Eagle,12.5\n4,Fugaku,29.9\n";
-        let whole = parse(text).unwrap();
-        for rows in [1usize, 2, 3, 10, usize::MAX] {
-            let chunks = chunks_of(text, rows);
-            assert_eq!(total_rows(&chunks), whole.len(), "rows {rows}");
-            let mut row = 0;
-            for chunk in &chunks {
-                assert!(chunk.len() <= rows, "chunk over budget at rows {rows}");
-                for local in 0..chunk.len() {
-                    for name in whole.names() {
-                        assert_eq!(
-                            chunk.value(name, local).unwrap(),
-                            whole.value(name, row).unwrap(),
-                            "row {row} column {name} at rows {rows}"
-                        );
-                    }
-                    row += 1;
-                }
-            }
+    fn header_maps_known_names_once_and_spreads_records() {
+        const COLUMNS: [&str; 3] = ["name", "mask", "pue"];
+        let mut records = Tokenizer::new(&b"mask,note,name\nall,x,007\n\"a,b\",,\nshort\n"[..]);
+        let first = records.next_record().unwrap().unwrap();
+        let header = Header::map(&first, &COLUMNS).unwrap();
+        assert!(header.has("name") && header.has("mask") && !header.has("pue"));
+        assert!(!header.has("note"), "an unknown name is not a column");
+        let record = records.next_record().unwrap().unwrap();
+        assert_eq!(header.cells(&record).unwrap(), ["007", "all", ""]);
+        let record = records.next_record().unwrap().unwrap();
+        assert_eq!(header.cells(&record).unwrap(), ["", "a,b", ""]);
+        let record = records.next_record().unwrap().unwrap();
+        assert_eq!(
+            header.cells(&record).unwrap_err(),
+            csv_error(4, "expected 3 fields, got 1")
+        );
+        // Any repeated name is an error, one the reader ignores too.
+        for text in ["name,mask,name\n", "name,x,x\n"] {
+            let mut records = Tokenizer::new(text.as_bytes());
+            let first = records.next_record().unwrap().unwrap();
+            assert!(matches!(
+                Header::map(&first, &COLUMNS),
+                Err(FrameError::DuplicateColumn(_))
+            ));
         }
     }
 
     #[test]
-    fn chunked_reader_quoted_newline_spanning_chunk_boundary() {
-        // The quoted field's embedded newline lands exactly on a 1-row
-        // chunk boundary; the record must be re-merged, not split.
-        let text = "name,v\nplain,1\n\"two\nlines\",2\nlast,3\n";
-        let chunks = chunks_of(text, 1);
-        assert_eq!(chunks.len(), 3);
+    fn number_reads_i64_first_then_f64_and_only_finite_values() {
+        let bits = |cell: &str| number(cell).map(f64::to_bits);
+        assert_eq!(bits("1"), Some(1.0f64.to_bits()));
+        assert_eq!(bits("-0"), Some(0.0f64.to_bits()));
+        assert_eq!(bits("-0.0"), Some((-0.0f64).to_bits()));
+        assert_eq!(bits("1e2"), Some(100.0f64.to_bits()));
+        // An integer past 2^53 rounds as `i64 as f64` does.
         assert_eq!(
-            chunks[1].value("name", 0).unwrap(),
-            Value::Str("two\nlines".into())
+            bits("9007199254740993"),
+            Some((9_007_199_254_740_993i64 as f64).to_bits())
         );
-        assert_eq!(chunks[1].value("v", 0).unwrap(), Value::I64(2));
-        assert_eq!(
-            chunks[2].value("name", 0).unwrap(),
-            Value::Str("last".into())
-        );
-    }
-
-    #[test]
-    fn chunked_reader_header_only_yields_one_empty_chunk() {
-        let chunks = chunks_of("a,b\n", 4);
-        assert_eq!(chunks.len(), 1);
-        assert_eq!(chunks[0].len(), 0);
-        assert_eq!(chunks[0].names(), &["a", "b"]);
-    }
-
-    #[test]
-    fn chunked_reader_empty_input_yields_nothing() {
-        assert!(chunks_of("", 4).is_empty());
-    }
-
-    #[test]
-    fn chunked_reader_drops_trailing_blank_lines_only() {
-        // Interior blank = one empty field (kept); trailing blanks dropped —
-        // identical to `parse`.
-        let text = "x\n1\n\n2\n\n\n";
-        let whole = parse(text).unwrap();
-        let chunks = chunks_of(text, 2);
-        assert_eq!(total_rows(&chunks), whole.len());
-        assert_eq!(whole.len(), 3);
-        assert_eq!(chunks[0].value("x", 1).unwrap(), Value::Null);
-    }
-
-    #[test]
-    fn chunked_reader_crlf_and_no_final_newline() {
-        let chunks = chunks_of("a,b\r\n1,2\r\n3,4", 10);
-        assert_eq!(chunks.len(), 1);
-        assert_eq!(chunks[0].len(), 2);
-        assert_eq!(chunks[0].value("b", 1).unwrap(), Value::I64(4));
-    }
-
-    #[test]
-    fn chunked_reader_errors_fuse() {
-        let mut reader = ChunkedReader::new("a,b\n1,2\n1\n9,9\n".as_bytes(), 1);
-        assert!(reader.next_chunk().unwrap().is_ok());
-        let err = reader.next_chunk().unwrap().unwrap_err();
-        assert!(matches!(err, FrameError::Csv { line: 3, .. }), "{err:?}");
-        assert!(reader.next_chunk().is_none(), "reader must fuse after Err");
-    }
-
-    #[test]
-    fn chunked_reader_unterminated_quote_at_eof_is_error() {
-        let mut reader = ChunkedReader::new("a\n\"oops\n".as_bytes(), 8);
-        assert!(reader.next_chunk().unwrap().is_err());
-        assert!(reader.next_chunk().is_none());
+        for cell in ["", "NaN", "inf", "-inf", "1e999", " 1", "1.5x", "True"] {
+            assert_eq!(number(cell), None, "{cell:?}");
+        }
     }
 
     #[test]

@@ -10,7 +10,11 @@
 //! - [`Column`]: a nullable, typed column (`f64` / `i64` / `String` / `bool`).
 //! - [`DataFrame`]: an ordered collection of equal-length named columns with
 //!   cell and numeric-column access and group-by.
-//! - [`csv`]: dependency-free CSV reader/writer with quoting and null handling.
+//! - [`csv`]: dependency-free CSV reading and writing. Readers are typed by
+//!   their schema: each pulls records from one byte-level tokenizer, maps
+//!   the header onto the columns it knows and reads text verbatim and
+//!   numbers by one rule; nothing infers a column's type. The writer
+//!   renders a [`DataFrame`] with one escape rule.
 //! - [`stats`]: descriptive statistics (sums, means, quantiles) and the
 //!   Kolmogorov–Smirnov and Gini shape measures, with explicit empty-input
 //!   semantics.

@@ -305,12 +305,10 @@ impl Parser<'_> {
         if end > self.bytes.len() {
             return Err(self.err("truncated unicode escape"));
         }
-        let digits = std::str::from_utf8(&self.bytes[self.at..end])
-            .map_err(|_| self.err("invalid unicode escape"))?;
-        let code =
-            u32::from_str_radix(digits, 16).map_err(|_| self.err("invalid unicode escape"))?;
+        let code = hex_digits(&self.bytes[self.at..end])
+            .ok_or_else(|| self.err("invalid unicode escape"))?;
         self.at = end;
-        Ok(code)
+        Ok(code as u32)
     }
 
     fn number(&mut self) -> Result<Value, ParseError> {
@@ -468,9 +466,18 @@ pub(crate) fn array(items: &[String]) -> String {
 /// `Obj::field_bits`.
 pub fn bits_from_hex(hex: &str) -> Option<f64> {
     (hex.len() == 16)
-        .then(|| u64::from_str_radix(hex, 16).ok())
+        .then(|| hex_digits(hex.as_bytes()))
         .flatten()
         .map(f64::from_bits)
+}
+
+/// The value of `digits`, all of them ASCII hex digits (no sign, unlike
+/// `u64::from_str_radix`), or `None`. At most 16 digits.
+fn hex_digits(digits: &[u8]) -> Option<u64> {
+    digits.iter().try_fold(0u64, |value, &digit| {
+        let nibble = (digit as char).to_digit(16)?;
+        Some(value << 4 | u64::from(nibble))
+    })
 }
 
 #[cfg(test)]
@@ -525,6 +532,9 @@ mod tests {
             r#""unterminated"#,
             "1e999",
             &format!("{}1{}", "[".repeat(40), "]".repeat(40)),
+            r#"{"op":"st\u+061tus"}"#,
+            r#""\u-061""#,
+            r#""\u 061""#,
         ] {
             assert!(parse(bad).is_err(), "should reject: {bad:?}");
         }
@@ -557,5 +567,11 @@ mod tests {
             assert_eq!(back.to_bits(), x.to_bits());
         }
         assert_eq!(bits_from_hex("zz"), None);
+        assert_eq!(bits_from_hex("+00000000000000a"), None);
+        assert_eq!(bits_from_hex("-00000000000000a"), None);
+        assert_eq!(
+            bits_from_hex("000000000000000A").map(f64::to_bits),
+            Some(10)
+        );
     }
 }

@@ -5,8 +5,7 @@
 //! validated in tests against every aggregate the paper reports: scenario
 //! coverage counts, totals, and the interpolation deltas.
 
-use frame::csv;
-use frame::DataFrame;
+use frame::csv::{self, number};
 
 /// Raw CSV of Table II (see `data/table2.csv`). Columns:
 /// `rank,name,op_t,op_p,op_i,emb_t,emb_p,emb_i` — operational/embodied MT
@@ -40,43 +39,39 @@ pub struct AppendixRow {
     pub embodied: ScenarioValues,
 }
 
-/// Parses the embedded Table II into typed rows (always 500, rank-ordered).
-pub fn load() -> Vec<AppendixRow> {
-    let df = csv::parse(TABLE2_CSV).expect("embedded table2.csv parses");
-    frame_to_rows(&df)
-}
+/// Table II's columns, in the order [`load`] reads them.
+const TABLE2_COLUMNS: [&str; 8] = [
+    "rank", "name", "op_t", "op_p", "op_i", "emb_t", "emb_p", "emb_i",
+];
 
-/// Parses an arbitrary frame with the Table II schema.
-pub(crate) fn frame_to_rows(df: &DataFrame) -> Vec<AppendixRow> {
-    let rank = df.numeric("rank").expect("rank column");
-    let op_t = df.numeric("op_t").expect("op_t column");
-    let op_p = df.numeric("op_p").expect("op_p column");
-    let op_i = df.numeric("op_i").expect("op_i column");
-    let emb_t = df.numeric("emb_t").expect("emb_t column");
-    let emb_p = df.numeric("emb_p").expect("emb_p column");
-    let emb_i = df.numeric("emb_i").expect("emb_i column");
-    let name_col = df.column("name").expect("name column");
-    (0..df.len())
-        .map(|i| AppendixRow {
-            rank: rank[i].expect("rank present") as u32,
-            name: match name_col.value(i) {
-                frame::Value::Str(s) => Some(s),
-                frame::Value::I64(v) => Some(v.to_string()),
-                frame::Value::F64(v) => Some(v.to_string()),
-                _ => None,
-            },
+/// Parses the embedded Table II into typed rows (always 500, rank-ordered):
+/// a name verbatim (an empty one is an anonymous system), every value by
+/// `frame::csv`'s number rule.
+pub fn load() -> Vec<AppendixRow> {
+    const PARSES: &str = "embedded table2.csv parses";
+    let mut records = csv::Tokenizer::new(TABLE2_CSV.as_bytes());
+    let first = records.next_record().expect(PARSES).expect(PARSES);
+    let header = csv::Header::map(&first, &TABLE2_COLUMNS).expect(PARSES);
+    let mut rows = Vec::new();
+    while let Some(record) = records.next_record().expect(PARSES) {
+        let [rank, name, op_t, op_p, op_i, emb_t, emb_p, emb_i] =
+            header.cells(&record).expect(PARSES);
+        rows.push(AppendixRow {
+            rank: number(rank).expect("rank present") as u32,
+            name: (!name.is_empty()).then(|| name.to_string()),
             operational: ScenarioValues {
-                top500: op_t[i],
-                public: op_p[i],
-                interpolated: op_i[i],
+                top500: number(op_t),
+                public: number(op_p),
+                interpolated: number(op_i),
             },
             embodied: ScenarioValues {
-                top500: emb_t[i],
-                public: emb_p[i],
-                interpolated: emb_i[i],
+                top500: number(emb_t),
+                public: number(emb_p),
+                interpolated: number(emb_i),
             },
-        })
-        .collect()
+        });
+    }
+    rows
 }
 
 /// Paper-reported headline constants used for validation and EXPERIMENTS.md.

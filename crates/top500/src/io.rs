@@ -7,28 +7,28 @@
 //! "item not reported" — which is exactly the missingness the study models.
 //!
 //! Reading is typed: [`CsvFleetReader`] maps the header onto [`COLUMNS`]
-//! once, then parses each record of `frame::csv`'s tokenizer straight into
-//! a [`SystemRecord`]. A text column is taken verbatim, a numeric one is
-//! read as a number on its own; nothing is inferred from the rest of the
-//! column. [`import_csv`] is that reader drained into one list, and
-//! [`export_csv`] writes with `frame::csv`'s escape rule, so
-//! `import_csv(&export_csv(&list))` gives `list` back, with two exceptions
-//! the reading dialect forces on text fields: a `\r\n` inside text comes
-//! back as `\n` (one `\r` is stripped from every raw line), and text with
-//! a newline followed by a line whose first non-blank character is `#`
-//! does not read back as written (that line is a comment, and the quote
-//! closing the field goes with it).
+//! once (`frame::csv::Header`), then parses each record of `frame::csv`'s
+//! tokenizer straight into a [`SystemRecord`]. A text column is taken
+//! verbatim, a numeric one is read by `frame::csv::number` on its own;
+//! nothing is inferred from the rest of the column. [`import_csv`] is that
+//! reader drained into one list, and [`export_csv`] writes with
+//! `frame::csv`'s escape rule, so `import_csv(&export_csv(&list))` gives
+//! `list` back, with two exceptions the reading dialect forces on text
+//! fields: a `\r\n` inside text comes back as `\n` (one `\r` is stripped
+//! from every raw line), and text with a newline followed by a line whose
+//! first non-blank character is `#` does not read back as written (that
+//! line is a comment, and the quote closing the field goes with it).
 
 use crate::list::Top500List;
 use crate::record::SystemRecord;
 use crate::stream::FleetChunks;
-use frame::{csv, FrameError};
-use std::collections::HashSet;
+use frame::csv::{self, number};
+use frame::FrameError;
 use std::fmt::{Display, Write as _};
 use std::io::BufRead;
 
 /// Column names recognised by the importer (case-sensitive, snake_case).
-pub const COLUMNS: &[&str] = &[
+pub const COLUMNS: [&str; 21] = [
     "rank",
     "name",
     "country",
@@ -84,18 +84,6 @@ impl From<FrameError> for ImportError {
     fn from(e: FrameError) -> ImportError {
         ImportError::Csv(e)
     }
-}
-
-/// A numeric cell: text read as an `i64` first (and widened, so `-0` reads
-/// `+0.0`), else as an `f64`. Anything that is not a finite number (an
-/// empty cell, `NaN`, `inf`, an overflowing literal such as `1e999`, a
-/// stray token such as `unknown`) reads as missing.
-fn number(cell: &str) -> Option<f64> {
-    let value = match cell.parse::<i64>() {
-        Ok(i) => i as f64,
-        Err(_) => cell.parse::<f64>().ok()?,
-    };
-    value.is_finite().then_some(value)
 }
 
 fn count(cell: &str) -> Option<u64> {
@@ -182,9 +170,8 @@ pub fn import_csv(text: &str) -> Result<Top500List, ImportError> {
 pub struct CsvFleetReader<R> {
     records: csv::Tokenizer<R>,
     rows_per_chunk: usize,
-    /// Per header field: the [`COLUMNS`] index it fills, or `None` for an
-    /// unknown column. Resolved once, from the header record.
-    slots: Option<Vec<Option<usize>>>,
+    /// The header mapped onto [`COLUMNS`], once, from the first record.
+    header: Option<csv::Header<'static, { COLUMNS.len() }>>,
     rows_seen: usize,
     emitted_any: bool,
     fused: bool,
@@ -196,7 +183,7 @@ pub fn stream_csv<R: BufRead>(input: R, rows_per_chunk: usize) -> CsvFleetReader
     CsvFleetReader {
         records: csv::Tokenizer::new(input).strip_comments(),
         rows_per_chunk: rows_per_chunk.max(1),
-        slots: None,
+        header: None,
         rows_seen: 0,
         emitted_any: false,
         fused: false,
@@ -205,35 +192,28 @@ pub fn stream_csv<R: BufRead>(input: R, rows_per_chunk: usize) -> CsvFleetReader
 
 impl<R: BufRead> CsvFleetReader<R> {
     /// Reads the header record and maps it onto [`COLUMNS`].
-    fn header(&mut self) -> Result<Vec<Option<usize>>, ImportError> {
-        let header = self
+    fn header(&mut self) -> Result<csv::Header<'static, { COLUMNS.len() }>, ImportError> {
+        let record = self
             .records
             .next_record()?
             .ok_or(ImportError::MissingColumn("rank"))?;
-        let mut seen = HashSet::new();
-        let mut slots = Vec::new();
-        for name in header.fields() {
-            if !seen.insert(name) {
-                return Err(FrameError::DuplicateColumn(name.to_string()).into());
-            }
-            slots.push(COLUMNS.iter().position(|c| *c == name));
-        }
+        let header = csv::Header::map(&record, &COLUMNS)?;
         for required in ["rank", "rmax_tflops"] {
-            if !seen.contains(required) {
+            if !header.has(required) {
                 return Err(ImportError::MissingColumn(required));
             }
         }
-        Ok(slots)
+        Ok(header)
     }
 
     fn advance(&mut self) -> Option<Result<Top500List, ImportError>> {
-        if self.slots.is_none() {
+        if self.header.is_none() {
             match self.header() {
-                Ok(slots) => self.slots = Some(slots),
+                Ok(header) => self.header = Some(header),
                 Err(e) => return Some(Err(e)),
             }
         }
-        let slots = self.slots.as_deref()?;
+        let header = self.header.as_ref()?;
         let mut systems = Vec::new();
         while systems.len() < self.rows_per_chunk {
             let record = match self.records.next_record() {
@@ -241,15 +221,10 @@ impl<R: BufRead> CsvFleetReader<R> {
                 Ok(None) => break,
                 Err(e) => return Some(Err(e.into())),
             };
-            if let Err(e) = record.check_width(slots.len()) {
-                return Some(Err(e.into()));
-            }
-            let mut cells = [""; COLUMNS.len()];
-            for (slot, field) in slots.iter().zip(record.fields()) {
-                if let Some(column) = slot {
-                    cells[*column] = field;
-                }
-            }
+            let cells = match header.cells(&record) {
+                Ok(cells) => cells,
+                Err(e) => return Some(Err(e.into())),
+            };
             match system_of(cells, self.rows_seen + systems.len()) {
                 Ok(system) => systems.push(system),
                 Err(e) => return Some(Err(e)),

@@ -15,8 +15,8 @@
 //! - [`hwdb`] — hardware and carbon-factor databases.
 //! - [`ghg`] — the GHG-protocol style exhaustive accounting baseline.
 //! - [`analysis`] — study pipelines regenerating every paper table and
-//!   figure, scenario sweeps (`analysis::fleet::scenario_sweep`) and
-//!   batch-slice sensitivity (`analysis::sensitivity::from_footprints`).
+//!   figure, scenario-sweep summaries (`analysis::fleet::summarize`) and
+//!   scenario-pair sensitivity (`analysis::sensitivity::between`).
 //! - [`frame`] — columnar mini-dataframe and statistics substrate
 //!   (assessment results are exposed columnar via
 //!   `easyc::AssessmentOutput::to_frame`).

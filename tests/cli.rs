@@ -100,3 +100,61 @@ fn empty_or_comment_only_systems_csv_is_an_error_in_both_modes() {
     std::fs::remove_file(&scenarios).ok();
     std::fs::remove_file(&out).ok();
 }
+
+/// A matrix whose names look like numbers or a boolean.
+const NUMERIC_NAMES: &str = "name,mask,pue_override,utilization_override,aci_override\n\
+                             007,all,,,\n\
+                             1.50,all -power -energy,,,\n\
+                             True,all,1.1,,\n\
+                             1e3,all,,,50\n\
+                             -0,all -nodes -gpus -cpus,,,\n";
+
+#[test]
+fn numeric_looking_scenario_names_are_kept_verbatim() {
+    let dir = std::env::temp_dir();
+    let id = std::process::id();
+    let matrix = dir.join(format!("cli-numeric-names-{id}.csv"));
+    std::fs::write(&matrix, NUMERIC_NAMES).expect("write matrix");
+    let mut written = Vec::new();
+    for stream in [false, true] {
+        let out = dir.join(format!("cli-numeric-names-out-{id}-{stream}.csv"));
+        let mut args = vec![
+            matrix.to_str().unwrap(),
+            "--synthetic",
+            "50",
+            "--compare",
+            "007,True",
+            "--out",
+            out.to_str().unwrap(),
+        ];
+        if stream {
+            args.push("--stream");
+        }
+        let output = Command::new(env!("CARGO_BIN_EXE_top500-carbon"))
+            .arg("sweep")
+            .args(&args)
+            .output()
+            .expect("run the CLI");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(0), "stream {stream}: {stderr}");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(stdout.contains("True − 007"), "stream {stream}: {stdout}");
+        let csv = std::fs::read_to_string(&out).expect("read --out");
+        let names: Vec<&str> = csv
+            .lines()
+            .skip(1)
+            .map(|line| line.split(',').next().unwrap())
+            .collect();
+        assert_eq!(names.first(), Some(&"007"), "stream {stream}");
+        for name in ["1.50", "True", "1e3", "-0"] {
+            assert!(names.contains(&name), "stream {stream}: {name} missing");
+        }
+        written.push(csv);
+        std::fs::remove_file(&out).ok();
+    }
+    assert_eq!(
+        written[0], written[1],
+        "in-memory and streamed --out differ"
+    );
+    std::fs::remove_file(&matrix).ok();
+}

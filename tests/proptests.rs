@@ -8,6 +8,7 @@ use top500_carbon::easyc::{
     OverrideSet, PartialAssessment, ScenarioMatrix, SevenMetrics, SystemFootprint, SystemView,
 };
 use top500_carbon::frame::{csv, stats, Column, DataFrame, FrameError};
+use top500_carbon::serve::json;
 use top500_carbon::top500::io::{export_csv, import_csv, stream_csv, ImportError};
 use top500_carbon::top500::stream::{FleetChunks, InMemoryChunks};
 use top500_carbon::top500::synthetic::{generate_full, SyntheticConfig};
@@ -98,78 +99,59 @@ proptest! {
 
 // --------------------------------------------------------------------- CSV
 
+/// Writes `text` and `x` as the two columns of a frame with a row index
+/// (so no row is blank) and reads the records back through the tokenizer
+/// and a header mapped onto `row,text,x`: each row's text verbatim and its
+/// `x` by `csv::number`.
+fn csv_roundtrip(
+    text: &[String],
+    x: &[Option<f64>],
+) -> Result<Vec<(String, Option<f64>)>, FrameError> {
+    const COLUMNS: [&str; 3] = ["row", "text", "x"];
+    let df = DataFrame::new()
+        .with_column(
+            "row",
+            Column::I64((0..text.len() as i64).map(Some).collect()),
+        )?
+        .with_column("text", Column::from_str_iter(text.iter().cloned()))?
+        .with_column("x", Column::F64(x.to_vec()))?;
+    let written = csv::write(&df);
+    let mut records = csv::Tokenizer::new(written.as_bytes());
+    let first = records.next_record()?.expect("a header record");
+    let header = csv::Header::map(&first, &COLUMNS)?;
+    let mut rows = Vec::new();
+    while let Some(record) = records.next_record()? {
+        let [row, text, x] = header.cells(&record)?;
+        assert_eq!(csv::number(row), Some(rows.len() as f64));
+        rows.push((text.to_string(), csv::number(x)));
+    }
+    Ok(rows)
+}
+
 proptest! {
     #[test]
     fn csv_roundtrip_arbitrary_strings(
-        cells in prop::collection::vec("[ -~]{0,20}", 1..20)
+        cells in prop::collection::vec("[ -~\n\"]{0,20}", 1..20)
     ) {
-        // Build a one-column string frame; quoting must survive a roundtrip.
-        // (Purely-numeric strings legitimately re-parse as numbers, so make
-        // each value unambiguously textual.)
-        let values: Vec<String> = cells.iter().map(|c| format!("s:{c}")).collect();
-        let df = DataFrame::new()
-            .with_column("text", Column::from_str_iter(values.clone()))
-            .unwrap();
-        let text = csv::write(&df);
-        let back = csv::parse(&text).unwrap();
-        prop_assert_eq!(back.len(), values.len());
-        for (i, v) in values.iter().enumerate() {
-            let cell = back.value("text", i).unwrap();
-            prop_assert_eq!(cell.as_str().unwrap(), v.as_str());
-        }
-    }
-
-    #[test]
-    fn csv_chunked_reader_matches_whole_file_parse(
-        cells in prop::collection::vec("[ -~\n\"]{0,16}", 1..40),
-        rows_per_chunk in 1usize..12
-    ) {
-        // Arbitrary text cells — embedded newlines, quotes, commas — force
-        // the writer to quote; the chunked reader must reassemble records
-        // across chunk boundaries exactly as the whole-file parser does.
-        let values: Vec<String> = cells.iter().map(|c| format!("s:{c}")).collect();
-        let df = DataFrame::new()
-            .with_column("text", Column::from_str_iter(values.clone()))
-            .unwrap();
-        let text = csv::write(&df);
-        let whole = csv::parse(&text).unwrap();
-        let mut reader = csv::ChunkedReader::new(text.as_bytes(), rows_per_chunk);
-        let mut row = 0usize;
-        while let Some(chunk) = reader.next_chunk() {
-            let chunk = chunk.unwrap();
-            prop_assert!(chunk.len() <= rows_per_chunk);
-            for local in 0..chunk.len() {
-                prop_assert_eq!(
-                    chunk.value("text", local).unwrap(),
-                    whole.value("text", row).unwrap(),
-                    "row {}", row
-                );
-                row += 1;
-            }
-        }
-        prop_assert_eq!(row, whole.len());
-        prop_assert_eq!(whole.len(), values.len());
+        // Any text, commas, quotes and newlines included (the writer
+        // quotes them), reads back verbatim, even when it looks like a
+        // number or is empty.
+        let back = csv_roundtrip(&cells, &vec![None; cells.len()]).unwrap();
+        let texts: Vec<String> = back.into_iter().map(|(text, _)| text).collect();
+        prop_assert_eq!(texts, cells);
     }
 
     #[test]
     fn csv_roundtrip_numeric_with_nulls(
         values in prop::collection::vec(prop::option::of(-1e9f64..1e9), 1..50)
     ) {
-        // An all-null column has no type evidence and re-parses as string;
-        // the numeric round-trip claim needs at least one number.
-        prop_assume!(values.iter().any(Option::is_some));
-        let df = DataFrame::new()
-            .with_column("x", Column::F64(values.clone()))
-            .unwrap();
-        let back = csv::parse(&csv::write(&df)).unwrap();
-        let parsed = back.numeric("x").unwrap();
-        for (orig, round) in values.iter().zip(&parsed) {
-            match (orig, round) {
-                (Some(a), Some(b)) => prop_assert!((a - b).abs() <= a.abs() * 1e-12),
-                (None, None) => {}
-                other => prop_assert!(false, "null mismatch {other:?}"),
-            }
-        }
+        // `Display` writes the shortest text that reads back as the same
+        // `f64`, so every number returns bit for bit; a null returns as
+        // `None`, an all-null column included.
+        let back = csv_roundtrip(&vec![String::new(); values.len()], &values).unwrap();
+        let bits: Vec<Option<u64>> = back.iter().map(|(_, x)| x.map(f64::to_bits)).collect();
+        let expected: Vec<Option<u64>> = values.iter().map(|x| x.map(f64::to_bits)).collect();
+        prop_assert_eq!(bits, expected);
     }
 }
 
@@ -181,7 +163,7 @@ proptest! {
 /// streamed reader's rule; `str::lines` would strip `\r\n` and then one
 /// more `\r`); with `comments`, `#` lines are dropped first, as
 /// `import_csv` used to pre-filter; trailing blank records are dropped, as
-/// `parse` did.
+/// the tokenizer drops them.
 fn oracle_records(text: &str, comments: bool) -> Vec<(usize, String)> {
     let lines = text
         .split_terminator('\n')
@@ -262,7 +244,7 @@ fn oracle_split(line: &str, line_no: usize) -> Result<Vec<String>, FrameError> {
 
 /// Every record until the first malformed one, and that error. A record
 /// is its fields plus, when its width differs from the first record's (as
-/// `parse` checks rows against the header), the width error. Both errors
+/// every reader checks rows against its header), the width error. Both errors
 /// carry the line the record starts on.
 type Tokens = (Vec<(Vec<String>, Option<FrameError>)>, Option<FrameError>);
 
@@ -475,8 +457,9 @@ proptest! {
         // Hostile input on the ingest surface: nothing may panic; the
         // tokenizer must equal the row-at-a-time oracle wherever the
         // oracle applies (valid UTF-8); a streamed fleet must end the
-        // same way at every chunk budget; and the whole-file import must
-        // agree with it.
+        // same way at every chunk budget; the whole-file import must agree
+        // with it; and the scenario-matrix reader, fed the soup bare and
+        // under a matrix header, must answer without panicking.
         let text = std::str::from_utf8(&bytes).ok();
         for comments in [false, true] {
             let tokens = tokenizer_tokens(&bytes, comments);
@@ -491,8 +474,83 @@ proptest! {
         if let Some(text) = text {
             let imported = import_csv(text).map(|list| list.systems().to_vec());
             prop_assert_eq!(&imported, &fleet);
-            let _ = csv::parse(text);
+            let _ = ScenarioMatrix::from_csv(text);
+            let _ = ScenarioMatrix::from_csv(&format!("name,mask,aci_override\n{text}"));
         }
+    }
+}
+
+// ------------------------------------------------------ serve JSON soup
+
+/// Pieces of JSON soup: structure, string escapes (a signed, a short and
+/// a lone-surrogate `\u` escape among them), number fragments, literals
+/// whole and cut, whitespace, control and multi-byte characters, and an
+/// eight-deep opening run, so nesting past the parser's depth guard is
+/// common.
+const JSON_SOUP: &[&str] = &[
+    "{",
+    "}",
+    "[",
+    "]",
+    ":",
+    ",",
+    "\"",
+    "\"",
+    "\\",
+    "\\u",
+    "\\u00e9",
+    "\\u+061",
+    "\\u06",
+    "\\ud83d",
+    "\\ude00",
+    "\\n",
+    "0",
+    "1",
+    "9",
+    "-",
+    "+",
+    ".",
+    "e",
+    "E",
+    "1e999",
+    "true",
+    "false",
+    "null",
+    "nul",
+    " ",
+    "\n",
+    "\r",
+    "\t",
+    "\u{1}",
+    "\"op\"",
+    "\"status\"",
+    "\u{e9}",
+    "\u{1F600}",
+    "[[[[[[[[",
+    "{\"a\":",
+];
+
+fn json_soup() -> impl Strategy<Value = String> {
+    prop::collection::vec(0usize..JSON_SOUP.len(), 0..48)
+        .prop_map(|picks| picks.into_iter().map(|p| JSON_SOUP[p]).collect())
+}
+
+proptest! {
+    #[test]
+    fn json_byte_soup_never_panics_and_written_strings_parse_back(
+        text in json_soup(),
+        key in json_soup(),
+    ) {
+        // serve parses every request line with this parser: on any input
+        // it answers without panicking, and an error's offset points into
+        // the line (its end included). Any text the writer puts in a
+        // string field, as key or value, parses back verbatim.
+        if let Err(e) = json::parse(&text) {
+            prop_assert!(e.at <= text.len(), "error at {} of {} bytes", e.at, text.len());
+        }
+        let line = json::Obj::new().field_str(&key, &text).finish();
+        let parsed = json::parse(&line).unwrap();
+        prop_assert_eq!(parsed.get(&key).and_then(json::Value::as_str), Some(text.as_str()));
     }
 }
 
@@ -836,6 +894,76 @@ proptest! {
             prop_assert_eq!(scenario.mask, masks[i]);
         }
     }
+
+    #[test]
+    fn matrix_csv_round_trips_names_masks_and_override_bits(
+        scenarios in prop::collection::vec(
+            (
+                arb_scenario_name(),
+                arb_mask(),
+                arb_override_cell(),
+                arb_override_cell(),
+                arb_override_cell(),
+            ),
+            0..8,
+        )
+    ) {
+        // serve reads a client's `matrix_csv` through `from_csv`. Any name
+        // (without `\r`, one of which is stripped from every raw line)
+        // comes back verbatim, every mask as `to_spec` wrote it, and every
+        // override bit for bit, except that `-0.0`, which `Display` writes
+        // as `-0`, reads back `+0.0`.
+        let mut text =
+            String::from("name,mask,pue_override,utilization_override,aci_override\n");
+        for (name, mask, pue, utilization, aci) in &scenarios {
+            csv::escape_into(&mut text, name);
+            text.push(',');
+            text.push_str(&mask.to_spec());
+            for value in [pue, utilization, aci] {
+                text.push(',');
+                if let Some(value) = value {
+                    text.push_str(&value.to_string());
+                }
+            }
+            text.push('\n');
+        }
+        let matrix = ScenarioMatrix::from_csv(&text).unwrap();
+        prop_assert_eq!(matrix.len(), scenarios.len());
+        let read_bits = |v: Option<f64>| v.map(f64::to_bits);
+        let written_bits = |v: &Option<f64>| v.map(|x| if x == 0.0 { 0 } else { x.to_bits() });
+        for (read, (name, mask, pue, utilization, aci)) in matrix.scenarios().iter().zip(&scenarios) {
+            prop_assert_eq!(&read.name, name);
+            prop_assert_eq!(read.mask, *mask);
+            prop_assert_eq!(read_bits(read.overrides.pue), written_bits(pue));
+            prop_assert_eq!(read_bits(read.overrides.utilization), written_bits(utilization));
+            prop_assert_eq!(read_bits(read.overrides.aci_g_per_kwh), written_bits(aci));
+        }
+    }
+}
+
+/// A scenario name drawn from digits, letters, space, `,`, `"`, `\n`, `.`,
+/// `+` and `-` (no `\r`), half the time from the characters of numbers
+/// only, so names like `007`, `+1`, `1e3` and `-0` are common.
+fn arb_scenario_name() -> impl Strategy<Value = String> {
+    (
+        prop::bool::ANY,
+        "[0-9.eE+-]{1,6}",
+        "[0-9a-zA-Z ,\"\n.+-]{0,12}",
+    )
+        .prop_map(|(numeric, number_like, any)| if numeric { number_like } else { any })
+}
+
+/// One matrix override cell: empty, or a finite `f64` drawn as arbitrary
+/// bits, as a multiple of 1/4 (integers among them) or as `-0.0`.
+fn arb_override_cell() -> impl Strategy<Value = Option<f64>> {
+    prop::option::of((0usize..3, 0u64..u64::MAX, -4000i64..4000)).prop_map(|cell| {
+        cell.map(|(kind, bits, quarters)| match kind {
+            0 => f64::from_bits(bits),
+            1 => quarters as f64 / 4.0,
+            _ => -0.0,
+        })
+        .filter(|x| x.is_finite())
+    })
 }
 
 // ------------------------------------------------------- columnar kernels

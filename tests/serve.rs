@@ -209,6 +209,31 @@ fn a_non_finite_matrix_override_is_a_bad_scenario_and_the_worker_lives() {
 }
 
 #[test]
+fn numeric_looking_scenario_names_are_served_verbatim() {
+    let _shared = shared_address_space();
+    let server = spawn(fleet_state(30, true), "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let compare = |baseline: &str, variant: &str| {
+        top500_carbon::serve::json::Obj::new()
+            .field_str("op", "compare")
+            .field_str(
+                "matrix_csv",
+                "name,mask,pue_override\n007,all,\n1.50,all -power,\nTrue,all,1.1\n",
+            )
+            .field_str("baseline", baseline)
+            .field_str("variant", variant)
+            .field_int("draws", 8)
+            .finish()
+    };
+    let reply = client.request_raw(&compare("007", "True")).unwrap();
+    assert!(reply.contains(r#""ok":true"#), "{reply}");
+    // The names are the matrix's own text, not numbers read from it.
+    let reply = client.request_raw(&compare("7", "true")).unwrap();
+    assert!(reply.contains(r#""code":"bad-scenario""#), "{reply}");
+    server.shutdown();
+}
+
+#[test]
 fn concurrent_clients_see_identical_bytes_for_identical_queries() {
     let _shared = shared_address_space();
     let config = ServeConfig {

@@ -6,11 +6,10 @@
 //! (coverage counts, fleet totals, operational and embodied intervals),
 //! while never holding more than one chunk of the fleet.
 
-use top500_carbon::analysis::fleet::{scenario_sweep, scenario_sweep_streamed};
+use top500_carbon::analysis::fleet::summarize;
 use top500_carbon::analysis::report::SweepCsvWriter;
 use top500_carbon::easyc::{
-    Assessment, AssessmentOutput, DataScenario, EasyCConfig, MetricBit, MetricMask, ScenarioMatrix,
-    StreamOutput,
+    Assessment, AssessmentOutput, DataScenario, MetricBit, MetricMask, ScenarioMatrix, StreamOutput,
 };
 use top500_carbon::frame;
 use top500_carbon::top500::io::{export_csv, stream_csv};
@@ -164,13 +163,13 @@ fn streamed_csv_bit_identical_to_in_memory_import() {
 #[test]
 fn streamed_analysis_sweep_bit_identical_to_in_memory_summaries() {
     let list = synthetic_500();
-    let in_memory = scenario_sweep(&list, &matrix(), EasyCConfig::default());
-    let streamed = scenario_sweep_streamed(
-        InMemoryChunks::new(&list, 64),
-        &matrix(),
-        EasyCConfig::default(),
-    )
-    .expect("in-memory chunks cannot fail");
+    let in_memory = summarize(&Assessment::of(&list).scenarios(&matrix()).run());
+    let streamed = summarize(
+        &Assessment::stream(InMemoryChunks::new(&list, 64))
+            .scenarios(&matrix())
+            .run()
+            .expect("in-memory chunks cannot fail"),
+    );
     assert_eq!(streamed, in_memory);
 }
 
