@@ -19,6 +19,7 @@
 
 use crate::metrics::SevenMetrics;
 use frame::{csv, FrameError};
+use std::collections::HashSet;
 use top500::record::SystemRecord;
 
 /// The scenario matrix CSV's columns, in the order
@@ -385,7 +386,9 @@ impl ScenarioMatrix {
     /// Parses a scenario matrix from CSV text with columns
     /// `name,mask[,pue_override][,utilization_override][,aci_override]`
     /// (other columns are ignored; a repeated one is an error). Names are
-    /// taken verbatim. `mask` uses the [`MetricMask::parse`] spec syntax
+    /// taken verbatim, and a repeated name is an error naming it (a lookup
+    /// by name would see only the first). `mask` uses the
+    /// [`MetricMask::parse`] spec syntax
     /// (empty means `all`); an empty override cell leaves the prior in
     /// place, and any other cell that is not a finite number (`NaN`, `inf`,
     /// a literal that overflows `f64`, a word) is an error naming the
@@ -402,9 +405,13 @@ impl ScenarioMatrix {
             }
         }
         let mut scenarios = Vec::new();
+        let mut names = HashSet::new();
         while let Some(record) = records.next_record().map_err(|e| e.to_string())? {
             let [name, mask, pue, utilization, aci] =
                 header.cells(&record).map_err(|e| e.to_string())?;
+            if !names.insert(name.to_string()) {
+                return Err(format!("scenario `{name}` is repeated"));
+            }
             let mask = MetricMask::parse(mask).map_err(|e| format!("scenario `{name}`: {e}"))?;
             let value = |column: &str, cell: &str| {
                 if cell.is_empty() {
@@ -615,9 +622,12 @@ mod tests {
             format!("{header}\"full,all,,,\n"),
             format!("{header}bad,all,fast,,\n"),
             format!("{header}bad,all,,1.5.1,\n"),
+            format!("{header}full,all,,,\nfull,all -power -energy,,,\n"),
         ] {
             assert!(ScenarioMatrix::from_csv(&text).is_err(), "{text:?}");
         }
+        let err = ScenarioMatrix::from_csv("name,mask\nfull,all\nx,all\nfull,none\n").unwrap_err();
+        assert!(err.contains("`full`") && err.contains("repeated"), "{err}");
         let err =
             ScenarioMatrix::from_csv(&format!("{header}ok,all,,,\nbad,all,fast,,\n")).unwrap_err();
         assert!(

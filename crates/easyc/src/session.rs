@@ -52,8 +52,9 @@
 //! - the draws' RNG streams are keyed by (global row, draw index) — never
 //!   by scenario, block or cache state — so every scenario replays
 //!   identical per-system perturbations (common random numbers), and each
-//!   work item computes its samples' factors and noise column once,
-//!   sweeping them over every scenario's pre-hoisted factor columns.
+//!   work item computes its samples' factors and noise column once (or
+//!   reads the column from a resident state's noise cache), sweeping them
+//!   over every scenario's pre-hoisted factor columns.
 //!
 //! Every run returns one [`AssessmentOutput`]: per-scenario
 //! [`ScenarioSlice`]s (coverage, fleet totals, operational **and** embodied
@@ -78,8 +79,10 @@ use crate::uncertainty::{
 use crate::view::FleetView;
 use frame::DataFrame;
 use parallel::Job;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::mem::{size_of, size_of_val};
 use std::ops::Range;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use top500::list::Top500List;
 
 /// Builder for a planned, parallel fleet assessment over the source
@@ -145,7 +148,8 @@ impl<Src> Assessment<Src> {
     /// embodied) with this many draws per scenario (0 = skip, the
     /// default). All scenarios replay the same per-system perturbations
     /// (common random numbers), so [`AssessmentOutput::compare`] can pair
-    /// them into tight difference intervals.
+    /// them into tight difference intervals. The CLI and `serve` refuse
+    /// more than [`crate::MAX_DRAWS`] draws over all scenarios.
     pub fn uncertainty(mut self, draws: usize) -> Assessment<Src> {
         self.plan.draws = draws;
         self
@@ -209,14 +213,16 @@ impl<'a> Assessment<&'a Top500List> {
 }
 
 /// Phase-1 products a resident [`crate::state::FleetState`] already holds
-/// for its one block, plus its warm footprints per effective scenario
-/// (`None` = run the kernels). A cached entry is valid only when the cache
-/// was produced by these same kernels over this same fleet and scenario,
-/// which is exactly what the resident state guarantees.
+/// for its one block (which starts at row 0), plus its warm footprints per
+/// effective scenario (`None` = run the kernels) and its noise cache. A
+/// cached entry is valid only when the cache was produced by these same
+/// kernels over this same fleet and scenario, which is exactly what the
+/// resident state guarantees.
 pub(crate) struct Resident<'b> {
     pub(crate) metrics: &'b [SevenMetrics],
     pub(crate) columns: &'b FleetColumns,
     pub(crate) cached: Vec<Option<&'b [SystemFootprint]>>,
+    pub(crate) noise: &'b NoiseCache,
 }
 
 /// The per-block engine behind every [`Assessment`] run (see the
@@ -336,7 +342,8 @@ impl Engine {
             partial.absorb(first_row, block);
         }
         if self.plan.draws > 0 {
-            self.run_draws(first_row, n, &footprints);
+            let noise = resident.as_ref().map(|r| r.noise);
+            self.run_draws(first_row, n, &footprints, noise);
         }
         footprints
     }
@@ -355,7 +362,21 @@ impl Engine {
     /// function of the footprint bases and the plan, independent of
     /// whether phase 2 computed the bases or a resident cache supplied
     /// them — which is what makes warm intervals bit-identical.
-    fn run_draws(&mut self, first_row: usize, rows: usize, footprints: &[Vec<SystemFootprint>]) {
+    ///
+    /// With a resident `noise_cache`, the noise columns come from the
+    /// matrix cached for this (seed, rows, draws); when there is none and
+    /// the key repeats a recent uncached one, each item fills its own
+    /// sample range of a new matrix, which is cached after the run. A
+    /// list or stream block, a key's first query and an over-budget
+    /// request refill one scratch column per sample. Every column is the
+    /// same [`operational_noise`] fill, so the three read the same bits.
+    fn run_draws(
+        &mut self,
+        first_row: usize,
+        rows: usize,
+        footprints: &[Vec<SystemFootprint>],
+        noise_cache: Option<&NoiseCache>,
+    ) {
         let plan = self.plan;
         // Per-scenario factor columns over the Ok estimates, operational
         // bases tagged with their global row — the stream key.
@@ -417,28 +438,60 @@ impl Engine {
                 }
             }
         }
+        // Noise is read only where some scenario has operational terms;
+        // every item then has them, so a new matrix is filled whole.
+        let key = (plan.seed, rows, plan.draws);
+        let mut source = match noise_cache {
+            Some(cache) if op_cols.iter().any(|op| !op.is_empty()) => cache.lookup(key),
+            _ => NoiseSource::Scratch,
+        };
+        // Sample range `r` of an item is columns `r.start * rows ..
+        // r.end * rows` of a matrix (overflow-free: the matrix exists).
+        let columns = |r: &Range<usize>| r.start * rows..r.end * rows;
+        let noises: Vec<Noise<'_>> = match &mut source {
+            NoiseSource::Cached(matrix) => sample_chunks
+                .iter()
+                .map(|r| Noise::Cached(&matrix[columns(r)]))
+                .collect(),
+            NoiseSource::Fill(matrix) => {
+                let ranges: Vec<Range<usize>> = sample_chunks.iter().map(columns).collect();
+                parallel::split_mut_by_ranges(matrix, &ranges)
+                    .into_iter()
+                    .map(Noise::Fill)
+                    .collect()
+            }
+            NoiseSource::Scratch => sample_chunks
+                .iter()
+                .map(|_| Noise::Scratch(Vec::new()))
+                .collect(),
+        };
         let (op_cols, emb_cols) = (&op_cols, &emb_cols);
         let op_streams = &plan.operational_streams();
         let emb_streams = &plan.embodied_streams();
         let mut jobs: Vec<Job<'_>> = Vec::with_capacity(sample_chunks.len());
-        for ((range, mut op_item), mut emb_item) in
-            sample_chunks.iter().cloned().zip(op_parts).zip(emb_parts)
+        for (((range, mut op_item), mut emb_item), mut noise) in sample_chunks
+            .iter()
+            .cloned()
+            .zip(op_parts)
+            .zip(emb_parts)
+            .zip(noises)
         {
             if op_item.is_empty() && emb_item.is_empty() {
                 continue;
             }
             let priors = plan.priors;
             jobs.push(Box::new(move || {
-                let mut noise = vec![0.0f64; if op_item.is_empty() { 0 } else { rows }];
                 for (k, sample) in range.clone().enumerate() {
                     if !op_item.is_empty() {
                         let factors = fleet_factors(op_streams, &priors, sample);
-                        operational_noise(op_streams, sample, first_row, &mut noise);
+                        let z = noise.column(k, rows, |column| {
+                            operational_noise(op_streams, sample, first_row, column);
+                        });
                         for (scenario, part) in op_item.iter_mut() {
                             operational_block_accumulate(
                                 &op_cols[*scenario],
                                 &factors,
-                                &noise,
+                                z,
                                 first_row,
                                 &mut part[k],
                             );
@@ -454,6 +507,9 @@ impl Engine {
             }));
         }
         parallel::run(self.workers, jobs);
+        if let (Some(cache), NoiseSource::Fill(matrix)) = (noise_cache, source) {
+            cache.insert(key, matrix);
+        }
     }
 
     /// Collapses the running partials into the run's output. `footprints`
@@ -504,6 +560,151 @@ impl Engine {
             systems: self.systems,
             peak_block_rows: self.peak_block_rows,
         }
+    }
+}
+
+/// Where one draws work item reads its samples' CRN noise columns, each
+/// `rows` long, the item's `k`-th sample at `k * rows` (see
+/// [`Engine::run_draws`]).
+enum Noise<'a> {
+    /// The item's columns of a cached matrix, read as they are.
+    Cached(&'a [f64]),
+    /// The item's columns of a new matrix, each filled once.
+    Fill(&'a mut [f64]),
+    /// One column, refilled for every sample (allocated on first use).
+    Scratch(Vec<f64>),
+}
+
+impl Noise<'_> {
+    /// The noise column of the item's `k`-th sample; `fill` writes it
+    /// unless it is cached.
+    fn column(&mut self, k: usize, rows: usize, fill: impl FnOnce(&mut [f64])) -> &[f64] {
+        let column = match self {
+            Noise::Cached(columns) => return &columns[k * rows..(k + 1) * rows],
+            Noise::Fill(columns) => &mut columns[k * rows..(k + 1) * rows],
+            Noise::Scratch(column) => {
+                column.resize(rows, 0.0);
+                column.as_mut_slice()
+            }
+        };
+        fill(column);
+        column
+    }
+}
+
+/// The byte budget of a resident state's [`NoiseCache`]: 64 MiB holds,
+/// e.g., 64 draws over 131,072 systems, or 256 draws over 32,768.
+const NOISE_CACHE_BYTES: usize = 64 << 20;
+
+/// How many uncached draws keys a [`NoiseCache`] remembers. A matrix is
+/// cached only for a query that repeats one of them, so a stream of
+/// queries that never repeat a key fills no matrix: each reads scratch
+/// columns, as a list or stream run does.
+const NOISE_SEEN_KEYS: usize = 64;
+
+/// Bytes a cached matrix is charged beyond its `f64`s: its entry and its
+/// shared allocation's header, so many small matrices are bounded too.
+const NOISE_ENTRY_BYTES: usize =
+    size_of::<(NoiseKey, Arc<Vec<f64>>)>() + size_of::<(usize, usize, Vec<f64>)>();
+
+/// The most `f64`s a cached matrix may hold.
+const NOISE_MATRIX_LEN: usize = (NOISE_CACHE_BYTES - NOISE_ENTRY_BYTES) / size_of::<f64>();
+
+/// A noise matrix's key: the plan seed, the rows (counted from global row
+/// 0, the one block of a resident state) and the samples. The noise
+/// `z(seed, sample, row)` depends on nothing else — not on priors,
+/// scenarios, row contents or the source hash.
+type NoiseKey = (u64, usize, usize);
+
+/// The CRN noise matrices of a resident state's repeated draws queries,
+/// sample-major: one `rows`-long column per sample, sample `k` at
+/// `k * rows`. The lock is held only to find, insert or evict an entry,
+/// never while a matrix is filled or read, so concurrent queries of one
+/// `&FleetState` share it.
+#[derive(Default)]
+pub(crate) struct NoiseCache {
+    entries: Mutex<NoiseEntries>,
+}
+
+/// What a [`NoiseCache`]'s lock guards.
+#[derive(Default)]
+struct NoiseEntries {
+    /// Cached matrices, least recently used first.
+    matrices: Vec<(NoiseKey, Arc<Vec<f64>>)>,
+    /// The last [`NOISE_SEEN_KEYS`] keys that found no matrix, oldest
+    /// first.
+    seen: VecDeque<NoiseKey>,
+}
+
+/// Where a draws run reads its noise columns.
+enum NoiseSource {
+    /// A cached matrix.
+    Cached(Arc<Vec<f64>>),
+    /// A new matrix the run fills, then [inserts](NoiseCache::insert).
+    Fill(Vec<f64>),
+    /// One scratch column per work item, refilled for every sample.
+    Scratch,
+}
+
+impl NoiseCache {
+    /// Every entry is whole between statements, so a panic elsewhere while
+    /// the lock was held leaves nothing to repair.
+    fn lock(&self) -> MutexGuard<'_, NoiseEntries> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The noise source of a draws run keyed `key`: its cached matrix,
+    /// marked most recently used; else, when `key` repeats a remembered
+    /// key and its matrix fits the budget, a new zeroed matrix to fill;
+    /// else scratch columns, remembering `key` if its matrix fits.
+    fn lookup(&self, key: NoiseKey) -> NoiseSource {
+        let mut entries = self.lock();
+        if let Some(at) = entries.matrices.iter().position(|(k, _)| *k == key) {
+            let entry = entries.matrices.remove(at);
+            let matrix = Arc::clone(&entry.1);
+            entries.matrices.push(entry);
+            return NoiseSource::Cached(matrix);
+        }
+        let (_, rows, samples) = key;
+        let Some(len) = rows
+            .checked_mul(samples)
+            .filter(|len| *len <= NOISE_MATRIX_LEN)
+        else {
+            return NoiseSource::Scratch;
+        };
+        if let Some(at) = entries.seen.iter().position(|k| *k == key) {
+            entries.seen.remove(at);
+            drop(entries);
+            return NoiseSource::Fill(vec![0.0; len]);
+        }
+        if entries.seen.len() == NOISE_SEEN_KEYS {
+            entries.seen.pop_front();
+        }
+        entries.seen.push_back(key);
+        NoiseSource::Scratch
+    }
+
+    /// Caches a matrix [`NoiseCache::lookup`] handed out for `key`, now
+    /// filled, unless a concurrent run cached `key` first; then evicts
+    /// least-recently-used matrices until the budget holds.
+    fn insert(&self, key: NoiseKey, matrix: Vec<f64>) {
+        let mut entries = self.lock();
+        if entries.matrices.iter().any(|(k, _)| *k == key) {
+            return;
+        }
+        entries.matrices.push((key, Arc::new(matrix)));
+        let charged =
+            |(_, matrix): &(NoiseKey, Arc<Vec<f64>>)| size_of_val(&matrix[..]) + NOISE_ENTRY_BYTES;
+        let mut total: usize = entries.matrices.iter().map(charged).sum();
+        while total > NOISE_CACHE_BYTES {
+            total -= charged(&entries.matrices.remove(0));
+        }
+    }
+
+    /// The cached matrices' keys, least recently used first.
+    #[cfg(test)]
+    pub(crate) fn keys(&self) -> Vec<(u64, usize, usize)> {
+        self.lock().matrices.iter().map(|(key, _)| *key).collect()
     }
 }
 
@@ -973,5 +1174,67 @@ mod tests {
                 CoverageReport::from_footprints(&slice.footprints)
             );
         }
+    }
+
+    /// Caches a zero matrix under `key` the way a run does: the key's
+    /// first lookup is remembered, its repeat hands out the matrix.
+    fn cache_matrix(cache: &NoiseCache, key: NoiseKey) {
+        assert!(matches!(cache.lookup(key), NoiseSource::Scratch));
+        let NoiseSource::Fill(matrix) = cache.lookup(key) else {
+            panic!("a repeated key that fits fills a matrix");
+        };
+        cache.insert(key, matrix);
+    }
+
+    #[test]
+    fn noise_cache_admits_repeated_keys_and_evicts_least_recently_used_within_its_budget() {
+        // Four 16 MiB matrices: three fit, the fourth evicts the least
+        // recently used (seed 2, since seed 1 was read after it).
+        let (rows, samples) = (1024, 2048);
+        let cache = NoiseCache::default();
+        for seed in 1..=3 {
+            cache_matrix(&cache, (seed, rows, samples));
+        }
+        assert!(matches!(
+            cache.lookup((1, rows, samples)),
+            NoiseSource::Cached(_)
+        ));
+        cache_matrix(&cache, (4, rows, samples));
+        assert_eq!(cache.keys(), [3, 1, 4].map(|seed| (seed, rows, samples)));
+        let total: usize = (cache.lock().matrices.iter())
+            .map(|(_, m)| size_of_val(&m[..]) + NOISE_ENTRY_BYTES)
+            .sum();
+        assert!(total <= NOISE_CACHE_BYTES);
+        // A concurrent run's second matrix for a cached key is dropped.
+        cache.insert((4, rows, samples), vec![0.0; rows * samples]);
+        assert_eq!(cache.keys().len(), 3);
+        // A hit needs the exact key.
+        for key in [
+            (4, rows, samples - 1),
+            (4, rows, samples + 1),
+            (4, rows - 1, samples),
+        ] {
+            assert!(matches!(cache.lookup(key), NoiseSource::Scratch));
+        }
+        // 64 × 131,072 `f64`s are the whole budget, so with its bookkeeping
+        // that matrix does not fit; a key that does not fit, or whose size
+        // overflows, is never remembered, so its repeats never fill.
+        const { assert!(64 * 131_071 <= NOISE_MATRIX_LEN && NOISE_MATRIX_LEN < 64 * 131_072) };
+        for key in [(5, 64, 131_072), (5, usize::MAX, 2)] {
+            for _ in 0..3 {
+                assert!(matches!(cache.lookup(key), NoiseSource::Scratch));
+            }
+        }
+        // A key is forgotten after `NOISE_SEEN_KEYS` later uncached keys.
+        let key = |seed| (seed, 8, 8);
+        assert!(matches!(cache.lookup(key(100)), NoiseSource::Scratch));
+        for seed in 0..NOISE_SEEN_KEYS as u64 {
+            assert!(matches!(
+                cache.lookup(key(200 + seed)),
+                NoiseSource::Scratch
+            ));
+        }
+        assert!(matches!(cache.lookup(key(100)), NoiseSource::Scratch));
+        assert!(matches!(cache.lookup(key(100)), NoiseSource::Fill(_)));
     }
 }

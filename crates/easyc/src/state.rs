@@ -33,6 +33,23 @@
 //! hash advances by a deterministic chain hash, so stale
 //! [`FleetState::invalidate`] requests are detected exactly
 //! ([`InvalidateOutcome::Stale`]).
+//!
+//! # Noise cache
+//!
+//! A draws query's idiosyncratic CRN noise `z(seed, sample, row)` depends
+//! on the plan seed, the sample and the global row only — not on priors,
+//! scenarios, row contents or the source hash. A state keeps the noise
+//! matrices of repeated draws queries in a noise cache keyed by (seed, row
+//! count, draw count): a key's first query fills scratch columns and is
+//! remembered, its second fills a matrix and caches it, and later ones
+//! read it. Queries that never repeat a key therefore cache nothing. The
+//! matrices survive [`FleetState::update_rows`] and
+//! [`FleetState::invalidate`]; [`FleetState::update_source`] rebuilds the
+//! state and drops them. Least-recently-used matrices are evicted to stay
+//! within one constant byte budget (64 MiB); a larger request is answered
+//! without caching. Cached noise is the noise a query would fill, so an
+//! answer's bits never depend on the cache. The cache and the matrix
+//! layout live in [`crate::session`], whose draws kernel reads them.
 
 use crate::batch::assess_columns;
 use crate::columns::FleetColumns;
@@ -40,7 +57,7 @@ use crate::estimator::{EasyCConfig, SystemFootprint};
 use crate::metrics::SevenMetrics;
 use crate::partial::{FleetTotals, PartialAssessment};
 use crate::scenario::DataScenario;
-use crate::session::{Assessment, AssessmentOutput, Resident};
+use crate::session::{Assessment, AssessmentOutput, NoiseCache, Resident};
 use crate::view::FleetView;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -153,6 +170,7 @@ pub struct FleetState {
     config: EasyCConfig,
     source_hash: u64,
     cache: Option<FootprintCache>,
+    noise: NoiseCache,
 }
 
 impl FleetState {
@@ -180,6 +198,7 @@ impl FleetState {
             config,
             source_hash,
             cache: None,
+            noise: NoiseCache::default(),
         }
     }
 
@@ -278,7 +297,8 @@ impl FleetState {
     }
 
     /// Replaces the whole source: re-parse, re-extract, re-transpose,
-    /// evict the cache. Returns the new source hash.
+    /// evict the footprint cache and drop the noise cache. Returns the new
+    /// source hash.
     pub fn update_source(&mut self, text: &str) -> Result<u64, ImportError> {
         let list = top500::io::import_csv(text)?;
         *self = FleetState::build(list, self.config, content_hash(text));
@@ -390,6 +410,7 @@ impl Assessment<&FleetState> {
                 metrics: &state.metrics,
                 columns: &state.columns,
                 cached,
+                noise: &state.noise,
             }),
         );
         engine.finish(footprints)
@@ -623,6 +644,114 @@ mod tests {
         assert_eq!(state.len(), 9);
         assert!(!state.is_warm(), "a source swap evicts the cache");
         assert!(state.update_source("not,a,valid header\n???").is_err());
+    }
+
+    fn draws_query(state: &FleetState, draws: usize, seed: u64) -> AssessmentOutput {
+        state
+            .query()
+            .workers(2)
+            .scenarios(&matrix())
+            .uncertainty(draws)
+            .seed(seed)
+            .run()
+    }
+
+    fn draws_reference(list: &Top500List, draws: usize, seed: u64) -> AssessmentOutput {
+        Assessment::of(list)
+            .workers(2)
+            .scenarios(&matrix())
+            .uncertainty(draws)
+            .seed(seed)
+            .run()
+    }
+
+    #[test]
+    fn an_over_budget_draws_query_is_answered_and_caches_nothing() {
+        // 64 rows × 131,072 samples of `f64` is the whole 64 MiB budget,
+        // so with its bookkeeping the matrix does not fit.
+        let (rows, draws) = (64, 131_072);
+        let state = FleetState::from_list(list(rows as u32), EasyCConfig::default());
+        let one = DataScenario::full("default");
+        let want = Assessment::of(state.list())
+            .scenario(one.clone())
+            .uncertainty(draws)
+            .seed(3)
+            .run();
+        // A repeat would cache a matrix that fits.
+        for _ in 0..2 {
+            let got = state
+                .query()
+                .scenario(one.clone())
+                .uncertainty(draws)
+                .seed(3)
+                .run();
+            assert_outputs_identical(&got, &want);
+            assert!(state.noise.keys().is_empty());
+        }
+    }
+
+    #[test]
+    fn noise_cache_survives_edits_and_invalidate_but_not_a_new_source() {
+        let base = list(40);
+        let text = top500::io::export_csv(&base);
+        let mut state = FleetState::from_csv(&text, EasyCConfig::default()).unwrap();
+        state.warm();
+        // A key's first query caches nothing, its repeat caches the
+        // matrix, and the next reads it, adding nothing.
+        let first = draws_query(&state, 24, 5);
+        assert!(state.noise.keys().is_empty());
+        for _ in 0..2 {
+            assert_outputs_identical(&draws_query(&state, 24, 5), &first);
+            assert_eq!(state.noise.keys(), vec![(5, 40, 24)]);
+        }
+
+        let mut rows: Vec<SystemRecord> = base.systems()[10..13].to_vec();
+        for r in &mut rows {
+            r.power_kw = Some(777.0);
+        }
+        state.update_rows(10, rows).expect("rank-preserving splice");
+        assert_eq!(state.noise.keys(), vec![(5, 40, 24)]);
+        let edited = draws_query(&state, 24, 5);
+        assert_outputs_identical(&edited, &draws_reference(state.list(), 24, 5));
+
+        assert_eq!(
+            state.invalidate(state.source_hash()),
+            InvalidateOutcome::Evicted
+        );
+        assert_eq!(state.noise.keys(), vec![(5, 40, 24)]);
+        assert_outputs_identical(&draws_query(&state, 24, 5), &edited);
+
+        state.update_source(&text).unwrap();
+        assert!(state.noise.keys().is_empty());
+        assert_outputs_identical(&draws_query(&state, 24, 5), &first);
+    }
+
+    #[test]
+    fn concurrent_draws_queries_share_one_state_and_match_serial_answers() {
+        let state = FleetState::from_list(list(50), EasyCConfig::default());
+        let serial: Vec<AssessmentOutput> = (0..4u64)
+            .map(|seed| draws_reference(state.list(), 32, seed))
+            .collect();
+        // Both threads query every seed, in opposite orders, so misses,
+        // inserts and hits of one key interleave across threads.
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for order in [[0u64, 1, 2, 3], [3, 2, 1, 0]] {
+                let (state, serial, barrier) = (&state, &serial, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    for _ in 0..3 {
+                        for seed in order {
+                            let got = draws_query(state, 32, seed);
+                            assert_outputs_identical(&got, &serial[seed as usize]);
+                        }
+                    }
+                });
+            }
+        });
+        let mut seeds: Vec<u64> = state.noise.keys().iter().map(|k| k.0).collect();
+        seeds.sort_unstable();
+        assert_eq!(seeds, vec![0, 1, 2, 3]);
     }
 
     #[test]

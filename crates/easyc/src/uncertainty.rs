@@ -96,6 +96,14 @@ impl Interval {
     }
 }
 
+/// The most Monte-Carlo draws one run the CLI or `serve` accepts may hold,
+/// counted over its scenarios (draws × scenarios): 2^20 keep a run's draw
+/// buffers (operational and embodied, every scenario) within 16 MiB of
+/// `f64`. So one scenario takes at most 2^20 draws, and a matrix of `n`
+/// scenarios at most `MAX_DRAWS / n`. Both front ends refuse a larger
+/// count before anything is allocated.
+pub const MAX_DRAWS: usize = 1 << 20;
+
 /// Seed-mixing constant for the fleet-total operational RNG stream family.
 pub(crate) const FLEET_SEED_MIX: u64 = 0xF1EE_7000;
 

@@ -4,6 +4,9 @@
 //! [`Tokenizer`], and every CSV it writes through one escape rule
 //! ([`escape_into`]). The dialect:
 //!
+//! - One UTF-8 byte-order mark (`EF BB BF`) at the very start of the input
+//!   is dropped, as spreadsheet "CSV UTF-8" exports write one; any other
+//!   is text.
 //! - Records end at `\n`. One trailing `\r` is stripped from each raw line
 //!   (inside a quoted field too), so CRLF files read like LF files.
 //! - A record whose quote count is odd continues on the next raw line
@@ -55,6 +58,9 @@ enum Span {
 
 /// The one field of a blank record.
 const BLANK: &[Span] = &[Span::Raw(0..0)];
+
+/// The UTF-8 byte-order mark.
+const BOM: &[u8] = b"\xEF\xBB\xBF";
 
 /// One record's fields, borrowed from the [`Tokenizer`] until its next
 /// call.
@@ -111,6 +117,8 @@ pub struct Tokenizer<R> {
     blank_line: usize,
     /// Start line of the record waiting in `raw` behind held blanks.
     staged: Option<usize>,
+    /// True until the first raw line is read (a [`BOM`] may lead it).
+    at_start: bool,
 }
 
 impl<R: BufRead> Tokenizer<R> {
@@ -126,6 +134,7 @@ impl<R: BufRead> Tokenizer<R> {
             blanks: 0,
             blank_line: 0,
             staged: None,
+            at_start: true,
         }
     }
 
@@ -190,6 +199,9 @@ impl<R: BufRead> Tokenizer<R> {
             if read == 0 {
                 self.raw.truncate(line_at);
                 return Ok(start);
+            }
+            if std::mem::take(&mut self.at_start) && self.raw.starts_with(BOM) {
+                self.raw.drain(..BOM.len());
             }
             if self.raw.last() == Some(&b'\n') {
                 self.raw.pop();
@@ -559,6 +571,22 @@ mod tests {
         // A comment line is dropped before its bytes are checked.
         let (records, err) = tokens(b"#\xff\nok\n", true);
         assert_eq!((records, err), (vec![(1, owned(&["ok"]))], None));
+    }
+
+    #[test]
+    fn tokenizer_drops_one_leading_byte_order_mark() {
+        let plain = tokens(b"name,mask\nfull,all\n", false);
+        assert_eq!(tokens(b"\xEF\xBB\xBFname,mask\nfull,all\n", false), plain);
+        // Before a comment line too, and alone it leaves no record.
+        let (records, err) = tokens(b"\xEF\xBB\xBF# lead\nv\n", true);
+        assert_eq!((records, err), (vec![(1, owned(&["v"]))], None));
+        assert_eq!(tokens(b"\xEF\xBB\xBF", false), (vec![], None));
+        // Only one, and only at the start: any other is text.
+        let (records, _) = tokens(b"\xEF\xBB\xBF\xEF\xBB\xBFa\n\xEF\xBB\xBFb\n", false);
+        assert_eq!(
+            records,
+            vec![(1, owned(&["\u{feff}a"])), (2, owned(&["\u{feff}b"]))]
+        );
     }
 
     // -------------------------------------------------- header and number

@@ -38,7 +38,7 @@
 use crate::json::{self, Obj, Value};
 use easyc::{
     Assessment, DataScenario, FleetState, Interval, InvalidateOutcome, MetricMask, OverrideSet,
-    ScenarioMatrix, ScenarioSlice,
+    ScenarioMatrix, ScenarioSlice, MAX_DRAWS,
 };
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -488,12 +488,26 @@ struct PlanSpec {
     workers: Option<usize>,
 }
 
-/// Parses the plan fields. A requested `workers` is capped at `max_workers`
-/// (the state's configured count): results are bit-identical at any worker
+/// Parses the plan fields of a run over `scenarios` scenarios. `draws`
+/// past [`MAX_DRAWS`] over all of them is refused before anything is
+/// allocated for it. A requested `workers` is capped at `max_workers` (the
+/// state's configured count): results are bit-identical at any worker
 /// count, so the cap changes no reply byte, but a client cannot make one
 /// query start thousands of threads.
-fn plan_spec(value: &Value, default_draws: usize, max_workers: usize) -> Result<PlanSpec, String> {
+fn plan_spec(
+    value: &Value,
+    default_draws: usize,
+    scenarios: usize,
+    max_workers: usize,
+) -> Result<PlanSpec, String> {
     let draws = opt_usize(value, "draws", default_draws)?;
+    let max_draws = MAX_DRAWS / scenarios;
+    if draws > max_draws {
+        return Err(format!(
+            "field `draws` must be at most {max_draws} over {scenarios} scenario(s) \
+             (MAX_DRAWS = {MAX_DRAWS} draws per run)"
+        ));
+    }
     let seed = opt_usize(value, "seed", 0)? as u64;
     let level = opt_f64(value, "confidence")?;
     if let Some(level) = level {
@@ -609,7 +623,7 @@ fn op_assess(value: &Value, shared: &Shared) -> String {
         Err(e) => return error_line("bad-scenario", &e),
     };
     let state = shared.read_state();
-    let plan = match plan_spec(value, 0, state.config().workers) {
+    let plan = match plan_spec(value, 0, 1, state.config().workers) {
         Ok(p) => p,
         Err(e) => return error_line("malformed-request", &e),
     };
@@ -649,7 +663,7 @@ fn op_sweep(value: &Value, shared: &Shared) -> String {
         Err(e) => return error_line("bad-scenario", &e),
     };
     let state = shared.read_state();
-    let plan = match plan_spec(value, 0, state.config().workers) {
+    let plan = match plan_spec(value, 0, matrix.len(), state.config().workers) {
         Ok(p) => p,
         Err(e) => return error_line("malformed-request", &e),
     };
@@ -689,7 +703,7 @@ fn op_compare(value: &Value, shared: &Shared) -> String {
         }
     }
     let state = shared.read_state();
-    let plan = match plan_spec(value, 1000, state.config().workers) {
+    let plan = match plan_spec(value, 1000, matrix.len(), state.config().workers) {
         Ok(p) if p.draws > 0 => p,
         Ok(_) => return error_line("malformed-request", "compare needs `draws` > 0"),
         Err(e) => return error_line("malformed-request", &e),
@@ -767,7 +781,7 @@ mod tests {
     #[test]
     fn requested_workers_are_capped_at_the_states_worker_count() {
         let workers = |line: &str| {
-            plan_spec(&json::parse(line).expect("valid JSON"), 0, 4).map(|plan| plan.workers)
+            plan_spec(&json::parse(line).expect("valid JSON"), 0, 1, 4).map(|plan| plan.workers)
         };
         assert_eq!(workers(r#"{"op":"assess","workers":3000}"#), Ok(Some(4)));
         assert_eq!(workers(r#"{"op":"assess","workers":4}"#), Ok(Some(4)));

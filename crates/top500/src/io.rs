@@ -101,27 +101,31 @@ fn text(cell: &str) -> Option<String> {
 fn system_of(cells: [&str; COLUMNS.len()], row: usize) -> Result<SystemRecord, ImportError> {
     let [rank, name, country, region, year, vendor, processor, total_cores, accelerator, accelerator_count, rmax_tflops, rpeak_tflops, nmax, power_kw, node_count, cpu_count, memory_gb, memory_type, ssd_gb, utilization, annual_energy_mwh] =
         cells;
-    let rank = count(rank).ok_or_else(|| ImportError::BadRow {
-        row,
-        message: "rank not a number".into(),
-    })?;
+    let bad = |message: String| ImportError::BadRow { row, message };
+    // A rank or year past `u32::MAX` is an error, never wrapped.
+    let fit = |column: &str, cell: &str, value: u64| {
+        u32::try_from(value).map_err(|_| bad(format!("{column} `{cell}` is out of range")))
+    };
+    let rank = fit(
+        "rank",
+        rank,
+        count(rank).ok_or_else(|| bad("rank not a number".into()))?,
+    )?;
+    let year = count(year).map(|y| fit("year", year, y)).transpose()?;
     let rmax = number(rmax_tflops)
         .filter(|v| *v > 0.0)
-        .ok_or_else(|| ImportError::BadRow {
-            row,
-            message: "rmax_tflops missing or non-positive".into(),
-        })?;
+        .ok_or_else(|| bad("rmax_tflops missing or non-positive".into()))?;
     let country = text(country);
     // An explicit region wins over the country-derived default (it is the
     // only location signal anonymous systems carry).
     let region = hwdb::grid::Region::parse(region)
         .or_else(|| country.as_deref().and_then(hwdb::grid::country_region));
     Ok(SystemRecord {
-        rank: rank as u32,
+        rank,
         name: text(name),
         country,
         region,
-        year: count(year).map(|y| y as u32),
+        year,
         vendor: text(vendor),
         processor: text(processor),
         total_cores: count(total_cores),
@@ -349,6 +353,33 @@ mod tests {
     fn bad_rmax_is_row_error() {
         let err = import_csv("rank,rmax_tflops\n1,-5\n").unwrap_err();
         assert!(matches!(err, ImportError::BadRow { row: 0, .. }));
+    }
+
+    #[test]
+    fn rank_or_year_past_u32_is_a_row_error_in_both_readers() {
+        // `4294967297` is `u32::MAX + 2`: a wrapping cast read it as 1.
+        for (text, column) in [
+            (
+                "rank,name,rmax_tflops\n1,alpha,100\n4294967297,beta,50\n",
+                "rank",
+            ),
+            (
+                "rank,rmax_tflops,year\n1,100,2020\n2,50,4294967297\n",
+                "year",
+            ),
+        ] {
+            let err = import_csv(text).unwrap_err();
+            assert!(matches!(err, ImportError::BadRow { row: 1, .. }), "{err}");
+            assert!(err.to_string().contains(column), "{err}");
+            assert!(err.to_string().contains("4294967297"), "{err}");
+            for rows in [1, usize::MAX] {
+                assert_eq!(stream_all(text, rows).unwrap_err(), err, "rows {rows}");
+            }
+        }
+        // `u32::MAX` itself still fits.
+        let list = import_csv("rank,rmax_tflops,year\n4294967295,1,4294967295\n").unwrap();
+        assert_eq!(list.systems()[0].rank, u32::MAX);
+        assert_eq!(list.systems()[0].year, Some(u32::MAX));
     }
 
     #[test]

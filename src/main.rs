@@ -11,7 +11,8 @@
 //!   --out results.csv  write per-(scenario, system) columnar results; under
 //!                      --stream the rows are spilled chunk-by-chunk (same
 //!                      bytes, bounded memory)
-//!   --draws N          Monte-Carlo fleet intervals (operational + embodied)
+//!   --draws N          Monte-Carlo fleet intervals (operational + embodied),
+//!                      at most easyc::MAX_DRAWS (2^20) over all scenarios
 //!   --confidence L     interval confidence level in (0, 1) (default 0.95)
 //!   --seed S           RNG seed for the Monte-Carlo draws (default 0)
 //!   --compare A,B      paired scenario comparison B − A: common random
@@ -46,7 +47,7 @@ use std::process::ExitCode;
 use top500_carbon::analysis::fleet::{render_deltas, render_sweep, summarize};
 use top500_carbon::analysis::report::{run_study, SweepCsvWriter};
 use top500_carbon::easyc::{
-    Assessment, AssessmentOutput, DrawPlan, FleetState, Interval, ScenarioMatrix,
+    Assessment, AssessmentOutput, DrawPlan, FleetState, Interval, ScenarioMatrix, MAX_DRAWS,
 };
 use top500_carbon::frame;
 use top500_carbon::serve::{self, ServeConfig};
@@ -100,6 +101,7 @@ fn usage(problem: &str) -> ExitCode {
     eprintln!("                        (works with --stream: rows spill chunk-by-chunk,");
     eprintln!("                        byte-identical artifact at bounded memory)");
     eprintln!("    --draws N           Monte-Carlo fleet intervals per scenario");
+    eprintln!("                        (at most {MAX_DRAWS} draws over all scenarios)");
     eprintln!("    --confidence L      interval confidence level in (0, 1), default 0.95");
     eprintln!("    --seed S            RNG seed for the Monte-Carlo draws, default 0");
     eprintln!("    --compare A,B       paired delta B − A over common random numbers");
@@ -492,6 +494,16 @@ fn cmd_sweep(scenarios_path: &Path, rest: &[String]) -> ExitCode {
             }
             plan.draws = 1000;
         }
+    }
+    // Refused before anything is allocated: each scenario holds `draws`
+    // slots in each draw buffer.
+    let max_draws = MAX_DRAWS / matrix.len();
+    if plan.draws > max_draws {
+        return usage(&format!(
+            "--draws must be at most {max_draws} over {} scenario(s) \
+             (easyc::MAX_DRAWS = {MAX_DRAWS} draws per run)",
+            matrix.len()
+        ));
     }
     if stream {
         let synthetic = SyntheticConfig {

@@ -4,6 +4,8 @@
 
 use std::process::Command;
 use top500_carbon::easyc::ScenarioMatrix;
+use top500_carbon::top500::io::export_csv;
+use top500_carbon::top500::synthetic::{generate_full, SyntheticConfig};
 
 #[test]
 fn unknown_flags_and_extra_paths_are_usage_errors() {
@@ -157,4 +159,86 @@ fn numeric_looking_scenario_names_are_kept_verbatim() {
         "in-memory and streamed --out differ"
     );
     std::fs::remove_file(&matrix).ok();
+}
+
+#[test]
+fn draw_counts_past_the_cap_are_refused_before_allocating() {
+    // 10^9 draws would ask for gigabytes of draw buffers, and 2^62 for
+    // more bytes than a `Vec` can hold: both are refused while parsing.
+    // The cap counts draws over every scenario, so the template's five
+    // scenarios refuse the 2^20 draws one scenario may take.
+    let scenarios = std::env::temp_dir().join(format!("cli-draw-cap-{}.csv", std::process::id()));
+    std::fs::write(&scenarios, ScenarioMatrix::csv_template()).expect("write scenarios");
+    let scen = scenarios.to_str().unwrap();
+    for draws in ["1048576", "1000000000", "4611686018427387904"] {
+        for stream in [false, true] {
+            let mut args = vec!["sweep", scen, "--synthetic", "50", "--draws", draws];
+            if stream {
+                args.push("--stream");
+            }
+            let output = Command::new(env!("CARGO_BIN_EXE_top500-carbon"))
+                .args(&args)
+                .output()
+                .expect("run the CLI");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains("--draws must be at most 209715 over 5 scenario(s)")
+                    && stderr.contains("1048576"),
+                "{args:?} must name the cap: {stderr}"
+            );
+        }
+    }
+    std::fs::remove_file(&scenarios).ok();
+}
+
+#[test]
+fn byte_order_marked_matrix_and_systems_sweep_like_plain_files() {
+    // Spreadsheet "CSV UTF-8" exports lead with a byte-order mark.
+    let dir = std::env::temp_dir();
+    let id = std::process::id();
+    let fleet = generate_full(&SyntheticConfig {
+        n: 40,
+        ..Default::default()
+    });
+    let (matrix, systems) = (ScenarioMatrix::csv_template(), export_csv(&fleet));
+    let out = dir.join(format!("cli-bom-out-{id}.csv"));
+    let mut runs = Vec::new();
+    for bom in ["", "\u{feff}"] {
+        let matrix_path = dir.join(format!("cli-bom-matrix-{id}-{}.csv", bom.len()));
+        let systems_path = dir.join(format!("cli-bom-systems-{id}-{}.csv", bom.len()));
+        std::fs::write(&matrix_path, format!("{bom}{matrix}")).expect("write matrix");
+        std::fs::write(&systems_path, format!("{bom}{systems}")).expect("write systems");
+        for stream in [false, true] {
+            let mut args = vec![
+                "sweep",
+                matrix_path.to_str().unwrap(),
+                systems_path.to_str().unwrap(),
+                "--draws",
+                "8",
+                "--out",
+                out.to_str().unwrap(),
+            ];
+            if stream {
+                args.extend(["--stream", "--chunk-rows", "7"]);
+            }
+            let output = Command::new(env!("CARGO_BIN_EXE_top500-carbon"))
+                .args(&args)
+                .output()
+                .expect("run the CLI");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(output.status.code(), Some(0), "{args:?}: {stderr}");
+            let written = std::fs::read(&out).expect("read --out");
+            runs.push((bom.len(), stream, output.stdout, written));
+        }
+        std::fs::remove_file(&matrix_path).ok();
+        std::fs::remove_file(&systems_path).ok();
+    }
+    std::fs::remove_file(&out).ok();
+    let (plain, marked) = runs.split_at(2);
+    for (p, m) in plain.iter().zip(marked) {
+        assert_eq!(p.1, m.1);
+        assert!(p.2 == m.2, "stream {}: stdout differs", p.1);
+        assert!(p.3 == m.3, "stream {}: --out differs", p.1);
+    }
 }

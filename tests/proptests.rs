@@ -419,10 +419,10 @@ fn soup_line(
     out.extend_from_slice(if crlf { b"\r\n" } else { b"\n" });
 }
 
-/// Byte soup: an optional Top500 header, then lines of header-shaped rows,
-/// arbitrary bytes weighted toward `,` `"` `\n` `\r` `#`, space, digits
-/// and letters (invalid UTF-8 mixed in for half the cases), comments and
-/// blanks.
+/// Byte soup: an optional UTF-8 byte-order mark (a quarter of the cases)
+/// and Top500 header, then lines of header-shaped rows, arbitrary bytes
+/// weighted toward `,` `"` `\n` `\r` `#`, space, digits and letters
+/// (invalid UTF-8 mixed in for half the cases), comments and blanks.
 fn byte_soup() -> impl Strategy<Value = Vec<u8>> {
     (
         0usize..SOUP_HEADERS.len(),
@@ -435,11 +435,15 @@ fn byte_soup() -> impl Strategy<Value = Vec<u8>> {
             0..12,
         ),
         prop::bool::ANY,
+        0usize..4,
     )
-        .prop_map(|(header, lines, utf8)| {
+        .prop_map(|(header, lines, utf8, bom)| {
             let header = SOUP_HEADERS[header];
             let width = header.lines().last().map_or(3, |h| h.split(',').count());
             let mut bytes = Vec::new();
+            if bom == 0 {
+                bytes.extend_from_slice("\u{feff}".as_bytes());
+            }
             if !header.is_empty() {
                 bytes.extend_from_slice(header.as_bytes());
                 bytes.push(b'\n');
@@ -455,15 +459,17 @@ proptest! {
     #[test]
     fn csv_byte_soup_never_panics_and_every_reader_agrees(bytes in byte_soup()) {
         // Hostile input on the ingest surface: nothing may panic; the
-        // tokenizer must equal the row-at-a-time oracle wherever the
-        // oracle applies (valid UTF-8); a streamed fleet must end the
-        // same way at every chunk budget; the whole-file import must agree
-        // with it; and the scenario-matrix reader, fed the soup bare and
-        // under a matrix header, must answer without panicking.
+        // tokenizer must equal the row-at-a-time oracle (which drops one
+        // leading byte-order mark) wherever the oracle applies (valid
+        // UTF-8); a streamed fleet must end the same way at every chunk
+        // budget; the whole-file import must agree with it; and the
+        // scenario-matrix reader, fed the soup bare and under a matrix
+        // header, must answer without panicking.
         let text = std::str::from_utf8(&bytes).ok();
         for comments in [false, true] {
             let tokens = tokenizer_tokens(&bytes, comments);
             if let Some(text) = text {
+                let text = text.strip_prefix('\u{feff}').unwrap_or(text);
                 prop_assert_eq!(&tokens, &oracle_tokens(text, comments), "comments {}", comments);
             }
         }
@@ -1356,6 +1362,23 @@ proptest! {
         if warm {
             state.warm();
         }
+        let matrix = ScenarioMatrix::new()
+            .with(DataScenario::full("full"))
+            .with(DataScenario::masked("masked", mask));
+        let query = |state: &FleetState| {
+            state
+                .query()
+                .scenarios(&matrix)
+                .uncertainty(draws)
+                .seed(seed)
+                .workers(2)
+                .run()
+        };
+        // Two draws queries before the splice cache the noise matrix (a
+        // key's first query only remembers the key) that the query after
+        // it reads: the noise depends on no row content.
+        query(&state);
+        query(&state);
         let len = state.len();
         let first = start_pick % len;
         let k = len_pick.min(len - first);
@@ -1367,17 +1390,7 @@ proptest! {
         }
         state.update_rows(first, rows.clone()).expect("rank-preserving splice");
         prop_assert_eq!(state.is_warm(), warm);
-
-        let matrix = ScenarioMatrix::new()
-            .with(DataScenario::full("full"))
-            .with(DataScenario::masked("masked", mask));
-        let incremental = state
-            .query()
-            .scenarios(&matrix)
-            .uncertainty(draws)
-            .seed(seed)
-            .workers(2)
-            .run();
+        let incremental = query(&state);
 
         // Cold reference: a fresh session over the edited fleet.
         let mut edited = list.systems().to_vec();
@@ -1478,18 +1491,25 @@ proptest! {
         config_pick in 0usize..3,
     ) {
         let draws = if draws_pick == 0 { 0 } else { k };
+        // A later state query at fewer draws must not read the matrix
+        // cached for `draws`.
+        let fewer = draws / 2;
         let config = config_of(config_pick);
         let list = generate_full(&SyntheticConfig { n, seed, ..Default::default() });
         let matrix = ScenarioMatrix::new()
             .with(DataScenario::full("full"))
             .with(DataScenario::masked("masked", mask));
-        let reference = Assessment::of(&list)
-            .config(config)
-            .workers(workers)
-            .scenarios(&matrix)
-            .uncertainty(draws)
-            .seed(seed)
-            .run();
+        let reference_of = |draws: usize| {
+            Assessment::of(&list)
+                .config(config)
+                .workers(workers)
+                .scenarios(&matrix)
+                .uncertainty(draws)
+                .seed(seed)
+                .run()
+        };
+        let reference = reference_of(draws);
+        let fewer_reference = reference_of(fewer);
         let streamed = Assessment::stream(InMemoryChunks::new(&list, chunk_rows))
             .config(config)
             .workers(workers)
@@ -1499,9 +1519,12 @@ proptest! {
             .run()
             .expect("in-memory chunks cannot fail");
         // A state under the default configuration, queried with `config`:
-        // cold, then warm (its cache may serve only a default config).
+        // cold, then warm (its cache may serve only a default config). Its
+        // first draws query remembers the noise key, the second fills and
+        // caches the matrix, the warm one reads it, and the last, at fewer
+        // draws, has a key of its own.
         let mut default_state = FleetState::from_list(list.clone(), EasyCConfig::default());
-        let query = |state: &FleetState| {
+        let query = |state: &FleetState, draws: usize| {
             state
                 .query()
                 .config(config)
@@ -1511,26 +1534,39 @@ proptest! {
                 .seed(seed)
                 .run()
         };
-        let state_cold = query(&default_state);
+        let state_cold = query(&default_state, draws);
+        let state_cold_again = query(&default_state, draws);
         default_state.warm();
-        let state_warm = query(&default_state);
+        let state_warm = query(&default_state, draws);
+        let state_fewer = query(&default_state, fewer);
         // A state planned under `config` itself, warm: its cache serves
         // the full scenario whatever the configuration.
         let mut own_state = FleetState::from_list(list.clone(), config);
         own_state.warm();
-        let own_warm = own_state
-            .query()
-            .workers(workers)
-            .scenarios(&matrix)
-            .uncertainty(draws)
-            .seed(seed)
-            .run();
+        let own_query = |draws: usize| {
+            own_state
+                .query()
+                .workers(workers)
+                .scenarios(&matrix)
+                .uncertainty(draws)
+                .seed(seed)
+                .run()
+        };
+        let own_warm = own_query(draws);
+        let own_warm_again = own_query(draws);
+        let own_warm_cached = own_query(draws);
+        let own_fewer = own_query(fewer);
 
-        for (label, got, keeps_footprints) in [
-            ("stream", &streamed, false),
-            ("state cold", &state_cold, true),
-            ("state warm", &state_warm, true),
-            ("own-config state warm", &own_warm, true),
+        for (label, got, keeps_footprints, reference) in [
+            ("stream", &streamed, false, &reference),
+            ("state cold", &state_cold, true, &reference),
+            ("state cold, filling noise", &state_cold_again, true, &reference),
+            ("state warm, cached noise", &state_warm, true, &reference),
+            ("state warm, fewer draws", &state_fewer, true, &fewer_reference),
+            ("own-config state warm", &own_warm, true, &reference),
+            ("own-config state, filling noise", &own_warm_again, true, &reference),
+            ("own-config state, cached noise", &own_warm_cached, true, &reference),
+            ("own-config state, fewer draws", &own_fewer, true, &fewer_reference),
         ] {
             prop_assert_eq!(got.systems(), reference.systems(), "{}", label);
             prop_assert_eq!(got.len(), reference.len(), "{}", label);

@@ -209,6 +209,60 @@ fn a_non_finite_matrix_override_is_a_bad_scenario_and_the_worker_lives() {
 }
 
 #[test]
+fn a_draw_count_past_the_cap_is_malformed_and_the_connection_lives() {
+    let _shared = shared_address_space();
+    let config = ServeConfig {
+        workers: 1,
+        ..Default::default()
+    };
+    let server = spawn(fleet_state(50, true), "127.0.0.1:0", config).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    // Refused before anything is allocated: 10^9 draws would need 8 GB
+    // per buffer, and the cap counts draws over every scenario, so a
+    // matrix divides it (2^20 draws fit one scenario, not two; a compare's
+    // default 1000 draws do not fit 1049 scenarios).
+    let matrix = |rows: usize| {
+        let mut csv = String::from("name,mask\n");
+        for i in 0..rows {
+            csv.push_str(&format!("s{i},all\n"));
+        }
+        csv
+    };
+    let request = |op: &str, rows: usize, draws: Option<usize>| {
+        let mut request = top500_carbon::serve::json::Obj::new()
+            .field_str("op", op)
+            .field_str("matrix_csv", &matrix(rows));
+        if op == "compare" {
+            request = request
+                .field_str("baseline", "s0")
+                .field_str("variant", "s1");
+        }
+        if let Some(draws) = draws {
+            request = request.field_int("draws", draws);
+        }
+        request.finish()
+    };
+    let refused = [
+        (
+            r#"{"op":"assess","draws":1000000000}"#.to_string(),
+            "1048576",
+        ),
+        (request("sweep", 2, Some(1 << 20)), "524288"),
+        (request("compare", 2, Some((1 << 19) + 1)), "524288"),
+        (request("compare", 1049, None), "999"),
+    ];
+    for (line, max) in refused {
+        let reply = client.request_raw(&line).unwrap();
+        assert!(reply.contains(r#""code":"malformed-request""#), "{reply}");
+        assert!(reply.contains(&format!("at most {max} ")), "{reply}");
+        assert!(reply.contains("1048576"), "{reply}");
+        let assess = client.request_raw(r#"{"op":"assess","draws":8}"#).unwrap();
+        assert!(assess.contains(r#""ok":true"#), "{assess}");
+    }
+    server.shutdown();
+}
+
+#[test]
 fn numeric_looking_scenario_names_are_served_verbatim() {
     let _shared = shared_address_space();
     let server = spawn(fleet_state(30, true), "127.0.0.1:0", ServeConfig::default()).unwrap();
