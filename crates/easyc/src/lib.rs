@@ -135,5 +135,8 @@ pub use scenario::{DataScenario, MetricBit, MetricMask, OverrideSet, ScenarioMat
 pub use session::{Assessment, AssessmentOutput, ScenarioSlice};
 pub use state::{content_hash, FleetState, InvalidateOutcome, UpdateError};
 pub use stream::{ChunkRows, RowSink, StreamOutput};
-pub use uncertainty::{DrawPlan, Interval, PriorUncertainty, ScenarioDelta, MAX_DRAWS};
+pub use uncertainty::{
+    DrawPlan, Interval, PlanError, PlanField, PlanSpec, PriorUncertainty, ScenarioDelta,
+    COMPARE_DRAWS, MAX_DRAWS,
+};
 pub use view::{FleetView, SystemView};

@@ -39,6 +39,7 @@
 use crate::embodied::EmbodiedEstimate;
 use crate::fold;
 use crate::operational::{self, OperationalEstimate};
+use crate::scenario::ScenarioMatrix;
 use frame::stats;
 use parallel::rng::RngStreams;
 
@@ -100,9 +101,12 @@ impl Interval {
 /// counted over its scenarios (draws × scenarios): 2^20 keep a run's draw
 /// buffers (operational and embodied, every scenario) within 16 MiB of
 /// `f64`. So one scenario takes at most 2^20 draws, and a matrix of `n`
-/// scenarios at most `MAX_DRAWS / n`. Both front ends refuse a larger
-/// count before anything is allocated.
+/// scenarios at most `MAX_DRAWS / n`. [`PlanSpec::validate`] refuses a
+/// larger count, so both front ends do before anything is allocated.
 pub const MAX_DRAWS: usize = 1 << 20;
+
+/// The draws a paired comparison runs when its [`PlanSpec`] names none.
+pub const COMPARE_DRAWS: usize = 1000;
 
 /// Seed-mixing constant for the fleet-total operational RNG stream family.
 pub(crate) const FLEET_SEED_MIX: u64 = 0xF1EE_7000;
@@ -232,6 +236,181 @@ impl DrawPlan {
         }
         let point = fold::sum_f64(bases.iter().map(|b| b.mt_co2e));
         self.interval_of(point, &self.embodied_draws(bases))
+    }
+}
+
+/// One field of a [`PlanSpec`], named as the CLI flag (after `--`) and
+/// the served request field are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanField {
+    /// `draws`: Monte-Carlo draws per scenario.
+    Draws,
+    /// `seed`: RNG seed of the draws.
+    Seed,
+    /// `confidence`: confidence level of the intervals.
+    Confidence,
+    /// `workers`: threads per run phase.
+    Workers,
+    /// `compare`: the two scenarios of a paired comparison.
+    Compare,
+}
+
+impl PlanField {
+    /// Every field, in declaration order.
+    pub const ALL: [PlanField; 5] = [
+        PlanField::Draws,
+        PlanField::Seed,
+        PlanField::Confidence,
+        PlanField::Workers,
+        PlanField::Compare,
+    ];
+
+    /// The field's name.
+    pub fn name(self) -> &'static str {
+        match self {
+            PlanField::Draws => "draws",
+            PlanField::Seed => "seed",
+            PlanField::Confidence => "confidence",
+            PlanField::Workers => "workers",
+            PlanField::Compare => "compare",
+        }
+    }
+}
+
+/// A run's plan as a front end reads it, each field `None` until given:
+/// [`PlanSpec::set`] reads a field from text (a CLI flag's value, or the
+/// literal of a served request's JSON number) and [`PlanSpec::validate`]
+/// checks the spec against the run's matrix, so the CLI and `serve` read
+/// and check a plan alike.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct PlanSpec {
+    /// Draws per scenario (absent: none, or [`COMPARE_DRAWS`] to compare).
+    pub draws: Option<usize>,
+    /// RNG seed of the draws (absent: 0).
+    pub seed: Option<u64>,
+    /// Confidence level of the intervals (absent: 0.95).
+    pub confidence: Option<f64>,
+    /// Threads per run phase (absent: the front end's default).
+    pub workers: Option<usize>,
+    /// `(baseline, variant)` of a paired comparison.
+    pub compare: Option<(String, String)>,
+}
+
+/// Why a [`PlanSpec`] was refused: the field at fault (`None` when the
+/// matrix is empty) and why, as the words that follow the field's name.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlanError {
+    /// The field at fault.
+    pub field: Option<PlanField>,
+    /// Why it is refused.
+    pub reason: String,
+}
+
+impl PlanError {
+    fn new(field: PlanField, reason: impl Into<String>) -> PlanError {
+        PlanError {
+            field: Some(field),
+            reason: reason.into(),
+        }
+    }
+
+    /// The error as a sentence, naming the field as `name` spells it in a
+    /// front end's own syntax (`--draws`, or field `` `draws` ``).
+    pub fn message(&self, name: impl Fn(PlanField) -> String) -> String {
+        match self.field {
+            Some(field) => format!("{} {}", name(field), self.reason),
+            None => self.reason.clone(),
+        }
+    }
+}
+
+impl PlanSpec {
+    /// Reads `field` from `text`, replacing any earlier value: draws and
+    /// seed as decimal integers (`usize`, `u64`; no fraction or exponent),
+    /// workers as a positive one, confidence as a finite number, compare
+    /// as two non-empty names split at the first comma.
+    pub fn set(&mut self, field: PlanField, text: &str) -> Result<(), PlanError> {
+        let refuse = |reason: &str| PlanError::new(field, reason);
+        match field {
+            PlanField::Draws => {
+                let draws = text.parse();
+                self.draws = Some(draws.map_err(|_| refuse("must be a non-negative integer"))?);
+            }
+            PlanField::Seed => {
+                let seed = text.parse();
+                self.seed =
+                    Some(seed.map_err(|_| refuse("must be a non-negative 64-bit integer"))?);
+            }
+            PlanField::Confidence => {
+                let level = text.parse::<f64>().ok().filter(|l| l.is_finite());
+                self.confidence = Some(level.ok_or_else(|| refuse("must be a finite number"))?);
+            }
+            PlanField::Workers => {
+                let workers = text.parse::<usize>().ok().filter(|&w| w > 0);
+                self.workers = Some(workers.ok_or_else(|| refuse("must be a positive integer"))?);
+            }
+            PlanField::Compare => {
+                let (baseline, variant) = text
+                    .split_once(',')
+                    .filter(|(b, v)| !b.is_empty() && !v.is_empty())
+                    .ok_or_else(|| refuse("must name two scenarios as A,B"))?;
+                self.compare = Some((baseline.to_string(), variant.to_string()));
+            }
+        }
+        Ok(())
+    }
+
+    /// The run's [`DrawPlan`] over `matrix`, or the first of these rules
+    /// the spec breaks, in this order:
+    ///
+    /// 1. the matrix holds a scenario;
+    /// 2. both compared scenarios are in it;
+    /// 3. a comparison runs [`COMPARE_DRAWS`] draws when none are given,
+    ///    and refuses an explicit 0;
+    /// 4. the confidence level lies strictly between 0 and 1;
+    /// 5. the draws are at most [`MAX_DRAWS`] over the matrix's scenarios.
+    pub fn validate(&self, matrix: &ScenarioMatrix) -> Result<DrawPlan, PlanError> {
+        if matrix.is_empty() {
+            return Err(PlanError {
+                field: None,
+                reason: "scenario matrix is empty".to_string(),
+            });
+        }
+        let mut draws = self.draws.unwrap_or(0);
+        if let Some((baseline, variant)) = &self.compare {
+            for name in [baseline, variant] {
+                if !matrix.scenarios().iter().any(|s| &s.name == name) {
+                    let reason = format!("scenario `{name}` is not in the matrix");
+                    return Err(PlanError::new(PlanField::Compare, reason));
+                }
+            }
+            draws = match self.draws {
+                None => COMPARE_DRAWS,
+                Some(0) => {
+                    let reason = "must be positive to compare two scenarios";
+                    return Err(PlanError::new(PlanField::Draws, reason));
+                }
+                Some(draws) => draws,
+            };
+        }
+        let mut plan = DrawPlan::new(draws).with_seed(self.seed.unwrap_or(0));
+        if let Some(level) = self.confidence {
+            if !(level > 0.0 && level < 1.0) {
+                let reason = "must lie strictly between 0 and 1";
+                return Err(PlanError::new(PlanField::Confidence, reason));
+            }
+            plan = plan.with_confidence(level);
+        }
+        let max = MAX_DRAWS / matrix.len();
+        if draws > max {
+            let reason = format!(
+                "must be at most {max} over {} scenario(s) \
+                 (easyc::MAX_DRAWS = {MAX_DRAWS} draws per run)",
+                matrix.len()
+            );
+            return Err(PlanError::new(PlanField::Draws, reason));
+        }
+        Ok(plan)
     }
 }
 
@@ -938,5 +1117,72 @@ mod tests {
         let plan = DrawPlan::new(0);
         assert!(plan.system_operational_interval(0, &op).is_none());
         assert!(plan.system_embodied_interval(&emb).is_none());
+    }
+
+    #[test]
+    fn plan_rules_are_checked_in_order_and_a_comparison_defaults_its_draws() {
+        use crate::scenario::DataScenario;
+        let two = ScenarioMatrix::new()
+            .with(DataScenario::full("a"))
+            .with(DataScenario::full("b"));
+        let spec = |fields: &[(PlanField, &str)]| {
+            let mut spec = PlanSpec::default();
+            for (field, text) in fields {
+                spec.set(*field, text).unwrap();
+            }
+            spec
+        };
+        let rule = |spec: &PlanSpec, matrix: &ScenarioMatrix| match spec.validate(matrix) {
+            Ok(plan) => format!("ok {} {} {}", plan.draws, plan.seed, plan.level),
+            Err(e) => e.message(|field| format!("--{}", field.name())),
+        };
+        // Every rule broken at once: each fix uncovers the next one.
+        let mut fields = vec![
+            (PlanField::Compare, "a,x"),
+            (PlanField::Draws, "0"),
+            (PlanField::Confidence, "1"),
+        ];
+        assert_eq!(
+            rule(&spec(&fields), &ScenarioMatrix::new()),
+            "scenario matrix is empty"
+        );
+        assert_eq!(
+            rule(&spec(&fields), &two),
+            "--compare scenario `x` is not in the matrix"
+        );
+        fields[0].1 = "a,b";
+        assert_eq!(
+            rule(&spec(&fields), &two),
+            "--draws must be positive to compare two scenarios"
+        );
+        fields[1].1 = "524289";
+        assert_eq!(
+            rule(&spec(&fields), &two),
+            "--confidence must lie strictly between 0 and 1"
+        );
+        fields[2].1 = "0.9";
+        assert!(rule(&spec(&fields), &two).starts_with("--draws must be at most 524288 over 2"));
+        fields[1].1 = "524288";
+        assert_eq!(rule(&spec(&fields), &two), "ok 524288 0 0.9");
+        // Without `draws`, a comparison runs COMPARE_DRAWS and a plain run none.
+        assert_eq!(
+            rule(&spec(&fields[..1]), &two),
+            format!("ok {COMPARE_DRAWS} 0 0.95")
+        );
+        assert_eq!(rule(&PlanSpec::default(), &two), "ok 0 0 0.95");
+        let mut refused = PlanSpec::default();
+        for (field, text) in [
+            (PlanField::Draws, "8.0"),
+            (PlanField::Seed, "18446744073709551616"),
+            (PlanField::Confidence, "NaN"),
+            (PlanField::Workers, "0"),
+            (PlanField::Compare, "a,"),
+        ] {
+            assert_eq!(
+                refused.set(field, text).map_err(|e| e.field),
+                Err(Some(field))
+            );
+        }
+        assert_eq!(refused, PlanSpec::default());
     }
 }

@@ -20,9 +20,9 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (as `f64` — request numbers are small integers or
-    /// levels; exact 64-bit quantities travel as hex strings).
-    Num(f64),
+    /// Any JSON number, as its literal text (checked finite when parsed),
+    /// so an integer field reads it exactly, past 2^53 too.
+    Num(String),
     /// A string.
     Str(String),
     /// An array.
@@ -48,19 +48,23 @@ impl Value {
         }
     }
 
-    /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
+    /// The literal text of a number, if this is one (`8`, `-3`, `1e3`).
+    pub fn as_number(&self) -> Option<&str> {
         match self {
-            Value::Num(n) => Some(*n),
+            Value::Num(text) => Some(text),
             _ => None,
         }
     }
 
-    /// The numeric payload as a non-negative integer (rejects fractions,
-    /// negatives and anything above 2^53).
+    /// The numeric payload as the nearest `f64`, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        self.as_number()?.parse().ok()
+    }
+
+    /// The numeric payload as a `usize`, read exactly from an integer
+    /// literal (`1e3`, `8.0` and negatives are not one).
     pub fn as_usize(&self) -> Option<usize> {
-        let n = self.as_f64()?;
-        ((0.0..=9_007_199_254_740_992.0).contains(&n) && n.fract() == 0.0).then_some(n as usize)
+        self.as_number()?.parse().ok()
     }
 
     /// The boolean payload, if this is a bool.
@@ -336,11 +340,10 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.at])
             .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
-            .ok()
-            .filter(|n| n.is_finite())
-            .map(Value::Num)
-            .ok_or_else(|| self.err("invalid number"))
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Value::Num(text.to_string())),
+            _ => Err(self.err("invalid number")),
+        }
     }
 }
 
@@ -493,6 +496,19 @@ mod tests {
         assert_eq!(v.get("warm").and_then(Value::as_bool), Some(true));
         assert_eq!(v.get("x"), Some(&Value::Null));
         assert_eq!(v.get("missing"), None);
+    }
+
+    #[test]
+    fn integer_fields_are_read_exactly_from_their_literal() {
+        let v = parse(r#"{"a":9007199254740993,"b":18446744073709551615,"c":8.0,"d":1e3,"e":-3}"#)
+            .unwrap();
+        let field = |key| v.get(key).unwrap();
+        assert_eq!(field("a").as_usize(), Some(9_007_199_254_740_993));
+        assert_eq!(field("b").as_number(), Some("18446744073709551615"));
+        for key in ["c", "d", "e"] {
+            assert_eq!(field(key).as_usize(), None, "{key}");
+        }
+        assert_eq!(field("d").as_f64(), Some(1000.0));
     }
 
     #[test]

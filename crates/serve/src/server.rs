@@ -38,7 +38,7 @@
 use crate::json::{self, Obj, Value};
 use easyc::{
     Assessment, DataScenario, FleetState, Interval, InvalidateOutcome, MetricMask, OverrideSet,
-    ScenarioMatrix, ScenarioSlice, MAX_DRAWS,
+    PlanError, PlanField, PlanSpec, ScenarioMatrix, ScenarioSlice,
 };
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -442,14 +442,15 @@ fn route(line: &str, tx: &SyncSender<Request>, shared: &Shared) -> String {
 
 /// Computes one queued request on a compute worker.
 fn handle_request(value: &Value, shared: &Shared) -> String {
-    match value.get("op").and_then(Value::as_str) {
+    let reply = match value.get("op").and_then(Value::as_str) {
         Some("assess") => op_assess(value, shared),
         Some("sweep") => op_sweep(value, shared),
         Some("compare") => op_compare(value, shared),
         Some("invalidate") => op_invalidate(value, shared),
-        Some("hold") => op_hold(shared),
-        _ => error_line("unknown-op", "unroutable op reached a worker"),
-    }
+        Some("hold") => Ok(op_hold(shared)),
+        _ => Err(error_line("unknown-op", "unroutable op reached a worker")),
+    };
+    reply.unwrap_or_else(|error| error)
 }
 
 fn error_line(code: &str, message: &str) -> String {
@@ -458,16 +459,6 @@ fn error_line(code: &str, message: &str) -> String {
         .field_str("code", code)
         .field_str("error", message)
         .finish()
-}
-
-/// Optional request numbers with defaults; `Err` on present-but-invalid.
-fn opt_usize(value: &Value, key: &str, default: usize) -> Result<usize, String> {
-    match value.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_usize()
-            .ok_or_else(|| format!("field `{key}` must be a non-negative integer")),
-    }
 }
 
 fn opt_f64(value: &Value, key: &str) -> Result<Option<f64>, String> {
@@ -480,90 +471,83 @@ fn opt_f64(value: &Value, key: &str) -> Result<Option<f64>, String> {
     }
 }
 
-/// The draw plan fields shared by every compute op.
-struct PlanSpec {
-    draws: usize,
-    seed: u64,
-    level: Option<f64>,
-    workers: Option<usize>,
-}
-
-/// Parses the plan fields of a run over `scenarios` scenarios. `draws`
-/// past [`MAX_DRAWS`] over all of them is refused before anything is
-/// allocated for it. A requested `workers` is capped at `max_workers` (the
-/// state's configured count): results are bit-identical at any worker
-/// count, so the cap changes no reply byte, but a client cannot make one
-/// query start thousands of threads.
-fn plan_spec(
-    value: &Value,
-    default_draws: usize,
-    scenarios: usize,
-    max_workers: usize,
-) -> Result<PlanSpec, String> {
-    let draws = opt_usize(value, "draws", default_draws)?;
-    let max_draws = MAX_DRAWS / scenarios;
-    if draws > max_draws {
-        return Err(format!(
-            "field `draws` must be at most {max_draws} over {scenarios} scenario(s) \
-             (MAX_DRAWS = {MAX_DRAWS} draws per run)"
-        ));
-    }
-    let seed = opt_usize(value, "seed", 0)? as u64;
-    let level = opt_f64(value, "confidence")?;
-    if let Some(level) = level {
-        if !(level > 0.0 && level < 1.0) {
-            return Err("field `confidence` must lie strictly between 0 and 1".into());
+/// Reads a request's plan fields into a [`PlanSpec`]. The literal text of
+/// each numeric field (`draws`, `seed`, `confidence`, `workers`) goes
+/// through [`PlanSpec::set`], the parser the CLI's flags go through, so an
+/// integer is read exactly and `8.0` or `1e3` is not one. A `compare`
+/// request's string fields `baseline` and `variant` are the compared pair.
+pub fn request_plan(value: &Value) -> Result<PlanSpec, PlanError> {
+    use PlanField::{Confidence, Draws, Seed, Workers};
+    let mut spec = PlanSpec::default();
+    for field in [Draws, Seed, Confidence, Workers] {
+        if let Some(v) = value.get(field.name()) {
+            // A value that is not a number reads as empty text, which
+            // `set` refuses like any other text that is not the field's.
+            spec.set(field, v.as_number().unwrap_or_default())?;
         }
     }
-    let workers = match value.get("workers") {
-        None => None,
-        Some(v) => Some(
-            v.as_usize()
-                .filter(|w| *w > 0)
-                .ok_or("field `workers` must be a positive integer")?
-                .min(max_workers),
-        ),
+    if value.get("op").and_then(Value::as_str) == Some("compare") {
+        let name = |key| value.get(key).and_then(Value::as_str).map(str::to_string);
+        spec.compare = name("baseline").zip(name("variant"));
+    }
+    Ok(spec)
+}
+
+/// The reply refusing a plan: an empty matrix (no field) or an unknown
+/// compared scenario is a `bad-scenario`, any other fault a
+/// `malformed-request`. serve reads the compared names as strings, never
+/// through [`PlanSpec::set`], so its only `compare` fault is an unknown
+/// name.
+fn plan_error(error: PlanError) -> String {
+    let code = match error.field {
+        None | Some(PlanField::Compare) => "bad-scenario",
+        Some(_) => "malformed-request",
     };
-    Ok(PlanSpec {
-        draws,
-        seed,
-        level,
-        workers,
-    })
+    let message = error.message(|field| match field {
+        PlanField::Compare => "compare".to_string(),
+        field => format!("field `{}`", field.name()),
+    });
+    error_line(code, &message)
 }
 
-impl PlanSpec {
-    /// The request's query over `state`: its draws and seed, plus the
-    /// confidence level and worker count when the request names them.
-    fn query<'s>(&self, state: &'s FleetState) -> Assessment<&'s FleetState> {
-        let mut query = state.query().uncertainty(self.draws).seed(self.seed);
-        if let Some(level) = self.level {
-            query = query.confidence(level);
-        }
-        if let Some(workers) = self.workers {
-            query = query.workers(workers);
-        }
-        query
-    }
+/// A request's worker count, capped at the state's configured `max`:
+/// results are bit-identical at any worker count, so the cap changes no
+/// reply byte, but a client cannot make one query start thousands of
+/// threads.
+fn capped_workers(spec: &PlanSpec, max: usize) -> Option<usize> {
+    spec.workers.map(|workers| workers.min(max))
 }
 
-/// The optional single-scenario fields of an `assess` request: `scenario`
+/// The query that assesses `matrix` over `state` under `spec`, or the
+/// reply refusing the plan.
+fn planned<'s>(
+    spec: &PlanSpec,
+    state: &'s FleetState,
+    matrix: &ScenarioMatrix,
+) -> Result<Assessment<&'s FleetState>, String> {
+    let plan = spec.validate(matrix).map_err(plan_error)?;
+    let workers = state.config().workers;
+    Ok(state
+        .query()
+        .draw_plan(plan)
+        .scenarios(matrix)
+        .workers(capped_workers(spec, workers).unwrap_or(workers)))
+}
+
+/// The scenario of an `assess` request from its optional fields: `scenario`
 /// (name), `mask` (spec string), `pue` / `utilization` / `aci` overrides.
-/// All absent = the state's default scenario (warm-path eligible).
-fn scenario_spec(value: &Value) -> Result<Option<DataScenario>, String> {
+/// All absent = the state's default scenario, `default` with everything
+/// visible (warm-path eligible).
+fn scenario_spec(value: &Value) -> Result<DataScenario, String> {
     let name = match value.get("scenario") {
-        None => None,
-        Some(v) => Some(
-            v.as_str()
-                .ok_or("field `scenario` must be a string")?
-                .to_string(),
-        ),
+        None => "default",
+        Some(v) => v.as_str().ok_or("field `scenario` must be a string")?,
     };
     let mask = match value.get("mask") {
-        None => None,
+        None => MetricMask::ALL,
         Some(v) => {
             let spec = v.as_str().ok_or("field `mask` must be a string")?;
-            Some(MetricMask::parse(spec).map_err(|e| format!("bad mask: {e}"))?)
+            MetricMask::parse(spec).map_err(|e| format!("bad mask: {e}"))?
         }
     };
     let overrides = OverrideSet {
@@ -571,15 +555,7 @@ fn scenario_spec(value: &Value) -> Result<Option<DataScenario>, String> {
         utilization: opt_f64(value, "utilization")?,
         aci_g_per_kwh: opt_f64(value, "aci")?,
     };
-    if name.is_none() && mask.is_none() && overrides == OverrideSet::NONE {
-        return Ok(None);
-    }
-    let scenario = DataScenario::masked(
-        name.unwrap_or_else(|| "default".to_string()),
-        mask.unwrap_or(MetricMask::ALL),
-    )
-    .with_overrides(overrides);
-    Ok(Some(scenario))
+    Ok(DataScenario::masked(name, mask).with_overrides(overrides))
 }
 
 /// Renders an optional interval with exact bits (`null` when absent).
@@ -617,62 +593,46 @@ fn slice_summary(slice: &ScenarioSlice) -> String {
         .finish()
 }
 
-fn op_assess(value: &Value, shared: &Shared) -> String {
-    let scenario = match scenario_spec(value) {
-        Ok(s) => s,
-        Err(e) => return error_line("bad-scenario", &e),
-    };
+fn op_assess(value: &Value, shared: &Shared) -> Result<String, String> {
+    let scenario = scenario_spec(value).map_err(|e| error_line("bad-scenario", &e))?;
+    let spec = request_plan(value).map_err(plan_error)?;
     let state = shared.read_state();
-    let plan = match plan_spec(value, 0, 1, state.config().workers) {
-        Ok(p) => p,
-        Err(e) => return error_line("malformed-request", &e),
-    };
-    let mut query = plan.query(&state);
-    if let Some(scenario) = scenario {
-        query = query.scenario(scenario);
-    }
-    let output = query.run();
-    let Some(result) = output.slices().first().map(slice_summary) else {
-        return error_line("internal-error", "assessment produced no scenarios");
-    };
-    Obj::new()
+    let output = planned(&spec, &state, &ScenarioMatrix::new().with(scenario))?.run();
+    let result = output
+        .slices()
+        .first()
+        .map(slice_summary)
+        .ok_or_else(|| error_line("internal-error", "assessment produced no scenarios"))?;
+    Ok(Obj::new()
         .field_bool("ok", true)
         .field_str("op", "assess")
         .field_bool("warm", state.is_warm())
         .field_str("source_hash", &format!("{:016x}", state.source_hash()))
         .field_raw("result", &result)
-        .finish()
+        .finish())
 }
 
-/// Parses the `matrix_csv` field shared by `sweep` and `compare`.
+/// Parses the `matrix_csv` field shared by `sweep` and `compare`; a
+/// refusal is a `bad-scenario` reply.
 fn matrix_spec(value: &Value) -> Result<ScenarioMatrix, String> {
     let text = value
         .get("matrix_csv")
         .and_then(Value::as_str)
-        .ok_or("missing string field `matrix_csv`")?;
-    let matrix = ScenarioMatrix::from_csv(text).map_err(|e| format!("bad matrix: {e}"))?;
-    if matrix.is_empty() {
-        return Err("scenario matrix is empty".into());
-    }
-    Ok(matrix)
+        .ok_or_else(|| error_line("bad-scenario", "missing string field `matrix_csv`"))?;
+    ScenarioMatrix::from_csv(text)
+        .map_err(|e| error_line("bad-scenario", &format!("bad matrix: {e}")))
 }
 
-fn op_sweep(value: &Value, shared: &Shared) -> String {
-    let matrix = match matrix_spec(value) {
-        Ok(m) => m,
-        Err(e) => return error_line("bad-scenario", &e),
-    };
+fn op_sweep(value: &Value, shared: &Shared) -> Result<String, String> {
+    let matrix = matrix_spec(value)?;
+    let spec = request_plan(value).map_err(plan_error)?;
     let state = shared.read_state();
-    let plan = match plan_spec(value, 0, matrix.len(), state.config().workers) {
-        Ok(p) => p,
-        Err(e) => return error_line("malformed-request", &e),
-    };
-    let output = plan.query(&state).scenarios(&matrix).run();
+    let output = planned(&spec, &state, &matrix)?.run();
     let summaries: Vec<String> = output.slices().iter().map(slice_summary).collect();
     // The same per-(scenario, system) CSV `sweep --out` writes — byte
     // identical, which is what the CI smoke diffs.
     let csv = frame::csv::write(&output.to_frame());
-    Obj::new()
+    Ok(Obj::new()
         .field_bool("ok", true)
         .field_str("op", "sweep")
         .field_bool("warm", state.is_warm())
@@ -680,42 +640,39 @@ fn op_sweep(value: &Value, shared: &Shared) -> String {
         .field_int("scenarios", output.len())
         .field_raw("results", &json::array(&summaries))
         .field_str("csv", &csv)
-        .finish()
+        .finish())
 }
 
-fn op_compare(value: &Value, shared: &Shared) -> String {
-    let matrix = match matrix_spec(value) {
-        Ok(m) => m,
-        Err(e) => return error_line("bad-scenario", &e),
-    };
-    let (Some(baseline), Some(variant)) = (
-        value.get("baseline").and_then(Value::as_str),
-        value.get("variant").and_then(Value::as_str),
-    ) else {
-        return error_line(
+fn op_compare(value: &Value, shared: &Shared) -> Result<String, String> {
+    let matrix = matrix_spec(value)?;
+    let spec = request_plan(value).map_err(plan_error)?;
+    let Some((baseline, variant)) = &spec.compare else {
+        return Err(error_line(
             "malformed-request",
             "compare needs string fields `baseline` and `variant`",
-        );
+        ));
     };
-    for name in [baseline, variant] {
-        if !matrix.scenarios().iter().any(|s| s.name == name) {
-            return error_line("bad-scenario", &format!("`{name}` is not in the matrix"));
+    // Only the compared scenarios run (one for a self-compare), and only
+    // they count against the draw cap: draws are keyed by (system, draw),
+    // never by scenario, so the delta's bits do not depend on the rest of
+    // the matrix. When neither is in it, the whole matrix is checked, so
+    // the refusal names the missing one.
+    let mut pair = ScenarioMatrix::new();
+    for scenario in matrix.scenarios() {
+        if &scenario.name == baseline || &scenario.name == variant {
+            pair.push(scenario.clone());
         }
     }
+    let run = if pair.is_empty() { &matrix } else { &pair };
     let state = shared.read_state();
-    let plan = match plan_spec(value, 1000, matrix.len(), state.config().workers) {
-        Ok(p) if p.draws > 0 => p,
-        Ok(_) => return error_line("malformed-request", "compare needs `draws` > 0"),
-        Err(e) => return error_line("malformed-request", &e),
-    };
-    let output = plan.query(&state).scenarios(&matrix).run();
-    let Some(delta) = output.compare(baseline, variant) else {
-        return error_line(
+    let output = planned(&spec, &state, run)?.run();
+    let delta = output.compare(baseline, variant).ok_or_else(|| {
+        error_line(
             "no-paired-draws",
             &format!("no paired draws for {baseline},{variant}"),
-        );
-    };
-    Obj::new()
+        )
+    })?;
+    Ok(Obj::new()
         .field_bool("ok", true)
         .field_str("op", "compare")
         .field_bool("warm", state.is_warm())
@@ -724,23 +681,23 @@ fn op_compare(value: &Value, shared: &Shared) -> String {
         .field_raw("operational", &interval_json(delta.operational))
         .field_raw("embodied", &interval_json(delta.embodied))
         .field_raw("total", &interval_json(delta.total))
-        .finish()
+        .finish())
 }
 
-fn op_invalidate(value: &Value, shared: &Shared) -> String {
+fn op_invalidate(value: &Value, shared: &Shared) -> Result<String, String> {
     let Some(hash) = value
         .get("hash")
         .and_then(Value::as_str)
         .and_then(|h| u64::from_str_radix(h, 16).ok())
     else {
-        return error_line(
+        return Err(error_line(
             "malformed-request",
             "invalidate needs a hex string field `hash`",
-        );
+        ));
     };
     let mut state = shared.write_state();
     let outcome = state.invalidate(hash);
-    Obj::new()
+    Ok(Obj::new()
         .field_bool("ok", true)
         .field_str("op", "invalidate")
         .field_str(
@@ -751,7 +708,7 @@ fn op_invalidate(value: &Value, shared: &Shared) -> String {
             },
         )
         .field_str("source_hash", &format!("{:016x}", state.source_hash()))
-        .finish()
+        .finish())
 }
 
 /// Parks this worker until the next `release` (or shutdown) — occupies
@@ -781,7 +738,8 @@ mod tests {
     #[test]
     fn requested_workers_are_capped_at_the_states_worker_count() {
         let workers = |line: &str| {
-            plan_spec(&json::parse(line).expect("valid JSON"), 0, 1, 4).map(|plan| plan.workers)
+            request_plan(&json::parse(line).expect("valid JSON"))
+                .map(|spec| capped_workers(&spec, 4))
         };
         assert_eq!(workers(r#"{"op":"assess","workers":3000}"#), Ok(Some(4)));
         assert_eq!(workers(r#"{"op":"assess","workers":4}"#), Ok(Some(4)));

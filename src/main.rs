@@ -19,14 +19,16 @@
 //!                      numbers replay identical per-system perturbations in
 //!                      both scenarios, so the difference interval is far
 //!                      tighter than differencing the two separate bands
-//!                      (enables --draws 1000 if --draws was not given)
+//!                      (runs easyc::COMPARE_DRAWS draws if --draws was not
+//!                      given)
 //!   --synthetic N      use an N-system synthetic fleet instead of a CSV
 //!   --stream           pipelined chunked ingestion: the next chunk is parsed
 //!                      on a background thread while the engine assesses the
 //!                      current one; memory bounded by --chunk-rows (at most
 //!                      two chunks resident), not fleet size
 //!   --chunk-rows N     rows per streamed chunk (default 8192)
-//!   (any other --option, or a second systems path, is a usage error)
+//!   (any other --option, a repeated one, or a second systems path, is a
+//!   usage error)
 //! top500-carbon sweep-template              print the scenario CSV template
 //! top500-carbon serve [systems.csv] [--addr H:P --synthetic N --workers N
 //!                     --serve-workers N --queue-depth N --timeout-ms N --cold]
@@ -47,7 +49,8 @@ use std::process::ExitCode;
 use top500_carbon::analysis::fleet::{render_deltas, render_sweep, summarize};
 use top500_carbon::analysis::report::{run_study, SweepCsvWriter};
 use top500_carbon::easyc::{
-    Assessment, AssessmentOutput, DrawPlan, FleetState, Interval, ScenarioMatrix, MAX_DRAWS,
+    Assessment, AssessmentOutput, DrawPlan, FleetState, Interval, PlanError, PlanField, PlanSpec,
+    ScenarioMatrix, COMPARE_DRAWS, MAX_DRAWS,
 };
 use top500_carbon::frame;
 use top500_carbon::serve::{self, ServeConfig};
@@ -61,31 +64,30 @@ const DEFAULT_CHUNK_ROWS: usize = 8192;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    let path = |missing: &str| args.get(1).map(Path::new).ok_or_else(|| usage(missing));
+    let run = match args.first().map(String::as_str) {
         Some("study") => cmd_study(args.get(1).map(Path::new)),
-        Some("assess") => match args.get(1) {
-            Some(path) => cmd_assess(Path::new(path)),
-            None => usage("assess requires a CSV path"),
-        },
+        Some("assess") => path("assess requires a CSV path").and_then(cmd_assess),
         Some("template") => cmd_template(),
-        Some("figures") => match args.get(1) {
-            Some(dir) => cmd_figures(Path::new(dir)),
-            None => usage("figures requires an output directory"),
-        },
-        Some("sweep") => match args.get(1) {
-            Some(path) => cmd_sweep(Path::new(path), &args[2..]),
-            None => usage("sweep requires a scenarios CSV path"),
-        },
+        Some("figures") => path("figures requires an output directory").and_then(cmd_figures),
+        Some("sweep") => {
+            path("sweep requires a scenarios CSV path").and_then(|p| cmd_sweep(p, &args[2..]))
+        }
         Some("sweep-template") => {
             print!("{}", ScenarioMatrix::csv_template());
-            ExitCode::SUCCESS
+            Ok(())
         }
         Some("serve") => cmd_serve(&args[1..]),
         Some("query") => cmd_query(&args[1..]),
-        Some(other) => usage(&format!("unknown command `{other}`")),
-        None => usage("no command given"),
-    }
+        Some(other) => Err(usage(&format!("unknown command `{other}`"))),
+        None => Err(usage("no command given")),
+    };
+    run.err().unwrap_or(ExitCode::SUCCESS)
 }
+
+/// A command's outcome: `Err` carries the exit status, its message
+/// already printed.
+type Run = Result<(), ExitCode>;
 
 fn usage(problem: &str) -> ExitCode {
     eprintln!("error: {problem}\n");
@@ -105,7 +107,7 @@ fn usage(problem: &str) -> ExitCode {
     eprintln!("    --confidence L      interval confidence level in (0, 1), default 0.95");
     eprintln!("    --seed S            RNG seed for the Monte-Carlo draws, default 0");
     eprintln!("    --compare A,B       paired delta B − A over common random numbers");
-    eprintln!("                        (defaults --draws to 1000 when not given)");
+    eprintln!("                        (defaults --draws to {COMPARE_DRAWS} when not given)");
     eprintln!("    --synthetic N       N-system synthetic fleet instead of a CSV");
     eprintln!("    --stream            pipelined chunked ingestion (parse overlaps assess),");
     eprintln!("                        memory bounded by --chunk-rows, not fleet size");
@@ -132,33 +134,53 @@ fn usage(problem: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// Prints `error: {problem}`: the command fails with exit status 1.
+fn fail(problem: impl std::fmt::Display) -> ExitCode {
+    eprintln!("error: {problem}");
+    ExitCode::FAILURE
+}
+
+/// The text of the file at `path`, or the failure naming it.
+fn read(path: impl AsRef<Path>) -> Result<String, ExitCode> {
+    let path = path.as_ref();
+    std::fs::read_to_string(path).map_err(|e| fail(format!("cannot read {}: {e}", path.display())))
+}
+
 /// Parsed `--flag value` pairs, as (name, value) in argv order.
 type Flags = Vec<(String, String)>;
 
-/// Parses the arguments of `serve`/`query`: `--name value` pairs for the
-/// names in `valued`, bare `--name` switches for those in `switches`, and
-/// positionals. Any other `--` argument, or a valued flag without its
-/// value, is an error that names it.
+/// Parses the arguments of `command` (`sweep`, `serve` or `query`):
+/// `--name value` pairs for the names in `valued`, bare `--name` switches
+/// for those in `switches`, and positionals. Any other `--` argument, a
+/// repeated one, or a valued flag without its value, is a usage error
+/// that names it.
 fn parse_flags(
+    command: &str,
     rest: &[String],
     valued: &[&str],
     switches: &[&str],
-) -> Result<(Vec<String>, Flags), String> {
+) -> Result<(Vec<String>, Flags), ExitCode> {
+    let problem = |p: String| usage(&format!("{command}: {p}"));
     let mut positionals = Vec::new();
-    let mut flags = Vec::new();
+    let mut flags: Flags = Vec::new();
     let mut iter = rest.iter();
     while let Some(arg) = iter.next() {
         let Some(name) = arg.strip_prefix("--") else {
             positionals.push(arg.clone());
             continue;
         };
+        if flags.iter().any(|(seen, _)| seen == name) {
+            return Err(problem(format!("`{arg}` is given twice")));
+        }
         if switches.contains(&name) {
             flags.push((name.to_string(), String::new()));
         } else if valued.contains(&name) {
-            let value = iter.next().ok_or_else(|| format!("{arg} needs a value"))?;
+            let value = iter
+                .next()
+                .ok_or_else(|| problem(format!("{arg} needs a value")))?;
             flags.push((name.to_string(), value.clone()));
         } else {
-            return Err(format!("unknown option `{arg}`"));
+            return Err(problem(format!("unknown option `{arg}`")));
         }
     }
     Ok((positionals, flags))
@@ -171,7 +193,20 @@ fn flag<'a>(flags: &'a [(String, String)], name: &str) -> Option<&'a str> {
         .map(|(_, v)| v.as_str())
 }
 
-fn cmd_serve(rest: &[String]) -> ExitCode {
+/// `--name`'s value as a positive integer, if given; a usage error names
+/// the flag when it is not one.
+fn positive<T>(flags: &[(String, String)], name: &str) -> Result<Option<T>, ExitCode>
+where
+    T: std::str::FromStr + Default + PartialOrd,
+{
+    match flag(flags, name).map(str::parse::<T>) {
+        None => Ok(None),
+        Some(Ok(n)) if n > T::default() => Ok(Some(n)),
+        Some(_) => Err(usage(&format!("--{name} requires a positive integer"))),
+    }
+}
+
+fn cmd_serve(rest: &[String]) -> Run {
     let valued = [
         "addr",
         "synthetic",
@@ -180,92 +215,43 @@ fn cmd_serve(rest: &[String]) -> ExitCode {
         "queue-depth",
         "timeout-ms",
     ];
-    let (positionals, flags) = match parse_flags(rest, &valued, &["cold"]) {
-        Ok(parsed) => parsed,
-        Err(problem) => return usage(&format!("serve: {problem}")),
-    };
+    let (positionals, flags) = parse_flags("serve", rest, &valued, &["cold"])?;
     if positionals.len() > 1 {
-        return usage("serve takes at most one systems.csv");
+        return Err(usage("serve takes at most one systems.csv"));
     }
     if !positionals.is_empty() && flag(&flags, "synthetic").is_some() {
-        return usage("pass either systems.csv or --synthetic N, not both");
+        return Err(usage("pass either systems.csv or --synthetic N, not both"));
     }
     let addr = flag(&flags, "addr").unwrap_or("127.0.0.1:0");
     let mut config = top500_carbon::easyc::EasyCConfig::default();
-    if let Some(w) = flag(&flags, "workers") {
-        match w.parse::<usize>() {
-            Ok(w) if w > 0 => config.workers = w,
-            _ => return usage("--workers requires a positive integer"),
-        }
-    }
-    let state = match positionals.first() {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match FleetState::from_csv(&text, config) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => {
-            let n = match flag(&flags, "synthetic") {
-                Some(n) => match n.parse::<u32>() {
-                    Ok(n) if n > 0 => n,
-                    _ => return usage("--synthetic requires a positive integer"),
-                },
-                None => 500,
-            };
-            FleetState::from_list(
-                generate_full(&SyntheticConfig {
-                    seed: DEFAULT_SEED,
-                    n,
-                    ..Default::default()
-                }),
-                config,
-            )
-        }
+    config.workers = positive(&flags, "workers")?.unwrap_or(config.workers);
+    let defaults = ServeConfig::default();
+    let serve_config = ServeConfig {
+        workers: positive(&flags, "serve-workers")?.unwrap_or(defaults.workers),
+        queue_depth: positive(&flags, "queue-depth")?.unwrap_or(defaults.queue_depth),
+        request_timeout: positive(&flags, "timeout-ms")?
+            .map_or(defaults.request_timeout, std::time::Duration::from_millis),
+        ..defaults
     };
-    let mut state = state;
+    let mut state = match positionals.first() {
+        Some(path) => FleetState::from_csv(&read(path)?, config).map_err(fail)?,
+        None => FleetState::from_list(
+            generate_full(&SyntheticConfig {
+                seed: DEFAULT_SEED,
+                n: positive(&flags, "synthetic")?.unwrap_or(500),
+                ..Default::default()
+            }),
+            config,
+        ),
+    };
     if flag(&flags, "cold").is_none() {
         state.warm();
-    }
-    let mut serve_config = ServeConfig::default();
-    if let Some(w) = flag(&flags, "serve-workers") {
-        match w.parse::<usize>() {
-            Ok(w) if w > 0 => serve_config.workers = w,
-            _ => return usage("--serve-workers requires a positive integer"),
-        }
-    }
-    if let Some(d) = flag(&flags, "queue-depth") {
-        match d.parse::<usize>() {
-            Ok(d) if d > 0 => serve_config.queue_depth = d,
-            _ => return usage("--queue-depth requires a positive integer"),
-        }
-    }
-    if let Some(ms) = flag(&flags, "timeout-ms") {
-        match ms.parse::<u64>() {
-            Ok(ms) if ms > 0 => serve_config.request_timeout = std::time::Duration::from_millis(ms),
-            _ => return usage("--timeout-ms requires a positive integer"),
-        }
     }
     let warm = state.is_warm();
     let systems = state.len();
     let hash = state.source_hash();
-    let server = match serve::spawn(state, addr, serve_config) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot bind {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let server = serve::spawn(state, addr, serve_config)
+        .map_err(|e| fail(format!("cannot bind {addr}: {e}")))?;
     println!(
         "serving {systems} systems on {} (source hash {hash:016x}, cache {})",
         server.addr(),
@@ -275,40 +261,35 @@ fn cmd_serve(rest: &[String]) -> ExitCode {
     let _ = std::io::stdout().flush();
     server.wait();
     println!("server shut down");
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_query(rest: &[String]) -> ExitCode {
+fn cmd_query(rest: &[String]) -> Run {
     // Request fields forwarded verbatim when given, by value type.
     const INTEGERS: [&str; 3] = ["draws", "seed", "workers"];
     const NUMBERS: [&str; 4] = ["confidence", "pue", "utilization", "aci"];
     const STRINGS: [&str; 3] = ["mask", "scenario", "hash"];
     let valued = [&["addr", "out"][..], &INTEGERS, &NUMBERS, &STRINGS].concat();
-    let (positionals, flags) = match parse_flags(rest, &valued, &[]) {
-        Ok(parsed) => parsed,
-        Err(problem) => return usage(&format!("query: {problem}")),
-    };
-    let Some(addr) = flag(&flags, "addr") else {
-        return usage("query requires --addr HOST:PORT");
-    };
-    let Some(op) = positionals.first().map(String::as_str) else {
-        return usage("query requires an op (status/assess/sweep/compare/invalidate/shutdown)");
-    };
+    let (positionals, flags) = parse_flags("query", rest, &valued, &[])?;
+    let addr = flag(&flags, "addr").ok_or_else(|| usage("query requires --addr HOST:PORT"))?;
+    let op = positionals.first().ok_or_else(|| {
+        usage("query requires an op (status/assess/sweep/compare/invalidate/shutdown)")
+    })?;
     let mut request = serve::json::Obj::new().field_str("op", op);
     for key in INTEGERS {
         if let Some(v) = flag(&flags, key) {
-            match v.parse::<usize>() {
-                Ok(n) => request = request.field_int(key, n),
-                Err(_) => return usage(&format!("--{key} requires an integer")),
-            }
+            let n = v
+                .parse()
+                .map_err(|_| usage(&format!("--{key} requires an integer")))?;
+            request = request.field_int(key, n);
         }
     }
     for key in NUMBERS {
         if let Some(v) = flag(&flags, key) {
-            match v.parse::<f64>() {
-                Ok(x) => request = request.field_num(key, x),
-                Err(_) => return usage(&format!("--{key} requires a number")),
-            }
+            let x = v
+                .parse()
+                .map_err(|_| usage(&format!("--{key} requires a number")))?;
+            request = request.field_num(key, x);
         }
     }
     for key in STRINGS {
@@ -316,70 +297,45 @@ fn cmd_query(rest: &[String]) -> ExitCode {
             request = request.field_str(key, v);
         }
     }
-    match op {
+    match op.as_str() {
         "status" | "assess" | "invalidate" | "shutdown" => {}
         "sweep" | "compare" => {
-            let Some(path) = positionals.get(1) else {
-                return usage(&format!("{op} requires a scenarios CSV path"));
-            };
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            request = request.field_str("matrix_csv", &text);
+            let path = positionals
+                .get(1)
+                .ok_or_else(|| usage(&format!("{op} requires a scenarios CSV path")))?;
+            request = request.field_str("matrix_csv", &read(path)?);
             if op == "compare" {
-                let Some((a, b)) = positionals.get(2).and_then(|pair| pair.split_once(',')) else {
-                    return usage("compare requires two scenario names as A,B");
-                };
+                let (a, b) = positionals
+                    .get(2)
+                    .and_then(|pair| pair.split_once(','))
+                    .ok_or_else(|| usage("compare requires two scenario names as A,B"))?;
                 request = request.field_str("baseline", a).field_str("variant", b);
             }
         }
-        other => return usage(&format!("unknown query op `{other}`")),
+        other => return Err(usage(&format!("unknown query op `{other}`"))),
     }
-    let mut client = match serve::Client::connect(addr) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: cannot connect to {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let raw = match client.request_raw(&request.finish()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: request failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let parsed = match serve::json::parse(&raw) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: unparseable response ({e}): {raw}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let ok = parsed.get("ok").and_then(serve::json::Value::as_bool) == Some(true);
+    let mut client =
+        serve::Client::connect(addr).map_err(|e| fail(format!("cannot connect to {addr}: {e}")))?;
+    let raw = client
+        .request_raw(&request.finish())
+        .map_err(|e| fail(format!("request failed: {e}")))?;
+    let parsed =
+        serve::json::parse(&raw).map_err(|e| fail(format!("unparseable response ({e}): {raw}")))?;
     if let Some(out) = flag(&flags, "out") {
         // `sweep --out` spills the per-(scenario, system) CSV — the same
         // bytes the CLI `sweep --out` writes, which CI diffs.
-        let Some(csv) = parsed.get("csv").and_then(serve::json::Value::as_str) else {
-            eprintln!("error: response carries no csv field: {raw}");
-            return ExitCode::FAILURE;
-        };
-        if let Err(e) = std::fs::write(out, csv) {
-            eprintln!("error: could not write {out}: {e}");
-            return ExitCode::FAILURE;
-        }
+        let csv = parsed
+            .get("csv")
+            .and_then(serve::json::Value::as_str)
+            .ok_or_else(|| fail(format!("response carries no csv field: {raw}")))?;
+        std::fs::write(out, csv).map_err(|e| fail(format!("could not write {out}: {e}")))?;
         println!("wrote per-system scenario results to {out}");
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
     println!("{raw}");
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    match parsed.get("ok").and_then(serve::json::Value::as_bool) {
+        Some(true) => Ok(()),
+        _ => Err(ExitCode::FAILURE),
     }
 }
 
@@ -387,147 +343,60 @@ fn cmd_query(rest: &[String]) -> ExitCode {
 /// fleet) in one interleaved assessment session. In-memory mode can write
 /// the full columnar results; `--stream` folds chunks incrementally so
 /// memory stays bounded by `--chunk-rows` regardless of fleet size.
-fn cmd_sweep(scenarios_path: &Path, rest: &[String]) -> ExitCode {
-    let text = match std::fs::read_to_string(scenarios_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read {}: {e}", scenarios_path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let matrix = match ScenarioMatrix::from_csv(&text) {
-        Ok(m) if !m.is_empty() => m,
-        Ok(_) => {
-            eprintln!("error: scenario matrix is empty");
-            return ExitCode::FAILURE;
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut out_path: Option<&str> = None;
-    let mut systems_path: Option<&str> = None;
-    let mut workers: usize = top500_carbon::parallel::default_workers();
-    let mut stream = false;
-    let mut chunk_rows = DEFAULT_CHUNK_ROWS;
-    let mut synthetic_n: Option<u32> = None;
-    let mut plan = DrawPlan::new(0);
-    let mut draws_given = false;
-    let mut compare: Option<(String, String)> = None;
-    let mut iter = rest.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--out" {
-            match iter.next() {
-                Some(p) => out_path = Some(p),
-                None => return usage("--out requires a path"),
-            }
-        } else if arg == "--workers" {
-            match iter.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => workers = n,
-                _ => return usage("--workers requires a positive integer"),
-            }
-        } else if arg == "--stream" {
-            stream = true;
-        } else if arg == "--chunk-rows" {
-            match iter.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => chunk_rows = n,
-                _ => return usage("--chunk-rows requires a positive integer"),
-            }
-        } else if arg == "--synthetic" {
-            match iter.next().and_then(|n| n.parse::<u32>().ok()) {
-                Some(n) if n > 0 => synthetic_n = Some(n),
-                _ => return usage("--synthetic requires a positive integer"),
-            }
-        } else if arg == "--draws" {
-            match iter.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) => {
-                    plan.draws = n;
-                    draws_given = true;
-                }
-                _ => return usage("--draws requires an integer"),
-            }
-        } else if arg == "--confidence" {
-            match iter.next().and_then(|n| n.parse::<f64>().ok()) {
-                Some(level) if level > 0.0 && level < 1.0 => plan.level = level,
-                _ => return usage("--confidence requires a level strictly between 0 and 1"),
-            }
-        } else if arg == "--seed" {
-            match iter.next().and_then(|n| n.parse::<u64>().ok()) {
-                Some(seed) => plan.seed = seed,
-                _ => return usage("--seed requires an unsigned integer"),
-            }
-        } else if arg == "--compare" {
-            match iter.next().and_then(|pair| {
-                let (a, b) = pair.split_once(',')?;
-                (!a.is_empty() && !b.is_empty()).then(|| (a.to_string(), b.to_string()))
-            }) {
-                Some(pair) => compare = Some(pair),
-                None => return usage("--compare requires two scenario names as A,B"),
-            }
-        } else if arg.starts_with("--") {
-            return usage(&format!("sweep: unknown option `{arg}`"));
-        } else if let Some(first) = systems_path {
-            return usage(&format!(
-                "sweep takes one systems.csv, got `{first}` and `{arg}`"
-            ));
-        } else {
-            systems_path = Some(arg);
+fn cmd_sweep(scenarios_path: &Path, rest: &[String]) -> Run {
+    let matrix = ScenarioMatrix::from_csv(&read(scenarios_path)?).map_err(fail)?;
+    let valued = [
+        "out",
+        "chunk-rows",
+        "synthetic",
+        "draws",
+        "seed",
+        "confidence",
+        "workers",
+        "compare",
+    ];
+    let (positionals, flags) = parse_flags("sweep", rest, &valued, &["stream"])?;
+    if let [first, second, ..] = positionals.as_slice() {
+        return Err(usage(&format!(
+            "sweep takes one systems.csv, got `{first}` and `{second}`"
+        )));
+    }
+    let mut spec = PlanSpec::default();
+    for field in PlanField::ALL {
+        if let Some(text) = flag(&flags, field.name()) {
+            spec.set(field, text).map_err(plan_usage)?;
         }
     }
+    let chunk_rows = positive(&flags, "chunk-rows")?.unwrap_or(DEFAULT_CHUNK_ROWS);
+    let synthetic_n = positive(&flags, "synthetic")?;
+    let systems_path = positionals.first();
     if systems_path.is_some() && synthetic_n.is_some() {
-        return usage("pass either systems.csv or --synthetic N, not both");
+        return Err(usage("pass either systems.csv or --synthetic N, not both"));
     }
-    if let Some((a, b)) = &compare {
-        for name in [a, b] {
-            if !matrix.scenarios().iter().any(|s| &s.name == name) {
-                eprintln!("error: --compare scenario `{name}` is not in the matrix");
-                return ExitCode::FAILURE;
-            }
-        }
-        // A comparison needs paired draws; pick a sensible default when
-        // the user asked for the delta but said nothing about draws — an
-        // explicit `--draws 0` contradicts `--compare` and is rejected.
-        if plan.draws == 0 {
-            if draws_given {
-                return usage("--compare needs --draws > 0");
-            }
-            plan.draws = 1000;
-        }
-    }
-    // Refused before anything is allocated: each scenario holds `draws`
-    // slots in each draw buffer.
-    let max_draws = MAX_DRAWS / matrix.len();
-    if plan.draws > max_draws {
-        return usage(&format!(
-            "--draws must be at most {max_draws} over {} scenario(s) \
-             (easyc::MAX_DRAWS = {MAX_DRAWS} draws per run)",
-            matrix.len()
-        ));
-    }
-    if stream {
-        let synthetic = SyntheticConfig {
-            seed: DEFAULT_SEED,
-            n: synthetic_n.unwrap_or(500),
-            ..Default::default()
-        };
+    // Refused before anything is allocated for the draws.
+    let plan = spec.validate(&matrix).map_err(plan_usage)?;
+    let workers = spec
+        .workers
+        .unwrap_or_else(top500_carbon::parallel::default_workers);
+    let compare = spec.compare.as_ref();
+    let out_path = flag(&flags, "out");
+    let synthetic = SyntheticConfig {
+        seed: DEFAULT_SEED,
+        n: synthetic_n.unwrap_or(500),
+        ..Default::default()
+    };
+    if flag(&flags, "stream").is_some() {
         // The next chunk parses on a background thread while the engine
         // assesses the current one; at most two chunks are ever resident.
         return match systems_path {
             Some(p) => {
-                let file = match File::open(p) {
-                    Ok(f) => f,
-                    Err(e) => {
-                        eprintln!("error: cannot open {p}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
+                let file = File::open(p).map_err(|e| fail(format!("cannot open {p}: {e}")))?;
                 run_stream_sweep(
                     Prefetched::new(stream_csv(BufReader::new(file), chunk_rows)),
                     &matrix,
                     workers,
                     plan,
-                    compare.as_ref(),
+                    compare,
                     out_path,
                 )
             }
@@ -536,33 +405,14 @@ fn cmd_sweep(scenarios_path: &Path, rest: &[String]) -> ExitCode {
                 &matrix,
                 workers,
                 plan,
-                compare.as_ref(),
+                compare,
                 out_path,
             ),
         };
     }
     let list: Top500List = match systems_path {
-        Some(p) => {
-            let text = match std::fs::read_to_string(p) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read {p}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match import_csv(&text) {
-                Ok(l) => l,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => generate_full(&SyntheticConfig {
-            seed: DEFAULT_SEED,
-            n: synthetic_n.unwrap_or(500),
-            ..Default::default()
-        }),
+        Some(p) => import_csv(&read(p)?).map_err(fail)?,
+        None => generate_full(&synthetic),
     };
     println!(
         "sweeping {} scenarios over {} systems ({} workers, one session)\n",
@@ -575,17 +425,18 @@ fn cmd_sweep(scenarios_path: &Path, rest: &[String]) -> ExitCode {
         .workers(workers)
         .draw_plan(plan)
         .run();
-    if let Err(code) = print_sweep(&output, compare.as_ref()) {
-        return code;
-    }
+    print_sweep(&output, compare)?;
     if let Some(path) = out_path {
-        if let Err(e) = std::fs::write(path, frame::csv::write(&output.to_frame())) {
-            eprintln!("error: could not write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(path, frame::csv::write(&output.to_frame()))
+            .map_err(|e| fail(format!("could not write {path}: {e}")))?;
         println!("wrote per-system scenario results to {path}");
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+/// A refused sweep plan: a usage error naming the flag at fault.
+fn plan_usage(error: PlanError) -> ExitCode {
+    usage(&error.message(|field| format!("--{}", field.name())))
 }
 
 /// Drives the incremental session over any chunked source and renders the
@@ -599,22 +450,18 @@ fn run_stream_sweep<S: FleetChunks>(
     plan: DrawPlan,
     compare: Option<&(String, String)>,
     out_path: Option<&str>,
-) -> ExitCode {
+) -> Run {
     println!(
         "streaming sweep: {} scenarios, {} workers, folded per chunk (prefetched ingest)\n",
         matrix.len(),
         workers
     );
-    let mut writer = match out_path {
-        Some(path) => match SweepCsvWriter::create(path, matrix.len()) {
-            Ok(w) => Some(w),
-            Err(e) => {
-                eprintln!("error: could not create {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
+    let mut writer = out_path
+        .map(|path| {
+            SweepCsvWriter::create(path, matrix.len())
+                .map_err(|e| fail(format!("could not create {path}: {e}")))
+        })
+        .transpose()?;
     let session = Assessment::stream(source)
         .scenarios(matrix)
         .workers(workers)
@@ -623,32 +470,21 @@ fn run_stream_sweep<S: FleetChunks>(
         Some(writer) => session.rows(|block| writer.append(&block)),
         None => session,
     };
-    let output = match session.run() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let output = session.run().map_err(fail)?;
     if let Some(writer) = writer {
-        match writer.finish() {
-            Ok(path) => println!("wrote per-system scenario results to {}\n", path.display()),
-            Err(e) => {
-                eprintln!("error: could not write streamed results: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let path = writer
+            .finish()
+            .map_err(|e| fail(format!("could not write streamed results: {e}")))?;
+        println!("wrote per-system scenario results to {}\n", path.display());
     }
-    if let Err(code) = print_sweep(&output, compare) {
-        return code;
-    }
+    print_sweep(&output, compare)?;
     println!(
         "{} systems in {} chunks; peak resident chunk: {} rows",
         output.systems(),
         output.chunks(),
         output.peak_chunk_rows()
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Renders a sweep's output, whatever its source: the summary table, the
@@ -680,10 +516,11 @@ fn print_sweep(
         println!();
     }
     if let Some((baseline, variant)) = compare {
-        let Some(delta) = output.compare(baseline, variant) else {
-            eprintln!("error: --compare found no paired draws for {baseline},{variant}");
-            return Err(ExitCode::FAILURE);
-        };
+        let delta = output.compare(baseline, variant).ok_or_else(|| {
+            fail(format!(
+                "--compare found no paired draws for {baseline},{variant}"
+            ))
+        })?;
         println!(
             "paired delta, MT CO2e ({:.0}% CI, common random numbers):",
             plan.level * 100.0
@@ -693,34 +530,23 @@ fn print_sweep(
     Ok(())
 }
 
-fn cmd_study(artifacts: Option<&Path>) -> ExitCode {
+fn cmd_study(artifacts: Option<&Path>) -> Run {
     let report = run_study(DEFAULT_SEED);
     println!("{}", report.summary());
     if let Some(dir) = artifacts {
-        if let Err(e) = report.write_artifacts(dir) {
-            eprintln!("error: could not write artifacts to {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
+        report.write_artifacts(dir).map_err(|e| {
+            fail(format!(
+                "could not write artifacts to {}: {e}",
+                dir.display()
+            ))
+        })?;
         println!("wrote figure artifacts to {}", dir.display());
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_assess(path: &Path) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let list = match import_csv(&text) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_assess(path: &Path) -> Run {
+    let list = import_csv(&read(path)?).map_err(fail)?;
     let output = Assessment::of(&list).run();
     let slice = &output.slices()[0];
     println!(
@@ -756,10 +582,10 @@ fn cmd_assess(path: &Path) -> ExitCode {
         "totals: {:.0} MT CO2e/yr operational, {:.0} MT CO2e embodied",
         slice.operational_total_mt, slice.embodied_total_mt
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_template() -> ExitCode {
+fn cmd_template() -> Run {
     println!("# Fill one row per system; leave unknown fields empty.");
     println!("# Required: rank, rmax_tflops. Everything else improves fidelity.");
     println!("{}", COLUMNS.join(","));
@@ -778,19 +604,11 @@ fn cmd_template() -> ExitCode {
             .join("\n")
     );
     println!();
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_figures(dir: &Path) -> ExitCode {
-    let report = run_study(DEFAULT_SEED);
-    match report.write_artifacts(dir) {
-        Ok(()) => {
-            println!("wrote all figure/table artifacts to {}", dir.display());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn cmd_figures(dir: &Path) -> Run {
+    run_study(DEFAULT_SEED).write_artifacts(dir).map_err(fail)?;
+    println!("wrote all figure/table artifacts to {}", dir.display());
+    Ok(())
 }

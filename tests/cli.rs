@@ -21,6 +21,29 @@ fn unknown_flags_and_extra_paths_are_usage_errors() {
             "--raw",
         ),
         (vec!["serve", "a.csv", "--synthetic", "100"], "--synthetic"),
+        // A repeated flag is refused, not resolved to its first or last use.
+        (
+            vec!["sweep", scen, "--draws", "5", "--draws", "6"],
+            "--draws",
+        ),
+        (
+            vec!["serve", "--workers", "1", "--workers", "4"],
+            "--workers",
+        ),
+        (
+            vec![
+                "query",
+                "--addr",
+                "127.0.0.1:1",
+                "--seed",
+                "1",
+                "--seed",
+                "2",
+                "status",
+            ],
+            "--seed",
+        ),
+        (vec!["sweep", scen, "--stream", "--stream"], "--stream"),
     ] {
         let output = Command::new(env!("CARGO_BIN_EXE_top500-carbon"))
             .args(&args)

@@ -5,10 +5,12 @@ use top500_carbon::analysis::interpolate::nearest_peer_interpolation;
 use top500_carbon::easyc::{
     embodied, operational, Assessment, DataScenario, DrawPlan, EasyC, EasyCConfig,
     EmbodiedEstimate, FleetColumns, FleetState, FleetView, MetricMask, OperationalEstimate,
-    OverrideSet, PartialAssessment, ScenarioMatrix, SevenMetrics, SystemFootprint, SystemView,
+    OverrideSet, PartialAssessment, PlanError, PlanField, PlanSpec, ScenarioMatrix, SevenMetrics,
+    SystemFootprint, SystemView, COMPARE_DRAWS, MAX_DRAWS,
 };
 use top500_carbon::frame::{csv, stats, Column, DataFrame, FrameError};
 use top500_carbon::serve::json;
+use top500_carbon::serve::server::request_plan;
 use top500_carbon::top500::io::{export_csv, import_csv, stream_csv, ImportError};
 use top500_carbon::top500::stream::{FleetChunks, InMemoryChunks};
 use top500_carbon::top500::synthetic::{generate_full, SyntheticConfig};
@@ -560,6 +562,166 @@ proptest! {
     }
 }
 
+// ------------------------------------------------------------ plan fields
+
+/// One plan field's text for a matrix of `scenarios` scenarios: one of
+/// the field's edge cases (chosen by `pick`) or a value drawn from `x`,
+/// a `u64` over its whole range.
+fn plan_text(field: PlanField, pick: usize, x: u64, scenarios: usize) -> String {
+    let cap = MAX_DRAWS / scenarios.max(1);
+    let unit = (x >> 11) as f64 / (1u64 << 53) as f64;
+    match field {
+        PlanField::Draws => match pick % 8 {
+            0 => "0".to_string(),
+            1 => cap.to_string(),
+            2 => (cap + 1).to_string(),
+            3 => (1u64 << 62).to_string(),
+            4 => ["-1", "8.0", "1e3", "x"][(x % 4) as usize].to_string(),
+            _ => (x % 64).to_string(),
+        },
+        PlanField::Seed => match pick % 6 {
+            0 => ((1u64 << 53) - 1).to_string(),
+            1 => (1u64 << 53).to_string(),
+            2 => ((1u64 << 53) + 1).to_string(),
+            3 => u64::MAX.to_string(),
+            4 => ["-1", "18446744073709551616", "1e3"][(x % 3) as usize].to_string(),
+            _ => x.to_string(),
+        },
+        PlanField::Confidence => match pick % 8 {
+            0 => "0".to_string(),
+            1 => "1".to_string(),
+            2 => format!("-{unit}"),
+            3 => ["abc", "NaN", "inf", "", "1e-1"][(x % 5) as usize].to_string(),
+            _ => unit.to_string(),
+        },
+        PlanField::Workers => match pick % 4 {
+            0 => "0".to_string(),
+            1 => x.to_string(),
+            _ => (x % 16 + 1).to_string(),
+        },
+        PlanField::Compare => {
+            let name = |i: u64| format!("s{}", i % scenarios.max(1) as u64);
+            match pick % 4 {
+                0 => format!("{},{}", name(x), name(x)),
+                1 => format!("absent,{}", name(x)),
+                2 => format!("{},absent", name(x)),
+                _ => format!("{},{}", name(x), name(x >> 32)),
+            }
+        }
+    }
+}
+
+/// A set of plan fields (each present or not, in declaration order, as a
+/// `(field, text)` list) over a matrix of 0 to 8 scenarios `s0`, `s1`, ….
+fn plan_case() -> impl Strategy<Value = (Vec<String>, Vec<(PlanField, String)>)> {
+    let field = || prop::option::of((0usize..64, 0u64..u64::MAX));
+    (0usize..=8, field(), field(), field(), field(), field()).prop_map(
+        |(scenarios, draws, seed, confidence, workers, compare)| {
+            let names = (0..scenarios).map(|i| format!("s{i}")).collect();
+            let fields = PlanField::ALL
+                .into_iter()
+                .zip([draws, seed, confidence, workers, compare])
+                .filter_map(|(field, given)| {
+                    given.map(|(pick, x)| (field, plan_text(field, pick, x, scenarios)))
+                })
+                .collect();
+            (names, fields)
+        },
+    )
+}
+
+/// The request line `query` writes for these flags, or `None` where it
+/// refuses one: integers through `field_int`, numbers through
+/// `field_num`, the compared pair through `field_str`.
+fn query_request(fields: &[(PlanField, String)]) -> Option<String> {
+    let comparing = fields.iter().any(|(field, _)| *field == PlanField::Compare);
+    let mut request = json::Obj::new().field_str("op", if comparing { "compare" } else { "sweep" });
+    for (field, text) in fields {
+        request = match field {
+            PlanField::Confidence => request.field_num(field.name(), text.parse().ok()?),
+            PlanField::Compare => {
+                let (baseline, variant) = text.split_once(',')?;
+                request
+                    .field_str("baseline", baseline)
+                    .field_str("variant", variant)
+            }
+            _ => request.field_int(field.name(), text.parse().ok()?),
+        };
+    }
+    Some(request.finish())
+}
+
+/// `PlanSpec::validate`'s five rules, written plainly over the matrix's
+/// names: the plan's (draws, seed, level), or the number of the first
+/// rule the spec breaks.
+fn plan_reference(spec: &PlanSpec, names: &[String]) -> Result<(usize, u64, f64), usize> {
+    let compared: Vec<&String> = spec.compare.iter().flat_map(|(a, b)| [a, b]).collect();
+    let draws = match spec.compare {
+        Some(_) => spec.draws.unwrap_or(COMPARE_DRAWS),
+        None => spec.draws.unwrap_or(0),
+    };
+    let level = spec.confidence.unwrap_or(0.95);
+    let broken = [
+        names.is_empty(),
+        compared.iter().any(|name| !names.contains(name)),
+        !compared.is_empty() && draws == 0,
+        !(level > 0.0 && level < 1.0),
+        draws as u128 * names.len() as u128 > MAX_DRAWS as u128,
+    ];
+    match broken.iter().position(|&b| b) {
+        Some(rule) => Err(rule + 1),
+        None => Ok((draws, spec.seed.unwrap_or(0), level)),
+    }
+}
+
+/// `validate`'s result in the reference's terms.
+fn plan_rule(validated: Result<DrawPlan, PlanError>) -> Result<(usize, u64, f64), usize> {
+    validated
+        .map(|plan| (plan.draws, plan.seed, plan.level))
+        .map_err(|e| match e.field {
+            None => 1,
+            Some(PlanField::Compare) => 2,
+            Some(PlanField::Confidence) => 4,
+            Some(_) if e.reason.contains("at most") => 5,
+            Some(_) => 3,
+        })
+}
+
+proptest! {
+    #[test]
+    fn plan_fields_read_alike_as_flags_and_as_served_json(
+        cases in prop::collection::vec(plan_case(), 8..9),
+    ) {
+        for (names, fields) in cases {
+            // As `sweep` flags, in `PlanField::ALL` order.
+            let mut spec = PlanSpec::default();
+            let from_flags = fields
+                .iter()
+                .try_for_each(|(field, text)| spec.set(*field, text))
+                .map(|()| spec);
+            // As the JSON request `query` writes for the same flags, read
+            // by serve's request parser.
+            match query_request(&fields) {
+                None => prop_assert!(from_flags.is_err(), "query refused {:?}", fields),
+                Some(line) => {
+                    let served = request_plan(&json::parse(&line).unwrap());
+                    prop_assert_eq!(&served, &from_flags, "{}", line);
+                }
+            }
+            if let Ok(spec) = &from_flags {
+                let matrix = names
+                    .iter()
+                    .fold(ScenarioMatrix::new(), |m, name| m.with(DataScenario::full(name.as_str())));
+                prop_assert_eq!(
+                    plan_rule(spec.validate(&matrix)),
+                    plan_reference(spec, &names),
+                    "{:?} over {:?}", fields, names
+                );
+            }
+        }
+    }
+}
+
 // ------------------------------------------------------------------- EasyC
 
 fn arb_record() -> impl Strategy<Value = SystemRecord> {
@@ -638,6 +800,40 @@ proptest! {
 
 // ------------------------------------------------------- scenario masks
 
+/// Mask-spec words: every token with and without `+`/`-`, and near misses.
+const MASK_WORDS: &[&str] = &[
+    "all",
+    "none",
+    "year",
+    "nodes",
+    "gpus",
+    "cpus",
+    "memory",
+    "memtype",
+    "ssd",
+    "energy",
+    "util",
+    "power",
+    "location",
+    "+power",
+    "-power",
+    "-energy",
+    "+gpus",
+    "-nodes",
+    "-location",
+    "+",
+    "-",
+    "--power",
+    "+-cpus",
+    "ALL",
+    "Power",
+    "pow",
+    "all-power",
+];
+
+/// Runs of ASCII and Unicode whitespace between mask-spec words (or none).
+const MASK_SPACES: &[&str] = &[" ", " ", "  ", "\t", "\n", "\r\n", "\u{a0}", "\u{3000}", ""];
+
 fn arb_mask() -> impl Strategy<Value = MetricMask> {
     (0u16..0x800).prop_map(MetricMask::from_bits)
 }
@@ -662,6 +858,35 @@ proptest! {
     fn mask_spec_roundtrips(mask in arb_mask()) {
         let spec = mask.to_spec();
         prop_assert_eq!(MetricMask::parse(&spec).unwrap(), mask, "spec {}", spec);
+    }
+
+    #[test]
+    fn mask_spec_soup_never_panics_and_every_mask_read_round_trips(
+        soups in prop::collection::vec(
+            prop::collection::vec(
+                (
+                    0usize..MASK_WORDS.len(),
+                    "[ -~\u{a0}\u{e9}\u{1F600}\u{3000}]{0,3}",
+                    0usize..8,
+                    0usize..MASK_SPACES.len(),
+                ),
+                0..10,
+            ),
+            8..9,
+        ),
+    ) {
+        // serve reads a request's `mask` string with this parser: on any
+        // text it answers, and a mask it reads is one `to_spec` writes back.
+        for soup in soups {
+            let mut spec = String::new();
+            for (word, junk, kind, space) in &soup {
+                spec.push_str(if *kind == 0 { junk } else { MASK_WORDS[*word] });
+                spec.push_str(MASK_SPACES[*space]);
+            }
+            if let Ok(mask) = MetricMask::parse(&spec) {
+                prop_assert_eq!(MetricMask::parse(&mask.to_spec()), Ok(mask), "{:?}", spec);
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use std::sync::{RwLock, RwLockReadGuard};
 use top500_carbon::easyc::{
-    Assessment, EasyCConfig, FleetState, PartialAssessment, ScenarioMatrix,
+    Assessment, EasyCConfig, FleetState, Interval, PartialAssessment, ScenarioMatrix,
 };
 use top500_carbon::serve::json::{bits_from_hex, parse, Value};
 use top500_carbon::serve::{spawn, Client, ServeConfig};
@@ -44,6 +44,16 @@ fn bits(value: &Value, path: &[&str]) -> u64 {
     bits_from_hex(v.as_str().expect("bits fields are hex strings"))
         .expect("valid hex bits")
         .to_bits()
+}
+
+/// The exact bits of the interval a reply carries at `path`: point, lo, hi.
+fn interval_bits(value: &Value, path: &[&str]) -> [u64; 3] {
+    ["point_bits", "lo_bits", "hi_bits"].map(|key| bits(value, &[path, &[key]].concat()))
+}
+
+fn bits_of(interval: Option<Interval>) -> [u64; 3] {
+    let iv = interval.expect("draws requested");
+    [iv.point, iv.lo, iv.hi].map(f64::to_bits)
 }
 
 #[test]
@@ -175,6 +185,14 @@ fn sweep_csv_over_the_wire_is_byte_identical_to_the_session_artifact() {
     );
     assert_eq!(bits(&response, &["total", "lo_bits"]), total.lo.to_bits());
     assert_eq!(bits(&response, &["total", "hi_bits"]), total.hi.to_bits());
+    assert_eq!(
+        interval_bits(&response, &["operational"]),
+        bits_of(delta.operational)
+    );
+    assert_eq!(
+        interval_bits(&response, &["embodied"]),
+        bits_of(delta.embodied)
+    );
 
     server.shutdown();
 }
@@ -218,13 +236,15 @@ fn a_draw_count_past_the_cap_is_malformed_and_the_connection_lives() {
     let server = spawn(fleet_state(50, true), "127.0.0.1:0", config).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
     // Refused before anything is allocated: 10^9 draws would need 8 GB
-    // per buffer, and the cap counts draws over every scenario, so a
-    // matrix divides it (2^20 draws fit one scenario, not two; a compare's
-    // default 1000 draws do not fit 1049 scenarios).
+    // per buffer, and the cap counts draws over every scenario a run
+    // assesses, so a matrix divides it (2^20 draws fit one scenario, not
+    // two; 1000 draws do not fit a 1049-scenario sweep). A compare runs
+    // only its two scenarios, so its default 1000 draws fit any matrix.
     let matrix = |rows: usize| {
         let mut csv = String::from("name,mask\n");
         for i in 0..rows {
-            csv.push_str(&format!("s{i},all\n"));
+            let mask = if i % 2 == 1 { "all -power" } else { "all" };
+            csv.push_str(&format!("s{i},{mask}\n"));
         }
         csv
     };
@@ -249,7 +269,7 @@ fn a_draw_count_past_the_cap_is_malformed_and_the_connection_lives() {
         ),
         (request("sweep", 2, Some(1 << 20)), "524288"),
         (request("compare", 2, Some((1 << 19) + 1)), "524288"),
-        (request("compare", 1049, None), "999"),
+        (request("sweep", 1049, Some(1000)), "999"),
     ];
     for (line, max) in refused {
         let reply = client.request_raw(&line).unwrap();
@@ -259,6 +279,54 @@ fn a_draw_count_past_the_cap_is_malformed_and_the_connection_lives() {
         let assess = client.request_raw(r#"{"op":"assess","draws":8}"#).unwrap();
         assert!(assess.contains(r#""ok":true"#), "{assess}");
     }
+    // The 1049-scenario compare is answered, with the bits of an
+    // in-process run of its two scenarios at the default 1000 draws.
+    let reply = client.request(&request("compare", 1049, None)).unwrap();
+    assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(true));
+    let pair = ScenarioMatrix::from_csv(&matrix(2)).unwrap();
+    let state = fleet_state(50, true);
+    let output = state.query().scenarios(&pair).uncertainty(1000).run();
+    let delta = output.compare("s0", "s1").expect("paired draws");
+    for (key, interval) in [
+        ("operational", delta.operational),
+        ("embodied", delta.embodied),
+        ("total", delta.total),
+    ] {
+        assert_eq!(interval_bits(&reply, &[key]), bits_of(interval), "{key}");
+    }
+    server.shutdown();
+}
+
+#[test]
+fn seeds_past_two_to_the_53_are_served_exactly() {
+    let _shared = shared_address_space();
+    let server = spawn(fleet_state(30, true), "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let state = fleet_state(30, true);
+    let assess = |seed: u64| format!(r#"{{"op":"assess","draws":8,"seed":{seed}}}"#);
+    for seed in [(1 << 53) + 1, u64::MAX] {
+        let reply = client.request(&assess(seed)).unwrap();
+        assert_eq!(
+            reply.get("ok").and_then(Value::as_bool),
+            Some(true),
+            "{seed}"
+        );
+        let output = state.query().uncertainty(8).seed(seed).run();
+        assert_eq!(
+            interval_bits(&reply, &["result", "operational_interval"]),
+            bits_of(output.intervals()[0]),
+            "{seed}"
+        );
+        assert_eq!(
+            interval_bits(&reply, &["result", "embodied_interval"]),
+            bits_of(output.embodied_intervals()[0]),
+            "{seed}"
+        );
+    }
+    // Read through `f64`, 2^53 + 1 would round to 2^53.
+    let above = client.request_raw(&assess((1 << 53) + 1)).unwrap();
+    let at = client.request_raw(&assess(1 << 53)).unwrap();
+    assert_ne!(above, at);
     server.shutdown();
 }
 
