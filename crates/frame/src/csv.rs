@@ -22,6 +22,9 @@
 //!   quote left open at the end of input.
 //! - Each record is checked as UTF-8 once; invalid UTF-8 is an error,
 //!   never replaced.
+//! - A record, its raw lines and the newlines joining them, holds at most
+//!   [`MAX_RECORD_BYTES`]: reading stops there with an error naming the
+//!   line it starts on, so no input is ever buffered whole.
 //!
 //! Readers are typed by their schema, and nothing infers a type from a
 //! column's contents. A reader (the fleet reader in `top500::io`, the
@@ -30,14 +33,16 @@
 //! each record's fields as `&str`: text verbatim, numbers by one rule
 //! ([`number`]). No reader builds a [`DataFrame`]. The writer ([`write()`],
 //! [`write_header`], [`write_rows`]) renders a frame column by column into
-//! one buffer.
+//! one buffer, and writes numbers by one rule too ([`push_f64`]: exactly
+//! the bytes of `Display`, from a Ryū shortest round-trip formatter), the
+//! rule `top500::io::export_csv` and serve's JSON writer also call.
 
 use crate::column::Column;
 use crate::error::{FrameError, Result};
 use crate::frame::DataFrame;
 use std::collections::HashSet;
 use std::fmt::{Display, Write as _};
-use std::io::BufRead;
+use std::io::{BufRead, Read};
 use std::ops::Range;
 
 fn csv_error(line: usize, message: &str) -> FrameError {
@@ -61,6 +66,11 @@ const BLANK: &[Span] = &[Span::Raw(0..0)];
 
 /// The UTF-8 byte-order mark.
 const BOM: &[u8] = b"\xEF\xBB\xBF";
+
+/// The most bytes one record may hold, the newlines inside its quoted
+/// fields included: a file with no newline, or a quote left open, is an
+/// error at this size rather than one buffer of the whole input.
+pub const MAX_RECORD_BYTES: usize = 1 << 20;
 
 /// One record's fields, borrowed from the [`Tokenizer`] until its next
 /// call.
@@ -181,7 +191,8 @@ impl<R: BufRead> Tokenizer<R> {
 
     /// Reads the next logical record into `raw`: raw lines joined by `\n`
     /// until its quote count is even, or the input ends. Returns the line
-    /// it starts on, `None` when no line is left.
+    /// it starts on, `None` when no line is left. A record past
+    /// [`MAX_RECORD_BYTES`] is an error naming the line it starts on.
     fn read_logical(&mut self) -> Result<Option<usize>> {
         self.raw.clear();
         let mut start = None;
@@ -192,10 +203,14 @@ impl<R: BufRead> Tokenizer<R> {
                 self.raw.push(b'\n');
             }
             let content_at = self.raw.len();
-            let read = self
-                .input
+            // Room for the rest of the record and a `\r\n`: a line cut
+            // short of its newline here runs past the cap.
+            let room = (MAX_RECORD_BYTES + 2).saturating_sub(content_at);
+            let read = (&mut self.input)
+                .take(room as u64)
                 .read_until(b'\n', &mut self.raw)
                 .map_err(|e| FrameError::Io(e.to_string()))?;
+            let cut = read == room && self.raw.last() != Some(&b'\n');
             if read == 0 {
                 self.raw.truncate(line_at);
                 return Ok(start);
@@ -208,6 +223,11 @@ impl<R: BufRead> Tokenizer<R> {
             }
             if self.raw.len() > content_at && self.raw.last() == Some(&b'\r') {
                 self.raw.pop();
+            }
+            if cut || self.raw.len() > MAX_RECORD_BYTES {
+                let line = start.unwrap_or(self.line_no + 1);
+                let message = format!("record longer than {MAX_RECORD_BYTES} bytes");
+                return Err(csv_error(line, &message));
             }
             let content = &self.raw[content_at..];
             if self.strip_comments && is_comment(content) {
@@ -387,6 +407,300 @@ pub fn number(cell: &str) -> Option<f64> {
     value.is_finite().then_some(value)
 }
 
+/// Appends `v` to `out` as exactly the bytes of `write!(out, "{v}")`, the
+/// one rule every writer of numbers shares: the shortest decimal that
+/// reads back as `v` (of two equally short ones the nearer, an exact tie
+/// rounded up), laid out with no exponent; `-0`, `NaN`, `inf` and `-inf`
+/// as written. [`number`] reads every finite output back bit for bit.
+pub fn push_f64(out: &mut String, v: f64) {
+    if v.is_nan() {
+        out.push_str("NaN");
+        return;
+    }
+    if v.is_sign_negative() {
+        out.push('-');
+    }
+    let v = v.abs();
+    if v == f64::INFINITY {
+        out.push_str("inf");
+    } else if v < EXACT_INTEGERS && (v as u64) as f64 == v {
+        // An integer below 2^53 is its own shortest decimal, zero included
+        // (`Display` writes it with no point), so there is nothing to search.
+        let mut buf = [0; 20];
+        out.push_str(write_digits(&mut buf, v as u64));
+    } else {
+        let (digits, exp) = shortest(v.to_bits());
+        push_fixed(out, digits, exp);
+    }
+}
+
+/// 2^53: every integer below it is a double, and prints as its digits.
+const EXACT_INTEGERS: f64 = 9_007_199_254_740_992.0;
+
+/// Appends `digits × 10^exp` (`digits` > 0) in `Display`'s fixed notation:
+/// `0.` and zeros before the digits, a point among them, or zeros after.
+fn push_fixed(out: &mut String, digits: u64, exp: i32) {
+    let mut buf = [0; 20];
+    let text = write_digits(&mut buf, digits);
+    let point = exp + text.len() as i32;
+    match usize::try_from(point) {
+        Ok(point) if point >= text.len() => {
+            out.push_str(text);
+            out.extend(std::iter::repeat_n('0', point - text.len()));
+        }
+        Ok(point) if point > 0 => {
+            let (int, frac) = text.split_at(point);
+            out.push_str(int);
+            out.push('.');
+            out.push_str(frac);
+        }
+        _ => {
+            out.push_str("0.");
+            out.extend(std::iter::repeat_n('0', point.unsigned_abs() as usize));
+            out.push_str(text);
+        }
+    }
+}
+
+/// "00" to "99", two bytes each.
+static DIGIT_PAIRS: [u8; 200] = digit_pairs();
+
+const fn digit_pairs() -> [u8; 200] {
+    let mut pairs = [0; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+}
+
+/// Writes the decimal digits of `n` at the end of `buf` (20 places hold
+/// `u64::MAX`) and returns them.
+fn write_digits(buf: &mut [u8; 20], mut n: u64) -> &str {
+    let mut at = buf.len();
+    while n >= 10 {
+        let pair = (n % 100) as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        n /= 100;
+    }
+    if n > 0 || at == buf.len() {
+        at -= 1;
+        buf[at] = b'0' + n as u8;
+    }
+    // audit: allow(panic-surface) — `buf[at..]` holds only the ASCII digits written above
+    std::str::from_utf8(&buf[at..]).expect("ASCII digits")
+}
+
+// Ryū (Ulf Adams, "Ryū: fast float-to-string conversion", PLDI 2018): the
+// shortest decimal in a double's rounding interval, from a 128-bit
+// multiply-shift by a power of five or its reciprocal.
+
+/// Significant bits of every entry of the two power-of-five tables.
+const POW5_BITS: i32 = 125;
+
+/// `POW5_SPLIT[i]`: the top 125 bits of 5^i.
+static POW5_SPLIT: [u128; 326] = pow5_split();
+
+/// `POW5_INV_SPLIT[i]`: floor(2^j / 5^i) + 1, j = bitlen(5^i) + 124.
+static POW5_INV_SPLIT: [u128; 342] = pow5_inv_split();
+
+/// A 1,024-bit unsigned integer, least significant limb first: room for
+/// 5^325 and for 2^1023, the numerator the reciprocals are divided from.
+type Big = [u64; 16];
+
+/// floor(x / 2^shift) mod 2^128.
+const fn big_window(x: &Big, shift: i32) -> u128 {
+    const fn limb(x: &Big, at: usize) -> u128 {
+        if at < x.len() {
+            x[at] as u128
+        } else {
+            0
+        }
+    }
+    let (word, bit) = ((shift / 64) as usize, shift % 64);
+    let low = limb(x, word) | limb(x, word + 1) << 64;
+    if bit == 0 {
+        low
+    } else {
+        low >> bit | limb(x, word + 2) << (128 - bit)
+    }
+}
+
+const fn pow5_split() -> [u128; 326] {
+    let mut table = [0; 326];
+    let mut pow: Big = [0; 16];
+    pow[0] = 1;
+    let mut i = 0;
+    while i < table.len() {
+        let bits = pow5_bits(i as i32);
+        table[i] = if bits <= POW5_BITS {
+            big_window(&pow, 0) << (POW5_BITS - bits)
+        } else {
+            big_window(&pow, bits - POW5_BITS)
+        };
+        let mut carry = 0;
+        let mut k = 0;
+        while k < pow.len() {
+            let product = pow[k] as u128 * 5 + carry;
+            pow[k] = product as u64;
+            carry = product >> 64;
+            k += 1;
+        }
+        i += 1;
+    }
+    table
+}
+
+const fn pow5_inv_split() -> [u128; 342] {
+    let mut table = [0; 342];
+    // floor(2^1023 / 5^i). Floor divisions compose, so one more division
+    // by five steps i, and a right shift by 1023 - j leaves floor(2^j / 5^i).
+    let mut quotient: Big = [0; 16];
+    quotient[15] = 1 << 63;
+    let mut i = 0;
+    while i < table.len() {
+        let j = pow5_bits(i as i32) - 1 + POW5_BITS;
+        table[i] = big_window(&quotient, 1023 - j) + 1;
+        let mut rest = 0;
+        let mut k = quotient.len();
+        while k > 0 {
+            k -= 1;
+            let part = rest << 64 | quotient[k] as u128;
+            quotient[k] = (part / 5) as u64;
+            rest = part % 5;
+        }
+        i += 1;
+    }
+    table
+}
+
+/// bitlen(5^e) for 0 <= e <= 3528 (1 for e = 0).
+const fn pow5_bits(e: i32) -> i32 {
+    ((e as u32 * 1_217_359) >> 19) as i32 + 1
+}
+
+/// floor(log10(2^e)) for 0 <= e <= 1650.
+fn log10_pow2(e: i32) -> u32 {
+    (e as u32 * 78_913) >> 18
+}
+
+/// floor(log10(5^e)) for 0 <= e <= 2620.
+fn log10_pow5(e: i32) -> u32 {
+    (e as u32 * 732_923) >> 20
+}
+
+/// True when 5^p divides `v` (> 0).
+fn multiple_of_pow5(mut v: u64, p: u32) -> bool {
+    let mut factors = 0;
+    while v.is_multiple_of(5) {
+        v /= 5;
+        factors += 1;
+    }
+    factors >= p
+}
+
+/// floor(m × mul / 2^j), exact for `m` < 2^55, a table entry `mul` and
+/// 64 <= j < 192.
+fn mul_shift(m: u64, mul: u128, j: i32) -> u64 {
+    let m = u128::from(m);
+    let low = (m * (mul as u64 as u128)) >> 64;
+    let high = m * (mul >> 64);
+    ((low + high) >> (j - 64)) as u64
+}
+
+/// The shortest `digits × 10^exp` in the rounding interval of the finite,
+/// positive double with `bits`; of two, the one nearer the double, an
+/// exact tie rounded up where reference Ryū rounds it to even, as
+/// `Display` does.
+fn shortest(bits: u64) -> (u64, i32) {
+    let mantissa = bits & ((1 << 52) - 1);
+    let exponent = (bits >> 52) as i32;
+    // Two extra bits below the mantissa hold the interval's bounds.
+    let (e2, m2) = match exponent {
+        0 => (1 - 1023 - 52 - 2, mantissa),
+        _ => (exponent - 1023 - 52 - 2, 1 << 52 | mantissa),
+    };
+    let accept_bounds = m2.is_multiple_of(2);
+    let mv = 4 * m2;
+    let mm_shift = u64::from(mantissa != 0 || exponent <= 1);
+    let mm = mv - 1 - mm_shift;
+    // `vr`, `vp` and `vm`: the double and its interval's upper and lower
+    // bounds, each floored at scale 10^e10. Only whether the lower bound
+    // is exact there is needed: rounding ties up, the reference's check
+    // of `vr` for an exact tie has nothing left to decide.
+    let (mut vr, mut vp, mut vm, e10);
+    let mut vm_exact = false;
+    if e2 >= 0 {
+        let q = log10_pow2(e2) - u32::from(e2 > 3);
+        let j = -e2 + q as i32 + POW5_BITS + pow5_bits(q as i32) - 1;
+        let mul = POW5_INV_SPLIT[q as usize];
+        (vr, vp, vm, e10) = (
+            mul_shift(mv, mul, j),
+            mul_shift(mv + 2, mul, j),
+            mul_shift(mm, mul, j),
+            q as i32,
+        );
+        // At most one of `mv`, `mv + 2` and `mm` is a multiple of five.
+        if q <= 21 && !mv.is_multiple_of(5) {
+            if accept_bounds {
+                vm_exact = multiple_of_pow5(mm, q);
+            } else {
+                vp -= u64::from(multiple_of_pow5(mv + 2, q));
+            }
+        }
+    } else {
+        let q = log10_pow5(-e2) - u32::from(-e2 > 1);
+        let i = -e2 - q as i32;
+        let j = q as i32 - (pow5_bits(i) - POW5_BITS);
+        let mul = POW5_SPLIT[i as usize];
+        (vr, vp, vm, e10) = (
+            mul_shift(mv, mul, j),
+            mul_shift(mv + 2, mul, j),
+            mul_shift(mm, mul, j),
+            q as i32 + e2,
+        );
+        if q <= 1 {
+            if accept_bounds {
+                vm_exact = mm_shift == 1;
+            } else {
+                vp -= 1;
+            }
+        }
+    }
+    // Remove digits while the interval still holds a shorter number; the
+    // most significant digit removed decides the rounding.
+    let mut removed = 0;
+    let round_up;
+    if vm_exact {
+        // Rare: the lower bound is itself a candidate, so the zeros it
+        // ends in may go too.
+        let mut last = 0;
+        while vp / 10 > vm / 10 || (vm_exact && vm.is_multiple_of(10)) {
+            vm_exact &= vm.is_multiple_of(10);
+            last = vr % 10;
+            (vr, vp, vm) = (vr / 10, vp / 10, vm / 10);
+            removed += 1;
+        }
+        round_up = (vr == vm && !(accept_bounds && vm_exact)) || last >= 5;
+    } else {
+        // Eight, four, two and one digits at a time, so that a short
+        // output such as `1.4` costs a few divisions, not fifteen.
+        let mut up = false;
+        for (count, pow) in [(8, 100_000_000), (4, 10_000), (2, 100), (1, 10)] {
+            while vp / pow > vm / pow {
+                up = vr % pow >= pow / 2;
+                (vr, vp, vm) = (vr / pow, vp / pow, vm / pow);
+                removed += count;
+            }
+        }
+        round_up = vr == vm || up;
+    }
+    (vr + u64::from(round_up), e10 + removed)
+}
+
 /// Appends `field` to `out`, quoted (with `"` doubled) when it holds a
 /// `,`, a `"` or a newline — the one escape rule of every CSV this
 /// workspace writes.
@@ -444,8 +758,9 @@ fn push_header(out: &mut String, df: &DataFrame) {
     out.push('\n');
 }
 
-/// Renders every row, cell by cell: numbers and booleans through their
-/// `Display`, text through [`escape_into`], nulls as empty fields.
+/// Renders every row, cell by cell: floats through [`push_f64`], integers
+/// and booleans through their `Display`, text through [`escape_into`],
+/// nulls as empty fields.
 fn push_rows(out: &mut String, df: &DataFrame) {
     let columns = df.columns();
     for row in 0..df.len() {
@@ -454,7 +769,11 @@ fn push_rows(out: &mut String, df: &DataFrame) {
                 out.push(',');
             }
             match column {
-                Column::F64(v) => push_display(out, v.get(row)),
+                Column::F64(v) => {
+                    if let Some(Some(x)) = v.get(row) {
+                        push_f64(out, *x);
+                    }
+                }
                 Column::I64(v) => push_display(out, v.get(row)),
                 Column::Bool(v) => push_display(out, v.get(row)),
                 Column::Str(v) => {
@@ -589,6 +908,28 @@ mod tests {
         );
     }
 
+    #[test]
+    fn tokenizer_caps_a_record_at_max_record_bytes() {
+        let at_cap = "x".repeat(MAX_RECORD_BYTES);
+        for text in [
+            format!("{at_cap}\n"),
+            format!("{at_cap}\r\n"),
+            at_cap.clone(),
+        ] {
+            let (records, err) = tokens(text.as_bytes(), false);
+            assert_eq!((records.len(), err), (1, None));
+        }
+        let too_long = csv_error(2, &format!("record longer than {MAX_RECORD_BYTES} bytes"));
+        for text in [
+            format!("a\n{at_cap}x\n"),
+            format!("a\n{at_cap}x"),
+            format!("a\n\"{}\n{}\"\n", &at_cap[2..], "y"),
+        ] {
+            let (records, err) = tokens(text.as_bytes(), false);
+            assert_eq!((records.len(), err), (1, Some(too_long.clone())));
+        }
+    }
+
     // -------------------------------------------------- header and number
 
     #[test]
@@ -633,6 +974,99 @@ mod tests {
         );
         for cell in ["", "NaN", "inf", "-inf", "1e999", " 1", "1.5x", "True"] {
             assert_eq!(number(cell), None, "{cell:?}");
+        }
+    }
+
+    // ------------------------------------------------------------ push_f64
+
+    fn pushed(v: f64) -> String {
+        let mut out = String::new();
+        push_f64(&mut out, v);
+        out
+    }
+
+    /// `push_f64` against `Display`, the oracle it must equal.
+    fn assert_displays(v: f64) {
+        assert_eq!(pushed(v), format!("{v}"), "bits {:016x}", v.to_bits());
+    }
+
+    /// SplitMix64, the sweeps' seeded bit patterns.
+    fn split_mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn push_f64_writes_display_on_the_edges() {
+        let exact = (1u64 << 53) as f64;
+        let mut edges = vec![
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE.next_up(),
+            f64::MIN_POSITIVE.next_down(),
+            f64::MAX,
+            f64::MIN,
+            exact - 1.0,
+            exact,
+            exact + 2.0,
+            // Exact ties between two shortest candidates: `Display` rounds
+            // them up, reference Ryū to even.
+            2f64.powi(-25),
+            f64::from_bits(0x42ee_7717_8229_0d54),
+            2f64.powi(50) + 0.25,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        let mut around = |v: f64| edges.extend([v, v.next_up(), v.next_down()]);
+        for e in 0..2098u64 {
+            // 2^-1074 up to 2^1023: subnormal bits first, then exponents.
+            around(f64::from_bits(if e < 52 { 1 << e } else { (e - 51) << 52 }));
+        }
+        for e in -323..=308 {
+            around(format!("1e{e}").parse().unwrap());
+        }
+        for v in edges {
+            assert_displays(v);
+            assert_displays(-v);
+        }
+        assert_eq!(pushed(2f64.powi(-25)), "0.000000029802322387695313");
+        assert_eq!(pushed(2f64.powi(50) + 0.25), "1125899906842624.3");
+        assert_eq!(pushed(-0.0), "-0");
+        assert_eq!(pushed(1e21), "1000000000000000000000");
+    }
+
+    #[test]
+    fn push_f64_writes_display_for_seeded_bits_and_short_decimals() {
+        let mut state = 0x5eed;
+        for _ in 0..1 << 18 {
+            assert_displays(f64::from_bits(split_mix(&mut state)));
+        }
+        // m × 10^e with a few significant digits: the shape of most cells.
+        for _ in 0..1 << 16 {
+            let r = split_mix(&mut state);
+            let m = r % 10u64.pow((r >> 8) as u32 % 9 + 1);
+            let e = ((r >> 16) % 41) as i32 - 20;
+            assert_displays(format!("{m}e{e}").parse().unwrap());
+        }
+    }
+
+    /// The release-mode soak (`cargo test --release -p frame -- --ignored`).
+    #[test]
+    #[ignore = "10^8 bit patterns: a release-mode soak"]
+    fn push_f64_writes_display_for_a_hundred_million_bit_patterns() {
+        let mut state = 0x50a6;
+        let (mut ours, mut display) = (String::new(), String::new());
+        for _ in 0..100_000_000 {
+            let v = f64::from_bits(split_mix(&mut state));
+            ours.clear();
+            display.clear();
+            push_f64(&mut ours, v);
+            write!(display, "{v}").unwrap();
+            assert_eq!(ours, display, "bits {:016x}", v.to_bits());
         }
     }
 

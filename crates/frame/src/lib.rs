@@ -13,8 +13,10 @@
 //! - [`csv`]: dependency-free CSV reading and writing. Readers are typed by
 //!   their schema: each pulls records from one byte-level tokenizer, maps
 //!   the header onto the columns it knows and reads text verbatim and
-//!   numbers by one rule; nothing infers a column's type. The writer
-//!   renders a [`DataFrame`] with one escape rule.
+//!   numbers by one rule ([`csv::number`]); nothing infers a column's
+//!   type. The writer renders a [`DataFrame`] with one escape rule and
+//!   writes numbers by one rule ([`csv::push_f64`], `Display`'s bytes),
+//!   which the fleet export and serve's JSON share.
 //! - [`stats`]: descriptive statistics (sums, means, quantiles) and the
 //!   Kolmogorov–Smirnov and Gini shape measures, with explicit empty-input
 //!   semantics.

@@ -5,10 +5,12 @@
 //! a **stable field order** so warm and cold answers to the same query are
 //! byte-identical (pinned by `tests/serve.rs`). [`Value`] keeps object
 //! fields in document order (a `Vec`, not a map), and [`Obj`] writes
-//! fields strictly in call order. Floats are written with Rust's shortest
-//! round-trip formatting, which is a pure function of the bits — exact
-//! carbon bits additionally travel as 16-digit hex strings
-//! (`Obj::field_bits`) so clients never depend on decimal round-trips.
+//! fields strictly in call order. Floats are written by
+//! `frame::csv::push_f64`, the workspace's one writer of numbers: the
+//! bytes of Rust's shortest round-trip `Display`, a pure function of the
+//! bits. Exact carbon bits additionally travel as 16-digit hex strings
+//! (`Obj::field_bits`) so clients never depend on decimal round-trips. A
+//! parsed number keeps its literal text ([`Number`]), inline when short.
 
 use std::fmt::Write as _;
 
@@ -22,7 +24,7 @@ pub enum Value {
     Bool(bool),
     /// Any JSON number, as its literal text (checked finite when parsed),
     /// so an integer field reads it exactly, past 2^53 too.
-    Num(String),
+    Num(Number),
     /// A string.
     Str(String),
     /// An array.
@@ -51,7 +53,7 @@ impl Value {
     /// The literal text of a number, if this is one (`8`, `-3`, `1e3`).
     pub fn as_number(&self) -> Option<&str> {
         match self {
-            Value::Num(text) => Some(text),
+            Value::Num(number) => Some(number.as_str()),
             _ => None,
         }
     }
@@ -80,6 +82,47 @@ impl Value {
         match self {
             Value::Arr(items) => Some(items),
             _ => None,
+        }
+    }
+}
+
+/// A JSON number's literal text. A literal of at most 22 bytes (every
+/// `u64`, `u64::MAX` included) is held in the value itself and a longer
+/// one in a box, so a request line of many short numbers costs no
+/// allocation apiece. [`Value::as_number`] reads the text.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Number(Literal);
+
+/// The longest number literal held inline.
+const INLINE_NUMBER: usize = 22;
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Literal {
+    /// The literal's length, then its bytes, zero-padded.
+    Inline(u8, [u8; INLINE_NUMBER]),
+    Boxed(Box<str>),
+}
+
+impl Number {
+    fn new(text: &str) -> Number {
+        let mut bytes = [0; INLINE_NUMBER];
+        match bytes.get_mut(..text.len()) {
+            Some(head) => {
+                head.copy_from_slice(text.as_bytes());
+                Number(Literal::Inline(text.len() as u8, bytes))
+            }
+            None => Number(Literal::Boxed(text.into())),
+        }
+    }
+
+    /// The literal's text.
+    fn as_str(&self) -> &str {
+        match &self.0 {
+            Literal::Inline(len, bytes) => {
+                // audit: allow(panic-surface) — `Number::new` copied these bytes whole from a `&str`
+                std::str::from_utf8(&bytes[..usize::from(*len)]).expect("a number literal is UTF-8")
+            }
+            Literal::Boxed(text) => text,
         }
     }
 }
@@ -341,7 +384,7 @@ impl Parser<'_> {
         let text = std::str::from_utf8(&self.bytes[start..self.at])
             .map_err(|_| self.err("invalid number"))?;
         match text.parse::<f64>() {
-            Ok(n) if n.is_finite() => Ok(Value::Num(text.to_string())),
+            Ok(n) if n.is_finite() => Ok(Value::Num(Number::new(text))),
             _ => Err(self.err("invalid number")),
         }
     }
@@ -405,12 +448,13 @@ impl Obj {
         self
     }
 
-    /// Adds a float field (shortest round-trip decimal; non-finite values
-    /// become `null`, which the protocol never produces for results).
+    /// Adds a float field (shortest round-trip decimal, by
+    /// `frame::csv::push_f64`; non-finite values become `null`, which the
+    /// protocol never produces for results).
     pub fn field_num(mut self, key: &str, value: f64) -> Obj {
         self.key(key);
         if value.is_finite() {
-            let _ = write!(self.buf, "{value}");
+            frame::csv::push_f64(&mut self.buf, value);
         } else {
             self.buf.push_str("null");
         }
@@ -509,6 +553,30 @@ mod tests {
             assert_eq!(field(key).as_usize(), None, "{key}");
         }
         assert_eq!(field("d").as_f64(), Some(1000.0));
+    }
+
+    #[test]
+    fn numbers_stay_inline_up_to_22_bytes_and_read_the_same_past_them() {
+        assert_eq!(std::mem::size_of::<Value>(), 32);
+        let long_float = format!("1.{}e-5", "7".repeat(300));
+        let long_integer = "1".repeat(30);
+        for text in [
+            u64::MAX.to_string(),
+            "-1234567890.123456e-10".to_string(),
+            long_float.clone(),
+            long_integer.clone(),
+        ] {
+            let number = Number::new(&text);
+            let inline = matches!(number.0, Literal::Inline(..));
+            assert_eq!(inline, text.len() <= INLINE_NUMBER, "{text}");
+            assert_eq!(number.as_str(), text);
+        }
+        let v = parse(&format!(r#"{{"f":{long_float},"i":{long_integer}}}"#)).unwrap();
+        let field = |key| v.get(key).unwrap();
+        assert_eq!(field("f").as_f64(), long_float.parse().ok());
+        assert_eq!(field("i").as_f64(), long_integer.parse().ok());
+        assert_eq!(field("i").as_number(), Some(long_integer.as_str()));
+        assert_eq!(field("i").as_usize(), None);
     }
 
     #[test]

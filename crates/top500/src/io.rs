@@ -280,27 +280,36 @@ pub fn export_csv(list: &Top500List) -> String {
         push_number(&mut out, s.total_cores);
         push_text(&mut out, &s.accelerator);
         push_number(&mut out, s.accelerator_count);
-        push_number(&mut out, Some(s.rmax_tflops));
-        push_number(&mut out, Some(s.rpeak_tflops));
+        push_float(&mut out, Some(s.rmax_tflops));
+        push_float(&mut out, Some(s.rpeak_tflops));
         push_number(&mut out, s.nmax);
-        push_number(&mut out, s.power_kw);
+        push_float(&mut out, s.power_kw);
         push_number(&mut out, s.node_count);
         push_number(&mut out, s.cpu_count);
-        push_number(&mut out, s.memory_gb);
+        push_float(&mut out, s.memory_gb);
         push_text(&mut out, &s.memory_type);
-        push_number(&mut out, s.ssd_gb);
-        push_number(&mut out, s.utilization);
-        push_number(&mut out, s.annual_energy_mwh);
+        push_float(&mut out, s.ssd_gb);
+        push_float(&mut out, s.utilization);
+        push_float(&mut out, s.annual_energy_mwh);
         out.push('\n');
     }
     out
 }
 
-/// Appends a separator and the value's `Display` (nothing when missing).
+/// Appends a separator and the integer's `Display` (nothing when missing).
 fn push_number<T: Display>(out: &mut String, value: Option<T>) {
     out.push(',');
     if let Some(value) = value {
         let _ = write!(out, "{value}");
+    }
+}
+
+/// Appends a separator and the float by `frame::csv::push_f64`, the same
+/// bytes as its `Display` (nothing when missing).
+fn push_float(out: &mut String, value: Option<f64>) {
+    out.push(',');
+    if let Some(value) = value {
+        csv::push_f64(out, value);
     }
 }
 

@@ -100,6 +100,48 @@ fn csv_parser_rejects_malformed_not_panics() {
 }
 
 #[test]
+fn csv_records_past_the_cap_fail_naming_their_line_and_the_limit() {
+    use top500_carbon::easyc::ScenarioMatrix;
+    use top500_carbon::top500::io::{import_csv, stream_csv, ImportError};
+    use top500_carbon::top500::stream::FleetChunks;
+    // Headers every reader takes (the fleet's required columns, the
+    // matrix's `name` and `mask`), so each reads on to the long record.
+    let header = "rank,rmax_tflops,name,mask\n";
+    let two_mib = 2 << 20;
+    let inputs = [
+        (format!("{header}1,10,\"{}\",all\n", "x".repeat(two_mib)), 2),
+        ("x".repeat(two_mib), 1),
+        (
+            format!(
+                "{header}1,10,\"open\n{}",
+                "2,5,b,all\n".repeat(two_mib / 10)
+            ),
+            2,
+        ),
+    ];
+    let message = format!("record longer than {} bytes", csv::MAX_RECORD_BYTES);
+    for (text, line) in &inputs {
+        let expected = FrameError::Csv {
+            line: *line,
+            message: message.clone(),
+        };
+        assert_eq!(
+            import_csv(text).unwrap_err(),
+            ImportError::Csv(expected.clone())
+        );
+        for rows in [1, usize::MAX] {
+            let mut chunks = stream_csv(text.as_bytes(), rows);
+            let first = chunks.next_chunk().expect("an error chunk");
+            assert_eq!(first.unwrap_err(), ImportError::Csv(expected.clone()));
+        }
+        assert_eq!(
+            ScenarioMatrix::from_csv(text).unwrap_err(),
+            expected.to_string()
+        );
+    }
+}
+
+#[test]
 fn ghg_names_every_missing_metric() {
     let err = operational(&GhgInputs::new()).unwrap_err();
     assert!(err.ids.len() >= 20);

@@ -103,12 +103,12 @@ proptest! {
 
 /// Writes `text` and `x` as the two columns of a frame with a row index
 /// (so no row is blank) and reads the records back through the tokenizer
-/// and a header mapped onto `row,text,x`: each row's text verbatim and its
-/// `x` by `csv::number`.
+/// and a header mapped onto `row,text,x`: each row's text verbatim, its
+/// `x` cell as written and that cell by `csv::number`.
 fn csv_roundtrip(
     text: &[String],
     x: &[Option<f64>],
-) -> Result<Vec<(String, Option<f64>)>, FrameError> {
+) -> Result<Vec<(String, String, Option<f64>)>, FrameError> {
     const COLUMNS: [&str; 3] = ["row", "text", "x"];
     let df = DataFrame::new()
         .with_column(
@@ -125,7 +125,7 @@ fn csv_roundtrip(
     while let Some(record) = records.next_record()? {
         let [row, text, x] = header.cells(&record)?;
         assert_eq!(csv::number(row), Some(rows.len() as f64));
-        rows.push((text.to_string(), csv::number(x)));
+        rows.push((text.to_string(), x.to_string(), csv::number(x)));
     }
     Ok(rows)
 }
@@ -139,21 +139,131 @@ proptest! {
         // quotes them), reads back verbatim, even when it looks like a
         // number or is empty.
         let back = csv_roundtrip(&cells, &vec![None; cells.len()]).unwrap();
-        let texts: Vec<String> = back.into_iter().map(|(text, _)| text).collect();
+        let texts: Vec<String> = back.into_iter().map(|(text, _, _)| text).collect();
         prop_assert_eq!(texts, cells);
     }
 
     #[test]
     fn csv_roundtrip_numeric_with_nulls(
-        values in prop::collection::vec(prop::option::of(-1e9f64..1e9), 1..50)
+        values in prop::collection::vec(prop::option::of(-1e9f64..1e9), 1..50),
+        bits in prop::collection::vec(prop::option::of(0u64..u64::MAX), 0..50)
     ) {
-        // `Display` writes the shortest text that reads back as the same
-        // `f64`, so every number returns bit for bit; a null returns as
+        // The writer writes a number's `Display` bytes, the shortest text
+        // that reads back as the same `f64`, so every number, any finite
+        // bit pattern among them, returns bit for bit; a null returns as
         // `None`, an all-null column included.
+        let finite = bits.iter().map(|b| b.map(f64::from_bits).filter(|x| x.is_finite()));
+        let values: Vec<Option<f64>> = values.into_iter().chain(finite).collect();
         let back = csv_roundtrip(&vec![String::new(); values.len()], &values).unwrap();
-        let bits: Vec<Option<u64>> = back.iter().map(|(_, x)| x.map(f64::to_bits)).collect();
+        let cells: Vec<String> = back.iter().map(|(_, cell, _)| cell.clone()).collect();
+        let displayed: Vec<String> = values
+            .iter()
+            .map(|x| x.map(|x| format!("{x}")).unwrap_or_default())
+            .collect();
+        prop_assert_eq!(cells, displayed);
+        let bits: Vec<Option<u64>> = back.iter().map(|(_, _, x)| x.map(f64::to_bits)).collect();
         let expected: Vec<Option<u64>> = values.iter().map(|x| x.map(f64::to_bits)).collect();
         prop_assert_eq!(bits, expected);
+    }
+}
+
+/// `export_csv` as written before `csv::push_f64`: every number through
+/// its `Display`, text through the escape rule; the oracle of its bytes.
+fn export_by_display(list: &Top500List) -> String {
+    use std::fmt::{Display, Write as _};
+    fn number<T: Display>(out: &mut String, value: Option<T>) {
+        out.push(',');
+        if let Some(value) = value {
+            let _ = write!(out, "{value}");
+        }
+    }
+    fn text(out: &mut String, value: &Option<String>) {
+        out.push(',');
+        if let Some(text) = value {
+            csv::escape_into(out, text);
+        }
+    }
+    let mut out = top500_carbon::top500::io::COLUMNS.join(",");
+    out.push('\n');
+    for s in list.systems() {
+        let _ = write!(out, "{}", s.rank);
+        text(&mut out, &s.name);
+        text(&mut out, &s.country);
+        out.push(',');
+        if let Some(region) = s.region {
+            out.push_str(region.as_str());
+        }
+        number(&mut out, s.year);
+        text(&mut out, &s.vendor);
+        text(&mut out, &s.processor);
+        number(&mut out, s.total_cores);
+        text(&mut out, &s.accelerator);
+        number(&mut out, s.accelerator_count);
+        number(&mut out, Some(s.rmax_tflops));
+        number(&mut out, Some(s.rpeak_tflops));
+        number(&mut out, s.nmax);
+        number(&mut out, s.power_kw);
+        number(&mut out, s.node_count);
+        number(&mut out, s.cpu_count);
+        number(&mut out, s.memory_gb);
+        text(&mut out, &s.memory_type);
+        number(&mut out, s.ssd_gb);
+        number(&mut out, s.utilization);
+        number(&mut out, s.annual_energy_mwh);
+        out.push('\n');
+    }
+    out
+}
+
+proptest! {
+    #[test]
+    fn export_csv_writes_display_bytes_for_any_float_bits(
+        n in 1u32..20,
+        seed in 0u64..1000,
+        bits in prop::collection::vec(0u64..u64::MAX, 1..64)
+    ) {
+        // Every float field, the missing ones left missing, takes arbitrary
+        // bits (non-finite ones too): `export_csv` still writes exactly
+        // what the generic `Display` writer wrote.
+        let list = generate_full(&SyntheticConfig { n, seed, ..Default::default() });
+        let mut draws = bits.iter().cycle().map(|&b| f64::from_bits(b));
+        let mut next = || draws.next().unwrap_or_default();
+        let mut systems = list.systems().to_vec();
+        for s in &mut systems {
+            s.rmax_tflops = next();
+            s.rpeak_tflops = next();
+            for field in [
+                &mut s.power_kw,
+                &mut s.memory_gb,
+                &mut s.ssd_gb,
+                &mut s.utilization,
+                &mut s.annual_energy_mwh,
+            ] {
+                *field = field.map(|_| next());
+            }
+        }
+        let list = Top500List::new(systems);
+        prop_assert_eq!(export_csv(&list), export_by_display(&list));
+    }
+}
+
+// ------------------------------------------------------------- JSON numbers
+
+proptest! {
+    #[test]
+    fn field_num_writes_display_for_finite_bits_and_null_otherwise(
+        bits in prop::collection::vec(0u64..u64::MAX, 1..32)
+    ) {
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 5e-324];
+        let values = bits.iter().map(|&b| f64::from_bits(b)).chain(specials);
+        let mut obj = json::Obj::new();
+        let mut expected = Vec::new();
+        for x in values {
+            obj = obj.field_num("x", x);
+            let text = if x.is_finite() { format!("{x}") } else { "null".to_string() };
+            expected.push(format!("\"x\":{text}"));
+        }
+        prop_assert_eq!(obj.finish(), format!("{{{}}}", expected.join(",")));
     }
 }
 
