@@ -53,8 +53,14 @@
 //!   by scenario, block or cache state — so every scenario replays
 //!   identical per-system perturbations (common random numbers), and each
 //!   work item computes its samples' factors and noise column once (or
-//!   reads the column from a resident state's noise cache), sweeping them
-//!   over every scenario's pre-hoisted factor columns.
+//!   reads the column from a resident state's noise cache), then one
+//!   lognormal ACI factor per distinct (row, σ) pair over every scenario,
+//!   sweeping them over every leading scenario's pre-hoisted factor
+//!   columns;
+//! - a scenario whose factor columns and running draws equal an earlier
+//!   scenario's, in one family, copies that scenario's draws: the kernels
+//!   are pure functions of those bits, so the copy is what its own
+//!   accumulate would have written.
 //!
 //! Every run returns one [`AssessmentOutput`]: per-scenario
 //! [`ScenarioSlice`]s (coverage, fleet totals, operational **and** embodied
@@ -65,16 +71,14 @@
 use crate::batch::{assess_columns, slices_to_frame};
 use crate::columns::FleetColumns;
 use crate::coverage::CoverageReport;
-use crate::embodied::EmbodiedEstimate;
 use crate::estimator::{EasyCConfig, SystemFootprint};
 use crate::metrics::SevenMetrics;
-use crate::operational::OperationalEstimate;
 use crate::partial::PartialAssessment;
 use crate::scenario::{DataScenario, ScenarioMatrix};
 use crate::uncertainty::{
-    embodied_block_accumulate, embodied_factors, fleet_factors, operational_block_accumulate,
-    operational_noise, DrawPlan, EmbFactorColumns, Interval, OpFactorColumns, ScenarioDelta,
-    ScenarioDraws,
+    column_bits, embodied_block_accumulate, embodied_factors, fleet_factors,
+    operational_block_accumulate, operational_noise, AciLanes, DrawPlan, EmbFactorColumns,
+    Interval, OpFactorColumns, ScenarioDelta, ScenarioDraws,
 };
 use crate::view::FleetView;
 use frame::DataFrame;
@@ -349,19 +353,29 @@ impl Engine {
     }
 
     /// Accumulates one block's Monte-Carlo terms into the partials'
-    /// per-sample draw buffers with the blocked kernels. Each work item
-    /// owns one disjoint sample range of **every** scenario's buffer: the
-    /// per-sample systematic factors and the idiosyncratic noise column
-    /// (keyed by `first_row + block row`, the CRN global index) are
-    /// scenario-invariant, so one job computes them once and sweeps each
-    /// scenario's [`OpFactorColumns`] / [`EmbFactorColumns`] lanes over
-    /// them. Terms fold in as `*slot += term` in base order — bit-identical
-    /// to the serial [`DrawPlan::operational_draws`] /
+    /// per-sample draw buffers with the blocked kernels, doing each piece
+    /// of scenario-invariant work once. Each work item owns one disjoint
+    /// sample range of every leading scenario's buffer (below). Per
+    /// sample, it computes the systematic factors and the idiosyncratic
+    /// noise column (keyed by `first_row + block row`, the CRN global
+    /// index) once, then one lognormal ACI factor per [`AciLanes`] lane —
+    /// a distinct (row, σ) pair over every scenario, so four scenarios that
+    /// give a row its country σ share one `exp` — and sweeps each leading
+    /// scenario's [`OpFactorColumns`] / [`EmbFactorColumns`] over them.
+    /// Terms fold in as `*slot += term` in base order — bit-identical to
+    /// the serial [`DrawPlan::operational_draws`] /
     /// [`DrawPlan::embodied_draws`] reference kernels (pinned by
     /// `tests/batch_matrix.rs` and proptests). The draws are a pure
     /// function of the footprint bases and the plan, independent of
     /// whether phase 2 computed the bases or a resident cache supplied
     /// them — which is what makes warm intervals bit-identical.
+    ///
+    /// A scenario whose factor columns **and** running draw buffer are
+    /// bitwise equal to an earlier scenario's in one family gets no work
+    /// item there: after the run it copies that leader's buffer, which the
+    /// same kernel over the same inputs filled (see [`DrawShares`]). The
+    /// buffer condition keeps streamed runs exact, since two scenarios may
+    /// agree on this block but not on an earlier one.
     ///
     /// With a resident `noise_cache`, the noise columns come from the
     /// matrix cached for this (seed, rows, draws); when there is none and
@@ -378,38 +392,17 @@ impl Engine {
         noise_cache: Option<&NoiseCache>,
     ) {
         let plan = self.plan;
-        // Per-scenario factor columns over the Ok estimates, operational
-        // bases tagged with their global row — the stream key.
-        let op_cols: Vec<OpFactorColumns> = footprints
-            .iter()
-            .map(|block| {
-                let bases: Vec<(usize, OperationalEstimate)> = block
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(row, fp)| {
-                        fp.operational
-                            .as_ref()
-                            .ok()
-                            .map(|op| (first_row + row, op.clone()))
-                    })
-                    .collect();
-                OpFactorColumns::from_bases(&bases)
-            })
-            .collect();
-        let emb_cols: Vec<EmbFactorColumns> = footprints
-            .iter()
-            .map(|block| {
-                let bases: Vec<EmbodiedEstimate> = block
-                    .iter()
-                    .filter_map(|fp| fp.embodied.as_ref().ok().cloned())
-                    .collect();
-                EmbFactorColumns::from_bases(&bases)
-            })
-            .collect();
+        let DrawShares {
+            lanes,
+            op_cols,
+            emb_cols,
+            op_roles,
+            emb_roles,
+        } = DrawShares::plan(footprints, &mut self.partials);
         let sample_chunks = parallel::split_ranges(plan.draws, self.granularity);
-        // Transpose the per-scenario buffers into per-sample-chunk work
-        // items: item j owns samples `sample_chunks[j]` of every covered
-        // scenario, as (scenario index, buffer sub-slice).
+        // Transpose the leaders' buffers into per-sample-chunk work items:
+        // item j owns samples `sample_chunks[j]` of every leading scenario,
+        // as (scenario index, buffer sub-slice).
         let mut op_parts: Vec<Vec<(usize, &mut [f64])>> =
             sample_chunks.iter().map(|_| Vec::new()).collect();
         let mut emb_parts: Vec<Vec<(usize, &mut [f64])>> =
@@ -417,32 +410,29 @@ impl Engine {
         for (scenario, ((partial, op), emb)) in self
             .partials
             .iter_mut()
-            .zip(&op_cols)
-            .zip(&emb_cols)
+            .zip(&op_roles)
+            .zip(&emb_roles)
             .enumerate()
         {
-            if op.is_empty() && emb.is_empty() {
-                continue;
-            }
             let (op_buffer, emb_buffer) = partial.draw_slots();
-            if !op.is_empty() {
-                let split = parallel::split_mut_by_ranges(op_buffer, &sample_chunks);
-                for (item, part) in op_parts.iter_mut().zip(split) {
-                    item.push((scenario, part));
-                }
-            }
-            if !emb.is_empty() {
-                let split = parallel::split_mut_by_ranges(emb_buffer, &sample_chunks);
-                for (item, part) in emb_parts.iter_mut().zip(split) {
-                    item.push((scenario, part));
+            for (role, buffer, parts) in [
+                (op, op_buffer, &mut op_parts),
+                (emb, emb_buffer, &mut emb_parts),
+            ] {
+                if *role == Role::Lead {
+                    let split = parallel::split_mut_by_ranges(buffer, &sample_chunks);
+                    for (item, part) in parts.iter_mut().zip(split) {
+                        item.push((scenario, part));
+                    }
                 }
             }
         }
         // Noise is read only where some scenario has operational terms;
-        // every item then has them, so a new matrix is filled whole.
+        // the first such scenario leads, so every item then has them and
+        // a new matrix is filled whole.
         let key = (plan.seed, rows, plan.draws);
         let mut source = match noise_cache {
-            Some(cache) if op_cols.iter().any(|op| !op.is_empty()) => cache.lookup(key),
+            Some(cache) if !lanes.is_empty() => cache.lookup(key),
             _ => NoiseSource::Scratch,
         };
         // Sample range `r` of an item is columns `r.start * rows ..
@@ -465,7 +455,7 @@ impl Engine {
                 .map(|_| Noise::Scratch(Vec::new()))
                 .collect(),
         };
-        let (op_cols, emb_cols) = (&op_cols, &emb_cols);
+        let (lanes, op_cols, emb_cols) = (&lanes, &op_cols, &emb_cols);
         let op_streams = &plan.operational_streams();
         let emb_streams = &plan.embodied_streams();
         let mut jobs: Vec<Job<'_>> = Vec::with_capacity(sample_chunks.len());
@@ -481,18 +471,21 @@ impl Engine {
             }
             let priors = plan.priors;
             jobs.push(Box::new(move || {
+                // The sample's lognormal ACI factor per lane, allocated on
+                // the first fill and refilled for every sample.
+                let mut mult = Vec::new();
                 for (k, sample) in range.clone().enumerate() {
                     if !op_item.is_empty() {
                         let factors = fleet_factors(op_streams, &priors, sample);
                         let z = noise.column(k, rows, |column| {
                             operational_noise(op_streams, sample, first_row, column);
                         });
+                        lanes.fill(z, &mut mult);
                         for (scenario, part) in op_item.iter_mut() {
                             operational_block_accumulate(
                                 &op_cols[*scenario],
                                 &factors,
-                                z,
-                                first_row,
+                                &mult,
                                 &mut part[k],
                             );
                         }
@@ -509,6 +502,21 @@ impl Engine {
         parallel::run(self.workers, jobs);
         if let (Some(cache), NoiseSource::Fill(matrix)) = (noise_cache, source) {
             cache.insert(key, matrix);
+        }
+        // Each follower copies its leader's finished buffer; a leader
+        // precedes its followers, so it lies before the split.
+        for (scenario, (op, emb)) in op_roles.iter().zip(&emb_roles).enumerate() {
+            let (leaders, rest) = self.partials.split_at_mut(scenario);
+            let Some(partial) = rest.first_mut() else {
+                break;
+            };
+            let (op_buffer, emb_buffer) = partial.draw_slots();
+            if let Role::Follow(leader) = *op {
+                op_buffer.copy_from_slice(leaders[leader].draw_slots().0);
+            }
+            if let Role::Follow(leader) = *emb {
+                emb_buffer.copy_from_slice(leaders[leader].draw_slots().1);
+            }
         }
     }
 
@@ -561,6 +569,103 @@ impl Engine {
             peak_block_rows: self.peak_block_rows,
         }
     }
+}
+
+/// A scenario's part in one family's draws for one block (see
+/// [`Engine::run_draws`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// No terms in this block: the buffer stays as it is.
+    Idle,
+    /// Runs the family's accumulate into its own buffer.
+    Lead,
+    /// Copies the buffer of this earlier, leading scenario, whose factor
+    /// columns and running buffer were bitwise its own.
+    Follow(usize),
+}
+
+/// One block's draws work with its scenario-invariant parts found: the
+/// ACI lanes, the per-scenario factor columns (matrix order) and each
+/// scenario's [`Role`] in the operational and embodied families.
+struct DrawShares {
+    lanes: AciLanes,
+    op_cols: Vec<OpFactorColumns>,
+    emb_cols: Vec<EmbFactorColumns>,
+    op_roles: Vec<Role>,
+    emb_roles: Vec<Role>,
+}
+
+impl DrawShares {
+    /// Plans the draws of `footprints` (one block per scenario) into the
+    /// running buffers of `partials` (same order).
+    fn plan(footprints: &[Vec<SystemFootprint>], partials: &mut [PartialAssessment]) -> DrawShares {
+        let (lanes, op_cols) = AciLanes::build(footprints);
+        let emb_cols: Vec<EmbFactorColumns> = footprints
+            .iter()
+            .map(|block| EmbFactorColumns::from_block(block))
+            .collect();
+        let buffers: Vec<(&[f64], &[f64])> = partials
+            .iter_mut()
+            .map(|partial| {
+                let (op, emb) = partial.draw_slots();
+                (&*op, &*emb)
+            })
+            .collect();
+        let op_roles =
+            roles(op_cols.iter().zip(&buffers).map(|(cols, (op, _))| {
+                (!cols.is_empty()).then(|| cols.bits().chain(column_bits(op)))
+            }));
+        let emb_roles = roles(emb_cols.iter().zip(&buffers).map(|(cols, (_, emb))| {
+            (!cols.is_empty()).then(|| cols.bits().chain(column_bits(emb)))
+        }));
+        DrawShares {
+            lanes,
+            op_cols,
+            emb_cols,
+            op_roles,
+            emb_roles,
+        }
+    }
+}
+
+/// Each scenario's [`Role`] in one family, from its inputs in matrix
+/// order: `None` without terms, else the bits of its factor columns
+/// followed by those of its running buffer. The accumulate is a pure
+/// function of these bits, so a scenario whose bits equal an earlier
+/// leader's follows it. Candidates are found by a `u64` digest of the
+/// bits, scanned over the leaders in a `Vec` (a hash map's iteration
+/// order is not deterministic), and confirmed bitwise only on equal
+/// digests: a wide matrix costs O(scenarios × rows), not O(scenarios² ×
+/// rows).
+fn roles<I: Iterator<Item = u64> + Clone>(inputs: impl Iterator<Item = Option<I>>) -> Vec<Role> {
+    // The 64-bit FNV-1a step over whole words: each step is a bijection
+    // of the running digest, so two inputs of one length that differ in
+    // one word never collide.
+    let digest = |bits: I| {
+        bits.fold(0xcbf2_9ce4_8422_2325_u64, |h, word| {
+            (h ^ word).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    let mut leaders: Vec<(u64, usize, I)> = Vec::new();
+    inputs
+        .enumerate()
+        .map(|(scenario, bits)| {
+            let Some(bits) = bits else {
+                return Role::Idle;
+            };
+            let d = digest(bits.clone());
+            let leader = leaders
+                .iter()
+                .find(|(ld, _, lead)| *ld == d && lead.clone().eq(bits.clone()));
+            match leader {
+                Some(&(_, leader, _)) => Role::Follow(leader),
+                None => {
+                    leaders.push((d, scenario, bits));
+                    Role::Lead
+                }
+            }
+        })
+        .collect()
 }
 
 /// Where one draws work item reads its samples' CRN noise columns, each
@@ -1174,6 +1279,54 @@ mod tests {
                 CoverageReport::from_footprints(&slice.footprints)
             );
         }
+    }
+
+    #[test]
+    fn template_draws_share_aci_lanes_and_follow_repeated_families() {
+        // Bit tests cannot see a planner that silently stops sharing, so
+        // this pins what the template matrix shares over a small fleet.
+        let list = list();
+        let template = ScenarioMatrix::from_csv(&ScenarioMatrix::csv_template()).unwrap();
+        let output = Assessment::of(&list).scenarios(&template).run();
+        let footprints: Vec<Vec<SystemFootprint>> = (output.slices().iter())
+            .map(|slice| slice.footprints.clone())
+            .collect();
+        let identity = || -> Vec<PartialAssessment> {
+            (footprints.iter())
+                .map(|_| PartialAssessment::identity(16))
+                .collect()
+        };
+        let mut partials = identity();
+        let shares = DrawShares::plan(&footprints, &mut partials);
+        // One lane per distinct (row, σ bits) pair over every scenario.
+        let mut pairs: Vec<(usize, u64)> = (footprints.iter())
+            .flat_map(|block| block.iter().enumerate())
+            .filter_map(|(row, fp)| {
+                let op = fp.operational.as_ref().ok()?;
+                Some((row, (op.aci.relative_uncertainty() / 2.0).to_bits()))
+            })
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        assert_eq!(shares.lanes.len(), pairs.len());
+        assert!(pairs.len() < footprints.iter().flatten().count());
+        // `no-structure` repeats `full`'s operational terms; `no-power`,
+        // `site-pue` and `clean-grid` repeat its embodied ones, and
+        // `no-structure` has no embodied coverage.
+        use Role::{Follow, Idle, Lead};
+        assert_eq!(shares.op_roles, [Lead, Lead, Follow(0), Lead, Lead]);
+        assert_eq!(
+            shares.emb_roles,
+            [Lead, Follow(0), Idle, Follow(0), Follow(0)]
+        );
+        // Equal columns over a running buffer that differs lead: an
+        // earlier block of a streamed run may have told them apart.
+        let mut partials = identity();
+        partials[2].draw_slots().0[15] = 1.0;
+        partials[4].draw_slots().1[0] = -0.0;
+        let shares = DrawShares::plan(&footprints, &mut partials);
+        assert_eq!(shares.op_roles, [Lead, Lead, Lead, Lead, Lead]);
+        assert_eq!(shares.emb_roles, [Lead, Follow(0), Idle, Follow(0), Lead]);
     }
 
     /// Caches a zero matrix under `key` the way a run does: the key's

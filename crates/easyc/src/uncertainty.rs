@@ -37,6 +37,7 @@
 //! the paired-difference intervals.
 
 use crate::embodied::EmbodiedEstimate;
+use crate::estimator::SystemFootprint;
 use crate::fold;
 use crate::operational::{self, OperationalEstimate};
 use crate::scenario::ScenarioMatrix;
@@ -655,62 +656,161 @@ pub(crate) fn embodied_draw(
 // The serial kernels above walk `&[(usize, OperationalEstimate)]` and
 // re-derive every factor (and re-key every idiosyncratic RNG stream) per
 // (scenario, sample, system). The blocked kernels restructure the same
-// arithmetic for (sample × system) lane sweeps:
+// arithmetic for (sample × system) lane sweeps and do each piece of
+// scenario-invariant work once per block:
 //
 // - the per-system factors that do not change across samples (power, PUE,
-//   utilisation, ACI value and sigma) are hoisted into contiguous columns,
-//   built once per scenario ([`OpFactorColumns`] / [`EmbFactorColumns`]);
+//   utilisation, ACI value) are hoisted into contiguous columns, built once
+//   per scenario ([`OpFactorColumns`] / [`EmbFactorColumns`]);
 // - the idiosyncratic ACI noise `z(sample, global index)` is
 //   scenario-invariant by the CRN keying, so one dense noise column per
 //   sample ([`operational_noise`]) is shared by every scenario of a matrix;
+// - so is the lognormal ACI factor `exp(σ·z)` of a row under one σ: an
+//   [`AciLanes`] table lists the block's distinct (row, σ) pairs over every
+//   scenario, each base names its lane, and [`AciLanes::fill`] computes
+//   one `exp` per lane and sample for every scenario that shares it;
 // - each `*_block_accumulate` call folds one scenario's terms for one
 //   sample into its draw slot with the exact `*slot += term` order of the
 //   streaming fold, so in-memory, streamed and serial draws stay
-//   bit-identical (pinned by `tests/proptests.rs`).
+//   bit-identical (pinned by `tests/proptests.rs`). A call is a pure
+//   function of its columns, factors and starting slot, so a scenario
+//   whose columns and slot are bitwise another's may copy that one's
+//   result instead (the session's followers; see `bits`).
 // ---------------------------------------------------------------------------
 
+/// The bits of an `f64` column, in order.
+pub(crate) fn column_bits(column: &[f64]) -> impl Iterator<Item = u64> + Clone + '_ {
+    column.iter().copied().map(f64::to_bits)
+}
+
+/// The distinct (block row, ACI σ) pairs of one block's operational bases
+/// over every scenario of a run: the lognormal factors a sample needs. σ
+/// takes one of three values (country, site, or regional and world
+/// prior), so a block holds at most three lanes per row, whatever the
+/// matrix width.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct AciLanes {
+    /// Block row per lane: the index into a sample's noise column.
+    row: Vec<usize>,
+    /// `aci.relative_uncertainty() / 2.0`, exactly as [`fleet_term`] derives
+    /// it (band → ~2 sigma).
+    sigma: Vec<f64>,
+}
+
+impl AciLanes {
+    /// Hoists every scenario's operational bases into factor columns over
+    /// one shared lane table; `blocks` holds one block of footprints per
+    /// scenario, in matrix order. Rows are visited in order and scenarios
+    /// in matrix order, so a row's lanes are contiguous, two scenarios
+    /// share a lane exactly when they give a row the same σ (matched by
+    /// its bits), and each scenario's columns keep its base order — the
+    /// accumulation order of the draws.
+    pub(crate) fn build(blocks: &[Vec<SystemFootprint>]) -> (AciLanes, Vec<OpFactorColumns>) {
+        let mut lanes = AciLanes::default();
+        let mut cols: Vec<OpFactorColumns> = blocks
+            .iter()
+            .map(|block| {
+                let bases = block.iter().filter(|fp| fp.operational.is_ok()).count();
+                OpFactorColumns::with_capacity(bases)
+            })
+            .collect();
+        let rows = blocks.iter().map(Vec::len).max().unwrap_or(0);
+        for row in 0..rows {
+            let row_lanes = lanes.sigma.len();
+            for (block, cols) in blocks.iter().zip(&mut cols) {
+                let Some(Ok(base)) = block.get(row).map(|fp| &fp.operational) else {
+                    continue;
+                };
+                let sigma = base.aci.relative_uncertainty() / 2.0;
+                let shared = lanes.sigma[row_lanes..]
+                    .iter()
+                    .position(|s| s.to_bits() == sigma.to_bits());
+                let lane = match shared {
+                    Some(at) => row_lanes + at,
+                    None => {
+                        lanes.row.push(row);
+                        lanes.sigma.push(sigma);
+                        lanes.sigma.len() - 1
+                    }
+                };
+                cols.push(lane, base);
+            }
+        }
+        (lanes, cols)
+    }
+
+    /// How many lanes the table holds.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.row.len()
+    }
+
+    /// True when no scenario had an operational base in the block.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.row.is_empty()
+    }
+
+    /// Replaces `mult` with every lane's lognormal ACI factor for one
+    /// sample, `(σ · z[row]).exp()`, where `z` is the sample's noise column
+    /// from [`operational_noise`]. That is the factor [`fleet_term`] draws
+    /// (`(0.0 + σ·z).exp()` and `(σ·z).exp()` agree bitwise, including at
+    /// negative zero where both sides are exactly `1.0`), and `exp` is a
+    /// pure function of its argument's bits, so every scenario reading a
+    /// lane reads the `f64` its own call would have returned.
+    pub(crate) fn fill(&self, z: &[f64], mult: &mut Vec<f64>) {
+        mult.clear();
+        let lanes = self.row.iter().zip(&self.sigma);
+        mult.extend(lanes.map(|(&row, &sigma)| (sigma * z[row]).exp()));
+    }
+}
+
 /// Struct-of-arrays form of one scenario's operational draw bases: the
-/// sample-invariant per-system factors, hoisted out of the per-sample loop.
-/// Built once per scenario (in-memory) or per (scenario, chunk) (streaming)
-/// and swept once per sample.
+/// sample-invariant per-system factors, hoisted out of the per-sample loop,
+/// and each base's [`AciLanes`] lane. Built per (scenario, block) by
+/// [`AciLanes::build`] and swept once per sample.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct OpFactorColumns {
-    /// Global fleet index per base — the idiosyncratic noise key.
-    index: Vec<usize>,
+    /// Lane per base: its block row (the noise key) and ACI σ.
+    lane: Vec<usize>,
     power_kw: Vec<f64>,
     pue: Vec<f64>,
     util: Vec<f64>,
     aci_value: Vec<f64>,
-    /// `aci.relative_uncertainty() / 2.0`, exactly as [`fleet_term`] derives
-    /// it (band → ~2 sigma).
-    aci_sigma: Vec<f64>,
 }
 
 impl OpFactorColumns {
-    /// Hoists the index-tagged bases into columns (base order preserved —
-    /// the accumulation order of the draws).
-    pub(crate) fn from_bases(bases: &[(usize, OperationalEstimate)]) -> OpFactorColumns {
-        let mut cols = OpFactorColumns::default();
-        cols.index.reserve_exact(bases.len());
-        cols.power_kw.reserve_exact(bases.len());
-        cols.pue.reserve_exact(bases.len());
-        cols.util.reserve_exact(bases.len());
-        cols.aci_value.reserve_exact(bases.len());
-        cols.aci_sigma.reserve_exact(bases.len());
-        for (index, base) in bases {
-            cols.index.push(*index);
-            cols.power_kw.push(base.power_kw);
-            cols.pue.push(base.pue);
-            cols.util.push(base.utilization);
-            cols.aci_value.push(base.aci.value());
-            cols.aci_sigma.push(base.aci.relative_uncertainty() / 2.0);
+    fn with_capacity(bases: usize) -> OpFactorColumns {
+        OpFactorColumns {
+            lane: Vec::with_capacity(bases),
+            power_kw: Vec::with_capacity(bases),
+            pue: Vec::with_capacity(bases),
+            util: Vec::with_capacity(bases),
+            aci_value: Vec::with_capacity(bases),
         }
-        cols
+    }
+
+    fn push(&mut self, lane: usize, base: &OperationalEstimate) {
+        self.lane.push(lane);
+        self.power_kw.push(base.power_kw);
+        self.pue.push(base.pue);
+        self.util.push(base.utilization);
+        self.aci_value.push(base.aci.value());
     }
 
     /// True when the scenario had no operational coverage.
     pub(crate) fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.lane.is_empty()
+    }
+
+    /// The bits of every column, column by column: two scenarios of one
+    /// block whose bits are equal accumulate the same terms.
+    pub(crate) fn bits(&self) -> impl Iterator<Item = u64> + Clone + '_ {
+        let lanes = self.lane.iter().map(|&lane| lane as u64);
+        lanes
+            .chain(column_bits(&self.power_kw))
+            .chain(column_bits(&self.pue))
+            .chain(column_bits(&self.util))
+            .chain(column_bits(&self.aci_value))
     }
 }
 
@@ -728,14 +828,17 @@ pub(crate) struct EmbFactorColumns {
 }
 
 impl EmbFactorColumns {
-    /// Hoists the bases into columns (base order preserved).
-    pub(crate) fn from_bases(bases: &[EmbodiedEstimate]) -> EmbFactorColumns {
-        let mut cols = EmbFactorColumns::default();
-        cols.silicon_kg.reserve_exact(bases.len());
-        cols.capacity_kg.reserve_exact(bases.len());
-        cols.chassis_kg.reserve_exact(bases.len());
-        cols.interconnect_kg.reserve_exact(bases.len());
-        for base in bases {
+    /// Hoists a block's embodied bases into columns (base order preserved).
+    pub(crate) fn from_block(block: &[SystemFootprint]) -> EmbFactorColumns {
+        let bases = || block.iter().filter_map(|fp| fp.embodied.as_ref().ok());
+        let len = bases().count();
+        let mut cols = EmbFactorColumns {
+            silicon_kg: Vec::with_capacity(len),
+            capacity_kg: Vec::with_capacity(len),
+            chassis_kg: Vec::with_capacity(len),
+            interconnect_kg: Vec::with_capacity(len),
+        };
+        for base in bases() {
             let b = base.breakdown;
             cols.silicon_kg.push(b.cpu_kg + b.accelerator_kg);
             cols.capacity_kg.push(b.dram_kg + b.storage_kg);
@@ -748,6 +851,15 @@ impl EmbFactorColumns {
     /// True when the scenario had no embodied coverage.
     pub(crate) fn is_empty(&self) -> bool {
         self.silicon_kg.is_empty()
+    }
+
+    /// The bits of every column, column by column (see
+    /// [`OpFactorColumns::bits`]).
+    pub(crate) fn bits(&self) -> impl Iterator<Item = u64> + Clone + '_ {
+        column_bits(&self.silicon_kg)
+            .chain(column_bits(&self.capacity_kg))
+            .chain(column_bits(&self.chassis_kg))
+            .chain(column_bits(&self.interconnect_kg))
     }
 }
 
@@ -771,22 +883,19 @@ pub(crate) fn operational_noise(
 
 /// Folds one scenario's operational terms for one sample into `slot`, in
 /// base order — the blocked form of [`operational_draw`]'s sum and the
-/// streaming fold's `*slot += fleet_term(…)` accumulation. `noise` is the
-/// per-sample column from [`operational_noise`], indexed by global fleet
-/// row relative to `first_row`. Bit-identical to the serial kernels: the
-/// per-term arithmetic is the same expression tree as [`fleet_term`]
-/// (`(0.0 + sigma·z).exp()` and `(sigma·z).exp()` agree bitwise, including
-/// at negative zero where both sides are exactly `1.0`).
+/// streaming fold's `*slot += fleet_term(…)` accumulation. `mult` holds the
+/// sample's lognormal ACI factors from [`AciLanes::fill`], read through
+/// each base's lane. Bit-identical to the serial kernels: the per-term
+/// arithmetic is the same expression tree as [`fleet_term`], with its
+/// `exp` computed once per lane instead of once per base.
 pub(crate) fn operational_block_accumulate(
     cols: &OpFactorColumns,
     factors: &FleetFactors,
-    noise: &[f64],
-    first_row: usize,
+    mult: &[f64],
     slot: &mut f64,
 ) {
-    for k in 0..cols.index.len() {
-        let z = noise[cols.index[k] - first_row];
-        let aci = cols.aci_value[k] * (cols.aci_sigma[k] * z).exp();
+    for k in 0..cols.lane.len() {
+        let aci = cols.aci_value[k] * mult[cols.lane[k]];
         let pue = (cols.pue[k] * factors.pue).max(1.0);
         let util = (cols.util[k] * factors.util).clamp(0.05, 1.0);
         *slot += cols.power_kw[k] * operational::HOURS_PER_YEAR * pue * util * aci / 1.0e6;

@@ -71,7 +71,7 @@ pub enum ImportError {
 impl std::fmt::Display for ImportError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ImportError::Csv(e) => write!(f, "CSV error: {e}"),
+            ImportError::Csv(e) => write!(f, "{e}"),
             ImportError::MissingColumn(c) => write!(f, "required column `{c}` missing"),
             ImportError::BadRow { row, message } => write!(f, "row {row}: {message}"),
         }

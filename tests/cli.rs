@@ -126,6 +126,33 @@ fn empty_or_comment_only_systems_csv_is_an_error_in_both_modes() {
     std::fs::remove_file(&out).ok();
 }
 
+#[test]
+fn a_malformed_systems_csv_names_the_csv_error_once_in_both_modes() {
+    let dir = std::env::temp_dir();
+    let id = std::process::id();
+    let scenarios = dir.join(format!("cli-quote-scenarios-{id}.csv"));
+    let systems = dir.join(format!("cli-quote-systems-{id}.csv"));
+    std::fs::write(&scenarios, ScenarioMatrix::csv_template()).expect("write scenarios");
+    std::fs::write(&systems, "rank,name,rmax_tflops\n1,\"alpha,100\n").expect("write systems");
+    let (scen, sys) = (scenarios.to_str().unwrap(), systems.to_str().unwrap());
+    for stream in [false, true] {
+        let mut args = vec!["sweep", scen, sys];
+        if stream {
+            args.push("--stream");
+        }
+        let output = Command::new(env!("CARGO_BIN_EXE_top500-carbon"))
+            .args(&args)
+            .output()
+            .expect("run the CLI");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("unterminated quote"), "{args:?}: {stderr}");
+        assert_eq!(stderr.matches("CSV error").count(), 1, "{args:?}: {stderr}");
+    }
+    std::fs::remove_file(&scenarios).ok();
+    std::fs::remove_file(&systems).ok();
+}
+
 /// A matrix whose names look like numbers or a boolean.
 const NUMERIC_NAMES: &str = "name,mask,pue_override,utilization_override,aci_override\n\
                              007,all,,,\n\

@@ -1402,18 +1402,24 @@ proptest! {
         seed in 0u64..1_000,
         draws in 1usize..48,
         mask in arb_mask(),
+        overrides in arb_overrides(),
         workers in 1usize..4,
         rows_per_chunk in 1usize..48,
     ) {
         // The blocked (sample-chunk × scenario) draw kernels — factor
-        // columns hoisted per scenario, one noise column per sample shared
-        // across scenarios — must reproduce the serial DrawPlan reference
-        // vectors exactly, in-memory and streamed, at any worker count and
-        // fleet chunking.
+        // columns hoisted per scenario, one noise column per sample and one
+        // lognormal ACI factor per (row, σ) lane shared across scenarios,
+        // a scenario repeating an earlier one's family inputs copying its
+        // buffer — must reproduce the serial DrawPlan reference vectors
+        // exactly, in-memory and streamed, at any worker count and fleet
+        // chunking. An `aci_override` puts a second σ on every row, and
+        // `full-copy` follows `full` in both families.
         let list = generate_full(&SyntheticConfig { n, seed, ..Default::default() });
         let matrix = ScenarioMatrix::new()
             .with(DataScenario::full("full"))
-            .with(DataScenario::masked("masked", mask));
+            .with(DataScenario::masked("masked", mask))
+            .with(DataScenario::full("overridden").with_overrides(overrides))
+            .with(DataScenario::full("full-copy"));
         let session = Assessment::of(&list)
             .workers(workers)
             .scenarios(&matrix)
@@ -1458,7 +1464,7 @@ proptest! {
             .seed(seed)
             .run()
             .expect("in-memory chunks cannot fail");
-        for name in ["full", "masked"] {
+        for name in ["full", "masked", "overridden", "full-copy"] {
             prop_assert_eq!(streamed.operational_draws(name), session.operational_draws(name));
             prop_assert_eq!(streamed.embodied_draws(name), session.embodied_draws(name));
         }
@@ -1664,7 +1670,7 @@ proptest! {
             streamed.compare("full", "masked"),
             session.compare("full", "masked")
         );
-        for name in ["full", "masked"] {
+        for name in ["full", "masked", "overridden", "full-copy"] {
             prop_assert_eq!(streamed.operational_draws(name), session.operational_draws(name));
             prop_assert_eq!(streamed.embodied_draws(name), session.embodied_draws(name));
         }
