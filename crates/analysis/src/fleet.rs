@@ -2,13 +2,12 @@
 //!
 //! The paper aggregates to one number; a site operator or policy maker
 //! wants the carbon cut by country, vendor and accelerator family. This
-//! module builds those breakdowns from the pipeline output through the
-//! `frame` group-by machinery (the study's dataframe substrate).
+//! module builds those breakdowns from the pipeline output in one pass
+//! over the fleet.
 
 use crate::aggregate::Aggregate;
 use easyc::{AssessmentOutput, CoverageReport, Interval, ScenarioDelta, SystemFootprint};
-use frame::agg::{group_by, AggFn};
-use frame::{Column, DataFrame};
+use std::collections::HashMap;
 use top500::list::Top500List;
 
 /// One group's share of the fleet footprint.
@@ -36,14 +35,6 @@ pub enum Dimension {
 }
 
 impl Dimension {
-    fn label(self) -> &'static str {
-        match self {
-            Dimension::Country => "country",
-            Dimension::Vendor => "vendor",
-            Dimension::Accelerator => "accelerator",
-        }
-    }
-
     fn key_of(self, sys: &top500::record::SystemRecord) -> Option<String> {
         match self {
             Dimension::Country => sys.country.clone(),
@@ -57,8 +48,10 @@ impl Dimension {
     }
 }
 
-/// Builds a dataframe `(key, operational, embodied)` from a list and its
-/// footprints, then reduces it with the frame group-by.
+/// Groups the fleet by `dimension` in order of first appearance (a
+/// missing key is the group `(unknown)`) and sums each group's present
+/// operational and embodied carbon in row order with `frame::stats::sum`;
+/// the groups come back largest operational total first.
 pub fn breakdown(
     list: &Top500List,
     footprints: &[SystemFootprint],
@@ -69,69 +62,32 @@ pub fn breakdown(
         footprints.len(),
         "footprints must match the list"
     );
-    let keys: Vec<Option<String>> = list.systems().iter().map(|s| dimension.key_of(s)).collect();
-    let op: Vec<Option<f64>> = footprints
-        .iter()
-        .map(SystemFootprint::operational_mt)
-        .collect();
-    let emb: Vec<Option<f64>> = footprints
-        .iter()
-        .map(SystemFootprint::embodied_mt)
-        .collect();
-
-    let df = DataFrame::new()
-        .with_column(dimension.label(), Column::Str(keys))
-        .expect("fresh frame")
-        .with_column("op", Column::F64(op))
-        .expect("equal length")
-        .with_column("emb", Column::F64(emb))
-        .expect("equal length");
-
-    let grouped = group_by(
-        &df,
-        dimension.label(),
-        &[
-            ("op", AggFn::Sum),
-            ("emb", AggFn::Sum),
-            ("op", AggFn::Count),
-        ],
-    )
-    .expect("columns exist");
-
-    let mut shares: Vec<GroupShare> = (0..grouped.len())
-        .map(|i| {
-            let key = match grouped.value(dimension.label(), i).expect("in range") {
-                frame::Value::Str(s) => s,
-                _ => "(unknown)".to_string(),
-            };
-            let get = |col: &str| -> f64 {
-                grouped
-                    .value(col, i)
-                    .expect("in range")
-                    .as_f64()
-                    .unwrap_or(0.0)
-            };
-            GroupShare {
-                key,
-                systems: df
-                    .column(dimension.label())
-                    .expect("key column")
-                    .as_str()
-                    .expect("string column")
-                    .iter()
-                    .filter(|k| {
-                        k.as_deref().unwrap_or("(unknown)")
-                            == grouped
-                                .value(dimension.label(), i)
-                                .ok()
-                                .and_then(|v| v.as_str().map(str::to_string))
-                                .as_deref()
-                                .unwrap_or("(unknown)")
-                    })
-                    .count(),
-                operational_mt: get("op_sum"),
-                embodied_mt: get("emb_sum"),
+    // (key, systems, present operational values, present embodied values)
+    type Group = (Option<String>, usize, Vec<f64>, Vec<f64>);
+    let mut index: HashMap<Option<String>, usize> = HashMap::new();
+    let mut groups: Vec<Group> = Vec::new();
+    for (sys, footprint) in list.systems().iter().zip(footprints) {
+        let key = dimension.key_of(sys);
+        let at = match index.get(&key) {
+            Some(&at) => at,
+            None => {
+                index.insert(key.clone(), groups.len());
+                groups.push((key, 0, Vec::new(), Vec::new()));
+                groups.len() - 1
             }
+        };
+        let (_, systems, op, emb) = &mut groups[at];
+        *systems += 1;
+        op.extend(footprint.operational_mt());
+        emb.extend(footprint.embodied_mt());
+    }
+    let mut shares: Vec<GroupShare> = groups
+        .into_iter()
+        .map(|(key, systems, op, emb)| GroupShare {
+            key: key.unwrap_or_else(|| "(unknown)".to_string()),
+            systems,
+            operational_mt: frame::stats::sum(&op),
+            embodied_mt: frame::stats::sum(&emb),
         })
         .collect();
     shares.sort_by(|a, b| {
@@ -481,6 +437,43 @@ mod tests {
         // Without draws there is nothing to pair.
         let no_draws = Assessment::of(&out.full).scenarios(&matrix).run();
         assert!(compare_to_baseline(&no_draws, "full").is_empty());
+    }
+
+    #[test]
+    fn groups_keep_their_own_rows_and_sum_present_values() {
+        let (list, footprints) = setup();
+        let mut systems = list.systems()[..4].to_vec();
+        for (sys, country) in
+            systems
+                .iter_mut()
+                .zip([Some("A"), None, Some("A"), Some("(unknown)")])
+        {
+            sys.country = country.map(str::to_string);
+        }
+        let footprints = &footprints[..4];
+        let shares = breakdown(&Top500List::new(systems), footprints, Dimension::Country);
+        let present = |rows: &[usize], carbon: fn(&SystemFootprint) -> Option<f64>| {
+            let values: Vec<f64> = rows
+                .iter()
+                .filter_map(|&i| carbon(&footprints[i]))
+                .collect();
+            frame::stats::sum(&values)
+        };
+        // A missing country and a literal `(unknown)` stay two groups of one.
+        let mut expected = [
+            ("A", vec![0, 2]),
+            ("(unknown)", vec![1]),
+            ("(unknown)", vec![3]),
+        ]
+        .map(|(key, rows)| GroupShare {
+            key: key.to_string(),
+            systems: rows.len(),
+            operational_mt: present(&rows, SystemFootprint::operational_mt),
+            embodied_mt: present(&rows, SystemFootprint::embodied_mt),
+        })
+        .to_vec();
+        expected.sort_by(|a, b| b.operational_mt.partial_cmp(&a.operational_mt).unwrap());
+        assert_eq!(shares, expected);
     }
 
     #[test]

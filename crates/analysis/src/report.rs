@@ -119,7 +119,9 @@ impl Headline {
 /// header + sidecars (matrix order) into the target and removes them. The
 /// result is **byte-identical** to the in-memory artifact (pinned by
 /// `tests/streaming.rs` and a proptest) while memory stays bounded by one
-/// chunk of rendered rows.
+/// chunk of rendered rows. Only paths are kept between blocks: a sidecar
+/// is open just while one block is appended to it, so a matrix of any
+/// width stays within the process's open-file limit.
 ///
 /// I/O errors are latched: the first failure disables further writes and
 /// is surfaced by `finish`, so the sink callback stays infallible and the
@@ -146,18 +148,19 @@ impl Headline {
 /// ```
 pub struct SweepCsvWriter {
     target: PathBuf,
-    parts: Vec<(PathBuf, BufWriter<File>)>,
+    parts: Vec<PathBuf>,
     error: Option<io::Error>,
 }
 
 impl SweepCsvWriter {
-    /// Opens one spill sidecar per scenario next to `target`
-    /// (`<target>.<pid>-<k>.part0`, `.part1`, …). The pid +
-    /// process-local counter make the names unique, and the files are
-    /// opened `create_new`, so a concurrent sweep spilling next to the
-    /// same target (or a pre-existing user file that happens to share a
-    /// name) surfaces as an error instead of silently interleaving rows.
-    /// Nothing is written to `target` itself until
+    /// Creates one empty spill sidecar per scenario next to `target`
+    /// (`<target>.<pid>-<k>.part0`, `.part1`, …) and closes it again, so
+    /// no file stays open between blocks however many scenarios the
+    /// matrix has. The pid + process-local counter make the names unique,
+    /// and the files are created `create_new`, so a concurrent sweep
+    /// spilling next to the same target (or a pre-existing user file that
+    /// happens to share a name) surfaces as an error instead of silently
+    /// interleaving rows. Nothing is written to `target` itself until
     /// [`finish`](SweepCsvWriter::finish).
     pub fn create(target: impl Into<PathBuf>, scenarios: usize) -> io::Result<SweepCsvWriter> {
         static SPILL_EPOCH: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -172,10 +175,10 @@ impl SweepCsvWriter {
                 .create_new(true)
                 .open(&path)
             {
-                Ok(file) => parts.push((path, BufWriter::new(file))),
+                Ok(_) => parts.push(path),
                 Err(e) => {
                     // Don't orphan the sidecars already created.
-                    for (created, _) in &parts {
+                    for created in &parts {
                         let _ = fs::remove_file(created);
                     }
                     return Err(e);
@@ -190,8 +193,9 @@ impl SweepCsvWriter {
     }
 
     /// Appends one (scenario × chunk) block of rows to that scenario's
-    /// spill file. Rendering goes through the exact code path of the
-    /// in-memory artifact (`easyc::batch::footprints_frame` +
+    /// spill file, opened in append mode for one `write_all` and closed
+    /// again. Rendering goes through the exact code path of the in-memory
+    /// artifact (`easyc::batch::footprints_frame` +
     /// `frame::csv::write_rows`), which is what makes the final
     /// concatenation byte-identical. Infallible by design — see the type
     /// docs for the error latch.
@@ -199,7 +203,7 @@ impl SweepCsvWriter {
         if self.error.is_some() {
             return;
         }
-        let Some((_, writer)) = self.parts.get_mut(block.scenario_index) else {
+        let Some(path) = self.parts.get(block.scenario_index) else {
             self.error = Some(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!(
@@ -212,7 +216,11 @@ impl SweepCsvWriter {
         };
         let rows =
             frame::csv::write_rows(&footprints_frame(&block.scenario.name, block.footprints));
-        if let Err(e) = writer.write_all(rows.as_bytes()) {
+        let appended = fs::OpenOptions::new()
+            .append(true)
+            .open(path)
+            .and_then(|mut part| part.write_all(rows.as_bytes()));
+        if let Err(e) = appended {
             self.error = Some(e);
         }
     }
@@ -230,10 +238,8 @@ impl SweepCsvWriter {
         let result = (|| {
             let mut out = BufWriter::new(File::create(&self.target)?);
             out.write_all(frame::csv::write_header(&footprints_frame("", &[])).as_bytes())?;
-            for (path, writer) in self.parts.iter_mut() {
-                writer.flush()?;
-                let mut part = File::open(&*path)?;
-                io::copy(&mut part, &mut out)?;
+            for path in &self.parts {
+                io::copy(&mut File::open(path)?, &mut out)?;
             }
             out.flush()
         })();
@@ -246,7 +252,7 @@ impl SweepCsvWriter {
 
     /// Best-effort removal of the spill sidecars.
     fn cleanup(&mut self) {
-        for (path, _) in &self.parts {
+        for path in &self.parts {
             let _ = fs::remove_file(path);
         }
     }

@@ -2,11 +2,10 @@
 //! engine, with two properties the rules depend on:
 //!
 //! - **String and char literal contents never become tokens**, so a rule
-//!   keyword inside a string (`"unsafe"`, an error message mentioning
+//!   keyword inside a string (`"HashMap"`, an error message mentioning
 //!   `Instant::now`) can never trip a rule. Ordinary, raw (`r#"…"#`) and
 //!   byte strings are all skipped, including multi-line bodies.
-//! - **Comments are captured with line spans and text**, because two rules
-//!   read them: `safety-comment` looks for `// SAFETY:` blocks, and the
+//! - **Comments are captured with line spans and text**, because the
 //!   escape hatch is a comment directive (syntax in the crate root docs).
 //!
 //! Everything else is deliberately coarse: punctuation is one token per

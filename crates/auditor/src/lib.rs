@@ -1,23 +1,28 @@
 #![warn(missing_docs)]
 
 //! `auditor` — a std-only static-analysis pass that machine-enforces the
-//! workspace's determinism, panic-surface and unsafe-code invariants.
+//! workspace's determinism and panic-surface invariants.
 //!
 //! The fleet-carbon numbers this repo reproduces are only trustworthy
 //! because every execution strategy (serial, parallel, streamed, columnar)
 //! is pinned bit-identical. The rules that guarantee that — rank-order
-//! left folds, CRN RNG keying, no `unsafe` anywhere, no
-//! iteration-order or wall-clock nondeterminism in result paths — used to
-//! live only as prose in `docs/ARCHITECTURE.md`. This crate turns each of
-//! them into a named, testable rule, run as a CI gate:
+//! left folds, CRN RNG keying, no iteration-order or wall-clock
+//! nondeterminism in result paths — used to live only as prose in
+//! `docs/ARCHITECTURE.md`. This crate turns each of them into a named,
+//! testable rule, run as a CI gate:
 //!
 //! ```text
-//! cargo run -p auditor -- check                    # audit, exit != 0 on new findings
-//! cargo run -p auditor -- check --format json      # machine-readable findings
+//! cargo run -p auditor -- check                    # audit, exit != 0 on any finding
 //! cargo run -p auditor -- check --format github    # PR-diff annotations
 //! cargo run -p auditor -- rules                    # list the enforced rules
 //! cargo run -p auditor -- graph --dot [--crates]   # export the call graph
 //! ```
+//!
+//! Two invariants are not rules here, because the compiler checks them at
+//! every call site: no `unsafe` code (`[workspace.lints.rust] unsafe_code =
+//! "forbid"`) and no raw thread creation outside the sites that carry an
+//! `#[expect(clippy::disallowed_methods, reason = "…")]` (the root
+//! `clippy.toml`).
 //!
 //! Two engines share one registry ([`registry::REGISTRY`]):
 //!
@@ -37,10 +42,8 @@
 //! ```
 //!
 //! Allows must name a known rule and carry a reason; `allow-hygiene`
-//! enforces that too. Known findings can also be grandfathered in
-//! `audit-baseline.json` (the `--format json` shape): baselined findings
-//! are reported but do not fail CI, new ones do, and stale entries are
-//! flagged so the baseline burns down ([`report`]).
+//! enforces that too. `check` fails on any finding; [`report`] renders
+//! findings as text or as GitHub annotations.
 
 pub mod graph;
 pub mod items;
@@ -140,7 +143,7 @@ pub fn audit_sources(
     for (path, source) in sources {
         let lexed = lexer::lex(source);
         files.push(items::parse_items(path, &lexed));
-        let (vs, al) = rules::audit_file(path, source, lexed);
+        let (vs, al) = rules::audit_file(path, lexed);
         violations.extend(vs);
         allows.push((path.as_str(), al));
     }

@@ -1,6 +1,6 @@
 //! The `auditor` CLI: `check` walks the workspace and exits non-zero on
-//! any finding not grandfathered by the baseline; `rules` lists the
-//! enforced rules from the registry; `graph` exports the call graph.
+//! any finding; `rules` lists the enforced rules from the registry;
+//! `graph` exports the call graph.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -11,12 +11,9 @@ use auditor::{audit_workspace, workspace_graph, REGISTRY};
 const USAGE: &str = "usage: auditor <command>
 
 commands:
-  check [--root DIR] [--format text|json|github]
-        [--baseline FILE | --no-baseline] [--write-baseline [FILE]]
+  check [--root DIR] [--format text|github]
                        audit every workspace .rs file (default root: .)
-                       exits 1 on findings not in the baseline, and on
-                       stale baseline entries (the baseline burns down)
-                       (default baseline: <root>/audit-baseline.json if present)
+                       exits 1 on any finding
   rules                list the enforced rules (lexical, semantic, hygiene)
   graph [--root DIR] [--dot] [--crates]
                        export the workspace call graph (DOT with --dot;
@@ -53,11 +50,7 @@ fn main() -> ExitCode {
 fn check(args: &[String]) -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut format = Format::Text;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut no_baseline = false;
-    // Some(None) = write to the default <root>/audit-baseline.json.
-    let mut write_baseline: Option<Option<PathBuf>> = None;
-    let mut it = args.iter().peekable();
+    let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--root" => match it.next() {
@@ -66,19 +59,8 @@ fn check(args: &[String]) -> ExitCode {
             },
             "--format" => match it.next().and_then(|f| Format::parse(f)) {
                 Some(f) => format = f,
-                None => return flag_err("--format needs text|json|github"),
+                None => return flag_err("--format needs text|github"),
             },
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => return flag_err("--baseline needs a file"),
-            },
-            "--no-baseline" => no_baseline = true,
-            "--write-baseline" => {
-                write_baseline = Some(match it.peek() {
-                    Some(p) if !p.starts_with("--") => Some(PathBuf::from(it.next().unwrap())),
-                    _ => None,
-                });
-            }
             other => {
                 eprintln!("auditor: unknown argument `{other}`");
                 eprint!("{USAGE}");
@@ -94,64 +76,18 @@ fn check(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if let Some(path) = write_baseline {
-        let path = path.unwrap_or_else(|| root.join("audit-baseline.json"));
-        let json = report::to_json(&violations);
-        if let Err(err) = std::fs::write(&path, json) {
-            eprintln!("auditor: cannot write baseline {}: {err}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "auditor: wrote baseline {} ({} finding(s))",
-            path.display(),
-            violations.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    // Default baseline: <root>/audit-baseline.json when present.
-    let baseline = if no_baseline {
-        Vec::new()
-    } else {
-        let path = baseline_path.unwrap_or_else(|| root.join("audit-baseline.json"));
-        match std::fs::read_to_string(&path) {
-            Ok(src) => match report::parse_baseline(&src) {
-                Ok(keys) => keys,
-                Err(err) => {
-                    eprintln!("auditor: bad baseline {}: {err}", path.display());
-                    return ExitCode::from(2);
-                }
-            },
-            Err(_) => Vec::new(),
-        }
-    };
-
-    let diff = report::diff(&violations, &baseline);
-    print!("{}", report::render(format, &diff.new));
+    print!("{}", report::render(format, &violations));
     if format == Format::Text {
-        for v in &diff.grandfathered {
-            println!("{v} [baseline]");
-        }
-    }
-    // Stale entries go to stderr so json/github stdout stays parseable.
-    for (path, line, rule) in &diff.stale {
-        eprintln!(
-            "auditor: stale baseline entry {path}:{line}: {rule} — regenerate with --write-baseline"
-        );
-    }
-    if format == Format::Text {
-        if diff.new.is_empty() && diff.stale.is_empty() {
+        if violations.is_empty() {
             println!(
-                "auditor: workspace clean ({} rules enforced, {} baselined finding(s))",
-                REGISTRY.len(),
-                diff.grandfathered.len()
+                "auditor: workspace clean ({} rules enforced)",
+                REGISTRY.len()
             );
-        } else if !diff.new.is_empty() {
-            println!("auditor: {} new finding(s)", diff.new.len());
+        } else {
+            println!("auditor: {} finding(s)", violations.len());
         }
     }
-    if diff.new.is_empty() && diff.stale.is_empty() {
+    if violations.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -5,6 +5,12 @@
 //! derive from [`REGISTRY`]; a drift test in `tests/rules.rs` asserts the
 //! docs table carries exactly these ids, so the three surfaces cannot
 //! disagree about what is enforced.
+//!
+//! Two invariants are deliberately absent: no `unsafe` code and no raw
+//! thread creation. rustc and clippy check those at every call site,
+//! through the root manifest's `[workspace.lints]` and `clippy.toml`; a
+//! second drift test in `tests/rules.rs` pins that every member inherits
+//! them.
 
 /// How a rule is checked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,8 +37,8 @@ impl RuleKind {
 /// One enforced rule: stable id, what it enforces, and where it applies.
 #[derive(Debug, Clone, Copy)]
 pub struct Rule {
-    /// Stable kebab-case id — referenced by allow comments, the baseline
-    /// file and the docs table.
+    /// Stable kebab-case id — referenced by allow comments and the docs
+    /// table.
     pub id: &'static str,
     /// One-sentence summary of the invariant it machine-checks.
     pub summary: &'static str,
@@ -46,18 +52,6 @@ pub struct Rule {
 /// hygiene).
 pub const REGISTRY: &[Rule] = &[
     Rule {
-        id: "safety-comment",
-        summary: "every `unsafe` block or fn is immediately preceded by (or trails on) a `// SAFETY:` comment stating the proof obligation",
-        scope: "every workspace .rs file",
-        kind: RuleKind::Lexical,
-    },
-    Rule {
-        id: "unsafe-scope",
-        summary: "`unsafe` appears nowhere: the allowlist is empty, so every `unsafe` block or fn is a finding",
-        scope: "every workspace .rs file",
-        kind: RuleKind::Lexical,
-    },
-    Rule {
         id: "map-iteration",
         summary: "no iteration over HashMap/HashSet in result-producing crates (iter/keys/values/drain/for-in) — hash maps are lookup-only; ordered output must come from Vec/BTreeMap or an explicit sort",
         scope: "result crates (frame, parallel, top500, hwdb, easyc, ghg, analysis, src/)",
@@ -67,12 +61,6 @@ pub const REGISTRY: &[Rule] = &[
         id: "wall-clock",
         summary: "no Instant::now / SystemTime / env::var in result paths — wall-clock and environment entropy live only in bench/criterion/test code",
         scope: "every non-bench, non-test .rs file",
-        kind: RuleKind::Lexical,
-    },
-    Rule {
-        id: "thread-spawn",
-        summary: "no std::thread::spawn / thread::Builder outside parallel::*, top500::stream and the serve front end — all compute parallelism goes through parallel::run; serve spawns only its acceptor, per-connection readers and request-queue workers",
-        scope: "every workspace .rs file outside the spawn allowlist",
         kind: RuleKind::Lexical,
     },
     Rule {

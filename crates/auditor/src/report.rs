@@ -1,17 +1,8 @@
-//! CI-native reporting: output formats and the findings baseline.
+//! CI-native reporting: the output formats of `check`.
 //!
-//! Three formats: `text` (human, one finding per line), `json` (a
-//! deterministic array of flat objects — stable key order, findings
-//! pre-sorted by the engine, so two runs over the same tree are
-//! byte-identical), and `github` (workflow commands that annotate PR
-//! diffs).
-//!
-//! The baseline (`audit-baseline.json`, same shape as `--format json`
-//! output) grandfathers known findings: a finding matching a baseline
-//! entry on `(path, line, rule)` is reported but does not fail the run;
-//! findings *not* in the baseline fail CI; baseline entries no longer
-//! observed are flagged as stale so the file is burned down, never
-//! accreted.
+//! Two formats: `text` (human, one finding per line) and `github`
+//! (workflow commands that annotate PR diffs). Findings arrive pre-sorted
+//! by the engine, so two runs over the same tree render byte-identically.
 
 use crate::rules::Violation;
 
@@ -20,8 +11,6 @@ use crate::rules::Violation;
 pub enum Format {
     /// One `path:line: rule: message` line per finding.
     Text,
-    /// Deterministic JSON array (also the baseline file shape).
-    Json,
     /// GitHub Actions `::error` workflow commands.
     Github,
 }
@@ -31,116 +20,29 @@ impl Format {
     pub fn parse(s: &str) -> Option<Format> {
         match s {
             "text" => Some(Format::Text),
-            "json" => Some(Format::Json),
             "github" => Some(Format::Github),
             _ => None,
         }
     }
 }
 
-/// Identity of a finding for baseline matching.
-pub type Key = (String, usize, String);
-
-/// The `(path, line, rule)` identity of a violation.
-pub fn key(v: &Violation) -> Key {
-    (v.path.clone(), v.line, v.rule.to_string())
-}
-
-/// Findings split against a baseline.
-#[derive(Debug, Default)]
-pub struct Diff {
-    /// Findings not in the baseline — these fail the run.
-    pub new: Vec<Violation>,
-    /// Findings matched by a baseline entry — reported, not fatal.
-    pub grandfathered: Vec<Violation>,
-    /// Baseline entries that no longer match any finding — the baseline
-    /// should be regenerated (`--write-baseline`) to burn them down.
-    pub stale: Vec<Key>,
-}
-
-/// Splits `violations` against `baseline` keys.
-pub fn diff(violations: &[Violation], baseline: &[Key]) -> Diff {
-    let mut out = Diff::default();
-    let mut used = vec![false; baseline.len()];
-    for v in violations {
-        let k = key(v);
-        match baseline.iter().position(|b| *b == k) {
-            Some(i) => {
-                used[i] = true;
-                out.grandfathered.push(v.clone());
-            }
-            None => out.new.push(v.clone()),
-        }
-    }
-    for (i, b) in baseline.iter().enumerate() {
-        if !used[i] {
-            out.stale.push(b.clone());
-        }
-    }
-    out
-}
-
-/// Renders findings in the requested format (no baseline annotations).
+/// Renders findings in the requested format.
 pub fn render(format: Format, violations: &[Violation]) -> String {
-    match format {
-        Format::Text => {
-            let mut s = String::new();
-            for v in violations {
-                s.push_str(&v.to_string());
-                s.push('\n');
-            }
-            s
+    let mut s = String::new();
+    for v in violations {
+        match format {
+            Format::Text => s.push_str(&v.to_string()),
+            Format::Github => s.push_str(&format!(
+                "::error file={},line={},title={}::{}",
+                command_value(&v.path),
+                v.line,
+                command_value(v.rule),
+                command_message(&v.message),
+            )),
         }
-        Format::Json => to_json(violations),
-        Format::Github => {
-            let mut s = String::new();
-            for v in violations {
-                s.push_str(&format!(
-                    "::error file={},line={},title={}::{}\n",
-                    command_value(&v.path),
-                    v.line,
-                    command_value(v.rule),
-                    command_message(&v.message),
-                ));
-            }
-            s
-        }
+        s.push('\n');
     }
-}
-
-/// Serialises findings as the canonical JSON array (baseline shape).
-pub fn to_json(violations: &[Violation]) -> String {
-    let mut s = String::from("[\n");
-    for (i, v) in violations.iter().enumerate() {
-        s.push_str(&format!(
-            "  {{\"path\": {}, \"line\": {}, \"rule\": {}, \"message\": {}}}{}\n",
-            json_string(&v.path),
-            v.line,
-            json_string(v.rule),
-            json_string(&v.message),
-            if i + 1 < violations.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("]\n");
     s
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Escapes a GitHub workflow-command property value.
@@ -159,211 +61,9 @@ fn command_message(s: &str) -> String {
         .replace('\n', "%0A")
 }
 
-// ------------------------------------------------- baseline JSON parsing
-
-/// Parses a baseline file (the `--format json` shape) into match keys.
-/// Std-only recursive-descent over the tiny subset we emit; tolerates any
-/// flat string/number fields but requires `path`, `line` and `rule`.
-pub fn parse_baseline(src: &str) -> Result<Vec<Key>, String> {
-    let mut p = Parser {
-        bytes: src.as_bytes(),
-        at: 0,
-    };
-    p.ws();
-    let keys = p.array()?;
-    p.ws();
-    if p.at != p.bytes.len() {
-        return Err(format!("trailing bytes at offset {}", p.at));
-    }
-    Ok(keys)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl Parser<'_> {
-    fn ws(&mut self) {
-        while matches!(self.bytes.get(self.at), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.at += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.bytes.get(self.at) == Some(&b) {
-            self.at += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at offset {}", b as char, self.at))
-        }
-    }
-
-    fn array(&mut self) -> Result<Vec<Key>, String> {
-        self.eat(b'[')?;
-        let mut out = Vec::new();
-        self.ws();
-        if self.bytes.get(self.at) == Some(&b']') {
-            self.at += 1;
-            return Ok(out);
-        }
-        loop {
-            self.ws();
-            out.push(self.object()?);
-            self.ws();
-            match self.bytes.get(self.at) {
-                Some(b',') => self.at += 1,
-                Some(b']') => {
-                    self.at += 1;
-                    return Ok(out);
-                }
-                _ => return Err(format!("expected `,` or `]` at offset {}", self.at)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Key, String> {
-        self.eat(b'{')?;
-        let mut path = None;
-        let mut line = None;
-        let mut rule = None;
-        loop {
-            self.ws();
-            if self.bytes.get(self.at) == Some(&b'}') {
-                self.at += 1;
-                break;
-            }
-            let k = self.string()?;
-            self.ws();
-            self.eat(b':')?;
-            self.ws();
-            match self.bytes.get(self.at) {
-                Some(b'"') => {
-                    let v = self.string()?;
-                    if k == "path" {
-                        path = Some(v);
-                    } else if k == "rule" {
-                        rule = Some(v);
-                    }
-                }
-                Some(c) if c.is_ascii_digit() => {
-                    let start = self.at;
-                    while matches!(self.bytes.get(self.at), Some(c) if c.is_ascii_digit()) {
-                        self.at += 1;
-                    }
-                    let text = std::str::from_utf8(&self.bytes[start..self.at])
-                        .map_err(|_| "non-UTF8 number".to_string())?;
-                    let n: usize = text
-                        .parse()
-                        .map_err(|_| format!("bad number at offset {start}"))?;
-                    if k == "line" {
-                        line = Some(n);
-                    }
-                }
-                _ => return Err(format!("unsupported value at offset {}", self.at)),
-            }
-            self.ws();
-            if self.bytes.get(self.at) == Some(&b',') {
-                self.at += 1;
-            }
-        }
-        match (path, line, rule) {
-            (Some(p), Some(l), Some(r)) => Ok((p, l, r)),
-            _ => Err("baseline entry missing path/line/rule".to_string()),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.at) {
-                Some(b'"') => {
-                    self.at += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.at += 1;
-                    match self.bytes.get(self.at) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.at + 1..self.at + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "non-UTF8 \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.at += 4;
-                        }
-                        _ => return Err(format!("bad escape at offset {}", self.at)),
-                    }
-                    self.at += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (we sliced on byte bounds,
-                    // so re-decode from the remaining tail).
-                    let tail = std::str::from_utf8(&self.bytes[self.at..])
-                        .map_err(|_| "non-UTF8 string".to_string())?;
-                    let c = tail.chars().next().ok_or("truncated string")?;
-                    out.push(c);
-                    self.at += c.len_utf8();
-                }
-                None => return Err("unterminated string".to_string()),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn v(path: &str, line: usize, rule: &'static str) -> Violation {
-        Violation {
-            path: path.to_string(),
-            line,
-            rule,
-            message: format!("msg for {rule} — with \"quotes\" and\nnewline"),
-        }
-    }
-
-    #[test]
-    fn json_round_trips_through_baseline_parser() {
-        let vs = vec![
-            v("crates/a/src/lib.rs", 3, "panic-surface"),
-            v("src/main.rs", 9, "dead-public"),
-        ];
-        let json = to_json(&vs);
-        let keys = parse_baseline(&json).unwrap();
-        assert_eq!(keys, vs.iter().map(key).collect::<Vec<_>>());
-        // Deterministic across repeated serialisation.
-        assert_eq!(json, to_json(&vs));
-    }
-
-    #[test]
-    fn diff_splits_new_grandfathered_stale() {
-        let vs = vec![v("a.rs", 1, "lock-order"), v("b.rs", 2, "dead-public")];
-        let baseline = vec![
-            ("b.rs".to_string(), 2, "dead-public".to_string()),
-            ("gone.rs".to_string(), 7, "lock-order".to_string()),
-        ];
-        let d = diff(&vs, &baseline);
-        assert_eq!(d.new.len(), 1);
-        assert_eq!(d.new[0].path, "a.rs");
-        assert_eq!(d.grandfathered.len(), 1);
-        assert_eq!(
-            d.stale,
-            vec![("gone.rs".to_string(), 7, "lock-order".to_string())]
-        );
-    }
 
     #[test]
     fn github_format_escapes_commands() {
@@ -378,11 +78,5 @@ mod tests {
             out,
             "::error file=a%2Cb.rs,line=4,title=lock-order::50%25 bad%0Asecond line\n"
         );
-    }
-
-    #[test]
-    fn empty_baseline_parses() {
-        assert!(parse_baseline("[]\n").unwrap().is_empty());
-        assert!(parse_baseline("nope").is_err());
     }
 }

@@ -46,8 +46,6 @@ struct FileScope {
     result_crate: bool,
     /// `easyc` sources: float reductions must be ordered folds.
     easyc_src: bool,
-    /// Modules allowed to spawn raw threads.
-    spawn_allowed: bool,
     /// The one module allowed to accumulate carbon totals directly: the
     /// running fold itself (`easyc::partial`).
     partial_allowed: bool,
@@ -72,9 +70,6 @@ impl FileScope {
                 || path.starts_with("crates/analysis/src/")
                 || path.starts_with("src/"),
             easyc_src: path.starts_with("crates/easyc/src/"),
-            spawn_allowed: path.starts_with("crates/parallel/src/")
-                || path == "crates/top500/src/stream.rs"
-                || path.starts_with("crates/serve/src/"),
             partial_allowed: path == "crates/easyc/src/partial.rs",
         }
     }
@@ -85,7 +80,6 @@ impl FileScope {
 struct FileCtx<'a> {
     path: &'a str,
     lexed: Lexed,
-    lines: Vec<&'a str>,
     scope: FileScope,
     /// `#[cfg(test)] mod`- and `#[test]` fn line ranges (inclusive).
     test_ranges: Vec<(usize, usize)>,
@@ -255,28 +249,25 @@ fn covered_lines(lexed: &Lexed, c: &Comment) -> Vec<usize> {
 /// Audits one file's source text. `path` must be workspace-relative with
 /// forward slashes (it selects which rules apply).
 pub fn audit_source(path: &str, source: &str) -> Vec<Violation> {
-    audit_file(path, source, lex(source)).0
+    audit_file(path, lex(source)).0
 }
 
 /// The per-file engine behind [`audit_source`]: takes the pre-lexed file
 /// and additionally returns the parsed allow comments, so the workspace
 /// driver can apply the same escape hatch to semantic findings without
 /// lexing twice.
-pub(crate) fn audit_file(path: &str, source: &str, lexed: Lexed) -> (Vec<Violation>, Vec<Allow>) {
+pub(crate) fn audit_file(path: &str, lexed: Lexed) -> (Vec<Violation>, Vec<Allow>) {
     let ctx = FileCtx {
         path,
         test_ranges: test_line_ranges(&lexed),
-        lines: source.lines().collect(),
         scope: FileScope::of(path),
         lexed,
     };
     let allows = parse_allows(&ctx.lexed);
 
     let mut violations = Vec::new();
-    rule_unsafe(&ctx, &mut violations);
     rule_map_iteration(&ctx, &mut violations);
     rule_wall_clock(&ctx, &mut violations);
-    rule_thread_spawn(&ctx, &mut violations);
     rule_float_sum(&ctx, &mut violations);
     rule_partial_merge(&ctx, &mut violations);
 
@@ -318,75 +309,6 @@ fn push(out: &mut Vec<Violation>, ctx: &FileCtx, line: usize, rule: &'static str
         rule,
         message: msg,
     });
-}
-
-// ------------------------------------------------- safety-comment + scope
-
-fn rule_unsafe(ctx: &FileCtx, out: &mut Vec<Violation>) {
-    for t in &ctx.lexed.tokens {
-        if t.kind != TokKind::Ident || t.text != "unsafe" {
-            continue;
-        }
-        push(
-            out,
-            ctx,
-            t.line,
-            "unsafe-scope",
-            "`unsafe` is forbidden in every workspace file (the allowlist is empty) — use a safe std primitive, e.g. std::thread::scope for borrowed parallel work".into(),
-        );
-        if !has_safety_comment(ctx, t.line) {
-            push(
-                out,
-                ctx,
-                t.line,
-                "safety-comment",
-                "`unsafe` without an immediately preceding `// SAFETY:` comment stating why the invariants hold".into(),
-            );
-        }
-    }
-}
-
-/// A SAFETY comment counts when it trails the `unsafe` line itself, or when
-/// the contiguous comment block directly above the statement containing the
-/// `unsafe` mentions `SAFETY:`. Attribute lines and multi-line statement
-/// continuations between the comment and the `unsafe` are skipped.
-fn has_safety_comment(ctx: &FileCtx, unsafe_line: usize) -> bool {
-    if matches!(ctx.lexed.comment_at(unsafe_line), Some(c) if c.text.contains("SAFETY:")) {
-        return true;
-    }
-    let mut line = unsafe_line.saturating_sub(1);
-    while line >= 1 {
-        if let Some(c) = ctx.lexed.comment_at(line) {
-            // Walk the contiguous comment block upwards.
-            let mut cur = c;
-            loop {
-                if cur.text.contains("SAFETY:") {
-                    return true;
-                }
-                match cur
-                    .start_line
-                    .checked_sub(1)
-                    .and_then(|l| ctx.lexed.comment_at(l))
-                {
-                    Some(above) => cur = above,
-                    None => return false,
-                }
-            }
-        }
-        let text = ctx.lines.get(line - 1).map_or("", |l| l.trim());
-        if text.is_empty() {
-            return false;
-        }
-        if text.starts_with("#[") || text.starts_with("#!") {
-            line -= 1; // attribute between comment and item
-            continue;
-        }
-        if text.ends_with(';') || text.ends_with('{') || text.ends_with('}') {
-            return false; // previous statement ended here — nothing directly above
-        }
-        line -= 1; // continuation line of the same statement
-    }
-    false
 }
 
 // --------------------------------------------------------- map-iteration
@@ -559,30 +481,6 @@ fn rule_wall_clock(ctx: &FileCtx, out: &mut Vec<Violation>) {
                 line,
                 "wall-clock",
                 format!("{what} in a result path — timing belongs in bench/criterion/test code"),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------- thread-spawn
-
-fn rule_thread_spawn(ctx: &FileCtx, out: &mut Vec<Violation>) {
-    if ctx.scope.spawn_allowed {
-        return;
-    }
-    let lexed = &ctx.lexed;
-    for i in 0..lexed.tokens.len() {
-        if lexed.ident(i) == Some("thread")
-            && lexed.is_punct(i + 1, ':')
-            && lexed.is_punct(i + 2, ':')
-            && matches!(lexed.ident(i + 3), Some("spawn") | Some("Builder"))
-        {
-            push(
-                out,
-                ctx,
-                lexed.tokens[i].line,
-                "thread-spawn",
-                "raw thread creation outside parallel::* / top500::stream / serve — run planned jobs through parallel::run so execution stays planned and deterministic".into(),
             );
         }
     }

@@ -6,7 +6,7 @@
 //! the caller's dependency closure, and lock spans are assumed to extend to
 //! the end of the acquiring function — so a finding is "possible by the
 //! graph", not "proven at runtime". The escape-hatch comment (see the
-//! crate docs) and the CI baseline absorb deliberate exceptions.
+//! crate docs) absorbs deliberate exceptions.
 
 use std::collections::{BTreeMap, BTreeSet};
 

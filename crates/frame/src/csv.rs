@@ -1094,7 +1094,8 @@ mod tests {
     }
 
     #[test]
-    fn typed_writer_renders_every_kind_like_value_display() {
+    fn typed_writer_renders_every_kind_like_display() {
+        // Each cell is its value's `Display` text, escaped; a null is empty.
         let df = DataFrame::new()
             .with_column("s", Column::Str(vec![Some("a\"b".into()), None]))
             .unwrap()
@@ -1104,21 +1105,6 @@ mod tests {
             .unwrap()
             .with_column("b", Column::Bool(vec![None, Some(true)]))
             .unwrap();
-        let mut expected = String::from("s,i,f,b\n");
-        for row in 0..df.len() {
-            let cells: Vec<String> = df
-                .names()
-                .iter()
-                .map(|name| {
-                    let mut cell = String::new();
-                    escape_into(&mut cell, &df.value(name, row).unwrap().to_string());
-                    cell
-                })
-                .collect();
-            expected.push_str(&cells.join(","));
-            expected.push('\n');
-        }
-        assert_eq!(write(&df), expected);
         assert_eq!(
             write(&df),
             "s,i,f,b\n\"a\"\"b\",-7,-0,\n,,1000000000000000000000,true\n"

@@ -37,13 +37,6 @@ pub enum FrameError {
         /// Description of the problem.
         message: String,
     },
-    /// Row index out of bounds.
-    RowOutOfBounds {
-        /// Requested row.
-        row: usize,
-        /// Number of rows in the frame.
-        len: usize,
-    },
     /// Operation required a non-empty input (e.g. quantile of nothing).
     Empty(&'static str),
     /// An underlying reader failed while streaming CSV chunks. The message
@@ -73,9 +66,6 @@ impl fmt::Display for FrameError {
             } => write!(f, "column `{column}` is of type {actual}, not {requested}"),
             FrameError::DuplicateColumn(name) => write!(f, "column `{name}` already exists"),
             FrameError::Csv { line, message } => write!(f, "CSV error at line {line}: {message}"),
-            FrameError::RowOutOfBounds { row, len } => {
-                write!(f, "row {row} out of bounds for frame of {len} rows")
-            }
             FrameError::Empty(what) => write!(f, "{what} requires a non-empty input"),
             FrameError::Io(message) => write!(f, "I/O error: {message}"),
             FrameError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),

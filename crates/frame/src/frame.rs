@@ -1,9 +1,8 @@
 //! The [`DataFrame`] type: equal-length named columns with relational
 //! operations sized for this study (hundreds to millions of rows).
 
-use crate::column::{Column, Value};
+use crate::column::Column;
 use crate::error::{FrameError, Result};
-use std::collections::HashMap;
 
 /// An ordered set of named, equal-length, nullable columns.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -80,54 +79,13 @@ impl DataFrame {
     }
 
     /// Borrow a column by name.
-    pub fn column(&self, name: &str) -> Result<&Column> {
+    fn column(&self, name: &str) -> Result<&Column> {
         Ok(&self.columns[self.index_of(name)?])
     }
 
     /// Numeric view of a column (integers widen to f64).
     pub fn numeric(&self, name: &str) -> Result<Vec<Option<f64>>> {
         self.column(name)?.numeric(name)
-    }
-
-    /// One cell as an owned [`Value`].
-    pub fn value(&self, name: &str, row: usize) -> Result<Value> {
-        if row >= self.rows {
-            return Err(FrameError::RowOutOfBounds {
-                row,
-                len: self.rows,
-            });
-        }
-        Ok(self.column(name)?.value(row))
-    }
-
-    /// Group rows by the string key in `key` (nulls grouped under `None`)
-    /// and return `(key, row_indices)` pairs in first-appearance order.
-    pub(crate) fn group_indices_by_str(
-        &self,
-        key: &str,
-    ) -> Result<Vec<(Option<String>, Vec<usize>)>> {
-        let col = self.column(key)?;
-        let values = col.as_str().ok_or_else(|| FrameError::TypeMismatch {
-            column: key.to_string(),
-            requested: "str",
-            actual: col.type_name(),
-        })?;
-        let mut order: Vec<Option<String>> = Vec::new();
-        let mut map: HashMap<Option<String>, Vec<usize>> = HashMap::new();
-        for (i, v) in values.iter().enumerate() {
-            let entry = map.entry(v.clone());
-            if let std::collections::hash_map::Entry::Vacant(_) = entry {
-                order.push(v.clone());
-            }
-            map.entry(v.clone()).or_default().push(i);
-        }
-        Ok(order
-            .into_iter()
-            .map(|k| {
-                let rows = map.remove(&k).expect("key recorded in order map");
-                (k, rows)
-            })
-            .collect())
     }
 }
 
@@ -189,16 +147,5 @@ mod tests {
             sample().column("nope"),
             Err(FrameError::UnknownColumn(_))
         ));
-    }
-
-    #[test]
-    fn group_by_string_keeps_first_appearance_order() {
-        let groups = sample().group_indices_by_str("vendor").unwrap();
-        let keys: Vec<_> = groups.iter().map(|(k, _)| k.clone()).collect();
-        assert_eq!(
-            keys,
-            vec![Some("HPE".to_string()), None, Some("Dell".to_string())]
-        );
-        assert_eq!(groups[0].1, vec![0, 1]);
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! - [`Column`]: a nullable, typed column (`f64` / `i64` / `String` / `bool`).
 //! - [`DataFrame`]: an ordered collection of equal-length named columns with
-//!   cell and numeric-column access and group-by.
+//!   numeric-column access.
 //! - [`csv`]: dependency-free CSV reading and writing. Readers are typed by
 //!   their schema: each pulls records from one byte-level tokenizer, maps
 //!   the header onto the columns it knows and reads text verbatim and
@@ -26,7 +26,6 @@
 //! Everything is deterministic and allocates predictably; hot paths take
 //! slices, not owned vectors (see the workspace performance guide).
 
-pub mod agg;
 pub mod bitset;
 pub mod column;
 pub mod csv;
@@ -35,6 +34,6 @@ pub mod frame;
 pub mod stats;
 
 pub use bitset::Bitset;
-pub use column::{Column, Value};
+pub use column::Column;
 pub use error::{FrameError, Result};
 pub use frame::DataFrame;

@@ -83,6 +83,10 @@ pub fn run(workers: usize, jobs: Vec<Job<'_>>) {
         }
     };
     let panic = std::thread::scope(|s| {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the planned-job runner itself: scoped helpers that join before `run` returns"
+        )]
         let helpers: Vec<_> = (1..threads)
             .filter_map(|_| std::thread::Builder::new().spawn_scoped(s, drain).ok())
             .collect();

@@ -196,6 +196,10 @@ pub fn spawn(
 
     let (tx, rx) = sync_channel::<Request>(config.queue_depth.max(1));
     let accept_shared = Arc::clone(&shared);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "serve's one acceptor thread, joined on shutdown"
+    )]
     let accept = std::thread::Builder::new()
         .name("serve-accept".into())
         .spawn(move || {
@@ -207,6 +211,10 @@ pub fn spawn(
                 let Ok(stream) = stream else { continue };
                 let tx = tx.clone();
                 let conn_shared = Arc::clone(&accept_shared);
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "one reader per connection; queries still fan out through `parallel::run`"
+                )]
                 let handle = std::thread::Builder::new()
                     .name("serve-conn".into())
                     .spawn(move || connection(stream, tx, conn_shared));
@@ -240,6 +248,10 @@ pub fn spawn(
         let shared = Arc::clone(&server.shared);
         // On a failed spawn, dropping `server` stops and joins every
         // thread started so far.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the fixed set of request-queue workers, joined on shutdown"
+        )]
         let worker = std::thread::Builder::new()
             .name(format!("serve-worker-{i}"))
             .spawn(move || drain_queue(&rx, &shared))?;

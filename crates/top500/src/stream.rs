@@ -215,6 +215,10 @@ impl<E: Send + 'static> Prefetched<E> {
         let (tx, rx) = sync_channel::<Result<Top500List, E>>(0);
         let probe = PrefetchProbe::new();
         let thread_probe = probe.clone();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "one parse thread per stream, bounded one chunk ahead by a rendezvous channel"
+        )]
         let worker = std::thread::Builder::new()
             .name("chunk-prefetch".into())
             .spawn(move || {

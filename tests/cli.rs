@@ -292,3 +292,60 @@ fn byte_order_marked_matrix_and_systems_sweep_like_plain_files() {
         assert!(p.3 == m.3, "stream {}: --out differs", p.1);
     }
 }
+
+#[cfg(unix)]
+#[test]
+fn a_streamed_out_of_a_wide_matrix_fits_a_small_open_file_limit() {
+    // The streamed writer spills each scenario's rows to its own sidecar;
+    // 200 scenarios under a 64-file limit pass only if a sidecar is open
+    // just while a block is appended to it.
+    let dir = std::env::temp_dir().join(format!("cli-wide-matrix-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the scratch dir");
+    let matrix = dir.join("matrix.csv");
+    let mut csv = String::from("name,mask\n");
+    for i in 0..200 {
+        csv.push_str(&format!("s{i},all\n"));
+    }
+    std::fs::write(&matrix, csv).expect("write matrix");
+    let mut written = Vec::new();
+    for stream in [false, true] {
+        let out = dir.join(format!("out-{stream}.csv"));
+        let mut args = vec![
+            "sweep",
+            matrix.to_str().unwrap(),
+            "--synthetic",
+            "30",
+            "--out",
+            out.to_str().unwrap(),
+        ];
+        if stream {
+            args.extend(["--stream", "--chunk-rows", "7"]);
+        }
+        let output = Command::new("sh")
+            .arg("-c")
+            .arg(r#"ulimit -n 64 && exec "$0" "$@""#)
+            .arg(env!("CARGO_BIN_EXE_top500-carbon"))
+            .args(&args)
+            .output()
+            .expect("run the CLI under sh");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(0), "stream {stream}: {stderr}");
+        written.push(std::fs::read(&out).expect("read --out"));
+    }
+    let leftovers: Vec<String> = std::fs::read_dir(&dir)
+        .expect("list the scratch dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|name| name.contains(".part"))
+        .collect();
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        written[0] == written[1],
+        "in-memory and streamed --out differ"
+    );
+    assert!(leftovers.is_empty(), "sidecars left behind: {leftovers:?}");
+}

@@ -380,7 +380,10 @@ mod serve_failures {
             ..Default::default()
         });
         let addr = server.addr();
-        // audit: allow(thread-spawn) — test client parking the worker; no result computation on this thread
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test client parking the worker; no result computation on this thread"
+        )]
         let holder = std::thread::spawn(move || {
             let mut client = Client::connect(addr).unwrap();
             let response = client.request(r#"{"op":"hold"}"#).unwrap();
@@ -396,7 +399,10 @@ mod serve_failures {
             std::thread::sleep(Duration::from_millis(5));
         }
         // Occupy the single queue slot with a second compute request.
-        // audit: allow(thread-spawn) — test client occupying the queue slot; no result computation on this thread
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test client occupying the queue slot; no result computation on this thread"
+        )]
         let queued = std::thread::spawn(move || {
             let mut client = Client::connect(addr).unwrap();
             let response = client

@@ -369,10 +369,13 @@ fn concurrent_clients_see_identical_bytes_for_identical_queries() {
 
     // N threads × mixed ops: every thread issues the same fixed request
     // set (plus a per-thread variation) and records the raw bytes.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test clients hammering the server; no result computation happens on these threads"
+    )]
     let handles: Vec<_> = (0..8)
         .map(|t| {
             let matrix_csv = matrix_csv.clone();
-            // audit: allow(thread-spawn) — test clients hammering the server; no result computation happens on these threads
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
                 let shared_assess = client
