@@ -15,12 +15,17 @@
 //!
 //! ```text
 //! operational sample s:
-//!   factors(s)      ← stream(seed ^ FLEET_SEED_MIX, s)          systematic
+//!   factors(s)      ← stream(seed ^ FLEET_SEED_MIX, s << 32)    systematic
 //!   term(s, system) ← stream(seed ^ FLEET_SEED_MIX,             idiosyncratic
 //!                            (s << 32) | (system_index + 1))
 //! embodied sample s:
 //!   factors(s)      ← stream(seed ^ EMBODIED_SEED_MIX, s)       systematic only
 //! ```
+//!
+//! The `+ 1` keeps the low 32 bits of every noise key non-zero, and the
+//! factor key `s << 32` takes the zero slot, so a sample's factors never
+//! reuse one system's noise. (A sample index stays below [`MAX_DRAWS`] and
+//! a row below 2^32 − 1, so neither half of a key spills into the other.)
 //!
 //! `system_index` is the system's **global position in the fleet** (its
 //! row in the list, or its running row index across streamed chunks) — not
@@ -31,6 +36,11 @@
 //! (paired Monte-Carlo) construction, and it is what makes
 //! [`ScenarioDelta`] intervals — quantiles of per-draw *differences* —
 //! far tighter than differencing two independently-drawn bands.
+//!
+//! Each normal is one draw of its stream, inverted through the normal CDF
+//! (`parallel::rng::SplitMix64::next_normal`, Wichura's AS241): a monotone
+//! map of the shared uniform, which is the textbook coupling for common
+//! random numbers. A lognormal factor is `exp(σ·z)` of that normal.
 //!
 //! The per-scenario draw vectors are retained by the session output
 //! (`AssessmentOutput`, whatever the source), whose `compare(a, b)` builds
@@ -547,13 +557,16 @@ pub(crate) struct FleetFactors {
     util: f64,
 }
 
-/// Draws the systematic factors of operational sample `sample`.
+/// Draws the systematic factors of operational sample `sample`, from
+/// stream `sample << 32`: its low 32 bits are zero, where every noise key
+/// `(sample << 32) | (row + 1)` of [`operational_noise`] has a one, so no
+/// factor reuses a system's noise draw.
 pub(crate) fn fleet_factors(
     streams: &RngStreams,
     priors: &PriorUncertainty,
     sample: usize,
 ) -> FleetFactors {
-    let mut global = streams.stream(sample as u64);
+    let mut global = streams.stream((sample as u64) << 32);
     FleetFactors {
         pue: global.next_lognormal(0.0, priors.pue),
         util: global.next_lognormal(0.0, priors.utilization),
@@ -1087,6 +1100,85 @@ mod tests {
         for i in 0..plan.draws {
             assert_eq!(dab[i], da[i] + db[i], "draw {i}");
         }
+    }
+
+    #[test]
+    fn operational_factors_never_reuse_a_systems_noise() {
+        // Keyed `stream(s)`, sample s's factors would share sample 0's noise
+        // stream at row s − 1, and its PUE factor would be the lognormal of
+        // that system's noise draw: two independent draws, one number.
+        let plan = DrawPlan::new(64).with_seed(42);
+        let streams = plan.operational_streams();
+        let mut noise = [0.0; 63];
+        operational_noise(&streams, 0, 0, &mut noise);
+        for (sample, z) in (1..64).zip(noise) {
+            let factors = fleet_factors(&streams, &plan.priors, sample);
+            let priors = [plan.priors.pue, plan.priors.utilization];
+            for (factor, sigma) in [factors.pue, factors.util].into_iter().zip(priors) {
+                assert_ne!(factor, (0.0 + sigma * z).exp(), "sample {sample}");
+            }
+        }
+    }
+
+    #[test]
+    fn central_noise_bits_are_pinned_for_every_platform() {
+        // z(seed, sample, row) at central-branch draws: integer mixing, then
+        // `+ − × ÷` on exact inputs, so every IEEE-754 platform must give
+        // these bits. A tail value, a lognormal factor or an interval also
+        // passes through the host's `ln` or `exp`, and is pinned nowhere.
+        const GOLDEN: [(u64, usize, usize, u64); 9] = [
+            (0, 1, 0, 0xbfd5_007f_9e1d_81c6),
+            (0, 0, 1, 0xbfce_660b_59e0_66ff),
+            (0, 255, 49_999, 0x3fe4_f166_7572_6b69),
+            (42, 1, 0, 0xbf84_55e6_245e_fef8),
+            (42, 0, 1, 0xbfe1_f5d4_45d6_5a32),
+            (42, 255, 49_999, 0xbfec_ff59_2f23_e860),
+            (u64::MAX, 1, 0, 0xbfee_8ad9_eed9_00ab),
+            (u64::MAX, 0, 1, 0x3fea_19d4_27d3_9721),
+            (u64::MAX, 255, 49_999, 0xbff5_188a_44a7_56a1),
+        ];
+        for (seed, sample, row, bits) in GOLDEN {
+            let streams = DrawPlan::new(1).with_seed(seed).operational_streams();
+            let mut z = [0.0];
+            operational_noise(&streams, sample, row, &mut z);
+            // Φ⁻¹(0.925) ≈ 1.43953: the central branch ends there.
+            assert!(z[0].abs() < 1.4395, "seed {seed}: {} is a tail value", z[0]);
+            assert_eq!(z[0].to_bits(), bits, "seed {seed} ({sample}, {row})");
+        }
+    }
+
+    #[test]
+    #[ignore = "10^6 noise slots against 10^6 Box–Muller normals: a release-mode soak"]
+    fn noise_is_standard_normal_over_a_million_slots() {
+        const SAMPLES: usize = 1_000;
+        const ROWS: usize = 1_000;
+        let n = SAMPLES * ROWS;
+        let streams = DrawPlan::new(SAMPLES).with_seed(7).operational_streams();
+        let mut noise = vec![0.0; n];
+        for (sample, column) in noise.chunks_mut(ROWS).enumerate() {
+            operational_noise(&streams, sample, 0, column);
+        }
+        // The reference: Box–Muller, from a stream family of its own.
+        let reference = RngStreams::new(0xB0C5_3011);
+        let box_muller: Vec<f64> = (0..n as u64)
+            .map(|i| {
+                let mut rng = reference.stream(i);
+                let u1 = rng.next_f64().max(f64::MIN_POSITIVE);
+                let u2 = rng.next_f64();
+                (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+            })
+            .collect();
+        // The two-sample critical value at α = 0.001 is c·sqrt(2/n), with
+        // c = sqrt(−ln(α/2)/2) ≈ 1.9495: about 0.0028 here.
+        let critical = (-(0.001f64 / 2.0).ln() / 2.0).sqrt() * (2.0 / n as f64).sqrt();
+        let ks = stats::ks_statistic(&noise, &box_muller).unwrap();
+        assert!(ks < critical, "KS distance {ks}, critical {critical}");
+        // 4σ bands: σ = sqrt(1/n) for the mean, sqrt(2/n) for the variance.
+        let n = n as f64;
+        let mean = noise.iter().sum::<f64>() / n;
+        let var = noise.iter().map(|z| (z - mean) * (z - mean)).sum::<f64>() / n;
+        assert!(mean.abs() < 4.0 * (1.0 / n).sqrt(), "mean {mean}");
+        assert!((var - 1.0).abs() < 4.0 * (2.0 / n).sqrt(), "variance {var}");
     }
 
     #[test]

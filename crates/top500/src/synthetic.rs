@@ -136,9 +136,21 @@ pub fn generate_range(config: &SyntheticConfig, first: u32, last: u32) -> Vec<Sy
         .collect()
 }
 
+/// A standard normal by Box–Muller from the next two uniforms of `rng`
+/// (the pair's twin is discarded). The rank jitter has drawn its normal
+/// this way since the generator was calibrated, and every field generated
+/// after it reads the stream positions that follow these two draws, so
+/// the synthetic fleets keep every bit.
+fn box_muller(rng: &mut SplitMix64) -> f64 {
+    // Avoid ln(0) by offsetting u1 away from zero.
+    let u1 = rng.next_f64().max(f64::MIN_POSITIVE);
+    let u2 = rng.next_f64();
+    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+}
+
 fn generate_system(config: &SyntheticConfig, streams: &RngStreams, rank: u32) -> SystemRecord {
     let mut rng = streams.stream(u64::from(rank));
-    let jitter = rng.next_lognormal(0.0, 0.08);
+    let jitter = (0.0 + 0.08 * box_muller(&mut rng)).exp();
     let rmax = config.rank1_rmax_tflops * f64::from(rank).powf(-config.rmax_alpha) * jitter;
     let hpl_efficiency = 0.62 + 0.2 * rng.next_f64(); // Rmax / Rpeak
     let rpeak = rmax / hpl_efficiency;

@@ -453,14 +453,16 @@ const SOUP_HEADERS: &[&str] = &[
     "rank,rmax_tflops",
     "rank,rmax_tflops,name,vendor",
     "# template\nrank,rmax_tflops,power_kw",
+    "rank,rmax_tflops,year,name",
 ];
 
 /// Whole cells for rows shaped like the header: numbers (with `-0` and
-/// `-0.0`, whose signs a reader must keep apart), text that looks like a
-/// number or a boolean, quoted text holding separators, quotes, newlines
-/// and a `#` line, and tokens that read as missing. The first
-/// `SOUP_RANKS` cells are also drawn for `rank`, the first `SOUP_RMAX`
-/// for `rmax_tflops`, so many rows import and some do not.
+/// `-0.0`, whose signs a reader must keep apart), `u32::MAX` and numbers
+/// past it, text that looks like a number or a boolean, quoted text
+/// holding separators, quotes, newlines and a `#` line, and tokens that
+/// read as missing. The first `SOUP_RANKS` cells are also drawn for `rank`
+/// and `year`, the first `SOUP_RMAX` for `rmax_tflops`, so many rows
+/// import and some do not.
 const SOUP_CELLS: &[&str] = &[
     "1",
     "2",
@@ -470,11 +472,14 @@ const SOUP_CELLS: &[&str] = &[
     "2.5",
     "-0",
     "x",
+    "4294967295",
+    "4294967296",
+    "1e10",
+    "1e999",
     "-0.0",
     "1.50",
     "007",
     "",
-    "1e999",
     "NaN",
     "inf",
     "True",
@@ -487,7 +492,7 @@ const SOUP_CELLS: &[&str] = &[
     "\"two\n# lines\"",
     "\u{e9}",
 ];
-const SOUP_RANKS: usize = 8;
+const SOUP_RANKS: usize = 12;
 const SOUP_RMAX: usize = 7;
 
 /// One line of a soup case: a row shaped like the header, byte soup, a
@@ -497,22 +502,22 @@ fn soup_line(
     kind: usize,
     picks: &[usize],
     crlf: bool,
-    width: usize,
+    columns: &[&str],
     utf8: bool,
 ) {
     let pick = |i: usize, of: usize| picks.get(i).map_or(0, |p| p % of);
     match kind {
         0..=11 => {
-            for column in 0..width {
-                let of = match column {
-                    0 => SOUP_RANKS,
-                    1 => SOUP_RMAX,
+            for (i, column) in columns.iter().enumerate() {
+                let of = match *column {
+                    "rank" | "year" => SOUP_RANKS,
+                    "rmax_tflops" => SOUP_RMAX,
                     _ => SOUP_CELLS.len(),
                 };
-                if column > 0 {
+                if i > 0 {
                     out.push(b',');
                 }
-                out.extend_from_slice(SOUP_CELLS[pick(column, of)].as_bytes());
+                out.extend_from_slice(SOUP_CELLS[pick(i, of)].as_bytes());
             }
         }
         12 | 13 => {
@@ -551,7 +556,14 @@ fn byte_soup() -> impl Strategy<Value = Vec<u8>> {
     )
         .prop_map(|(header, lines, utf8, bom)| {
             let header = SOUP_HEADERS[header];
-            let width = header.lines().last().map_or(3, |h| h.split(',').count());
+            // Rows without a header are three columns wide, drawn as
+            // `rank`, `rmax_tflops` and any cell.
+            let columns: Vec<&str> = header
+                .lines()
+                .last()
+                .map_or(vec!["rank", "rmax_tflops", "name"], |h| {
+                    h.split(',').collect()
+                });
             let mut bytes = Vec::new();
             if bom == 0 {
                 bytes.extend_from_slice("\u{feff}".as_bytes());
@@ -561,10 +573,90 @@ fn byte_soup() -> impl Strategy<Value = Vec<u8>> {
                 bytes.push(b'\n');
             }
             for (kind, picks, crlf) in lines {
-                soup_line(&mut bytes, kind, &picks, crlf, width, utf8);
+                soup_line(&mut bytes, kind, &picks, crlf, &columns, utf8);
             }
             bytes
         })
+}
+
+/// What importing a systems CSV gives for `rank` and `year`.
+#[derive(Debug, PartialEq)]
+enum Imported {
+    /// Every row's `(rank, year)`, in rank order.
+    Rows(Vec<(u32, Option<u32>)>),
+    /// A `BadRow` at a 0-based data row, naming its column.
+    BadRow(usize, String),
+    /// Any other error: a malformed or short record, or a header without
+    /// `rank` or `rmax_tflops`.
+    Failed,
+}
+
+impl Imported {
+    fn of(import: &Result<Vec<SystemRecord>, ImportError>) -> Imported {
+        match import {
+            Ok(systems) => Imported::Rows(systems.iter().map(|s| (s.rank, s.year)).collect()),
+            Err(ImportError::BadRow { row, message }) => {
+                let column = message.split([' ', '`']).next().unwrap_or_default();
+                Imported::BadRow(*row, column.to_string())
+            }
+            Err(_) => Imported::Failed,
+        }
+    }
+}
+
+/// A `rank` or `year` cell by `top500::io`'s rule: read by `csv::number`,
+/// at least 0, truncated, at most `u32::MAX` (`Err` past it). `Ok(None)`
+/// is a cell that is no such number.
+fn whole_number(cell: &str) -> Result<Option<u32>, ()> {
+    match csv::number(cell) {
+        Some(v) if v >= 0.0 && v.trunc() <= f64::from(u32::MAX) => Ok(Some(v.trunc() as u32)),
+        Some(v) if v >= 0.0 => Err(()),
+        _ => Ok(None),
+    }
+}
+
+/// A plain reference import over `oracle_tokens`: the header names the
+/// columns, then each row in order must have the header's width, a
+/// `rank` (no number is a `BadRow` too), a `year` that fits if it has one,
+/// and a positive `rmax_tflops`; the first row that breaks a rule decides.
+fn reference_import(text: &str) -> Imported {
+    let text = text.strip_prefix('\u{feff}').unwrap_or(text);
+    let (records, error) = oracle_tokens(text, true);
+    let mut records = records.into_iter();
+    let Some((header, _)) = records.next() else {
+        return Imported::Failed;
+    };
+    let at = |name: &str| header.iter().position(|h| h == name);
+    let distinct = header
+        .iter()
+        .collect::<std::collections::HashSet<_>>()
+        .len()
+        == header.len();
+    let (Some(rank_at), Some(rmax_at), true) = (at("rank"), at("rmax_tflops"), distinct) else {
+        return Imported::Failed;
+    };
+    let mut rows = Vec::new();
+    for (row, (fields, mismatch)) in records.enumerate() {
+        if mismatch.is_some() {
+            return Imported::Failed;
+        }
+        let bad = |column: &str| Imported::BadRow(row, column.to_string());
+        let Ok(Some(rank)) = whole_number(&fields[rank_at]) else {
+            return bad("rank");
+        };
+        let Ok(year) = at("year").map_or(Ok(None), |y| whole_number(&fields[y])) else {
+            return bad("year");
+        };
+        if !csv::number(&fields[rmax_at]).is_some_and(|v| v > 0.0) {
+            return bad("rmax_tflops");
+        }
+        rows.push((rank, year));
+    }
+    if error.is_some() {
+        return Imported::Failed;
+    }
+    rows.sort_by_key(|&(rank, _)| rank);
+    Imported::Rows(rows)
 }
 
 proptest! {
@@ -576,7 +668,9 @@ proptest! {
         // UTF-8); a streamed fleet must end the same way at every chunk
         // budget; the whole-file import must agree with it; and the
         // scenario-matrix reader, fed the soup bare and under a matrix
-        // header, must answer without panicking.
+        // header, must answer without panicking. Ranks and years, `u32::MAX`
+        // and past it among them, must import as a plain reference reads
+        // them.
         let text = std::str::from_utf8(&bytes).ok();
         for comments in [false, true] {
             let tokens = tokenizer_tokens(&bytes, comments);
@@ -592,6 +686,7 @@ proptest! {
         if let Some(text) = text {
             let imported = import_csv(text).map(|list| list.systems().to_vec());
             prop_assert_eq!(&imported, &fleet);
+            prop_assert_eq!(Imported::of(&imported), reference_import(text));
             let _ = ScenarioMatrix::from_csv(text);
             let _ = ScenarioMatrix::from_csv(&format!("name,mask,aci_override\n{text}"));
         }
