@@ -184,19 +184,6 @@ impl CarbonByRank {
         }
     }
 
-    /// Number of points with an operational value.
-    pub fn operational_count(&self) -> usize {
-        self.points.iter().filter(|(_, op, _)| op.is_some()).count()
-    }
-
-    /// Number of points with an embodied value.
-    pub fn embodied_count(&self) -> usize {
-        self.points
-            .iter()
-            .filter(|(_, _, emb)| emb.is_some())
-            .count()
-    }
-
     /// CSV rendering.
     pub(crate) fn to_csv(&self) -> String {
         let rows: Vec<Vec<String>> = self
@@ -635,6 +622,17 @@ mod tests {
         top500::appendix::load()
     }
 
+    /// Points with an operational value and points with an embodied value.
+    fn counts(fig: &CarbonByRank) -> (usize, usize) {
+        let op = fig.points.iter().filter(|(_, op, _)| op.is_some()).count();
+        let emb = fig
+            .points
+            .iter()
+            .filter(|(_, _, emb)| emb.is_some())
+            .count();
+        (op, emb)
+    }
+
     #[test]
     fn fig2_bars_cover_all_systems() {
         let out = StudyPipeline::new(500, 7).run();
@@ -684,15 +682,13 @@ mod tests {
     #[test]
     fn fig3_counts_match_coverage() {
         let fig = CarbonByRank::fig3(&rows());
-        assert_eq!(fig.operational_count(), 391);
-        assert_eq!(fig.embodied_count(), 283);
+        assert_eq!(counts(&fig), (391, 283));
     }
 
     #[test]
     fn fig8_is_complete() {
         let fig = CarbonByRank::fig8(&rows());
-        assert_eq!(fig.operational_count(), 500);
-        assert_eq!(fig.embodied_count(), 500);
+        assert_eq!(counts(&fig), (500, 500));
     }
 
     #[test]

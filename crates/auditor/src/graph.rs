@@ -8,12 +8,11 @@
 //!
 //! Method calls (`x.write(…)`) dispatch by name alone — a deliberate
 //! conservative over-approximation. To keep that over-approximation from
-//! connecting unrelated crates (e.g. an `easyc` `.iter(…)` edge into the
-//! criterion shim's `Bencher::iter`, which legitimately reads
-//! `Instant::now`), every edge is restricted to the **dependency closure**
-//! of the caller's crate, parsed from the workspace `Cargo.toml` files.
-//! Only `[dependencies]` count: dev-dependencies would re-open the bench
-//! path for every crate that benchmarks itself.
+//! connecting unrelated crates (e.g. an `easyc` `.run(…)` edge into a
+//! same-named method of a crate `easyc` cannot call), every edge is
+//! restricted to the **dependency closure** of the caller's crate, parsed
+//! from the workspace `Cargo.toml` files. Only `[dependencies]` count: a
+//! dev-dependency is visible to tests and examples, never to library code.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 

@@ -59,8 +59,8 @@ pub const REGISTRY: &[Rule] = &[
     },
     Rule {
         id: "wall-clock",
-        summary: "no Instant::now / SystemTime / env::var in result paths — wall-clock and environment entropy live only in bench/criterion/test code",
-        scope: "every non-bench, non-test .rs file",
+        summary: "no Instant::now / SystemTime / env::var in result paths — wall-clock and environment entropy live only in test code or behind a reasoned allow",
+        scope: "every .rs file outside tests/ and benches/ directories",
         kind: RuleKind::Lexical,
     },
     Rule {
@@ -95,7 +95,7 @@ pub const REGISTRY: &[Rule] = &[
     },
     Rule {
         id: "dead-public",
-        summary: "every pub fn/const/static/trait in a result crate is referenced by some other workspace file (bin/test/bench/example or another crate); the defining file's own tests do not count — pub API that nothing else calls is rot from past refactors; types are exempt (they flow through inference unnamed)",
+        summary: "every pub fn/const/static/trait in a result crate is referenced by some other workspace file (bin/test/example) of its own crate or of a crate that depends on it; the defining file's own tests do not count — pub API that nothing else calls is rot from past refactors; types are exempt (they flow through inference unnamed)",
         scope: "pub nameable items of the result library crates",
         kind: RuleKind::Semantic,
     },

@@ -40,8 +40,6 @@ pub use crate::registry::known_rule;
 struct FileScope {
     /// tests/, benches/ files: exempt from result-path rules.
     test_file: bool,
-    /// bench + criterion tooling: allowed to read the clock / env.
-    timing_tooling: bool,
     /// Crates whose output is part of the reproduced science.
     result_crate: bool,
     /// `easyc` sources: float reductions must be ordered folds.
@@ -59,8 +57,6 @@ impl FileScope {
             || path.contains("/benches/");
         FileScope {
             test_file,
-            timing_tooling: path.starts_with("crates/bench/")
-                || path.starts_with("crates/criterion/"),
             result_crate: path.starts_with("crates/frame/src/")
                 || path.starts_with("crates/parallel/src/")
                 || path.starts_with("crates/top500/src/")
@@ -447,7 +443,7 @@ fn rule_map_iteration(ctx: &FileCtx, out: &mut Vec<Violation>) {
 // ------------------------------------------------------------ wall-clock
 
 fn rule_wall_clock(ctx: &FileCtx, out: &mut Vec<Violation>) {
-    if ctx.scope.timing_tooling || ctx.scope.test_file {
+    if ctx.scope.test_file {
         return;
     }
     let lexed = &ctx.lexed;
@@ -480,7 +476,7 @@ fn rule_wall_clock(ctx: &FileCtx, out: &mut Vec<Violation>) {
                 ctx,
                 line,
                 "wall-clock",
-                format!("{what} in a result path — timing belongs in bench/criterion/test code"),
+                format!("{what} in a result path — results may depend only on inputs and the seed"),
             );
         }
     }

@@ -21,7 +21,7 @@ pub fn check(files: &[FileItems], graph: &Graph) -> Vec<Violation> {
     transitive_wall_clock(files, graph, &mut out);
     panic_surface(files, graph, &mut out);
     lock_order(files, graph, &mut out);
-    dead_public(files, &mut out);
+    dead_public(files, graph, &mut out);
     out
 }
 
@@ -34,11 +34,9 @@ fn is_clock_entry(path: &str) -> bool {
 }
 
 /// Files allowed to hold clock sinks (mirrors the lexical `wall-clock`
-/// exemptions): timing tooling and test/bench/example code.
+/// exemptions): test, bench and example code.
 fn is_timing_exempt(path: &str) -> bool {
-    path.starts_with("crates/bench/")
-        || path.starts_with("crates/criterion/")
-        || path.starts_with("tests/")
+    path.starts_with("tests/")
         || path.contains("/tests/")
         || path.starts_with("benches/")
         || path.contains("/benches/")
@@ -363,19 +361,31 @@ fn is_dead_public_scope(path: &str) -> bool {
         && !path.ends_with("/main.rs")
 }
 
-fn dead_public(files: &[FileItems], out: &mut Vec<Violation>) {
-    for file in files {
+fn dead_public(files: &[FileItems], graph: &Graph, out: &mut Vec<Violation>) {
+    let crates: Vec<String> = files.iter().map(|f| crate_of(&f.path)).collect();
+    for (file, home) in files.iter().zip(&crates) {
         if !is_dead_public_scope(&file.path) {
             continue;
         }
-        // Referenced = mentioned by any other workspace file. The file's own
-        // `#[cfg(test)]` code does not count: API that only its own unit
-        // tests call needs no `pub`.
-        let referenced = |name: &str| {
-            files
-                .iter()
-                .any(|other| other.path != file.path && other.idents.contains(name))
-        };
+        // Referenced = mentioned by another workspace file that can name
+        // this crate: one in the same crate, or in a crate whose dependency
+        // closure holds it (a crate without a manifest may name any crate).
+        // A same-named item of an unrelated crate keeps nothing alive. The
+        // file's own `#[cfg(test)]` code does not count: API that only its
+        // own unit tests call needs no `pub`.
+        let namers: Vec<&FileItems> = files
+            .iter()
+            .zip(&crates)
+            .filter(|(other, krate)| {
+                other.path != file.path
+                    && graph
+                        .dep_closure
+                        .get(*krate)
+                        .is_none_or(|closure| closure.contains(home))
+            })
+            .map(|(other, _)| other)
+            .collect();
+        let referenced = |name: &str| namers.iter().any(|other| other.idents.contains(name));
         for f in &file.fns {
             if f.is_pub && !f.in_test && !referenced(&f.name) {
                 out.push(Violation {

@@ -220,6 +220,32 @@ fn cross_file_references_make_pub_items_live() {
 }
 
 #[test]
+fn a_name_in_a_crate_that_cannot_call_the_definer_keeps_nothing_alive() {
+    // hwdb mentions ghg's names but does not depend on ghg, so those
+    // mentions are some other item's: the provider's pub API is dead.
+    let sources = vec![
+        src("crates/ghg/src/overrides.rs", DEAD_PROVIDER),
+        src(
+            "crates/hwdb/src/grid.rs",
+            include_str!("fixtures/semantic_dead_public_consumer.rs"),
+        ),
+    ];
+    let unrelated = vec![
+        manifest("crates/ghg/Cargo.toml", "ghg", &[]),
+        manifest("crates/hwdb/Cargo.toml", "hwdb", &[]),
+    ];
+    let v = audit_sources(&sources, &unrelated);
+    assert_eq!(lines_of(&v, "dead-public"), vec![6, 14]);
+    // Once hwdb depends on ghg, the same mentions are references.
+    let dependent = vec![
+        manifest("crates/ghg/Cargo.toml", "ghg", &[]),
+        manifest("crates/hwdb/Cargo.toml", "hwdb", &["ghg"]),
+    ];
+    let v = audit_sources(&sources, &dependent);
+    assert!(v.is_empty(), "expected clean, got: {v:?}");
+}
+
+#[test]
 fn a_pub_fn_called_only_by_its_own_tests_is_flagged() {
     let sources = vec![src(
         "crates/frame/src/share.rs",

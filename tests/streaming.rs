@@ -13,7 +13,7 @@ use top500_carbon::easyc::{
 };
 use top500_carbon::frame;
 use top500_carbon::top500::io::{export_csv, stream_csv};
-use top500_carbon::top500::stream::{InMemoryChunks, Prefetched, SyntheticChunks};
+use top500_carbon::top500::stream::{FleetChunks, InMemoryChunks, Prefetched, SyntheticChunks};
 use top500_carbon::top500::synthetic::{generate_full, mask_baseline, MaskRates, SyntheticConfig};
 
 const SEED: u64 = 0x5EED_CAFE;
@@ -261,48 +261,65 @@ fn streamed_out_artifact_byte_identical_to_in_memory_artifact() {
     }
 }
 
+/// Streams `source()` once inline and once behind [`Prefetched`]:
+/// overlapping ingest with assessment must change throughput only. Fold
+/// results (totals, coverage, both interval families) are bit-identical to
+/// the serial source, and the double buffer never holds more than one
+/// chunk ahead of the consumer.
+fn assert_prefetched_matches_serial<S>(source: impl Fn() -> S, what: &str)
+where
+    S: FleetChunks + Send + 'static,
+    S::Error: Send + std::fmt::Debug,
+{
+    let serial = Assessment::stream(source())
+        .scenarios(&matrix())
+        .uncertainty(60)
+        .seed(5)
+        .run()
+        .unwrap();
+    let prefetched = Prefetched::new(source());
+    let probe = prefetched.probe();
+    let overlapped = Assessment::stream(prefetched)
+        .scenarios(&matrix())
+        .uncertainty(60)
+        .seed(5)
+        .run()
+        .unwrap();
+    assert_eq!(overlapped.systems(), serial.systems(), "{what}");
+    assert_eq!(overlapped.chunks(), serial.chunks(), "{what}");
+    assert_eq!(
+        overlapped.peak_chunk_rows(),
+        serial.peak_chunk_rows(),
+        "{what}"
+    );
+    assert_eq!(probe.chunks_parsed(), serial.chunks(), "{what}");
+    assert_eq!(probe.chunks_delivered(), serial.chunks(), "{what}");
+    assert!(
+        probe.peak_ahead() <= 1,
+        "{what}: prefetcher ran {} chunks ahead",
+        probe.peak_ahead()
+    );
+    for (a, b) in serial.slices().iter().zip(overlapped.slices()) {
+        assert_eq!(a.coverage, b.coverage, "{what}");
+        assert_eq!(a.operational_total_mt, b.operational_total_mt, "{what}");
+        assert_eq!(a.embodied_total_mt, b.embodied_total_mt, "{what}");
+        assert_eq!(a.interval, b.interval, "{what}");
+        assert_eq!(a.embodied_interval, b.embodied_interval, "{what}");
+    }
+}
+
 #[test]
 fn prefetched_stream_bit_identical_to_serial_stream_with_bounded_residency() {
-    // Overlapping ingest with assessment must change throughput only:
-    // fold results (totals, coverage, both interval families) are
-    // bit-identical to the serial source, and the double buffer never
-    // holds more than one chunk ahead of the consumer.
+    // Both ingest sources: the synthetic generator, and the CSV reader
+    // whose parse is the work the prefetcher exists to hide.
     let config = SyntheticConfig {
         n: 500,
         seed: SEED,
         ..Default::default()
     };
-    let serial = Assessment::stream(SyntheticChunks::new(config, 64))
-        .scenarios(&matrix())
-        .uncertainty(60)
-        .seed(5)
-        .run()
-        .unwrap();
-    let source = Prefetched::new(SyntheticChunks::new(config, 64));
-    let probe = source.probe();
-    let overlapped = Assessment::stream(source)
-        .scenarios(&matrix())
-        .uncertainty(60)
-        .seed(5)
-        .run()
-        .unwrap();
-    assert_eq!(overlapped.systems(), serial.systems());
-    assert_eq!(overlapped.chunks(), serial.chunks());
-    assert_eq!(overlapped.peak_chunk_rows(), serial.peak_chunk_rows());
-    assert_eq!(probe.chunks_parsed(), serial.chunks());
-    assert_eq!(probe.chunks_delivered(), serial.chunks());
-    assert!(
-        probe.peak_ahead() <= 1,
-        "prefetcher ran {} chunks ahead",
-        probe.peak_ahead()
-    );
-    for (a, b) in serial.slices().iter().zip(overlapped.slices()) {
-        assert_eq!(a.coverage, b.coverage);
-        assert_eq!(a.operational_total_mt, b.operational_total_mt);
-        assert_eq!(a.embodied_total_mt, b.embodied_total_mt);
-        assert_eq!(a.interval, b.interval);
-        assert_eq!(a.embodied_interval, b.embodied_interval);
-    }
+    assert_prefetched_matches_serial(|| SyntheticChunks::new(config, 64), "synthetic");
+    let csv = export_csv(&generate_full(&config)).into_bytes();
+    assert_prefetched_matches_serial(|| stream_csv(std::io::Cursor::new(csv.clone()), 64), "csv");
 }
 
 #[test]
@@ -334,4 +351,41 @@ fn row_sink_blocks_arrive_in_deterministic_scenario_major_order_per_chunk() {
         })
         .collect();
     assert_eq!(seen, expected);
+}
+
+#[test]
+#[ignore = "one million systems: a release-mode scale run"]
+fn a_million_system_stream_holds_one_chunk_at_a_time() {
+    // The larger-than-memory proof at scale: a million synthetic systems
+    // under a two-scenario matrix fold chunk by chunk, and no more than
+    // one 8,192-row chunk of the fleet is ever resident.
+    const FLEET: u32 = 1_000_000;
+    const CHUNK: usize = 8_192;
+    let matrix = ScenarioMatrix::new()
+        .with(DataScenario::full("full"))
+        .with(DataScenario::masked(
+            "no-power",
+            MetricMask::ALL
+                .without(MetricBit::PowerKw)
+                .without(MetricBit::AnnualEnergy),
+        ));
+    let config = SyntheticConfig {
+        n: FLEET,
+        seed: SEED,
+        ..Default::default()
+    };
+    let output = Assessment::stream(SyntheticChunks::new(config, CHUNK))
+        .scenarios(&matrix)
+        .run()
+        .expect("synthetic source cannot fail");
+    assert_eq!(output.systems(), FLEET as usize);
+    assert_eq!(output.chunks(), 123);
+    assert!(
+        output.peak_chunk_rows() <= CHUNK,
+        "peak resident chunk {} exceeds the {CHUNK}-row budget",
+        output.peak_chunk_rows()
+    );
+    let full = output.slice("full").expect("scenario present");
+    assert_eq!(full.coverage.total, FLEET as usize);
+    assert!(full.operational_total_mt > 0.0);
 }
